@@ -14,9 +14,6 @@ probabilities ``(1 - p_d) exp(-I)`` per detector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import math
 
 from .model import ChannelParams, DegenerateChannelError
@@ -29,8 +26,6 @@ __all__ = [
     "gain_phase_averaged",
     "adjacent_bit_error",
     "marginal_error",
-    "PortGain",
-    "port_gain",
 ]
 
 
@@ -113,20 +108,3 @@ def marginal_error(adjacent: float, j: int) -> float:
             * (1.0 - adjacent) ** (j - 2 * i - 2)
         )
     return total
-
-
-@dataclass(frozen=True)
-class PortGain:
-    """Gain bundle for one pair of intensities at one measuring port."""
-
-    vacuum_yield: float
-    phase_averaged: float
-    fixed_phase: Callable[[float], float]
-
-
-def port_gain(k_a: float, k_b: float, eta_t: float, p_d: float) -> PortGain:
-    return PortGain(
-        vacuum_yield=_vacuum_yield(k_a, k_b, eta_t, p_d),
-        phase_averaged=gain_phase_averaged(k_a, k_b, eta_t, p_d),
-        fixed_phase=lambda dtheta: gain_fixed_phase(k_a, k_b, dtheta, eta_t, p_d),
-    )

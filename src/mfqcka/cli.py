@@ -30,12 +30,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Any
 
 from . import keyrate, montecarlo, optimizer
-from .model import Bundle, ConfigError, RateReport, bundle_from_dict
+from .model import Bundle, ConfigError, RateReport, bundle_from_dict, validate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -63,12 +64,14 @@ def _load_bundle(path: str, distance: float | None) -> tuple[Bundle, dict[str, A
         raise ConfigError(f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
     bundle = bundle_from_dict(doc)
     if distance is not None:
-        bundle = Bundle(
-            config=bundle.config,
-            channel=bundle.channel.with_distance(distance),
-            security=bundle.security,
-        )
+        bundle = _override(bundle, distance_km=distance)
     return bundle, doc
+
+
+def _override(bundle: Bundle, **channel_fields: float) -> Bundle:
+    """The bundle with command-line channel overrides, validated like the file."""
+    channel = dataclasses.replace(bundle.channel, **channel_fields)
+    return validate(bundle.config, channel, bundle.security)
 
 
 def _search_spec(doc: dict[str, Any], args: argparse.Namespace) -> optimizer.SearchSpec:
@@ -183,17 +186,23 @@ def cmd_rate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_scan(args: argparse.Namespace) -> int:
-    bundle, doc = _load_bundle(args.config, None)
-    if args.step <= 0:
+def _scan_distances(start: float, stop: float, step: float) -> list[float]:
+    """start + i*step up to stop; indexing keeps rounding from accumulating."""
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ConfigError("scan range and step must be finite")
+    if step <= 0:
         raise ConfigError("scan step must be positive")
-    distances: list[float] = []
-    d = args.start
-    while d <= args.stop + 1e-9:
-        distances.append(round(d, 9))
-        d += args.step
+    count = math.floor((stop - start + 1e-9) / step) + 1
+    distances = [round(start + i * step, 9) for i in range(count)]
     if not distances:
         raise ConfigError("scan range is empty")
+    return distances
+
+
+def cmd_scan(args: argparse.Namespace) -> int:
+    bundle, doc = _load_bundle(args.config, None)
+    distances = _scan_distances(args.start, args.stop, args.step)
+    steps = [_override(bundle, distance_km=d) for d in distances]
 
     spec = _search_spec(doc, args)
     rows: list[list[str]] = []
@@ -202,12 +211,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         for rec in records:
             rows.append(_csv_row(rec.report, spec.seed))
     else:
-        for distance in distances:
-            step = Bundle(
-                config=bundle.config,
-                channel=bundle.channel.with_distance(distance),
-                security=bundle.security,
-            )
+        for step in steps:
             rows.append(_csv_row(_evaluate(step, args.objective, args.mode), spec.seed))
 
     header = _csv_header(len(bundle.config.decoy_intensities))
@@ -235,8 +239,9 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     bundle, _ = _load_bundle(args.config, args.distance)
     if args.dark_counts is not None:
-        channel = dataclasses.replace(bundle.channel, dark_count_rate=args.dark_counts)
-        bundle = Bundle(config=bundle.config, channel=channel, security=bundle.security)
+        bundle = _override(bundle, dark_count_rate=args.dark_counts)
+    if args.bins < 1:
+        raise ConfigError("--bins must be at least 1")
     summary = montecarlo.run_protocol(bundle, args.bins, args.seed, coincidence_dump=args.dump)
     report = montecarlo.compare_to_analytic(summary, bundle)
     doc = {"summary": summary.to_dict(), "comparison": report.to_dict()}

@@ -4,11 +4,17 @@ Every bound is built from the same normalized counts
 
     t_k = s_k * exp(c (k - mu)) * (p_mu / p_k)^c,       c = 2 (N - 1),
 
-which satisfy t_k = sum_n (k/mu)^n s_mu^n when the sifted counts follow
-the photon-number decomposition of the phase-randomized source.  A short
-Gaussian-elimination ladder of first differences then cancels unwanted
-photon-number terms; dropping the (provably one-signed) residual tail
-turns each expression into a lower bound.
+which satisfy t_k = sum_n x_k^n s_mu^n with x_k = k / mu when the sifted
+counts follow the photon-number decomposition of the phase-randomized
+source.  One rule turns them into lower bounds on the photon numbers
+m = N-1, N-3, ... >= 0 that the N-user phase error needs:
+
+    s_mu^0 = t_0,    s_mu^m >= sum_k w_k t_k  (m >= 1),
+
+where the w_k are the Lagrange weights of the degree-m coefficient of the
+polynomial sum_{n=1}^{m+1} a_n x^n interpolating t_k - t_0 through the m+1
+smallest nonzero intensities.  Dropping the (provably one-signed) residual
+tail n >= m+2 of that interpolation makes the sum a lower bound.
 
 The exponential and probability-power factors are combined in log space
 before a single exponentiation per term because p_o^(2(N-1)) underflows a
@@ -114,152 +120,84 @@ def _phase_error(bounds: Mapping[int, float], s_mu: float) -> float:
     return min(max(phi, 0.0), 1.0)
 
 
-def _diff(t: Mapping[float, float], x: float, y: float) -> float:
-    """First ladder difference y*(t_x - t_o) - x*(t_y - t_o), cancelling n <= 1."""
-    t_o = t[0.0]
-    return y * (t[x] - t_o) - x * (t[y] - t_o)
+def _photon_weights(ks: tuple[float, ...], num_users: int) -> dict[int, dict[float, float]]:
+    """Weights w_k of the bound on s_mu^m for m = N-1, N-3, ..., in ascending m.
+
+    With nodes x_j = k_j / mu over the m+1 smallest nonzero intensities and
+    S = sum_j x_j, reading the degree-m coefficient off the interpolation of
+    (t_j - t_0) / x_j by a degree-m polynomial gives
+
+        w_j = -(S - x_j) / (x_j prod_{i != j} (x_j - x_i)),
+
+    and the vacuum weight -sum_j w_j, the divided difference of S / x,
+    equals (-1)^m S / prod_j x_j.
+    """
+    mu = ks[0]
+    weights: dict[int, dict[float, float]] = {}
+    for m in range((num_users - 1) % 2, num_users, 2):
+        if m == 0:
+            weights[0] = {0.0: 1.0}
+            continue
+        nodes = ks[-m - 2 : -1]
+        xs = [k / mu for k in nodes]
+        total = math.fsum(xs)
+        w = {0.0: (-1) ** m * total / math.prod(xs)}
+        for j, (k, x) in enumerate(zip(nodes, xs)):
+            others = math.prod(x - y for i, y in enumerate(xs) if i != j)
+            w[k] = -(total - x) / (x * others)
+        weights[m] = w
+    return weights
+
+
+def _decoy_bounds(observed: ObservedCounts, num_users: int, eps: float | None = None) -> DecoyBounds:
+    """The shared rule; ``eps`` switches on the finite-size treatment.
+
+    With ``eps`` each count enters at its Chernoff lower side where its
+    weight is positive and at its upper side otherwise, and every bound is
+    converted back to a pessimistic observed value.  ``chernoff_applications``
+    counts the distinct (count, side) pairs used plus one per conversion.
+    """
+    ks = observed._check(num_users + 1)
+    factors = _normalization_factors(observed, ks)
+    sides = {
+        k: (s, s) if eps is None else chernoff_expected_bounds(s, eps)
+        for k, s in observed.sifted.items()
+    }
+    used: set[tuple[float, int]] = set()
+    raw = {}
+    for m, ws in _photon_weights(ks, num_users).items():
+        terms = []
+        for k, w in ws.items():
+            side = 0 if w > 0.0 else 1
+            used.add((k, side))
+            terms.append(w * sides[k][side] * factors[k])
+        raw[m] = math.fsum(terms)
+    bounds, clamped = _clamp_bounds(raw)
+    if eps is not None:
+        bounds = {n: chernoff_observed_lower(v, eps) for n, v in bounds.items()}
+    return DecoyBounds(
+        s_mu_n_lower=bounds,
+        phase_error_upper=_phase_error(bounds, observed.sifted[ks[0]]),
+        clamped=clamped,
+        chernoff_applications=0 if eps is None else len(used) + len(bounds),
+    )
 
 
 def bounds_3user_asymptotic(observed: ObservedCounts) -> DecoyBounds:
-    """Lower bounds on the 0- and 2-photon signal contributions, three users.
-
-    The vacuum ratio pins s_mu^0 exactly; the two-step ladder over
-    (mu, nu, omega) cancels the 1- and 3-photon terms and drops the
-    positive n >= 4 tail to bound s_mu^2 from below.
-    """
-    ks = observed._check(4)
-    mu, nu, om = ks[0], ks[1], ks[2]
-    factors = _normalization_factors(observed, ks)
-    t = {k: observed.sifted[k] * factors[k] for k in ks}
-    s0 = t[0.0]
-    a1 = _diff(t, mu, nu)
-    a2 = _diff(t, nu, om)
-    s2 = (
-        mu
-        * (mu * (mu**2 - nu**2) * a2 - om * (nu**2 - om**2) * a1)
-        / (nu * om * (mu - nu) * (nu - om) * (mu - om))
-    )
-    bounds, clamped = _clamp_bounds({0: s0, 2: s2})
-    return DecoyBounds(
-        s_mu_n_lower=bounds,
-        phase_error_upper=_phase_error(bounds, observed.sifted[mu]),
-        clamped=clamped,
-    )
+    """Lower bounds on the 0- and 2-photon signal contributions, three users."""
+    return _decoy_bounds(observed, 3)
 
 
 def bounds_3user_finite(observed: ObservedCounts, sec) -> DecoyBounds:
-    """Finite-size version of the three-user bounds.
-
-    Each positively-signed count enters through its Chernoff lower
-    expected value and each negatively-signed count through its upper,
-    then the resulting expected-value bounds are converted back to
-    pessimistic observed values.  Six concentration-bound applications
-    are consumed per call (four expected-value sides, two conversions).
-    """
-    ks = observed._check(4)
-    mu, nu, om = ks[0], ks[1], ks[2]
-    eps = sec.eps_chernoff
-    factors = _normalization_factors(observed, ks)
-    lower = {k: chernoff_expected_bounds(observed.sifted[k], eps)[0] * factors[k] for k in ks}
-    upper = {k: chernoff_expected_bounds(observed.sifted[k], eps)[1] * factors[k] for k in ks}
-
-    s0_star = lower[0.0]
-    diff = (mu - nu) * (nu - om) * (mu - om)
-    s2_star = (
-        mu
-        / (nu * om * diff)
-        * (
-            diff * (mu + nu + om) * lower[0.0]
-            + mu * om * (mu**2 - om**2) * lower[nu]
-            - mu * nu * (mu**2 - nu**2) * upper[om]
-            - nu * om * (nu**2 - om**2) * upper[mu]
-        )
-    )
-    raw, clamped = _clamp_bounds({0: s0_star, 2: s2_star})
-    bounds = {n: chernoff_observed_lower(v, eps) for n, v in raw.items()}
-    return DecoyBounds(
-        s_mu_n_lower=bounds,
-        phase_error_upper=_phase_error(bounds, observed.sifted[mu]),
-        clamped=clamped,
-    )
+    """Finite-size version of the three-user bounds (six Chernoff applications)."""
+    return _decoy_bounds(observed, 3, sec.eps_chernoff)
 
 
 def bounds_4user_asymptotic(observed: ObservedCounts) -> DecoyBounds:
     """Lower bounds on the 1- and 3-photon signal contributions, four users."""
-    ks = observed._check(5)
-    mu, nu, om, xi = ks[0], ks[1], ks[2], ks[3]
-    factors = _normalization_factors(observed, ks)
-    t = {k: observed.sifted[k] * factors[k] for k in ks}
-    t_o = t[0.0]
-
-    s1 = mu * (om**2 * (t[xi] - t_o) - xi**2 * (t[om] - t_o)) / (xi * om * (om - xi))
-
-    a1 = _diff(t, mu, nu)
-    a2 = _diff(t, nu, om)
-    a3 = _diff(t, om, xi)
-    b1 = a2 * mu * (mu - nu) - a1 * om * (nu - om)
-    b2 = a3 * nu * (nu - om) - a2 * xi * (om - xi)
-    s3 = (
-        mu**2
-        * (
-            b1 * xi * (om - xi) * (nu - xi) * (xi + om + nu)
-            - b2 * mu * (mu - nu) * (mu - om) * (mu + nu + om)
-        )
-        / (
-            nu * om * xi
-            * (mu - nu) * (mu - xi) * (nu - xi) * (nu - om) * (mu - om) * (om - xi)
-        )
-    )
-    bounds, clamped = _clamp_bounds({1: s1, 3: s3})
-    return DecoyBounds(
-        s_mu_n_lower=bounds,
-        phase_error_upper=_phase_error(bounds, observed.sifted[mu]),
-        clamped=clamped,
-    )
+    return _decoy_bounds(observed, 4)
 
 
 def bounds_5user_asymptotic(observed: ObservedCounts) -> DecoyBounds:
     """Lower bounds on the 0-, 2- and 4-photon signal contributions, five users."""
-    ks = observed._check(6)
-    mu, nu, om, xi, ta = ks[0], ks[1], ks[2], ks[3], ks[4]
-    factors = _normalization_factors(observed, ks)
-    t = {k: observed.sifted[k] * factors[k] for k in ks}
-
-    s0 = t[0.0]
-
-    a1 = _diff(t, mu, nu)
-    a2 = _diff(t, nu, om)
-    a3 = _diff(t, om, xi)
-    a4 = _diff(t, xi, ta)
-    # Two-step ladder over the three smallest nonzero settings; the large
-    # intensity multiplies the lower difference, mirroring the three-user
-    # expression with (mu, nu, omega) -> (omega, xi, tau).
-    s2 = (
-        mu**2
-        * (om * (om**2 - xi**2) * a4 - ta * (xi**2 - ta**2) * a3)
-        / (om * xi * ta * (om - xi) * (xi - ta) * (om - ta))
-    )
-
-    b1 = a2 * mu * (mu - nu) - a1 * om * (nu - om)
-    b2 = a3 * nu * (nu - om) - a2 * xi * (om - xi)
-    b3 = a4 * om * (om - xi) - a3 * ta * (xi - ta)
-    c1 = b1 * xi * (om - xi) * (nu - xi) - b2 * mu * (mu - nu) * (mu - om)
-    c2 = b2 * ta * (om - ta) * (xi - ta) - b3 * nu * (nu - om) * (nu - xi)
-    s4 = (
-        mu**3
-        * (
-            c1 * ta * (om - ta) * (xi - ta) * (nu - ta) * (nu + om + xi + ta)
-            - c2 * mu * (mu - nu) * (mu - om) * (mu - xi) * (mu + nu + om + xi)
-        )
-        / (
-            om * nu * xi * ta
-            * (mu - nu) * (mu - om) * (mu - xi) * (nu - om) * (nu - xi)
-            * (om - xi) * (om - ta) * (xi - ta) * (nu - ta) * (mu - ta)
-        )
-    )
-    bounds, clamped = _clamp_bounds({0: s0, 2: s2, 4: s4})
-    return DecoyBounds(
-        s_mu_n_lower=bounds,
-        phase_error_upper=_phase_error(bounds, observed.sifted[mu]),
-        clamped=clamped,
-    )
+    return _decoy_bounds(observed, 5)

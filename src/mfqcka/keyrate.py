@@ -155,7 +155,6 @@ def finite_rate(config: SourceConfig, channel: ChannelParams, sec: SecurityParam
         * (1.0 - _privacy_entropy(db.phase_error_upper) - sec.ec_efficiency * worst_h)
         - correction
     )
-    chernoff_uses = 6  # four expected-value sides + two observed conversions
     return RateReport(
         key_rate=max(raw, 0.0),
         key_rate_raw=raw,
@@ -172,6 +171,6 @@ def finite_rate(config: SourceConfig, channel: ChannelParams, sec: SecurityParam
         sifted=dict(obs.sifted),
         s_mu_n_lower=dict(db.s_mu_n_lower),
         correction_bits=correction,
-        chernoff_applications=chernoff_uses,
-        failure_budget=chernoff_uses * sec.eps_chernoff,
+        chernoff_applications=db.chernoff_applications,
+        failure_budget=db.chernoff_applications * sec.eps_chernoff,
     )

@@ -19,7 +19,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
@@ -147,48 +146,78 @@ class Bundle:
             },
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+
+def _number(value: Any, name: str) -> float:
+    """A finite float from a JSON number or numeric string; bools are rejected."""
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except (ValueError, OverflowError):
+            pass
+        else:
+            if math.isfinite(number):
+                return number
+    raise ConfigError(f"{name} must be a finite number, got {value!r}")
+
+
+def _integer(value: Any, name: str) -> int:
+    number = _number(value, name)
+    if not number.is_integer():
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(number)
+
+
+def _numbers(value: Any, name: str) -> tuple[float, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
+    return tuple(_number(x, f"{name}[{i}]") for i, x in enumerate(value))
 
 
 def bundle_from_dict(doc: Mapping[str, Any]) -> Bundle:
     """Build and validate a bundle from a parsed JSON configuration document.
 
-    Raises ConfigError naming the missing/invalid field on malformed input.
+    Raises ConfigError naming the missing/invalid field on malformed input:
+    a missing section or field, a section that is not an object, a value
+    that is not a finite number (bools included), or a non-integral
+    ``users``/``phase_slices``.
     """
-    try:
-        ch = doc["channel"]
-        src = doc["source"]
-        sec = doc["security"]
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"missing top-level section: {exc}") from None
+    sections = {}
+    for name in ("channel", "source", "security"):
+        try:
+            section = doc[name]
+        except (KeyError, TypeError) as exc:
+            raise ConfigError(f"missing top-level section: {exc}") from None
+        if not isinstance(section, Mapping):
+            raise ConfigError(f"section {name} must be an object")
+        sections[name] = section
 
-    def _get(section: Mapping[str, Any], name: str, key: str, default: Any = None) -> Any:
+    def _get(name: str, key: str, parse=_number, default: Any = None) -> Any:
+        section = sections[name]
         if key in section:
-            return section[key]
+            return parse(section[key], f"{name}.{key}")
         if default is not None:
             return default
         raise ConfigError(f"missing field {name}.{key}")
 
     channel = ChannelParams(
-        detector_efficiency=float(_get(ch, "channel", "detector_efficiency")),
-        dark_count_rate=float(_get(ch, "channel", "dark_count_rate")),
-        fiber_alpha=float(_get(ch, "channel", "fiber_alpha_db_per_km")),
-        distance_km=float(ch.get("distance_km", 0.0)),
+        detector_efficiency=_get("channel", "detector_efficiency"),
+        dark_count_rate=_get("channel", "dark_count_rate"),
+        fiber_alpha=_get("channel", "fiber_alpha_db_per_km"),
+        distance_km=_get("channel", "distance_km", default=0.0),
     )
     config = SourceConfig(
-        num_users=int(_get(src, "source", "users")),
-        signal_intensity=float(_get(src, "source", "signal_intensity")),
-        decoy_intensities=tuple(float(x) for x in _get(src, "source", "decoy_intensities")),
-        send_probabilities=tuple(float(x) for x in _get(src, "source", "send_probabilities")),
-        phase_slices=int(_get(src, "source", "phase_slices")),
+        num_users=_get("source", "users", _integer),
+        signal_intensity=_get("source", "signal_intensity"),
+        decoy_intensities=_get("source", "decoy_intensities", _numbers),
+        send_probabilities=_get("source", "send_probabilities", _numbers),
+        phase_slices=_get("source", "phase_slices", _integer),
     )
     security = SecurityParams(
-        data_size=float(_get(sec, "security", "data_size")),
-        eps_ec=float(sec.get("eps_ec", 1e-15)),
-        eps_pa=float(sec.get("eps_pa", 1e-10)),
-        eps_chernoff=float(sec.get("eps_chernoff", 1e-10)),
-        ec_efficiency=float(sec.get("ec_efficiency", 1.1)),
+        data_size=_get("security", "data_size"),
+        eps_ec=_get("security", "eps_ec", default=1e-15),
+        eps_pa=_get("security", "eps_pa", default=1e-10),
+        eps_chernoff=_get("security", "eps_chernoff", default=1e-10),
+        ec_efficiency=_get("security", "ec_efficiency", default=1.1),
     )
     return validate(config, channel, security)
 
@@ -278,12 +307,15 @@ class DecoyBounds:
     """Lower bounds on photon-number contributions and the phase-error cap.
 
     ``clamped`` lists the photon numbers whose raw bound came out negative
-    under statistical fluctuation and was clamped to zero.
+    under statistical fluctuation and was clamped to zero;
+    ``chernoff_applications`` counts the concentration bounds a finite-size
+    estimate consumed (0 for asymptotic bounds).
     """
 
     s_mu_n_lower: Mapping[int, float]
     phase_error_upper: float
     clamped: tuple[int, ...] = ()
+    chernoff_applications: int = 0
 
     @property
     def total_lower(self) -> float:

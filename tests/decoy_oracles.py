@@ -1,0 +1,171 @@
+"""Closed-form decoy-state ladders kept as test oracles.
+
+These are the hand-expanded three-, four- and five-user expressions that
+``mfqcka.decoy`` once implemented directly.  The package now derives every
+bound from one Lagrange-interpolation rule; the tests compare that rule
+against these forms.
+"""
+
+import math
+from typing import Mapping
+
+from mfqcka.decoy import (
+    ObservedCounts,
+    _clamp_bounds,
+    _normalization_factors,
+    _phase_error,
+    chernoff_expected_bounds,
+    chernoff_observed_lower,
+)
+from mfqcka.model import DecoyBounds
+
+
+def _diff(t: Mapping[float, float], x: float, y: float) -> float:
+    """First ladder difference y*(t_x - t_o) - x*(t_y - t_o), cancelling n <= 1."""
+    t_o = t[0.0]
+    return y * (t[x] - t_o) - x * (t[y] - t_o)
+
+
+def bounds_3user_asymptotic(observed: ObservedCounts) -> DecoyBounds:
+    """Lower bounds on the 0- and 2-photon signal contributions, three users.
+
+    The vacuum ratio pins s_mu^0 exactly; the two-step ladder over
+    (mu, nu, omega) cancels the 1- and 3-photon terms and drops the
+    positive n >= 4 tail to bound s_mu^2 from below.
+    """
+    ks = observed._check(4)
+    mu, nu, om = ks[0], ks[1], ks[2]
+    factors = _normalization_factors(observed, ks)
+    t = {k: observed.sifted[k] * factors[k] for k in ks}
+    s0 = t[0.0]
+    a1 = _diff(t, mu, nu)
+    a2 = _diff(t, nu, om)
+    s2 = (
+        mu
+        * (mu * (mu**2 - nu**2) * a2 - om * (nu**2 - om**2) * a1)
+        / (nu * om * (mu - nu) * (nu - om) * (mu - om))
+    )
+    bounds, clamped = _clamp_bounds({0: s0, 2: s2})
+    return DecoyBounds(
+        s_mu_n_lower=bounds,
+        phase_error_upper=_phase_error(bounds, observed.sifted[mu]),
+        clamped=clamped,
+    )
+
+
+def bounds_3user_finite(observed: ObservedCounts, sec) -> DecoyBounds:
+    """Finite-size version of the three-user bounds.
+
+    Each positively-signed count enters through its Chernoff lower
+    expected value and each negatively-signed count through its upper,
+    then the resulting expected-value bounds are converted back to
+    pessimistic observed values.  Six concentration-bound applications
+    are consumed per call (four expected-value sides, two conversions).
+    """
+    ks = observed._check(4)
+    mu, nu, om = ks[0], ks[1], ks[2]
+    eps = sec.eps_chernoff
+    factors = _normalization_factors(observed, ks)
+    lower = {k: chernoff_expected_bounds(observed.sifted[k], eps)[0] * factors[k] for k in ks}
+    upper = {k: chernoff_expected_bounds(observed.sifted[k], eps)[1] * factors[k] for k in ks}
+
+    s0_star = lower[0.0]
+    diff = (mu - nu) * (nu - om) * (mu - om)
+    s2_star = (
+        mu
+        / (nu * om * diff)
+        * (
+            diff * (mu + nu + om) * lower[0.0]
+            + mu * om * (mu**2 - om**2) * lower[nu]
+            - mu * nu * (mu**2 - nu**2) * upper[om]
+            - nu * om * (nu**2 - om**2) * upper[mu]
+        )
+    )
+    raw, clamped = _clamp_bounds({0: s0_star, 2: s2_star})
+    bounds = {n: chernoff_observed_lower(v, eps) for n, v in raw.items()}
+    return DecoyBounds(
+        s_mu_n_lower=bounds,
+        phase_error_upper=_phase_error(bounds, observed.sifted[mu]),
+        clamped=clamped,
+    )
+
+
+def bounds_4user_asymptotic(observed: ObservedCounts) -> DecoyBounds:
+    """Lower bounds on the 1- and 3-photon signal contributions, four users."""
+    ks = observed._check(5)
+    mu, nu, om, xi = ks[0], ks[1], ks[2], ks[3]
+    factors = _normalization_factors(observed, ks)
+    t = {k: observed.sifted[k] * factors[k] for k in ks}
+    t_o = t[0.0]
+
+    s1 = mu * (om**2 * (t[xi] - t_o) - xi**2 * (t[om] - t_o)) / (xi * om * (om - xi))
+
+    a1 = _diff(t, mu, nu)
+    a2 = _diff(t, nu, om)
+    a3 = _diff(t, om, xi)
+    b1 = a2 * mu * (mu - nu) - a1 * om * (nu - om)
+    b2 = a3 * nu * (nu - om) - a2 * xi * (om - xi)
+    s3 = (
+        mu**2
+        * (
+            b1 * xi * (om - xi) * (nu - xi) * (xi + om + nu)
+            - b2 * mu * (mu - nu) * (mu - om) * (mu + nu + om)
+        )
+        / (
+            nu * om * xi
+            * (mu - nu) * (mu - xi) * (nu - xi) * (nu - om) * (mu - om) * (om - xi)
+        )
+    )
+    bounds, clamped = _clamp_bounds({1: s1, 3: s3})
+    return DecoyBounds(
+        s_mu_n_lower=bounds,
+        phase_error_upper=_phase_error(bounds, observed.sifted[mu]),
+        clamped=clamped,
+    )
+
+
+def bounds_5user_asymptotic(observed: ObservedCounts) -> DecoyBounds:
+    """Lower bounds on the 0-, 2- and 4-photon signal contributions, five users."""
+    ks = observed._check(6)
+    mu, nu, om, xi, ta = ks[0], ks[1], ks[2], ks[3], ks[4]
+    factors = _normalization_factors(observed, ks)
+    t = {k: observed.sifted[k] * factors[k] for k in ks}
+
+    s0 = t[0.0]
+
+    a1 = _diff(t, mu, nu)
+    a2 = _diff(t, nu, om)
+    a3 = _diff(t, om, xi)
+    a4 = _diff(t, xi, ta)
+    # Two-step ladder over the three smallest nonzero settings; the large
+    # intensity multiplies the lower difference, mirroring the three-user
+    # expression with (mu, nu, omega) -> (omega, xi, tau).
+    s2 = (
+        mu**2
+        * (om * (om**2 - xi**2) * a4 - ta * (xi**2 - ta**2) * a3)
+        / (om * xi * ta * (om - xi) * (xi - ta) * (om - ta))
+    )
+
+    b1 = a2 * mu * (mu - nu) - a1 * om * (nu - om)
+    b2 = a3 * nu * (nu - om) - a2 * xi * (om - xi)
+    b3 = a4 * om * (om - xi) - a3 * ta * (xi - ta)
+    c1 = b1 * xi * (om - xi) * (nu - xi) - b2 * mu * (mu - nu) * (mu - om)
+    c2 = b2 * ta * (om - ta) * (xi - ta) - b3 * nu * (nu - om) * (nu - xi)
+    s4 = (
+        mu**3
+        * (
+            c1 * ta * (om - ta) * (xi - ta) * (nu - ta) * (nu + om + xi + ta)
+            - c2 * mu * (mu - nu) * (mu - om) * (mu - xi) * (mu + nu + om + xi)
+        )
+        / (
+            om * nu * xi * ta
+            * (mu - nu) * (mu - om) * (mu - xi) * (nu - om) * (nu - xi)
+            * (om - xi) * (om - ta) * (xi - ta) * (nu - ta) * (mu - ta)
+        )
+    )
+    bounds, clamped = _clamp_bounds({0: s0, 2: s2, 4: s4})
+    return DecoyBounds(
+        s_mu_n_lower=bounds,
+        phase_error_upper=_phase_error(bounds, observed.sifted[mu]),
+        clamped=clamped,
+    )

@@ -11,7 +11,6 @@ from mfqcka.channel import (
     gain_fixed_phase,
     gain_phase_averaged,
     marginal_error,
-    port_gain,
     total_efficiency,
 )
 from mfqcka.model import DegenerateChannelError
@@ -112,12 +111,6 @@ class TestGains:
             for d in np.linspace(0.0, 400.0, 21)
         ]
         assert all(a >= b for a, b in zip(values, values[1:]))
-
-    def test_port_gain_bundle(self):
-        pg = port_gain(0.1, 0.2, 0.05, 1e-6)
-        assert pg.phase_averaged == pytest.approx(gain_phase_averaged(0.1, 0.2, 0.05, 1e-6))
-        assert pg.fixed_phase(0.4) == pytest.approx(gain_fixed_phase(0.1, 0.2, 0.4, 0.05, 1e-6))
-        assert 0.0 < pg.vacuum_yield <= 1.0
 
 
 class TestAdjacentError:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from mfqcka.cli import EXIT_CONFIG, EXIT_CONSISTENCY, EXIT_OK, main
+from mfqcka.cli import EXIT_CONFIG, EXIT_CONSISTENCY, EXIT_OK, _scan_distances, main
 from conftest import make_bundle
 
 
@@ -56,6 +56,74 @@ def test_validation_error_names_field(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["rate", str(path)]) == EXIT_CONFIG
     assert "sum to 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rate", "{cfg}", "--distance", "-50"],
+        ["scan", "{cfg}", "--from", "-20", "--to", "0", "--step", "10"],
+        ["scan", "{cfg}", "--from", "0", "--to", "inf", "--step", "10"],
+        ["simulate", "{cfg}", "--bins", "1000", "--dark-counts", "1.5"],
+        ["simulate", "{cfg}", "--bins", "0"],
+    ],
+    ids=["negative-distance", "negative-scan", "infinite-scan", "dark-counts", "zero-bins"],
+)
+def test_invalid_overrides_exit_config(config_path, capsys, argv):
+    assert main([a.format(cfg=config_path) for a in argv]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def _set(doc, section, key, value):
+    doc[section][key] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: _set(d, "source", "phase_slices", 16.7),
+        lambda d: _set(d, "source", "users", "three"),
+        lambda d: _set(d, "source", "users", True),
+        lambda d: _set(d, "security", "data_size", float("inf")),
+        lambda d: _set(d, "channel", "fiber_alpha_db_per_km", float("nan")),
+        lambda d: _set(d, "channel", "detector_efficiency", "high"),
+        lambda d: _set(d, "source", "decoy_intensities", [0.05, False, 0.0]),
+        lambda d: _set(d, "source", "send_probabilities", 0.5),
+        lambda d: _set(d, "security", "eps_pa", None),
+        lambda d: _set(d, "channel", "distance_km", [50]),
+        lambda d: dict(d, channel=[1, 2]),
+    ],
+    ids=[
+        "fractional-phase-slices", "string-users", "bool-users", "infinite-data-size",
+        "nan-alpha", "string-efficiency", "bool-decoy", "scalar-probabilities",
+        "null-eps", "list-distance", "list-section",
+    ],
+)
+def test_bad_config_types_exit_config(tmp_path, capsys, edit):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(edit(make_bundle().to_dict())))
+    assert main(["rate", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_integral_float_and_numeric_string_accepted(tmp_path, capsys):
+    doc = make_bundle().to_dict()
+    doc["source"]["phase_slices"] = 16.0
+    doc["source"]["users"] = "3"
+    path = tmp_path / "lenient.json"
+    path.write_text(json.dumps(doc))
+    assert main(["rate", str(path)]) == EXIT_OK
+
+
+def test_scan_distances_do_not_accumulate_rounding():
+    distances = _scan_distances(0.0, 330.0, 0.001)
+    assert len(distances) == 330_001
+    assert distances == [i / 1000 for i in range(330_001)]
 
 
 def test_scan_csv_columns_and_determinism(config_path, tmp_path):

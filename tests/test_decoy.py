@@ -16,9 +16,11 @@ from mfqcka.decoy import (
     chernoff_observed_lower,
 )
 from mfqcka.matching import sifted_coincidences
-from mfqcka.model import ConfigError, EstimationError
+from mfqcka.model import ConfigError, EstimationError, SecurityParams
 from mfqcka.photonstats import signal_coincidences_nphoton
 from conftest import PROBS, make_bundle
+import decoy_oracles
+from test_acceptance import GRID_SIGNALS
 
 BETA_1E10 = math.log(1e10)
 
@@ -265,3 +267,57 @@ class TestFiniteSize:
         finite = bounds_3user_finite(model_observed(bundle), bundle.security)
         assert 2 in finite.clamped
         assert finite.s_mu_n_lower[2] == 0.0
+
+
+ORACLES = {
+    3: (bounds_3user_asymptotic, decoy_oracles.bounds_3user_asymptotic),
+    4: (bounds_4user_asymptotic, decoy_oracles.bounds_4user_asymptotic),
+    5: (bounds_5user_asymptotic, decoy_oracles.bounds_5user_asymptotic),
+}
+
+
+def grid_ladders(num_users):
+    """(observed, security) at every point of the acceptance soundness grid."""
+    for distance in (50.0, 100.0, 150.0, 200.0, 250.0, 300.0):
+        for signal, decoys in GRID_SIGNALS[num_users]:
+            bundle = make_bundle(
+                num_users=num_users,
+                distance_km=distance,
+                data_size=1e12,
+                signal=signal,
+                decoys=decoys,
+            )
+            yield model_observed(bundle), bundle.security
+
+
+def random_ladders(num_users, count=200):
+    """Seeded intensities uniform in (0.001, 0.5) plus the vacuum, random counts."""
+    rng = np.random.default_rng(1000 + num_users)
+    sec = SecurityParams(data_size=1e12)
+    for _ in range(count):
+        ks = tuple(sorted(map(float, rng.uniform(0.001, 0.5, num_users)), reverse=True)) + (0.0,)
+        sifted = dict(zip(ks, map(float, rng.uniform(0.0, 1e6, num_users + 1))))
+        yield ObservedCounts(sifted, dict(zip(ks, PROBS[num_users])), num_users), sec
+
+
+@pytest.mark.parametrize("ladders", [grid_ladders, random_ladders], ids=["grid", "random"])
+@pytest.mark.parametrize("num_users", [3, 4, 5])
+def test_general_rule_matches_closed_forms(num_users, ladders):
+    """The shared interpolation rule reproduces the hand-derived ladders."""
+    new, oracle = ORACLES[num_users]
+    pairs = []
+    for obs, sec in ladders(num_users):
+        pairs.append((new(obs), oracle(obs)))
+        if num_users == 3:
+            pairs.append(
+                (bounds_3user_finite(obs, sec), decoy_oracles.bounds_3user_finite(obs, sec))
+            )
+    for got, want in pairs:
+        assert got.clamped == want.clamped
+        assert list(got.s_mu_n_lower) == list(want.s_mu_n_lower)
+        for n, expected in want.s_mu_n_lower.items():
+            if expected > 0.0:
+                assert got.s_mu_n_lower[n] == pytest.approx(expected, rel=1e-10)
+            else:
+                assert got.s_mu_n_lower[n] == 0.0
+        assert got.phase_error_upper == pytest.approx(want.phase_error_upper, rel=1e-10, abs=1e-15)
