@@ -18,7 +18,8 @@ Configuration is a JSON document with four top-level sections::
 `decoy_intensities` lists one entry per user, ending with the vacuum (0);
 `send_probabilities` is aligned with (signal, *decoys) and sums to 1.
 The ``optimizer`` section is optional.  Exit codes: 0 success, 2 parse or
-validation failure, 3 simulation-consistency failure.
+validation failure or a working point with no signal to evaluate,
+3 simulation-consistency failure.
 
 CSV output uses a fixed column set, scientific notation with 10
 significant digits, and no locale-dependent formatting, so files from
@@ -33,10 +34,21 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Any
+from typing import Any, Mapping
 
 from . import keyrate, montecarlo, optimizer
-from .model import Bundle, ConfigError, RateReport, bundle_from_dict, validate
+from .model import (
+    Bundle,
+    ConfigError,
+    DegenerateChannelError,
+    EstimationError,
+    RateReport,
+    _integer,
+    _number,
+    _numbers,
+    bundle_from_dict,
+    validate,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -74,18 +86,30 @@ def _override(bundle: Bundle, **channel_fields: float) -> Bundle:
     return validate(bundle.config, channel, bundle.security)
 
 
+def _bounds(value: Any, name: str) -> tuple[float, float]:
+    bounds = _numbers(value, name)
+    if len(bounds) != 2:
+        raise ConfigError(f"{name} must list exactly two numbers (lower, upper), got {value!r}")
+    return bounds
+
+
 def _search_spec(doc: dict[str, Any], args: argparse.Namespace) -> optimizer.SearchSpec:
-    opt = doc.get("optimizer", {}) or {}
-    kwargs: dict[str, Any] = {}
-    if "intensity_bounds" in opt:
-        kwargs["intensity_bounds"] = tuple(float(x) for x in opt["intensity_bounds"])
-    if "prob_bounds" in opt:
-        kwargs["prob_bounds"] = tuple(float(x) for x in opt["prob_bounds"])
-    for name in ("restarts", "max_evals", "seed"):
-        if opt.get(name) is not None:
-            kwargs[name] = int(opt[name])
-    if opt.get("tolerance") is not None:
-        kwargs["tolerance"] = float(opt["tolerance"])
+    opt = doc.get("optimizer") or {}
+    if not isinstance(opt, Mapping):
+        raise ConfigError("section optimizer must be an object")
+    parsers = {
+        "intensity_bounds": _bounds,
+        "prob_bounds": _bounds,
+        "restarts": _integer,
+        "max_evals": _integer,
+        "seed": _integer,
+        "tolerance": _number,
+    }
+    kwargs: dict[str, Any] = {
+        name: parse(opt[name], f"optimizer.{name}")
+        for name, parse in parsers.items()
+        if opt.get(name) is not None
+    }
     if getattr(args, "restarts", None) is not None:
         kwargs["restarts"] = args.restarts
     if getattr(args, "max_evals", None) is not None:
@@ -331,7 +355,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, DegenerateChannelError, EstimationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -141,7 +141,10 @@ def _photon_weights(ks: tuple[float, ...], num_users: int) -> dict[int, dict[flo
         nodes = ks[-m - 2 : -1]
         xs = [k / mu for k in nodes]
         total = math.fsum(xs)
-        w = {0.0: (-1) ** m * total / math.prod(xs)}
+        scale = math.prod(xs)
+        if scale == 0.0:
+            raise EstimationError("decoy intensities too small relative to the signal to weigh")
+        w = {0.0: (-1) ** m * total / scale}
         for j, (k, x) in enumerate(zip(nodes, xs)):
             others = math.prod(x - y for i, y in enumerate(xs) if i != j)
             w[k] = -(total - x) / (x * others)

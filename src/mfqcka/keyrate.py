@@ -36,11 +36,12 @@ def multicast_bound(channel: ChannelParams) -> float:
     """Single-message multicast capacity of the relayless star network.
 
     -log2(1 - eta^2) with eta the one-arm transmittance; independent of
-    the number of users.  Unbounded (inf) at zero distance.
+    the number of users.  Unbounded (inf) at zero distance, or wherever
+    the fiber loss rounds to nothing.
     """
-    if channel.distance_km == 0.0:
-        return math.inf
     eta = arm_transmittance(channel)
+    if eta >= 1.0:
+        return math.inf
     return -math.log1p(-eta * eta) / math.log(2.0)
 
 

@@ -5,15 +5,21 @@ time bins survive click filtering per (intensity, port, phase slice), and
 how many full coincidences the slice-wise matcher produces per intensity.
 Integer realizations of the same process live in the Monte Carlo module.
 
-The retained-click formula sums over the intensity choices of the users
-not attached to the announced port and applies an inclusion-exclusion
-correction for the 1/(l+1) chance that the relay picks the announced port
-when l other ports also succeeded in the same time bin.
+The retained-click formula averages over the intensity choices of the
+users not attached to the announced port and corrects for the 1/(l+1)
+chance that the relay picks the announced port when l other ports also
+succeeded in the same time bin.  With 1/(l+1) = int_0^1 t^l dt the
+inclusion-exclusion sum over subsets of the other ports becomes
+int_0^1 prod_v (1 - t q_v) dt, and its mixture average factorizes along
+the user chain: a product of (S x S) transfer matrices
+A(t)[a, b] = 1 - t q_avg[a, b] weighted by the send probabilities, left
+of the announced port and right of it.  The integrand is a polynomial of
+degree N-2 in t, so an N//2-node Gauss-Legendre rule integrates it
+exactly.  Cost is polynomial in the number of users.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -39,7 +45,7 @@ class _GainTable:
     settings: tuple[float, ...]
     probs: np.ndarray
     q_avg: np.ndarray  # phase-averaged, indexed by setting pair
-    q_zero: tuple[float, ...]  # matched intensities, zero phase difference
+    q_zero: np.ndarray  # matched intensities, zero phase difference
 
 
 @lru_cache(maxsize=256)
@@ -49,7 +55,7 @@ def _gain_table(config: SourceConfig, channel: ChannelParams) -> _GainTable:
     ks = np.asarray(config.intensities, dtype=float)
     y = (1.0 - p_d) * np.exp(-0.5 * eta_t * (ks[:, None] + ks[None, :]))
     q_avg = 2.0 * y * bessel_i0(eta_t * np.sqrt(np.outer(ks, ks))) - 2.0 * y * y
-    q_zero = tuple(gain_fixed_phase(k, k, 0.0, eta_t, p_d) for k in ks)
+    q_zero = np.array([gain_fixed_phase(k, k, 0.0, eta_t, p_d) for k in ks])
     return _GainTable(
         settings=config.intensities,
         probs=np.asarray(config.send_probabilities, dtype=float),
@@ -65,41 +71,30 @@ def _setting_index(config: SourceConfig, k: float) -> int:
         raise ValueError(f"intensity {k!r} is not one of the configured settings") from None
 
 
-def _correction_sum(table: _GainTable, k_idx: int, j: int, num_users: int) -> float:
-    """Mixture average of the port-selection inclusion-exclusion factor.
+@lru_cache(maxsize=None)
+def _unit_gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, 1], exact to degree 2n-1."""
+    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    return 0.5 * (nodes + 1.0), 0.5 * weights
 
-    Users j and j+1 are pinned to setting ``k_idx``; the remaining users'
-    settings are averaged with their send probabilities.  Port v
-    interferes users v and v+1.
+
+def _correction_factors(table: _GainTable, num_users: int) -> np.ndarray:
+    """Mixture-averaged port-selection factor, indexed [port-1][setting].
+
+    Port v interferes users v and v+1.  For port j, users j and j+1 are
+    pinned to setting k and the others are averaged with their send
+    probabilities.  ``chains[n]`` is the average of prod (1 - t q_v) over
+    a chain of n ports ending at a pinned user, per node and end setting;
+    the ports left of j form a chain of length j-1 and, since q_avg is
+    symmetric, those right of j one of length N-1-j.
     """
-    other_users = [u for u in range(1, num_users + 1) if u not in (j, j + 1)]
-    other_ports = [v for v in range(1, num_users) if v != j]
-    n_settings = len(table.settings)
-    grid = np.indices((n_settings,) * len(other_users)).reshape(len(other_users), -1)
-    n_assign = grid.shape[1]
-    setting = {u: grid[i] for i, u in enumerate(other_users)}
-    pinned = np.full(n_assign, k_idx)
-    setting[j] = pinned
-    setting[j + 1] = pinned
-    weights = np.prod(table.probs[grid], axis=0) if other_users else np.ones(1)
-    factor = np.ones(n_assign)
-    for size in range(1, len(other_ports) + 1):
-        sign = (-1.0) ** size / (size + 1.0)
-        for subset in itertools.combinations(other_ports, size):
-            term = np.ones(n_assign)
-            for v in subset:
-                term = term * table.q_avg[setting[v], setting[v + 1]]
-            factor += sign * term
-    return float(weights @ factor)
-
-
-def _retained(table: _GainTable, k_idx: int, j: int, config: SourceConfig, data_size: float) -> float:
-    m_slices = config.phase_slices
-    p_k = float(table.probs[k_idx])
-    if p_k == 0.0:
-        return 0.0
-    prefactor = 4.0 * data_size * p_k * p_k * table.q_zero[k_idx] / (m_slices * m_slices)
-    return prefactor * _correction_sum(table, k_idx, j, config.num_users)
+    t, w = _unit_gauss_legendre(num_users // 2)
+    transfer = table.probs[None, :, None] * (1.0 - t[:, None, None] * table.q_avg)
+    chains = [np.ones((len(t), len(table.settings)))]
+    for _ in range(num_users - 2):
+        chains.append(np.einsum("na,nab->nb", chains[-1], transfer))
+    chains = np.asarray(chains)
+    return np.einsum("pnk,pnk,n->pk", chains, chains[::-1], w)
 
 
 @lru_cache(maxsize=256)
@@ -108,10 +103,10 @@ def _count_matrix(
 ) -> tuple[tuple[float, ...], ...]:
     """Expected per-slice retained clicks, indexed [port-1][setting]."""
     table = _gain_table(config, channel)
-    return tuple(
-        tuple(_retained(table, k_idx, j, config, data_size) for k_idx in range(len(table.settings)))
-        for j in range(1, config.num_users)
-    )
+    m_slices = config.phase_slices
+    prefactor = 4.0 * data_size * table.probs * table.probs * table.q_zero / (m_slices * m_slices)
+    counts = prefactor * _correction_factors(table, config.num_users)
+    return tuple(tuple(row) for row in counts.tolist())
 
 
 def retained_clicks(

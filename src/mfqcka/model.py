@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -223,6 +224,11 @@ def bundle_from_dict(doc: Mapping[str, Any]) -> Bundle:
 
 
 _PROB_SUM_TOL = 1e-9
+# Mean photon number cap: the model is one of weak coherent pulses, and
+# well above this exp(eta_t * k) in the click formulas overflows a double.
+_MAX_INTENSITY = 100.0
+# Largest even slice count whose index arithmetic fits the simulator's int16.
+_MAX_PHASE_SLICES = 2**15 - 2
 
 
 def validate(config: SourceConfig, channel: ChannelParams, sec: SecurityParams) -> Bundle:
@@ -260,6 +266,8 @@ def validate(config: SourceConfig, channel: ChannelParams, sec: SecurityParams) 
     for a, b in zip(ordered, ordered[1:]):
         if not a > b:
             raise ConfigError("intensities not strictly decreasing (signal must be largest)")
+    if not config.signal_intensity <= _MAX_INTENSITY:
+        raise ConfigError(f"signal_intensity must be at most {_MAX_INTENSITY:g} photons per pulse")
     probs = config.send_probabilities
     if len(probs) != len(ordered):
         raise ConfigError(
@@ -269,16 +277,17 @@ def validate(config: SourceConfig, channel: ChannelParams, sec: SecurityParams) 
         raise ConfigError("send probabilities must lie strictly inside (0, 1)")
     if abs(math.fsum(probs) - 1.0) > _PROB_SUM_TOL:
         raise ConfigError(f"send probabilities must sum to 1 (got {math.fsum(probs)!r})")
-    if config.phase_slices < 4 or config.phase_slices % 2 != 0:
-        raise ConfigError("phase_slices must be an even integer >= 4")
+    if not 4 <= config.phase_slices <= _MAX_PHASE_SLICES or config.phase_slices % 2 != 0:
+        raise ConfigError(f"phase_slices must be an even integer in [4, {_MAX_PHASE_SLICES}]")
 
     # -- security ---------------------------------------------------------
     if not sec.data_size >= 1.0:
         raise ConfigError("data_size must be at least 1")
     for name in ("eps_ec", "eps_pa", "eps_chernoff"):
         eps = getattr(sec, name)
-        if not 0.0 < eps < 1.0:
-            raise ConfigError(f"{name} must lie in (0, 1)")
+        # ln(1/eps) must stay finite: subnormal eps would overflow 1/eps
+        if not sys.float_info.min <= eps < 1.0:
+            raise ConfigError(f"{name} must lie in (0, 1) and be at least {sys.float_info.min!r}")
     if not sec.ec_efficiency >= 1.0:
         raise ConfigError("ec_efficiency must be >= 1")
 

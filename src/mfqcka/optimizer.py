@@ -65,6 +65,12 @@ class SearchSpec:
             raise ConfigError("probability bounds must lie strictly inside (0, 1)")
         if self.restarts < 1:
             raise ConfigError("restarts must be at least 1")
+        if self.max_evals < 1:
+            raise ConfigError("max_evals must be at least 1")
+        if not (math.isfinite(self.tolerance) and self.tolerance >= 0.0):
+            raise ConfigError("tolerance must be a finite number >= 0")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
 
 
 def _project(x: np.ndarray, n_users: int, spec: SearchSpec) -> np.ndarray:

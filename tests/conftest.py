@@ -48,6 +48,13 @@ def make_config(
     )
 
 
+def make_geometric_config(num_users: int) -> SourceConfig:
+    """Any user count: decoys halve from 0.1 down to the vacuum, signal 0.2."""
+    decoys = tuple(0.1 * 0.5**i for i in range(num_users - 1)) + (0.0,)
+    probs = (0.5,) + (0.5 / num_users,) * num_users
+    return make_config(num_users, signal=0.2, decoys=decoys, probs=probs)
+
+
 def make_bundle(
     num_users: int = 3,
     distance_km: float = 50.0,

@@ -1,8 +1,12 @@
 """Command-line behaviour: exit codes, CSV shape, determinism."""
 
+import contextlib
+import copy
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mfqcka.cli import EXIT_CONFIG, EXIT_CONSISTENCY, EXIT_OK, _scan_distances, main
 from conftest import make_bundle
@@ -95,11 +99,17 @@ def _set(doc, section, key, value):
         lambda d: _set(d, "security", "eps_pa", None),
         lambda d: _set(d, "channel", "distance_km", [50]),
         lambda d: dict(d, channel=[1, 2]),
+        lambda d: _set(d, "source", "signal_intensity", 1e16),
+        lambda d: _set(d, "security", "eps_chernoff", 1e-320),
+        lambda d: _set(d, "source", "phase_slices", 40000),
+        lambda d: _set(d, "source", "decoy_intensities", [1e-200, 1e-250, 0.0]),
+        lambda d: _set(_set(d, "channel", "detector_efficiency", 0.0), "channel", "dark_count_rate", 0.0),
     ],
     ids=[
         "fractional-phase-slices", "string-users", "bool-users", "infinite-data-size",
         "nan-alpha", "string-efficiency", "bool-decoy", "scalar-probabilities",
-        "null-eps", "list-distance", "list-section",
+        "null-eps", "list-distance", "list-section", "huge-signal", "subnormal-eps",
+        "huge-phase-slices", "underflowing-decoys", "no-clicks",
     ],
 )
 def test_bad_config_types_exit_config(tmp_path, capsys, edit):
@@ -109,6 +119,97 @@ def test_bad_config_types_exit_config(tmp_path, capsys, edit):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def _set_optimizer(key, value):
+    return lambda d: dict(d, optimizer={"restarts": 2, "max_evals": 200, "seed": 5, key: value})
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _set_optimizer("max_evals", "abc"),
+        _set_optimizer("intensity_bounds", 5),
+        _set_optimizer("prob_bounds", ["a", "b"]),
+        _set_optimizer("intensity_bounds", [1e-4, 0.5, 1.0]),
+        _set_optimizer("restarts", True),
+        _set_optimizer("seed", 1.7),
+        _set_optimizer("tolerance", float("nan")),
+        _set_optimizer("max_evals", -3),
+        lambda d: dict(d, optimizer=[1, 2]),
+    ],
+    ids=[
+        "string-max-evals", "scalar-bounds", "string-bounds", "three-bounds",
+        "bool-restarts", "fractional-seed", "nan-tolerance", "negative-max-evals",
+        "list-section",
+    ],
+)
+def test_bad_optimizer_section_exit_config(tmp_path, capsys, edit):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(edit(make_bundle().to_dict())))
+    assert main(["optimize", str(path), "--objective", "asymptotic"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_decoy_rate_beyond_five_users_exit_config(tmp_path, capsys):
+    bundle = make_bundle(
+        num_users=6,
+        decoys=(0.07, 0.03, 0.012, 0.005, 0.002, 0.0),
+        probs=(0.3, 0.2, 0.15, 0.13, 0.1, 0.07, 0.05),
+    )
+    path = tmp_path / "six.json"
+    path.write_text(json.dumps(bundle.to_dict()))
+    assert main(["rate", str(path), "--objective", "asymptotic"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+_VALID_DOC = make_bundle(distance_km=50.0, data_size=1e12).to_dict()
+_FIELDS = [(section, key) for section, fields in _VALID_DOC.items() for key in fields]
+_BAD_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=4),
+    st.sampled_from(["nan", "inf", "-1", "1e400", "0.5"]),
+    st.just([]),
+    st.lists(st.floats(), max_size=5),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+    st.floats(),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=1e-320, max_value=1e-100),
+    st.integers(min_value=-(10**6), max_value=10**6),
+)
+_MUTATIONS = st.one_of(
+    st.tuples(st.just("set"), st.sampled_from(_FIELDS), _BAD_VALUES),
+    st.tuples(st.just("delete"), st.sampled_from(_FIELDS), st.none()),
+    st.tuples(st.just("section"), st.sampled_from(sorted(_VALID_DOC)), st.one_of(st.none(), _BAD_VALUES)),
+)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(mutation=_MUTATIONS)
+def test_fuzzed_config_exits_cleanly(tmp_path_factory, mutation):
+    action, where, value = mutation
+    doc = copy.deepcopy(_VALID_DOC)
+    if action == "set":
+        doc[where[0]][where[1]] = value
+    elif action == "delete":
+        del doc[where[0]][where[1]]
+    elif value is None:
+        del doc[where]
+    else:
+        doc[where] = value
+    path = tmp_path_factory.getbasetemp() / "fuzzed-config.json"
+    path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["rate", str(path)])
+    assert code in (EXIT_OK, EXIT_CONFIG)
+    if code == EXIT_CONFIG:
+        assert err.getvalue().startswith("error:")
 
 
 def test_integral_float_and_numeric_string_accepted(tmp_path, capsys):

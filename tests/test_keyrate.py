@@ -1,13 +1,16 @@
 """Key-rate assembly: bounds, orderings, clamping, convergence."""
 
+import dataclasses
 import math
 
 import pytest
 
+import matching_oracles
 from mfqcka.keyrate import asymptotic_rate, finite_rate, multicast_bound
+from mfqcka.matching import _count_matrix
 from mfqcka.model import ConfigError
 from mfqcka.special_math import binary_entropy
-from conftest import make_bundle, make_channel
+from conftest import make_bundle, make_channel, make_geometric_config
 
 
 class TestMulticastBound:
@@ -24,6 +27,10 @@ class TestMulticastBound:
 
     def test_unbounded_at_zero_distance(self):
         assert multicast_bound(make_channel(0.0)) == math.inf
+
+    def test_unbounded_when_loss_rounds_away(self):
+        lossless = dataclasses.replace(make_channel(50.0), fiber_alpha=1e-300)
+        assert multicast_bound(lossless) == math.inf
 
     def test_strictly_decreasing(self):
         values = [multicast_bound(make_channel(d)) for d in range(1, 400, 7)]
@@ -83,6 +90,20 @@ class TestAsymptoticRate:
         )
         with pytest.raises(ConfigError):
             asymptotic_rate(config, bundle.channel, "decoy")
+
+    @pytest.mark.parametrize("num_users", [6, 7, 8])
+    def test_exact_mode_beyond_five_users(self, num_users):
+        config = make_geometric_config(num_users)
+        channel = make_channel(50.0)
+        report = asymptotic_rate(config, channel, "exact")
+        assert math.isfinite(report.key_rate_raw)
+        assert math.isfinite(report.key_rate) and report.key_rate >= 0.0
+        assert report.params_used.num_users == num_users
+        if num_users == 6:
+            expected = matching_oracles.count_matrix(config, channel, 1.0)
+            got = _count_matrix(config, channel, 1.0)
+            for got_row, expected_row in zip(got, expected):
+                assert got_row == pytest.approx(expected_row, rel=1e-12, abs=0.0)
 
 
 def test_crossover_window_above_multicast_bound():

@@ -2,11 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 
+import matching_oracles
 from mfqcka.channel import gain_fixed_phase, gain_phase_averaged, total_efficiency
 from mfqcka.matching import (
-    _correction_sum,
+    _correction_factors,
+    _count_matrix,
     _gain_table,
     expected_stats,
     retained_clicks,
@@ -14,7 +17,14 @@ from mfqcka.matching import (
     slice_total,
 )
 from mfqcka.model import SecurityParams
-from conftest import make_bundle, make_channel, make_config
+from conftest import (
+    DARK_COUNT_RATE,
+    DECOYS,
+    make_bundle,
+    make_channel,
+    make_config,
+    make_geometric_config,
+)
 
 
 def three_user_retained_oracle(k, j, config, channel, data_size):
@@ -80,10 +90,46 @@ class TestRetainedClicks:
             for distance in (0.0, 50.0, 200.0, 350.0):
                 config = make_config(num_users)
                 table = _gain_table(config, make_channel(distance))
-                for j in range(1, num_users):
-                    for k_idx in range(len(config.intensities)):
-                        value = _correction_sum(table, k_idx, j, num_users)
-                        assert 0.0 < value <= 1.0
+                factors = _correction_factors(table, num_users)
+                assert factors.shape == (num_users - 1, len(config.intensities))
+                for value in factors.flat:
+                    assert 0.0 < value <= 1.0
+
+
+def _random_config(num_users, rng):
+    nonzero = np.sort(rng.uniform(0.001, 0.5, num_users))[::-1]
+    probs = rng.dirichlet(np.ones(num_users + 1))
+    return make_config(
+        num_users,
+        signal=float(nonzero[0]),
+        decoys=tuple(float(x) for x in nonzero[1:]) + (0.0,),
+        probs=tuple(float(p) for p in probs),
+    )
+
+
+def _assert_matches_enumeration(config, channel, data_size=1e12):
+    got = np.array(_count_matrix(config, channel, data_size))
+    expected = np.array(matching_oracles.count_matrix(config, channel, data_size))
+    assert got.shape == expected.shape
+    zero = expected == 0.0
+    assert np.all(got[zero] == 0.0)
+    assert np.all(np.abs(got - expected)[~zero] <= 1e-12 * np.abs(expected[~zero]))
+
+
+@pytest.mark.parametrize("num_users", [3, 4, 5, 6])
+def test_transfer_matrix_matches_enumeration(num_users):
+    configs = [make_geometric_config(num_users)]
+    if num_users in DECOYS:
+        configs.append(make_config(num_users))
+    for config in configs:
+        for distance in (0.0, 50.0, 200.0, 350.0):
+            _assert_matches_enumeration(config, make_channel(distance))
+    rng = np.random.default_rng(3000 + num_users)
+    for trial in range(50):
+        # every other ladder without dark counts, where the vacuum entries are exactly 0
+        dark = 0.0 if trial % 2 else DARK_COUNT_RATE
+        channel = make_channel(float(rng.uniform(0.0, 350.0)), dark_count_rate=dark)
+        _assert_matches_enumeration(_random_config(num_users, rng), channel)
 
 
 class TestSliceTotal:
