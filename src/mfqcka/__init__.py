@@ -46,10 +46,8 @@ from .montecarlo import (
     TimeBinRecord,
     TrialSummary,
     compare_to_analytic,
-    detect_port,
     extract_bits,
     run_protocol,
-    simulate_bin,
 )
 from .special_math import bessel_i0, binary_entropy, binomial
 

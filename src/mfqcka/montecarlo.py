@@ -9,6 +9,14 @@ where I is its mean photon number.  This reproduces the analytic
 detection model exactly and is what makes the simulator usable as an
 oracle for the closed-form statistics.
 
+A port's click probabilities depend only on the two users' setting
+indices, their slice difference mod M and the XOR of their raw bits, so
+each shard evaluates them once into a small table (``_click_tables``)
+and every bin looks its pair up.  The table holds the per-bin
+expression bit for bit and the uniforms are drawn in the same order as
+by direct evaluation, so a seed gives the same run as before the table
+existed.
+
 Generation is sharded into fixed-size blocks of bins with independent
 RNG substreams spawned from the master seed, so results are bit-for-bit
 reproducible regardless of how the shards are executed; matching is a
@@ -30,8 +38,6 @@ from .model import Bundle, ChannelParams, SecurityParams, SourceConfig
 __all__ = [
     "TimeBinRecord",
     "TrialSummary",
-    "detect_port",
-    "simulate_bin",
     "extract_bits",
     "run_protocol",
     "compare_to_analytic",
@@ -62,74 +68,6 @@ class TimeBinRecord:
     def phase_value(self, user: int) -> int:
         """Phase computational bit of ``user`` (1-based): floor(2 M_j / M)."""
         return 2 * self.slice_indices[user - 1] // self.phase_slices
-
-
-def detect_port(amp_left_intensity: float, amp_right_intensity: float, p_d: float, rng) -> tuple[str, int | None]:
-    """Sample one port measurement from the detector input intensities.
-
-    Returns the outcome label and the announced bit d (0 for left-only,
-    1 for right-only, None otherwise).
-    """
-    if amp_left_intensity < 0.0 or amp_right_intensity < 0.0:
-        raise ValueError("detector input intensities must be nonnegative")
-    left = rng.random() < 1.0 - (1.0 - p_d) * math.exp(-amp_left_intensity)
-    right = rng.random() < 1.0 - (1.0 - p_d) * math.exp(-amp_right_intensity)
-    if left and right:
-        return "both", None
-    if left:
-        return "left", 0
-    if right:
-        return "right", 1
-    return "none", None
-
-
-def _port_inputs(
-    k_a: float, k_b: float, phi_a: float, phi_b: float, eta_t: float
-) -> tuple[float, float]:
-    mean = 0.5 * eta_t * (k_a + k_b)
-    beat = eta_t * math.sqrt(k_a * k_b) * math.cos(phi_a - phi_b)
-    # rounding in sqrt(k*k) can push |beat| one ulp past mean
-    return max(mean + beat, 0.0), max(mean - beat, 0.0)
-
-
-def simulate_bin(bundle: Bundle, rng) -> TimeBinRecord:
-    """Draw one full time bin: preparations, all ports, relay announcement."""
-    config, channel = bundle.config, bundle.channel
-    eta_t = total_efficiency(channel)
-    settings = config.intensities
-    cum = np.cumsum(config.send_probabilities)
-    n = config.num_users
-    m_slices = config.phase_slices
-
-    ks = tuple(settings[int(np.searchsorted(cum, rng.random()))] for _ in range(n))
-    slices = tuple(int(rng.integers(m_slices)) for _ in range(n))
-    bits = tuple(int(rng.integers(2)) for _ in range(n))
-
-    outcomes: list[str] = []
-    d_values: list[int | None] = []
-    for j in range(n - 1):
-        phi_a = 2.0 * math.pi * slices[j] / m_slices + math.pi * bits[j]
-        phi_b = 2.0 * math.pi * slices[j + 1] / m_slices + math.pi * bits[j + 1]
-        i_left, i_right = _port_inputs(ks[j], ks[j + 1], phi_a, phi_b, eta_t)
-        outcome, d = detect_port(i_left, i_right, channel.dark_count_rate, rng)
-        outcomes.append(outcome)
-        d_values.append(d)
-
-    successes = [j for j, out in enumerate(outcomes) if out in ("left", "right")]
-    selected = None
-    announced = None
-    if successes:
-        selected = successes[int(rng.integers(len(successes)))] + 1
-        announced = d_values[selected - 1]
-    return TimeBinRecord(
-        intensities=ks,
-        slice_indices=slices,
-        bits=bits,
-        outcomes=tuple(outcomes),
-        selected_port=selected,
-        announced_d=announced,
-        phase_slices=m_slices,
-    )
 
 
 def extract_bits(coincidence: Sequence[TimeBinRecord]) -> tuple[int, ...]:
@@ -207,6 +145,76 @@ class TrialSummary:
         }
 
 
+def _index_type(count: int) -> np.dtype:
+    """Smallest signed integer type that holds the indices 0 .. count-1."""
+    return np.min_scalar_type(-count)
+
+
+def _click_tables(
+    config: SourceConfig, channel: ChannelParams, cos_table: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Left- and right-detector click probabilities of one port.
+
+    Both tables have the shape (S, S, M, 2) and are indexed by the two
+    users' setting indices, their slice difference mod M and the XOR of
+    their raw bits.  Each entry is the per-bin expression evaluated with
+    the same floating-point operations in the same order, so sampling from
+    the table is bit-for-bit the same as sampling from the formula.
+    A table has 2 S^2 M entries (512 for N=3, M=16), about four times
+    the (S, ports, M/2) retained-click counts that ``run_protocol``
+    already builds.
+    """
+    eta_t = total_efficiency(channel)
+    p_d = channel.dark_count_rate
+    settings = np.asarray(config.intensities)
+    k_a = settings[:, None, None, None]
+    k_b = settings[None, :, None, None]
+    sign = 1.0 - 2.0 * np.arange(2)
+    beat = eta_t * np.sqrt(k_a * k_b) * cos_table[None, None, :, None] * sign
+    mean = 0.5 * eta_t * (k_a + k_b)
+    i_left = np.maximum(mean + beat, 0.0)
+    i_right = np.maximum(mean - beat, 0.0)
+    return 1.0 - (1.0 - p_d) * np.exp(-i_left), 1.0 - (1.0 - p_d) * np.exp(-i_right)
+
+
+def _detect_ports(
+    k_idx: np.ndarray,
+    slices: np.ndarray,
+    bits: np.ndarray,
+    p_left: np.ndarray,
+    p_right: np.ndarray,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample every port of every bin from the click tables.
+
+    ``k_idx``, ``slices`` and ``bits`` hold one row per user.  Port j
+    draws a left and then a right uniform for all bins.  Returns the
+    single-click mask and the right-detector clicks, one row per port.
+    """
+    n_settings, _, m_slices, _ = p_left.shape
+    ports, n_bins = len(k_idx) - 1, k_idx.shape[1]
+    flat_left, flat_right = p_left.ravel(), p_right.ravel()
+    key_type = _index_type(flat_left.size)
+    success = np.empty((ports, n_bins), dtype=bool)
+    d_val = np.empty((ports, n_bins), dtype=np.int8)
+    for j in range(ports):
+        # flat index ((k_a * S + k_b) * M + (s_a - s_b) mod M) * 2 + (r_a ^ r_b)
+        key = k_idx[j].astype(key_type)
+        key *= n_settings
+        key += k_idx[j + 1]
+        key *= m_slices
+        key += slices[j]
+        key -= slices[j + 1]
+        key += m_slices * (slices[j] < slices[j + 1])
+        key *= 2
+        key += bits[j] ^ bits[j + 1]
+        click_left = rng.random(n_bins) < flat_left.take(key)
+        click_right = rng.random(n_bins) < flat_right.take(key)
+        np.not_equal(click_left, click_right, out=success[j])
+        d_val[j] = click_right
+    return success, d_val
+
+
 def _generate_shard(
     config: SourceConfig,
     channel: ChannelParams,
@@ -218,39 +226,31 @@ def _generate_shard(
     n_users = config.num_users
     ports = n_users - 1
     m_slices = config.phase_slices
-    eta_t = total_efficiency(channel)
-    p_d = channel.dark_count_rate
-    settings = np.asarray(config.intensities)
+    n_settings = len(config.intensities)
     cum = np.cumsum(np.asarray(config.send_probabilities))
-    cum[-1] = 1.0  # guard the top edge against rounding
 
-    k_idx = np.searchsorted(cum, rng.random((n_users, n_bins)), side="right").astype(np.int8)
+    # setting index = number of thresholds cum[:-1] that u reaches; u < 1
+    # never reaches cum[-1], so this is searchsorted(cum, u, side="right")
+    u = rng.random((n_users, n_bins))
+    k_idx = np.zeros((n_users, n_bins), dtype=_index_type(n_settings))
+    for edge in cum[:-1]:
+        k_idx += u >= edge
+    del u
     slices = rng.integers(0, m_slices, size=(n_users, n_bins), dtype=np.int16)
     bits = rng.integers(0, 2, size=(n_users, n_bins), dtype=np.int8)
 
-    success = np.empty((ports, n_bins), dtype=bool)
-    d_val = np.empty((ports, n_bins), dtype=np.int8)
-    intensities = settings[k_idx]
-    for j in range(ports):
-        k_a = intensities[j]
-        k_b = intensities[j + 1]
-        sign = 1.0 - 2.0 * np.bitwise_xor(bits[j], bits[j + 1])
-        beat = eta_t * np.sqrt(k_a * k_b) * cos_table[(slices[j] - slices[j + 1]) % m_slices] * sign
-        mean = 0.5 * eta_t * (k_a + k_b)
-        i_left = np.maximum(mean + beat, 0.0)
-        i_right = np.maximum(mean - beat, 0.0)
-        click_left = rng.random(n_bins) < 1.0 - (1.0 - p_d) * np.exp(-i_left)
-        click_right = rng.random(n_bins) < 1.0 - (1.0 - p_d) * np.exp(-i_right)
-        success[j] = click_left ^ click_right
-        d_val[j] = click_right
+    p_left, p_right = _click_tables(config, channel, cos_table)
+    success, d_val = _detect_ports(k_idx, slices, bits, p_left, p_right, rng)
 
+    # the pick uniforms are drawn for every bin, but only bins with a
+    # success need a port: the pick-th successful one, counted from 0
     counts = success.sum(axis=0)
-    pick = (rng.random(n_bins) * counts).astype(np.int64)
-    cum_success = np.cumsum(success, axis=0)
-    chosen = (success & (cum_success == pick + 1)).argmax(axis=0)
+    u_pick = rng.random(n_bins)
+    bin_ids = np.flatnonzero(counts)
+    pick = (u_pick[bin_ids] * counts[bin_ids]).astype(np.int64)
+    hit = success[:, bin_ids]
+    port = (hit & (np.cumsum(hit, axis=0) == pick + 1)).argmax(axis=0)
 
-    bin_ids = np.flatnonzero(counts > 0)
-    port = chosen[bin_ids]
     left = (port, bin_ids)
     right = (port + 1, bin_ids)
     keep = (k_idx[left] == k_idx[right]) & ((slices[left] - slices[right]) % (m_slices // 2) == 0)
@@ -258,7 +258,7 @@ def _generate_shard(
     left = (port, bin_ids)
     right = (port + 1, bin_ids)
     return {
-        "port": port.astype(np.int8),
+        "port": port.astype(_index_type(ports)),
         "m": (slices[left] % (m_slices // 2)).astype(np.int16),
         "k_idx": k_idx[left],
         "m_left": (2 * slices[left] // m_slices).astype(np.int8),

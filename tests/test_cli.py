@@ -336,6 +336,20 @@ def test_simulate_zero_darks_ghz(config_path, capsys):
     assert "conference_errors_all_intensities = 0" in capsys.readouterr().out
 
 
+def test_simulate_many_users_exits_cleanly(tmp_path, capfd):
+    # setting and port indices past the int8 range (131 settings, 129 ports)
+    n = 130
+    decoys = tuple(0.1 * 0.97**i for i in range(n - 1)) + (0.0,)
+    probs = (0.5,) + (0.5 / n,) * n
+    doc = make_bundle(
+        num_users=n, distance_km=5.0, data_size=1e6, signal=0.2, decoys=decoys, probs=probs
+    ).to_dict()
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", str(path), "--bins", "3000", "--seed", "1"]) in (EXIT_OK, EXIT_CONFIG)
+    assert "Traceback" not in capfd.readouterr().err
+
+
 def test_simulate_flags_mismatch(config_path, capsys, monkeypatch):
     # the --dark-counts override feeds both the simulation and the
     # comparison, so a real CLI run cannot disagree with itself; stub a

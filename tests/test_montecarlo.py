@@ -1,4 +1,4 @@
-"""Protocol simulator: detection sampling, bit extraction, oracle agreement."""
+"""Protocol simulator: click tables, shard oracle, bit extraction, analytic agreement."""
 
 import itertools
 import math
@@ -6,70 +6,93 @@ import math
 import numpy as np
 import pytest
 
+import montecarlo_oracles as oracle
+from mfqcka import montecarlo
+from mfqcka.channel import total_efficiency
 from mfqcka.model import Bundle
-from mfqcka.montecarlo import (
-    TimeBinRecord,
-    compare_to_analytic,
-    detect_port,
-    extract_bits,
-    run_protocol,
-    simulate_bin,
-)
+from mfqcka.montecarlo import TimeBinRecord, compare_to_analytic, extract_bits, run_protocol
 from conftest import make_bundle
 
 
-class TestDetectPort:
-    def test_perfect_constructive_interference(self):
-        rng = np.random.default_rng(1)
-        for _ in range(300):
-            outcome, d = detect_port(0.5, 0.0, 0.0, rng)
-            assert outcome in ("none", "left")
-            assert d in (None, 0)
+def _tables(bundle):
+    m_slices = bundle.config.phase_slices
+    cos_table = np.cos(2.0 * np.pi * np.arange(m_slices) / m_slices)
+    return montecarlo._click_tables(bundle.config, bundle.channel, cos_table), cos_table
 
-    def test_destructive_mirror_case(self):
-        rng = np.random.default_rng(2)
-        for _ in range(300):
-            outcome, d = detect_port(0.0, 0.5, 0.0, rng)
-            assert outcome in ("none", "right")
-            assert d in (None, 1)
 
-    def test_negative_intensity_rejected(self):
-        with pytest.raises(ValueError):
-            detect_port(-0.1, 0.0, 0.0, np.random.default_rng(0))
+ORACLE_BUNDLES = {
+    f"N{n}-M{m}": dict(num_users=n, phase_slices=m) for n in (3, 4, 5) for m in (4, 16)
+}
+ORACLE_BUNDLES["N3-darks"] = dict(num_users=3, distance_km=120.0, dark_count_rate=2e-2)
 
-    def test_click_frequency(self):
-        rng = np.random.default_rng(3)
-        i_left, i_right, p_d = 0.02, 0.005, 1e-3
-        trials = 2 * 10**5
-        p_click_l = 1 - (1 - p_d) * math.exp(-i_left)
-        p_click_r = 1 - (1 - p_d) * math.exp(-i_right)
-        p_single = p_click_l * (1 - p_click_r) + (1 - p_click_l) * p_click_r
-        singles = sum(
-            detect_port(i_left, i_right, p_d, rng)[0] in ("left", "right")
-            for _ in range(trials)
+
+class TestClickTables:
+    @pytest.mark.parametrize("kwargs", ORACLE_BUNDLES.values(), ids=ORACLE_BUNDLES.keys())
+    def test_entries_equal_per_bin_formula(self, kwargs):
+        bundle = make_bundle(**kwargs)
+        (p_left, p_right), cos_table = _tables(bundle)
+        k_a, k_b, delta, xor = (i.ravel() for i in np.indices(p_left.shape))
+        settings = np.asarray(bundle.config.intensities)
+        want_left, want_right = oracle.click_probabilities(
+            settings[k_a], settings[k_b], delta, xor.astype(np.int8),
+            total_efficiency(bundle.channel), bundle.channel.dark_count_rate, cos_table,
         )
-        z = (singles - trials * p_single) / math.sqrt(trials * p_single * (1 - p_single))
-        assert abs(z) <= 5.0
+        assert np.array_equal(p_left.ravel(), want_left)
+        assert np.array_equal(p_right.ravel(), want_right)
+
+    def test_single_click_frequency(self):
+        # port 1: both users on the signal, slices 0 and 1, equal bits;
+        # port 2: signal against the first decoy, slices 1 and 3, opposite bits
+        bundle = make_bundle(distance_km=5.0, dark_count_rate=1e-3)
+        (p_left, p_right), _ = _tables(bundle)
+        trials = 2 * 10**5
+        column = lambda values, dtype: np.repeat(np.array(values, dtype=dtype)[:, None], trials, axis=1)
+        success, d_val = montecarlo._detect_ports(
+            column([0, 0, 1], np.int8), column([0, 1, 3], np.int16), column([0, 0, 1], np.int8),
+            p_left, p_right, np.random.default_rng(3),
+        )
+        eta_t = total_efficiency(bundle.channel)
+        p_d, m_slices = bundle.channel.dark_count_rate, bundle.config.phase_slices
+        k = bundle.config.intensities
+        # (k_a, k_b, slice difference mod M, sign of the bit XOR) per port
+        for j, (k_a, k_b, delta, sign) in enumerate([(k[0], k[0], 15, 1.0), (k[0], k[1], 14, -1.0)]):
+            mean = 0.5 * eta_t * (k_a + k_b)
+            beat = eta_t * math.sqrt(k_a * k_b) * math.cos(2.0 * math.pi * delta / m_slices) * sign
+            click_l, click_r = (
+                1.0 - (1.0 - p_d) * math.exp(-max(mean + s * beat, 0.0)) for s in (1.0, -1.0)
+            )
+            checks = [
+                (success[j].sum(), click_l * (1 - click_r) + (1 - click_l) * click_r),
+                ((success[j] & (d_val[j] == 1)).sum(), (1 - click_l) * click_r),
+            ]
+            for observed, p in checks:
+                z = (observed - trials * p) / math.sqrt(trials * p * (1 - p))
+                assert abs(z) <= 5.0
 
 
-class TestSimulateBin:
-    def test_record_structure(self):
-        bundle = make_bundle(distance_km=5.0)
-        rng = np.random.default_rng(11)
-        saw_success = False
-        for _ in range(500):
-            rec = simulate_bin(bundle, rng)
-            assert len(rec.intensities) == 3
-            assert len(rec.outcomes) == 2
-            assert all(k in bundle.config.intensities for k in rec.intensities)
-            if rec.selected_port is not None:
-                saw_success = True
-                assert rec.outcomes[rec.selected_port - 1] in ("left", "right")
-                assert rec.announced_d in (0, 1)
-            else:
-                assert rec.announced_d is None
-                assert all(o in ("none", "both") for o in rec.outcomes)
-        assert saw_success
+class TestShardOracle:
+    @pytest.mark.parametrize("kwargs", ORACLE_BUNDLES.values(), ids=ORACLE_BUNDLES.keys())
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_shard_equals_per_bin_oracle(self, kwargs, seed):
+        bundle = make_bundle(**kwargs)
+        _, cos_table = _tables(bundle)
+        n_bins = 30011  # not a power of two
+        args = (bundle.config, bundle.channel, n_bins)
+        want = oracle.generate_shard(*args, np.random.default_rng(seed), cos_table)
+        got = montecarlo._generate_shard(*args, np.random.default_rng(seed), cos_table)
+        assert got.keys() == want.keys()
+        for key in want:
+            assert got[key].dtype == want[key].dtype, key
+            assert np.array_equal(got[key], want[key]), key
+
+    @pytest.mark.parametrize("num_users", [3, 5])
+    def test_run_protocol_equals_per_bin_oracle(self, monkeypatch, num_users):
+        bundle = make_bundle(num_users=num_users, distance_km=10.0, dark_count_rate=1e-4)
+        monkeypatch.setattr(montecarlo, "_SHARD_BINS", 1 << 15)  # five shards, the last partial
+        got = run_protocol(bundle, 140001, seed=8).to_dict()
+        monkeypatch.setattr(montecarlo, "_generate_shard", oracle.generate_shard)
+        want = run_protocol(bundle, 140001, seed=8).to_dict()
+        assert got == want
 
 
 def ideal_record(port, m_slices, k, slice_left, slice_right, r_left, r_right, num_users):
