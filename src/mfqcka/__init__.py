@@ -29,7 +29,7 @@ from .channel import (
     total_efficiency,
 )
 from .matching import expected_stats, retained_clicks, sifted_coincidences, slice_total
-from .photonstats import pair_yield, phase_error_exact, signal_coincidences_nphoton, threshold_click_prob
+from .photonstats import phase_error_exact, signal_coincidences_nphoton
 from .decoy import (
     ObservedCounts,
     bounds_3user_asymptotic,

@@ -119,12 +119,19 @@ def _search_spec(doc: dict[str, Any], args: argparse.Namespace) -> optimizer.Sea
     return optimizer.SearchSpec(**kwargs)
 
 
-def _evaluate(bundle: Bundle, objective: str, mode: str) -> RateReport:
-    if objective == "finite":
-        return keyrate.finite_rate(bundle.config, bundle.channel, bundle.security)
-    return keyrate.asymptotic_rate(
-        bundle.config, bundle.channel, mode=mode, ec_efficiency=bundle.security.ec_efficiency
-    )
+def _objective(args: argparse.Namespace) -> str:
+    """The optimizer objective that --objective and --mode select together."""
+    if args.objective == "finite":
+        if args.mode == "exact":
+            raise ConfigError(
+                "--mode exact needs --objective asymptotic; the finite rate uses decoy bounds"
+            )
+        return "finite"
+    return f"asymptotic-{args.mode}"
+
+
+def _evaluate(bundle: Bundle, objective: str) -> RateReport:
+    return optimizer._objective_fn(objective, bundle)(bundle.config)
 
 
 def _print_report(report: RateReport) -> None:
@@ -197,11 +204,12 @@ def _csv_row(report: RateReport, seed: int) -> list[str]:
 
 
 def cmd_rate(args: argparse.Namespace) -> int:
+    objective = _objective(args)
     bundle, _ = _load_bundle(args.config, args.distance)
     if args.bound_only:
         print(f"multicast_bound = {_fmt(keyrate.multicast_bound(bundle.channel))}")
         return EXIT_OK
-    report = _evaluate(bundle, args.objective, args.mode)
+    report = _evaluate(bundle, objective)
     _print_report(report)
     if args.out:
         header = _csv_header(len(bundle.config.decoy_intensities))
@@ -224,6 +232,7 @@ def _scan_distances(start: float, stop: float, step: float) -> list[float]:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
+    objective = _objective(args)
     bundle, doc = _load_bundle(args.config, None)
     distances = _scan_distances(args.start, args.stop, args.step)
     steps = [_override(bundle, distance_km=d) for d in distances]
@@ -231,12 +240,12 @@ def cmd_scan(args: argparse.Namespace) -> int:
     spec = _search_spec(doc, args)
     rows: list[list[str]] = []
     if args.optimize:
-        records = optimizer.scan_distances(distances, spec, args.objective, bundle)
+        records = optimizer.scan_distances(distances, spec, objective, bundle)
         for rec in records:
             rows.append(_csv_row(rec.report, spec.seed))
     else:
         for step in steps:
-            rows.append(_csv_row(_evaluate(step, args.objective, args.mode), spec.seed))
+            rows.append(_csv_row(_evaluate(step, objective), spec.seed))
 
     header = _csv_header(len(bundle.config.decoy_intensities))
     text = "\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n"
@@ -248,9 +257,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
+    objective = _objective(args)
     bundle, doc = _load_bundle(args.config, args.distance)
     spec = _search_spec(doc, args)
-    config, report = optimizer.optimize_at_distance(spec, args.objective, bundle)
+    config, report = optimizer.optimize_at_distance(spec, objective, bundle)
     _print_report(report)
     if args.save_config:
         tuned = Bundle(config=config, channel=bundle.channel, security=bundle.security)
@@ -308,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--mode",
             choices=["decoy", "exact"],
             default="decoy",
-            help="phase-error estimator for the asymptotic rate",
+            help="phase-error estimator for the asymptotic rate (evaluated or optimized); "
+            "the finite rate takes decoy only",
         )
 
     p_rate = sub.add_parser("rate", help="single-point key-rate evaluation")

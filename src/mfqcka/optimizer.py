@@ -73,6 +73,21 @@ class SearchSpec:
             raise ConfigError("seed must be nonnegative")
 
 
+def _check_box(n_users: int, spec: SearchSpec) -> None:
+    """Reject bounds that hold no feasible point for n_users users."""
+    lo, hi = spec.intensity_bounds
+    if hi - lo < (n_users - 1) * spec.ordering_gap:
+        raise ConfigError(
+            f"intensity bounds [{lo}, {hi}] cannot hold {n_users} intensities "
+            f"{spec.ordering_gap} apart"
+        )
+    if n_users * spec.prob_bounds[0] > 1.0 - spec.min_vacuum_prob:
+        raise ConfigError(
+            f"{n_users} send probabilities of at least {spec.prob_bounds[0]} leave no room "
+            f"for the vacuum probability {spec.min_vacuum_prob}"
+        )
+
+
 def _project(x: np.ndarray, n_users: int, spec: SearchSpec) -> np.ndarray:
     """Nearest-ish feasible point: ordered intensities, capped simplex."""
     n = n_users  # intensities: signal + (n-1) nonzero decoys
@@ -144,7 +159,8 @@ def _default_start(n_users: int, spec: SearchSpec) -> np.ndarray:
 def _sample_start(rng: np.random.Generator, n_users: int, spec: SearchSpec) -> np.ndarray:
     """One random feasible candidate: log-uniform ladder, Dirichlet split."""
     lo, hi = spec.intensity_bounds
-    mu = math.exp(rng.uniform(math.log(max(2.0 * lo, 5e-3)), math.log(min(hi, 0.6))))
+    log_hi = math.log(min(hi, 0.6))
+    mu = math.exp(rng.uniform(min(math.log(max(2.0 * lo, 5e-3)), log_hi), log_hi))
     ratios = np.sort(rng.uniform(0.03, 0.85, n_users - 1))[::-1]
     ints = [mu]
     for ratio in ratios:
@@ -219,13 +235,16 @@ def optimize_at_distance(
 ) -> tuple[SourceConfig, RateReport]:
     """Maximize the selected key rate over intensities and probabilities.
 
-    ``objective`` is one of "finite", "asymptotic" (= decoy-state phase
-    error) or "asymptotic-exact".  The best feasible point found over all
-    restarts is returned together with its full rate report; a fixed seed
-    makes the result reproducible bit for bit.
+    ``objective`` is one of "finite", "asymptotic" or "asymptotic-decoy"
+    (decoy-state phase error) or "asymptotic-exact".  The best feasible
+    point found over all restarts is returned together with its full rate
+    report; a fixed seed makes the result reproducible bit for bit.  Bounds
+    that hold no feasible point raise ConfigError; a box in which no point
+    has a rate raises EstimationError.
     """
     rate_of = _objective_fn(objective, bundle)
     n_users = bundle.config.num_users
+    _check_box(n_users, spec)
 
     def cost(x: np.ndarray) -> float:
         cfg = _to_config(x, bundle.config)
@@ -251,8 +270,8 @@ def optimize_at_distance(
         x, c, _ = _nelder_mead(cost, start, spec, n_users)
         if c < best_cost:
             best_x, best_cost = x, c
-    if best_x is None:  # pragma: no cover - restarts >= 1 guarantees a result
-        raise RuntimeError("optimization produced no candidate")
+    if best_x is None:
+        raise EstimationError("no point in the search box has a rate to optimize")
     best_config = _to_config(best_x, bundle.config)
     return best_config, rate_of(best_config)
 

@@ -12,6 +12,21 @@ threshold detectors with dark counts.  Cross-port correlations (one
 user's photons reaching both neighbouring ports) are dropped, following
 the first-order treatment that is tight in high-loss regimes; results
 below roughly 10 km of fiber are approximation-limited.
+
+The per-port photon-number weights are the Taylor coefficients of a
+generating function.  Binomial thinning of the Poisson-weighted photon
+numbers,
+
+    sum_l C(l, f) eta^f (1-eta)^(l-f) x^l / l! = (eta x)^f / f! e^((1-eta) x),
+
+and sum_f C(n, f)^2 = C(2n, n) reduce the sums over emitted and
+surviving photons of both users to one convolution,
+
+    w[m] = sum_{n+k=m} h[n] eta^n (2 (1-eta))^k / k!,
+    h[0] = 2 p_d (1-p_d),  h[n] = 2 (1-p_d) C(2n, n) / (2^n n!)  (n >= 1),
+
+which costs O(n_max^2) per channel instead of the O(n_max^5) of the
+nested loops (see ``_port_weight_sequence``).
 """
 
 from __future__ import annotations
@@ -25,58 +40,45 @@ from .matching import _count_matrix, sifted_coincidences
 from .model import ChannelParams, EstimationError, SecurityParams, SourceConfig
 from .channel import total_efficiency
 
-__all__ = [
-    "threshold_click_prob",
-    "pair_yield",
-    "signal_coincidences_nphoton",
-    "phase_error_exact",
-]
-
-
-def threshold_click_prob(f: int, g: int, p_d: float) -> float:
-    """Probability that exactly one detector clicks after interfering f and g photons.
-
-    Photon bunching on the balanced splitter sends all f+g photons out of
-    one side with probability (f+g)! / (2^(f+g) f! g!) per side; dark
-    counts fill in the vacuum case.
-    """
-    if f < 0 or g < 0:
-        raise ValueError("photon numbers must be nonnegative")
-    n = f + g
-    if n == 0:
-        return 2.0 * p_d * (1.0 - p_d)
-    return 2.0 * (1.0 - p_d) * math.comb(n, f) / float(2**n)
-
-
-def pair_yield(l: int, r: int, eta_t: float, p_d: float) -> float:
-    """Successful-click probability when the two users emit l and r photons.
-
-    Binomial survival through the lossy arms followed by the interference
-    click probability of the survivors.
-    """
-    if l < 0 or r < 0:
-        raise ValueError("photon numbers must be nonnegative")
-    total = 0.0
-    for f in range(l + 1):
-        wf = math.comb(l, f) * eta_t**f * (1.0 - eta_t) ** (l - f)
-        for g in range(r + 1):
-            wg = math.comb(r, g) * eta_t**g * (1.0 - eta_t) ** (r - g)
-            total += wf * wg * threshold_click_prob(f, g, p_d)
-    return total
+__all__ = ["signal_coincidences_nphoton", "phase_error_exact"]
 
 
 @lru_cache(maxsize=32)
 def _port_weight_sequence(eta_t: float, p_d: float, n_max: int) -> tuple[float, ...]:
-    """w[m] = sum_l Y(l, m-l) / (l! (m-l)!), the per-port photon-number weight."""
-    seq = []
-    for m in range(n_max + 1):
-        acc = 0.0
-        for l in range(m + 1):
-            acc += pair_yield(l, m - l, eta_t, p_d) / (
-                float(math.factorial(l)) * float(math.factorial(m - l))
-            )
-        seq.append(acc)
-    return tuple(seq)
+    """w[m] = sum_l Y(l, m-l) / (l! (m-l)!), the per-port photon-number weight.
+
+    Y(l, r) is the probability of exactly one click when the two users of
+    the port emit l and r photons: each photon survives with probability
+    eta_t, the f and g survivors interfere on the balanced splitter, which
+    sends all f+g of them out of one side with probability
+    C(f+g, f) / 2^(f+g) per side, and the threshold detectors add dark
+    counts.  The click probability is T(0, 0) = 2 p_d (1-p_d) and
+    T(f, g) = 2 (1-p_d) C(f+g, f) / 2^(f+g) otherwise.
+
+    In the generating function W(x) = sum_m w[m] x^m the binomial
+    thinning of each user's Poisson weight x^l / l! gives
+
+        sum_l C(l, f) eta^f (1-eta)^(l-f) x^l / l! = (eta x)^f / f! e^((1-eta) x),
+
+    and sum_f C(n, f)^2 = C(2n, n) collects the survivors by their total n:
+
+        W(x) = e^(2 (1-eta) x) sum_n h[n] (eta x)^n,
+        h[0] = 2 p_d (1-p_d),  h[n] = 2 (1-p_d) C(2n, n) / (2^n n!).
+
+    So w is the convolution of h[n] eta^n with (2 (1-eta))^k / k!, which
+    costs O(n_max^2) per channel.  h and (2 (1-eta))^k / k! are built by
+    their term ratios (h[n+1] / h[n] = (2n+1) / (n+1)^2 for n >= 1), so no
+    factorial is converted to a float.
+    """
+    survivors = [2.0 * p_d * (1.0 - p_d)]
+    spread = [1.0]
+    h = 2.0 * (1.0 - p_d)
+    loss = 2.0 * (1.0 - eta_t)
+    for n in range(1, n_max + 1):
+        survivors.append(h * eta_t**n)
+        h *= (2 * n + 1) / (n + 1) ** 2
+        spread.append(spread[-1] * loss / n)
+    return tuple(np.convolve(survivors, spread)[: n_max + 1].tolist())
 
 
 @lru_cache(maxsize=32)
@@ -93,6 +95,29 @@ def _composition_sums(
     return tuple(conv[: n_max + 1])
 
 
+def _nphoton_terms(
+    config: SourceConfig, channel: ChannelParams, sec: SecurityParams, n_max: int
+) -> list[float]:
+    """s_n for n = 0..n_max; all zero when a row of the count matrix is empty.
+
+    The count-matrix totals, their minimum and their product do not depend
+    on n, so they are computed once; each term keeps the left-to-right
+    order of M n_min e^(-2 P mu) mu^n p_mu^(2P) / (2 prod totals) w_P[n].
+    """
+    counts = _count_matrix(config, channel, sec.data_size)
+    totals = [math.fsum(row) for row in counts]
+    if any(t <= 0.0 for t in totals):
+        return [0.0] * (n_max + 1)
+    n_min = min(totals)
+    mu = config.signal_intensity
+    ports = config.num_ports
+    lead = config.phase_slices * n_min * math.exp(-2.0 * ports * mu)
+    senders = config.send_probabilities[0] ** (2 * ports)
+    denom = 2.0 * math.prod(totals)
+    comp = _composition_sums(config, channel, sec.data_size, n_max)
+    return [lead * mu**n * senders / denom * comp[n] for n in range(n_max + 1)]
+
+
 def signal_coincidences_nphoton(
     n: int, config: SourceConfig, channel: ChannelParams, sec: SecurityParams, n_max: int = 20
 ) -> float:
@@ -105,25 +130,7 @@ def signal_coincidences_nphoton(
     """
     if n < 0:
         raise ValueError("photon number must be nonnegative")
-    n_max = max(n_max, n)
-    counts = _count_matrix(config, channel, sec.data_size)
-    totals = [math.fsum(row) for row in counts]
-    if any(t <= 0.0 for t in totals):
-        return 0.0
-    n_min = min(totals)
-    mu = config.signal_intensity
-    p_mu = config.send_probabilities[0]
-    ports = config.num_ports
-    prefactor = (
-        config.phase_slices
-        * n_min
-        * math.exp(-2.0 * ports * mu)
-        * mu**n
-        * p_mu ** (2 * ports)
-        / (2.0 * math.prod(totals))
-    )
-    comp = _composition_sums(config, channel, sec.data_size, n_max)
-    return prefactor * comp[n]
+    return _nphoton_terms(config, channel, sec, max(n_max, n))[n]
 
 
 def phase_error_exact(
@@ -142,8 +149,9 @@ def phase_error_exact(
     if s_mu <= 0.0:
         raise EstimationError("no sifted signal coincidences; phase error undefined")
     good_parity = 1 if config.num_users % 2 == 0 else 0
+    terms = _nphoton_terms(config, channel, sec, n_max)
     acc = 0.0
     for n in range(good_parity, n_max + 1, 2):
-        acc += signal_coincidences_nphoton(n, config, channel, sec, n_max=n_max)
+        acc += terms[n]
     phi = 1.0 - acc / s_mu
     return min(max(phi, 0.0), 1.0)

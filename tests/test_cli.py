@@ -40,6 +40,49 @@ def test_rate_asymptotic_modes(config_path, capsys):
     assert "mode = asymptotic-exact" in capsys.readouterr().out
 
 
+def test_optimize_exact_mode_optimizes_exact_rate(config_path, capsys):
+    argv = ["optimize", config_path, "--objective", "asymptotic", "--mode", "exact",
+            "--restarts", "1", "--max-evals", "10"]
+    assert main(argv) == EXIT_OK
+    assert "mode = asymptotic-exact" in capsys.readouterr().out
+
+
+def test_scan_optimize_exact_mode_evaluates_exact_rates(config_path, tmp_path, monkeypatch):
+    from mfqcka import keyrate
+
+    modes = []
+    rate = keyrate.asymptotic_rate
+
+    def spy(*args, **kwargs):
+        modes.append(kwargs.get("mode"))
+        return rate(*args, **kwargs)
+
+    monkeypatch.setattr(keyrate, "asymptotic_rate", spy)
+    argv = ["scan", config_path, "--from", "50", "--to", "50", "--step", "10", "--optimize",
+            "--objective", "asymptotic", "--mode", "exact", "--restarts", "1",
+            "--max-evals", "10", "--out", str(tmp_path / "scan.csv")]
+    assert main(argv) == EXIT_OK
+    assert modes and set(modes) == {"exact"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rate", "{cfg}"],
+        ["scan", "{cfg}", "--from", "50", "--to", "50", "--step", "10"],
+        ["scan", "{cfg}", "--from", "50", "--to", "50", "--step", "10", "--optimize"],
+        ["optimize", "{cfg}"],
+    ],
+    ids=["rate", "scan", "scan-optimize", "optimize"],
+)
+def test_finite_objective_rejects_exact_mode(config_path, capsys, argv):
+    argv = [a.format(cfg=config_path) for a in argv] + ["--objective", "finite", "--mode", "exact"]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "--mode exact" in err
+
+
 def test_bound_only(config_path, capsys):
     assert main(["rate", config_path, "--bound-only", "--distance", "100"]) == EXIT_OK
     out = capsys.readouterr().out.strip()
@@ -153,6 +196,30 @@ def test_bad_optimizer_section_exit_config(tmp_path, capsys, edit):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "key,bounds,expected",
+    [
+        ("intensity_bounds", [0.5, 1.0], EXIT_OK),
+        ("intensity_bounds", [1e-4, 4e-3], EXIT_OK),
+        ("intensity_bounds", [0.5, 0.5000001], EXIT_CONFIG),
+        ("prob_bounds", [0.98, 0.99], EXIT_CONFIG),
+        ("prob_bounds", [1e-300, 2e-300], EXIT_CONFIG),
+    ],
+    ids=["high-intensities", "low-intensities", "narrow-intensities", "crowded-probabilities",
+         "no-signal-probabilities"],
+)
+def test_optimizer_box_corners(tmp_path, capsys, key, bounds, expected):
+    # random starts outside the log-uniform range, boxes without a feasible
+    # ladder or vacuum slack, and boxes where no point has a rate
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps(dict(make_bundle().to_dict(), optimizer={key: bounds})))
+    assert main(["optimize", str(path), "--restarts", "1", "--max-evals", "10"]) == expected
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if expected == EXIT_CONFIG:
+        assert err.startswith("error:")
+
+
 def test_decoy_rate_beyond_five_users_exit_config(tmp_path, capsys):
     bundle = make_bundle(
         num_users=6,
@@ -207,6 +274,52 @@ def test_fuzzed_config_exits_cleanly(tmp_path_factory, mutation):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(["rate", str(path)])
+    assert code in (EXIT_OK, EXIT_CONFIG)
+    if code == EXIT_CONFIG:
+        assert err.getvalue().startswith("error:")
+
+
+_OPTIMIZER_MUTATIONS = st.one_of(
+    st.tuples(
+        st.just("set"),
+        st.sampled_from(["intensity_bounds", "prob_bounds"]),
+        st.one_of(
+            st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2, max_size=2).map(sorted),
+            _BAD_VALUES,
+        ),
+    ),
+    st.tuples(
+        st.just("set"),
+        st.sampled_from(["restarts", "max_evals", "seed", "tolerance"]),
+        st.one_of(st.integers(min_value=0, max_value=2**70), _BAD_VALUES),
+    ),
+    st.tuples(st.just("section"), st.none(), st.one_of(st.none(), _BAD_VALUES)),
+)
+_OPTIMIZE_COMMANDS = [
+    ["optimize", "{cfg}"],
+    ["scan", "{cfg}", "--from", "50", "--to", "60", "--step", "10", "--optimize", "--out", "{csv}"],
+]
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(mutation=_OPTIMIZER_MUTATIONS, command=st.sampled_from(_OPTIMIZE_COMMANDS))
+def test_fuzzed_optimizer_section_exits_cleanly(tmp_path_factory, mutation, command):
+    action, key, value = mutation
+    doc = copy.deepcopy(_VALID_DOC)
+    doc["optimizer"] = {"restarts": 2, "max_evals": 200, "seed": 5}
+    if action == "set":
+        doc["optimizer"][key] = value
+    elif value is None:
+        del doc["optimizer"]
+    else:
+        doc["optimizer"] = value
+    base = tmp_path_factory.getbasetemp()
+    path = base / "fuzzed-optimizer.json"
+    path.write_text(json.dumps(doc))
+    argv = [a.format(cfg=path, csv=base / "fuzzed-scan.csv") for a in command]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv + ["--restarts", "1", "--max-evals", "10"])
     assert code in (EXIT_OK, EXIT_CONFIG)
     if code == EXIT_CONFIG:
         assert err.getvalue().startswith("error:")

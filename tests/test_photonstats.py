@@ -6,13 +6,11 @@ import pytest
 
 from mfqcka.matching import sifted_coincidences
 from mfqcka.model import EstimationError, SecurityParams
-from mfqcka.photonstats import (
-    pair_yield,
-    phase_error_exact,
-    signal_coincidences_nphoton,
-    threshold_click_prob,
-)
+from mfqcka import photonstats
+from mfqcka.keyrate import asymptotic_rate
+from mfqcka.photonstats import _port_weight_sequence, phase_error_exact, signal_coincidences_nphoton
 from conftest import make_bundle, make_channel, make_geometric_config
+from photonstats_oracles import pair_yield, port_weight_sequence, threshold_click_prob
 
 
 def splitter_output_distribution(f, g):
@@ -109,6 +107,42 @@ class TestPairYield:
         assert pair_yield(2, 0, 0.5, 0.0) > pair_yield(2, 0, 1.0, 0.0)
 
 
+class TestPortWeights:
+    @pytest.mark.parametrize("p_d", [0.0, 3.03e-9, 1e-3, 0.1])
+    def test_closed_form_matches_loops(self, p_d):
+        for eta_t in (0.0, 1e-6, 1e-3, 0.05, 0.385, 0.9, 1.0):
+            # the loops' w[m] does not depend on n_max, so one sequence serves all three
+            expected = port_weight_sequence(eta_t, p_d, 40)
+            for n_max in (5, 20, 40):
+                got = _port_weight_sequence(eta_t, p_d, n_max)
+                assert len(got) == n_max + 1
+                for w, ref in zip(got, expected):
+                    if ref == 0.0:
+                        assert w == 0.0
+                    else:
+                        assert w == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("num_users", [3, 4, 5, 6])
+def test_exact_rate_matches_oracle_weights(num_users, monkeypatch):
+    config = make_geometric_config(num_users)
+    channels = [make_channel(d) for d in (0.0, 50.0, 200.0, 350.0)]
+    photonstats._composition_sums.cache_clear()
+    closed = [asymptotic_rate(config, channel, "exact") for channel in channels]
+    # the same rates assembled from the loop weights; the caches must not keep them
+    photonstats._composition_sums.cache_clear()
+    monkeypatch.setattr(
+        photonstats, "_port_weight_sequence", port_weight_sequence
+    )
+    try:
+        looped = [asymptotic_rate(config, channel, "exact") for channel in channels]
+    finally:
+        photonstats._composition_sums.cache_clear()
+    for got, expected in zip(closed, looped):
+        assert got.phase_error_upper == pytest.approx(expected.phase_error_upper, rel=1e-12)
+        assert got.key_rate_raw == pytest.approx(expected.key_rate_raw, rel=1e-12)
+
+
 class TestSignalCoincidences:
     def test_vacuum_contribution_needs_dark_counts(self):
         bundle = make_bundle(distance_km=100.0, dark_count_rate=0.0)
@@ -165,6 +199,14 @@ class TestPhaseErrorExact:
         phi20 = phase_error_exact(bundle.config, bundle.channel, bundle.security, n_max=20)
         phi24 = phase_error_exact(bundle.config, bundle.channel, bundle.security, n_max=24)
         assert abs(phi20 - phi24) <= 1e-10
+
+    @pytest.mark.parametrize("num_users", [4, 5])
+    @pytest.mark.parametrize("distance", [50.0, 200.0])
+    def test_converged_at_default_truncation_more_users(self, num_users, distance):
+        bundle = make_bundle(num_users=num_users, distance_km=distance)
+        phi20 = phase_error_exact(bundle.config, bundle.channel, bundle.security, n_max=20)
+        phi40 = phase_error_exact(bundle.config, bundle.channel, bundle.security, n_max=40)
+        assert abs(phi20 - phi40) <= 1e-10
 
     def test_requires_room_for_all_users(self):
         bundle = make_bundle(num_users=5)
