@@ -43,10 +43,8 @@ from .keyrate import asymptotic_rate, finite_rate, multicast_bound
 from .optimizer import ScanRecord, SearchSpec, optimize_at_distance, scan_distances
 from .montecarlo import (
     ComparisonReport,
-    TimeBinRecord,
     TrialSummary,
     compare_to_analytic,
-    extract_bits,
     run_protocol,
 )
 from .special_math import bessel_i0, binary_entropy, binomial

@@ -18,8 +18,8 @@ Configuration is a JSON document with four top-level sections::
 `decoy_intensities` lists one entry per user, ending with the vacuum (0);
 `send_probabilities` is aligned with (signal, *decoys) and sums to 1.
 The ``optimizer`` section is optional.  Exit codes: 0 success, 2 parse or
-validation failure or a working point with no signal to evaluate,
-3 simulation-consistency failure.
+validation failure, an output file that cannot be written or a working
+point with no signal to evaluate, 3 simulation-consistency failure.
 
 CSV output uses a fixed column set, scientific notation with 10
 significant digits, and no locale-dependent formatting, so files from
@@ -46,6 +46,7 @@ from .model import (
     _integer,
     _number,
     _numbers,
+    _write_text,
     bundle_from_dict,
     validate,
 )
@@ -214,7 +215,7 @@ def cmd_rate(args: argparse.Namespace) -> int:
     if args.out:
         header = _csv_header(len(bundle.config.decoy_intensities))
         row = _csv_row(report, seed=0)
-        Path(args.out).write_text(",".join(header) + "\n" + ",".join(row) + "\n")
+        _write_text(args.out, ",".join(header) + "\n" + ",".join(row) + "\n")
     return EXIT_OK
 
 
@@ -250,7 +251,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     header = _csv_header(len(bundle.config.decoy_intensities))
     text = "\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        _write_text(args.out, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -266,7 +267,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         tuned = Bundle(config=config, channel=bundle.channel, security=bundle.security)
         out = tuned.to_dict()
         out["optimizer"] = doc.get("optimizer", {})
-        Path(args.save_config).write_text(json.dumps(out, indent=2) + "\n")
+        _write_text(args.save_config, json.dumps(out, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -276,11 +277,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         bundle = _override(bundle, dark_count_rate=args.dark_counts)
     if args.bins < 1:
         raise ConfigError("--bins must be at least 1")
+    if args.seed < 0:
+        raise ConfigError("--seed must be non-negative")
     summary = montecarlo.run_protocol(bundle, args.bins, args.seed, coincidence_dump=args.dump)
     report = montecarlo.compare_to_analytic(summary, bundle)
     doc = {"summary": summary.to_dict(), "comparison": report.to_dict()}
     if args.out:
-        Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        _write_text(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(f"bins = {summary.bins}")
     print(f"coincidences = {summary.coincidences}")
     print(f"conference_errors_all_intensities = {summary.conference_errors_all_intensities}")

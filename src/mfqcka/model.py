@@ -174,6 +174,15 @@ def _numbers(value: Any, name: str) -> tuple[float, ...]:
     return tuple(_number(x, f"{name}[{i}]") for i, x in enumerate(value))
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write an output file; a path that cannot be written is a ConfigError."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file: {exc}") from None
+
+
 def bundle_from_dict(doc: Mapping[str, Any]) -> Bundle:
     """Build and validate a bundle from a parsed JSON configuration document.
 

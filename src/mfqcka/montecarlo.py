@@ -21,6 +21,9 @@ Generation is sharded into fixed-size blocks of bins with independent
 RNG substreams spawned from the master seed, so results are bit-for-bit
 reproducible regardless of how the shards are executed; matching is a
 global pass over the retained bins and runs after all shards.
+
+Bit extraction is one array kernel, ``_conference_bits``, called once
+per matched slice on all of that slice's sifted coincidences.
 """
 
 from __future__ import annotations
@@ -33,12 +36,10 @@ import numpy as np
 
 from . import matching
 from .channel import total_efficiency
-from .model import Bundle, ChannelParams, SecurityParams, SourceConfig
+from .model import Bundle, ChannelParams, SecurityParams, SourceConfig, _write_text
 
 __all__ = [
-    "TimeBinRecord",
     "TrialSummary",
-    "extract_bits",
     "run_protocol",
     "compare_to_analytic",
     "StatCheck",
@@ -46,63 +47,6 @@ __all__ = [
 ]
 
 _SHARD_BINS = 1 << 20
-
-
-@dataclass(frozen=True)
-class TimeBinRecord:
-    """Everything one time bin produced, before filtering.
-
-    ``outcomes[j]`` is the port-j result ("none", "left", "right" or
-    "both"); ``selected_port`` (1-based) and ``announced_d`` are set when
-    the relay saw at least one successful click and broadcast it.
-    """
-
-    intensities: tuple[float, ...]
-    slice_indices: tuple[int, ...]
-    bits: tuple[int, ...]
-    outcomes: tuple[str, ...]
-    selected_port: int | None
-    announced_d: int | None
-    phase_slices: int
-
-    def phase_value(self, user: int) -> int:
-        """Phase computational bit of ``user`` (1-based): floor(2 M_j / M)."""
-        return 2 * self.slice_indices[user - 1] // self.phase_slices
-
-
-def extract_bits(coincidence: Sequence[TimeBinRecord]) -> tuple[int, ...]:
-    """Conference bits of all users from one matched coincidence.
-
-    ``coincidence[i]`` must be the bin announced for port i+1.  User 1
-    keeps their raw bit; every other user XORs their raw bit with the
-    published phase bits and detector announcements accumulated along the
-    port chain, which aligns all bits with user 1 under ideal detection.
-    """
-    ports = len(coincidence)
-    for i, rec in enumerate(coincidence):
-        if rec.selected_port != i + 1:
-            raise ValueError(f"record {i} does not announce port {i + 1}")
-        if rec.announced_d is None:
-            raise ValueError(f"missing announcement for port {i + 1}")
-
-    m_of = lambda i, user: coincidence[i].phase_value(user)
-    r_of = lambda i, user: coincidence[i].bits[user - 1]
-
-    bits = [r_of(0, 1)]
-    m1 = m_of(0, 1)
-    d_acc = 0
-    m_acc = m1
-    mt_acc = 0
-    rp_acc = 0
-    for j in range(2, ports + 2):  # users 2..N read ports j-1 at index j-2
-        t = j - 2
-        d_acc ^= coincidence[t].announced_d
-        m_acc ^= m_of(t, j)
-        if t >= 1:
-            mt_acc ^= m_of(t, j - 1)  # user j-1's value in its second bin
-            rp_acc ^= r_of(t - 1, j - 1) ^ r_of(t, j - 1)
-        bits.append(r_of(t, j) ^ rp_acc ^ d_acc ^ m_acc ^ mt_acc)
-    return tuple(bits)
 
 
 @dataclass(frozen=True)
@@ -269,6 +213,55 @@ def _generate_shard(
     }
 
 
+def _conference_bits(
+    r_left: np.ndarray,
+    r_right: np.ndarray,
+    m_left: np.ndarray,
+    m_right: np.ndarray,
+    d: np.ndarray,
+) -> np.ndarray:
+    """Conference bits of matched coincidences, one column per coincidence.
+
+    Every argument has the shape (ports, n) in port order: row i is the bin
+    announced for port i+1, with the raw and phase bits of its left user
+    i+1 and right user i+2 and the relay's announcement ``d``.  Returns the
+    (N, n) bits.  Row 0 is user 1's raw bit.  User j >= 2 takes their raw
+    bit in port j-1 and XORs in the announcements of ports 1 .. j-1, every
+    phase bit published in those ports and the raw bits of users
+    2 .. j-1 in both of their ports.  Under ideal detection every row
+    equals row 0.
+    """
+    # step[i]: what port i+1 adds to the chain of every later user
+    step = d ^ m_right
+    step[1:] ^= r_right[:-1] ^ r_left[1:] ^ m_left[1:]
+    chain = np.bitwise_xor.accumulate(step, axis=0)
+    return np.vstack([r_left[:1], r_right ^ chain ^ m_left[0]])
+
+
+def _write_dump(
+    path: str, n_users: int, intensities: Sequence[float], parts: list[np.ndarray]
+) -> None:
+    """Write the sifted coincidences as CSV, one row per column of ``parts``.
+
+    Each part holds the rows slice, setting index, the N-1 announcements
+    and the N conference bits; the setting index is written as its
+    intensity.
+    """
+    ports = n_users - 1
+    header = (
+        ["slice", "intensity"]
+        + [f"d_{j + 1}" for j in range(ports)]
+        + [f"bit_user_{j + 1}" for j in range(n_users)]
+    )
+    table = np.hstack(parts) if parts else np.zeros((len(header), 0), dtype=np.int64)
+    labels = np.array([repr(k) for k in intensities])
+    cells = [table[0].astype(str), labels[table[1]], *table[2:].astype(str)]
+    lines = cells[0]
+    for column in cells[1:]:
+        lines = np.char.add(np.char.add(lines, ","), column)
+    _write_text(path, "\n".join([",".join(header), *lines.tolist()]) + "\n")
+
+
 def run_protocol(
     bundle: Bundle, num_bins: int, seed: int, coincidence_dump: str | None = None
 ) -> TrialSummary:
@@ -328,7 +321,7 @@ def run_protocol(
     conf_errors = np.zeros(ports, dtype=np.int64)  # user j = 2..N at index j-2
     conf_errors_all = 0
     matched_draws = 0
-    dump_rows: list[str] = []
+    dump_parts: list[np.ndarray] = []
     for m in range(half):
         sets = [
             np.flatnonzero((merged["port"] == j) & (merged["m"] == m)) for j in range(ports)
@@ -348,47 +341,22 @@ def run_protocol(
         k_common = k_mat[0, common]
         sifted += np.bincount(k_common, minlength=n_settings)
 
-        r_left = merged["r_left"][cols]
-        r_right = merged["r_right"][cols]
-        m_left = merged["m_left"][cols]
-        m_right = merged["m_right"][cols]
         d_mat = merged["d"][cols]
-
-        b1 = r_left[0]
-        d_acc = np.bitwise_xor.accumulate(d_mat, axis=0)
-        m_acc = np.bitwise_xor.accumulate(m_right, axis=0) ^ m_left[0]
-        pair = np.zeros_like(r_left)
-        pair[1:] = r_right[:-1] ^ r_left[1:]
-        rp_acc = np.bitwise_xor.accumulate(pair, axis=0)
-        m_tilde = m_left.copy()
-        m_tilde[0] = 0
-        mt_acc = np.bitwise_xor.accumulate(m_tilde, axis=0)
-        user_bits = r_right ^ rp_acc ^ d_acc ^ m_acc ^ mt_acc
-        errors = (user_bits ^ b1) & 1
-
+        bits = _conference_bits(
+            merged["r_left"][cols],
+            merged["r_right"][cols],
+            merged["m_left"][cols],
+            merged["m_right"][cols],
+            d_mat,
+        )
+        errors = bits[1:] ^ bits[0]
         conf_errors += errors[:, k_common == 0].sum(axis=1)
         conf_errors_all += int(errors.sum())
-
         if coincidence_dump is not None:
-            all_bits = np.vstack([b1, user_bits])
-            for col in range(cols.shape[1]):
-                dump_rows.append(
-                    ",".join(
-                        [str(m), repr(config.intensities[int(k_common[col])])]
-                        + [str(int(x)) for x in d_mat[:, col]]
-                        + [str(int(x)) for x in all_bits[:, col]]
-                    )
-                )
+            dump_parts.append(np.vstack([np.full(len(k_common), m), k_common, d_mat, bits]))
 
     if coincidence_dump is not None:
-        header = (
-            ["slice", "intensity"]
-            + [f"d_{j + 1}" for j in range(ports)]
-            + [f"bit_user_{j + 1}" for j in range(n_users)]
-        )
-        with open(coincidence_dump, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            fh.write("\n".join(dump_rows) + ("\n" if dump_rows else ""))
+        _write_dump(coincidence_dump, n_users, config.intensities, dump_parts)
 
     settings = config.intensities
     return TrialSummary(

@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL
 line per criterion.  All runs are seeded, so the suite is reproducible.
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -19,14 +18,14 @@ from mfqcka.decoy import (
 )
 from mfqcka.keyrate import asymptotic_rate
 from mfqcka.matching import sifted_coincidences
-from mfqcka.montecarlo import compare_to_analytic, extract_bits, run_protocol
+from mfqcka.montecarlo import compare_to_analytic, run_protocol
 from mfqcka.optimizer import SearchSpec, optimize_at_distance
 from mfqcka.photonstats import signal_coincidences_nphoton
 from mfqcka.special_math import bessel_i0, binary_entropy
 from mfqcka.channel import marginal_error
 from conftest import make_bundle
 
-from test_montecarlo import coincidence_from_pattern
+from test_montecarlo import ideal_columns, kernel_bits
 from test_special_math import i0_series
 
 
@@ -216,22 +215,9 @@ def test_criterion_6_ghz_invariant_exhaustive():
     failures = 0
     patterns = 0
     for num_users in (3, 4):
-        ports = num_users - 1
-        slice_of = lambda bit: 0 if bit == 0 else 2
-        for pattern in itertools.product((0, 1), repeat=4 * ports):
-            values = [
-                (
-                    slice_of(pattern[4 * j]),
-                    slice_of(pattern[4 * j + 1]),
-                    pattern[4 * j + 2],
-                    pattern[4 * j + 3],
-                )
-                for j in range(ports)
-            ]
-            bits = extract_bits(coincidence_from_pattern(num_users, 4, values))
-            patterns += 1
-            if any(b != bits[0] for b in bits):
-                failures += 1
+        bits = kernel_bits(*ideal_columns(num_users), m_slices=4)
+        patterns += bits.shape[1]
+        failures += int((bits != bits[0]).any(axis=0).sum())
     report(
         "6 (GHZ invariant, exhaustive)",
         failures == 0 and patterns == 2**8 + 2**12,

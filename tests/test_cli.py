@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import csv
 import io
 import json
 
@@ -113,14 +114,35 @@ def test_validation_error_names_field(tmp_path, capsys):
         ["scan", "{cfg}", "--from", "0", "--to", "inf", "--step", "10"],
         ["simulate", "{cfg}", "--bins", "1000", "--dark-counts", "1.5"],
         ["simulate", "{cfg}", "--bins", "0"],
+        ["simulate", "{cfg}", "--bins", "1000", "--seed", "-1"],
     ],
-    ids=["negative-distance", "negative-scan", "infinite-scan", "dark-counts", "zero-bins"],
+    ids=["negative-distance", "negative-scan", "infinite-scan", "dark-counts", "zero-bins",
+         "negative-seed"],
 )
 def test_invalid_overrides_exit_config(config_path, capsys, argv):
     assert main([a.format(cfg=config_path) for a in argv]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rate", "{cfg}", "--out", "{bad}"],
+        ["scan", "{cfg}", "--from", "50", "--to", "50", "--step", "10", "--out", "{bad}"],
+        ["optimize", "{cfg}", "--restarts", "1", "--max-evals", "10", "--save-config", "{bad}"],
+        ["simulate", "{cfg}", "--bins", "1000", "--out", "{bad}"],
+        ["simulate", "{cfg}", "--bins", "1000", "--dump-coincidences", "{bad}"],
+    ],
+    ids=["rate-out", "scan-out", "optimize-save-config", "simulate-out", "simulate-dump"],
+)
+def test_unwritable_output_exits_config(config_path, tmp_path, capsys, argv):
+    bad = str(tmp_path / "missing-dir" / "output")
+    assert main([a.format(cfg=config_path, bad=bad) for a in argv]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "missing-dir" in err
 
 
 def _set(doc, section, key, value):
@@ -426,6 +448,27 @@ def test_simulate_coincidence_dump(config_path, tmp_path):
     lines = dump.read_text().strip().splitlines()
     assert lines[0] == "slice,intensity,d_1,d_2,bit_user_1,bit_user_2,bit_user_3"
     assert len(lines) > 1
+
+
+def test_simulate_dump_rows_match_summary(config_path, tmp_path):
+    # dark counts make conference errors, on the signal and on decoys
+    dump, out = tmp_path / "coincidences.csv", tmp_path / "sim.json"
+    argv = ["simulate", config_path, "--distance", "10", "--bins", "1000000", "--seed", "5",
+            "--dark-counts", "1e-3", "--out", str(out), "--dump-coincidences", str(dump)]
+    assert main(argv) == EXIT_OK
+    summary = json.loads(out.read_text())["summary"]
+    with dump.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    users = range(2, summary["num_users"] + 1)
+    wrong = lambda row, j: row[f"bit_user_{j}"] != row["bit_user_1"]
+    signal = [row for row in rows if float(row["intensity"]) == summary["intensities"][0]]
+
+    assert len(rows) == summary["coincidences"]
+    errors_all = summary["conference_errors_all_intensities"]
+    assert errors_all > sum(summary["conference_errors"].values()) > 0
+    assert sum(wrong(row, j) for row in rows for j in users) == errors_all
+    for j in users:
+        assert sum(wrong(row, j) for row in signal) == summary["conference_errors"][str(j)]
 
 
 def test_simulate_writes_summary_and_is_deterministic(config_path, tmp_path):

@@ -10,7 +10,7 @@ import montecarlo_oracles as oracle
 from mfqcka import montecarlo
 from mfqcka.channel import total_efficiency
 from mfqcka.model import Bundle
-from mfqcka.montecarlo import TimeBinRecord, compare_to_analytic, extract_bits, run_protocol
+from mfqcka.montecarlo import compare_to_analytic, run_protocol
 from conftest import make_bundle
 
 
@@ -95,35 +95,24 @@ class TestShardOracle:
         assert got == want
 
 
-def ideal_record(port, m_slices, k, slice_left, slice_right, r_left, r_right, num_users):
-    """Build a retained bin with the noiseless announcement for one port."""
-    phase_bit = lambda s: 2 * s // m_slices
-    d = (phase_bit(slice_left) ^ r_left ^ phase_bit(slice_right) ^ r_right) & 1
-    intensities = [0.0] * num_users
-    slices = [0] * num_users
-    bits = [0] * num_users
-    intensities[port - 1], intensities[port] = k, k
-    slices[port - 1], slices[port] = slice_left, slice_right
-    bits[port - 1], bits[port] = r_left, r_right
-    outcomes = ["none"] * (num_users - 1)
-    outcomes[port - 1] = "right" if d else "left"
-    return TimeBinRecord(
-        intensities=tuple(intensities),
-        slice_indices=tuple(slices),
-        bits=tuple(bits),
-        outcomes=tuple(outcomes),
-        selected_port=port,
-        announced_d=d,
-        phase_slices=m_slices,
-    )
+def ideal_columns(num_users):
+    """Every phase-bit / raw-bit pattern of the ports at M = 4, one column each.
+
+    Returns slice_left, slice_right, r_left, r_right and the noiseless
+    announcement d, each of shape (ports, 2^(4 ports)); phase bit b sits
+    at slice 2b (residue 0).
+    """
+    ports = num_users - 1
+    patterns = np.array(list(itertools.product((0, 1), repeat=4 * ports)), dtype=np.int8).T
+    m_left, m_right, r_left, r_right = (patterns[i::4] for i in range(4))
+    d = m_left ^ r_left ^ m_right ^ r_right
+    return 2 * m_left.astype(np.int16), 2 * m_right.astype(np.int16), r_left, r_right, d
 
 
-def coincidence_from_pattern(num_users, m_slices, values):
-    """values[j] = (slice_left, slice_right, r_left, r_right) for port j+1."""
-    return [
-        ideal_record(j + 1, m_slices, 0.1, *values[j], num_users)
-        for j in range(num_users - 1)
-    ]
+def kernel_bits(slice_left, slice_right, r_left, r_right, d, m_slices):
+    """``montecarlo._conference_bits`` on slices instead of phase bits."""
+    phase = lambda s: (2 * s // m_slices).astype(np.int8)
+    return montecarlo._conference_bits(r_left, r_right, phase(slice_left), phase(slice_right), d)
 
 
 class TestExtractBits:
@@ -131,67 +120,47 @@ class TestExtractBits:
     def test_exhaustive_ghz_agreement(self, num_users):
         # all phase-bit / random-bit patterns with ideal announcements:
         # every user's extracted bit must equal user 1's raw bit
-        m_slices = 4
-        ports = num_users - 1
-        slice_of = lambda bit: 0 if bit == 0 else 2  # phase bit 0 / 1, residue 0
-        for pattern in itertools.product((0, 1), repeat=4 * ports):
-            values = [
-                (
-                    slice_of(pattern[4 * j]),
-                    slice_of(pattern[4 * j + 1]),
-                    pattern[4 * j + 2],
-                    pattern[4 * j + 3],
-                )
-                for j in range(ports)
-            ]
-            coincidence = coincidence_from_pattern(num_users, m_slices, values)
-            bits = extract_bits(coincidence)
-            assert len(bits) == num_users
-            assert all(b == bits[0] for b in bits), pattern
-            assert bits[0] == pattern[2]  # user 1's raw bit, port-1 left slot
+        columns = ideal_columns(num_users)
+        bits = kernel_bits(*columns, m_slices=4)
+        assert bits.shape == (num_users, 2 ** (4 * (num_users - 1)))
+        assert np.array_equal(bits[0], columns[2][0])  # user 1's raw bit, port-1 left slot
+        assert (bits == bits[0]).all()
 
     def test_flipping_announcement_flips_downstream_users(self):
-        num_users, m_slices = 4, 4
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            values = [tuple(int(rng.integers(2)) * 2 if i < 2 else int(rng.integers(2)) for i in range(4)) for _ in range(num_users - 1)]
-            coincidence = coincidence_from_pattern(num_users, m_slices, values)
-            base = extract_bits(coincidence)
-            for flip_port in range(1, num_users):
-                flipped = list(coincidence)
-                rec = flipped[flip_port - 1]
-                flipped[flip_port - 1] = TimeBinRecord(
-                    intensities=rec.intensities,
-                    slice_indices=rec.slice_indices,
-                    bits=rec.bits,
-                    outcomes=rec.outcomes,
-                    selected_port=rec.selected_port,
-                    announced_d=rec.announced_d ^ 1,
-                    phase_slices=rec.phase_slices,
-                )
-                new = extract_bits(flipped)
-                changed = {j + 1 for j in range(num_users) if new[j] != base[j]}
-                assert changed == set(range(flip_port + 1, num_users + 1))
+        for num_users in (3, 4):
+            ports = num_users - 1
+            slice_left, slice_right, r_left, r_right, d = ideal_columns(num_users)
+            n = d.shape[1]
+            # copy f of the patterns flips port f's announcement (copy 0 flips none)
+            tile = lambda a: np.tile(a, ports + 1)
+            flipped = tile(d)
+            for f in range(1, num_users):
+                flipped[f - 1, f * n : (f + 1) * n] ^= 1
+            bits = kernel_bits(
+                tile(slice_left), tile(slice_right), tile(r_left), tile(r_right), flipped, 4
+            ).reshape(num_users, ports + 1, n)
+            for f in range(1, num_users):
+                changed = bits[:, f] != bits[:, 0]
+                downstream = np.arange(num_users) >= f  # users f+1 .. N
+                assert (changed == downstream[:, None]).all(), f
 
-    def test_missing_announcement_rejected(self):
-        coincidence = coincidence_from_pattern(3, 4, [(0, 0, 0, 0), (0, 0, 0, 0)])
-        broken = coincidence[1]
-        coincidence[1] = TimeBinRecord(
-            intensities=broken.intensities,
-            slice_indices=broken.slice_indices,
-            bits=broken.bits,
-            outcomes=("none", "none"),
-            selected_port=2,
-            announced_d=None,
-            phase_slices=4,
-        )
-        with pytest.raises(ValueError, match="announcement"):
-            extract_bits(coincidence)
+    @pytest.mark.parametrize("num_users", [3, 4])
+    def test_matches_oracle_on_ideal_patterns(self, num_users):
+        columns = ideal_columns(num_users)
+        got = kernel_bits(*columns, m_slices=4)
+        assert np.array_equal(got, oracle.coincidence_bits(*columns, m_slices=4))
 
-    def test_port_order_enforced(self):
-        coincidence = coincidence_from_pattern(3, 4, [(0, 0, 0, 0), (0, 0, 0, 0)])
-        with pytest.raises(ValueError, match="port"):
-            extract_bits(list(reversed(coincidence)))
+    @pytest.mark.parametrize("num_users", range(3, 9))
+    def test_matches_oracle_on_random_inputs(self, num_users):
+        # any slices, bits and announcements, ideal or not
+        m_slices, n = 16, 2000
+        rng = np.random.default_rng(num_users)
+        shape = (num_users - 1, n)
+        slice_left, slice_right = rng.integers(0, m_slices, size=(2, *shape), dtype=np.int16)
+        r_left, r_right, d = rng.integers(0, 2, size=(3, *shape), dtype=np.int8)
+        columns = (slice_left, slice_right, r_left, r_right, d)
+        got = kernel_bits(*columns, m_slices=m_slices)
+        assert np.array_equal(got, oracle.coincidence_bits(*columns, m_slices=m_slices))
 
 
 class TestRunProtocol:
