@@ -32,6 +32,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Any, Mapping
@@ -271,6 +272,20 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _check_writable(path: str) -> None:
+    """Raise ConfigError unless ``path`` could be written; the file is left untouched.
+
+    Lets a long run fail before it starts; ``_write_text`` still turns a
+    failed write into a ConfigError afterwards.
+    """
+    target = Path(path)
+    parent = target.parent
+    if not parent.is_dir() or not os.access(parent, os.W_OK | os.X_OK):
+        raise ConfigError(f"cannot write {path}: {parent} is not a writable directory")
+    if target.is_dir() or (target.exists() and not os.access(target, os.W_OK)):
+        raise ConfigError(f"cannot write {path}: not a writable file")
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     bundle, _ = _load_bundle(args.config, args.distance)
     if args.dark_counts is not None:
@@ -279,12 +294,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ConfigError("--bins must be at least 1")
     if args.seed < 0:
         raise ConfigError("--seed must be non-negative")
+    for path in (args.out, args.dump):
+        if path:
+            _check_writable(path)
     summary = montecarlo.run_protocol(bundle, args.bins, args.seed, coincidence_dump=args.dump)
     report = montecarlo.compare_to_analytic(summary, bundle)
     doc = {"summary": summary.to_dict(), "comparison": report.to_dict()}
     if args.out:
         _write_text(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(f"bins = {summary.bins}")
+    print(f"candidate_bins = {summary.candidate_bins}")
     print(f"coincidences = {summary.coincidences}")
     print(f"conference_errors_all_intensities = {summary.conference_errors_all_intensities}")
     print(f"checks = {len(report.checks)} skipped = {len(report.skipped)}")

@@ -11,11 +11,23 @@ oracle for the closed-form statistics.
 
 A port's click probabilities depend only on the two users' setting
 indices, their slice difference mod M and the XOR of their raw bits, so
-each shard evaluates them once into a small table (``_click_tables``)
-and every bin looks its pair up.  The table holds the per-bin
-expression bit for bit and the uniforms are drawn in the same order as
-by direct evaluation, so a seed gives the same run as before the table
-existed.
+each shard evaluates them once into small tables (``_click_tables``).
+Only a single click is kept, so they reduce to two per-key tables
+(``_port_tables``): the single-click probability s and the probability
+that a single click is on the right detector (d = 1).
+
+Most bins click nowhere, so the simulation is event-driven by thinning
+(Lewis and Shedler, 1979).  With q = max s, every port gets an
+independent Bernoulli(q) candidate flag, and a candidate succeeds with
+probability s[key] / q; given the users' variables each port then
+succeeds with probability s[key], independently across ports, exactly
+as in a direct simulation.  A bin without a candidate cannot click, and
+bins are i.i.d. and never ordered by the matcher, so a shard of n bins
+draws its candidate-bin count from Binomial(n, 1 - (1 - q)^P) and
+simulates only those bins: the first candidate port from a truncated
+geometric law, the later ports as Bernoulli(q), then the settings,
+slices and bits of the users those ports read, and detection.  Users
+are i.i.d. too, and no other user's variables reach any output.
 
 Generation is sharded into fixed-size blocks of bins with independent
 RNG substreams spawned from the master seed, so results are bit-for-bit
@@ -67,6 +79,8 @@ class TrialSummary:
     conference_errors_all_intensities: int
     coincidences: int
     matched_draws: int
+    candidate_bins: int
+    shards: int
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -86,6 +100,8 @@ class TrialSummary:
             "conference_errors_all_intensities": self.conference_errors_all_intensities,
             "coincidences": self.coincidences,
             "matched_draws": self.matched_draws,
+            "candidate_bins": self.candidate_bins,
+            "shards": self.shards,
         }
 
 
@@ -102,8 +118,8 @@ def _click_tables(
     Both tables have the shape (S, S, M, 2) and are indexed by the two
     users' setting indices, their slice difference mod M and the XOR of
     their raw bits.  Each entry is the per-bin expression evaluated with
-    the same floating-point operations in the same order, so sampling from
-    the table is bit-for-bit the same as sampling from the formula.
+    the same floating-point operations in the same order, so it equals
+    the formula bit for bit.
     A table has 2 S^2 M entries (512 for N=3, M=16), about four times
     the (S, ports, M/2) retained-click counts that ``run_protocol``
     already builds.
@@ -121,41 +137,53 @@ def _click_tables(
     return 1.0 - (1.0 - p_d) * np.exp(-i_left), 1.0 - (1.0 - p_d) * np.exp(-i_right)
 
 
+def _port_tables(
+    config: SourceConfig, channel: ChannelParams, cos_table: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Single-click probability of one port and the chance it is on the right.
+
+    Both tables have the shape of ``_click_tables``.  The first holds
+    s = pL (1 - pR) + pR (1 - pL), the second P(d = 1 | single click) =
+    pR (1 - pL) / s (0 where s is 0).
+    """
+    p_left, p_right = _click_tables(config, channel, cos_table)
+    right_only = p_right * (1.0 - p_left)
+    single = p_left * (1.0 - p_right) + right_only
+    right_given_single = np.divide(
+        right_only, single, out=np.zeros_like(single), where=single > 0.0
+    )
+    return single, right_given_single
+
+
 def _detect_ports(
-    k_idx: np.ndarray,
-    slices: np.ndarray,
-    bits: np.ndarray,
-    p_left: np.ndarray,
-    p_right: np.ndarray,
+    k_pair: np.ndarray,
+    slice_pair: np.ndarray,
+    bit_pair: np.ndarray,
+    single: np.ndarray,
+    right_given_single: np.ndarray,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sample every port of every bin from the click tables.
+    """Thin candidate ports down to single clicks.
 
-    ``k_idx``, ``slices`` and ``bits`` hold one row per user.  Port j
-    draws a left and then a right uniform for all bins.  Returns the
-    single-click mask and the right-detector clicks, one row per port.
+    Each ``*_pair`` holds the left user's values in row 0 and the right
+    user's in row 1, one column per candidate port.  A candidate succeeds
+    with probability single[key] / max(single) and then announces d = 1
+    with probability right_given_single[key].  Returns the success mask
+    and the announcements (0 where there is no success).
     """
-    n_settings, _, m_slices, _ = p_left.shape
-    ports, n_bins = len(k_idx) - 1, k_idx.shape[1]
-    flat_left, flat_right = p_left.ravel(), p_right.ravel()
-    key_type = _index_type(flat_left.size)
-    success = np.empty((ports, n_bins), dtype=bool)
-    d_val = np.empty((ports, n_bins), dtype=np.int8)
-    for j in range(ports):
-        # flat index ((k_a * S + k_b) * M + (s_a - s_b) mod M) * 2 + (r_a ^ r_b)
-        key = k_idx[j].astype(key_type)
-        key *= n_settings
-        key += k_idx[j + 1]
-        key *= m_slices
-        key += slices[j]
-        key -= slices[j + 1]
-        key += m_slices * (slices[j] < slices[j + 1])
-        key *= 2
-        key += bits[j] ^ bits[j + 1]
-        click_left = rng.random(n_bins) < flat_left.take(key)
-        click_right = rng.random(n_bins) < flat_right.take(key)
-        np.not_equal(click_left, click_right, out=success[j])
-        d_val[j] = click_right
+    key = np.ravel_multi_index(
+        (
+            k_pair[0],
+            k_pair[1],
+            (slice_pair[0] - slice_pair[1]) % single.shape[2],
+            bit_pair[0] ^ bit_pair[1],
+        ),
+        single.shape,
+    )
+    success = rng.random(key.size) * single.max() < single.take(key)
+    d_val = np.zeros(key.size, dtype=np.int8)
+    hit_keys = key[success]
+    d_val[success] = rng.random(hit_keys.size) < right_given_single.take(hit_keys)
     return success, d_val
 
 
@@ -165,52 +193,84 @@ def _generate_shard(
     n_bins: int,
     rng: np.random.Generator,
     cos_table: np.ndarray,
-) -> dict[str, np.ndarray]:
-    """Simulate one block of bins; returns the retained-bin columns."""
-    n_users = config.num_users
-    ports = n_users - 1
+) -> tuple[dict[str, np.ndarray], int]:
+    """Simulate one block of bins by thinning.
+
+    Returns the retained-bin columns and the number of candidate bins,
+    the bins in which some port could click and which were simulated.
+    """
+    ports = config.num_users - 1
     m_slices = config.phase_slices
+    half = m_slices // 2
     n_settings = len(config.intensities)
     cum = np.cumsum(np.asarray(config.send_probabilities))
+    single, right_given_single = _port_tables(config, channel, cos_table)
+    q = float(single.max())
+
+    # reach[j] = P(one of ports 0 .. j is a candidate) = 1 - (1 - q)^(j+1)
+    if q < 1.0:
+        reach = -np.expm1(np.arange(1, ports + 1) * math.log1p(-q))
+    else:
+        reach = np.ones(ports)
+    n_cand = int(rng.binomial(n_bins, reach[-1]))
+    # the first candidate port by inversion of the truncated geometric
+    # law, the later ones Bernoulli(q)
+    first = np.searchsorted(reach, rng.random(n_cand) * reach[-1], side="right")
+    np.minimum(first, ports - 1, out=first)  # u * reach[-1] may round up to reach[-1]
+    first = first[:, None]
+    port_ids = np.arange(ports)
+    candidate = (port_ids == first) | ((port_ids > first) & (rng.random((n_cand, ports)) < q))
+    # one entry per candidate port, ordered by bin and then port
+    entry = np.flatnonzero(candidate)
+    bin_of, port = np.divmod(entry, ports)
+
+    # Port j reads users j and j+1.  Only the users of candidate ports are
+    # drawn, each once: the users are laid out so that an entry's left
+    # user sits just before its right user, and the next port of the same
+    # bin shares that right user.
+    shared = np.zeros(entry.size, dtype=bool)
+    shared[1:] = (np.diff(entry) == 1) & (port[1:] > 0)
+    right = np.cumsum(2 - shared) - 1
+    pair = np.stack([right - 1, right])
+    n_drawn = int(right[-1]) + 1 if entry.size else 0
 
     # setting index = number of thresholds cum[:-1] that u reaches; u < 1
     # never reaches cum[-1], so this is searchsorted(cum, u, side="right")
-    u = rng.random((n_users, n_bins))
-    k_idx = np.zeros((n_users, n_bins), dtype=_index_type(n_settings))
+    u = rng.random(n_drawn)
+    setting = np.zeros(n_drawn, dtype=_index_type(n_settings))
     for edge in cum[:-1]:
-        k_idx += u >= edge
-    del u
-    slices = rng.integers(0, m_slices, size=(n_users, n_bins), dtype=np.int16)
-    bits = rng.integers(0, 2, size=(n_users, n_bins), dtype=np.int8)
+        setting += u >= edge
+    k_pair = setting[pair]
+    slice_pair = rng.integers(0, m_slices, size=n_drawn, dtype=np.int16)[pair]
+    bit_pair = rng.integers(0, 2, size=n_drawn, dtype=np.int8)[pair]
 
-    p_left, p_right = _click_tables(config, channel, cos_table)
-    success, d_val = _detect_ports(k_idx, slices, bits, p_left, p_right, rng)
+    success, d_val = _detect_ports(k_pair, slice_pair, bit_pair, single, right_given_single, rng)
 
-    # the pick uniforms are drawn for every bin, but only bins with a
-    # success need a port: the pick-th successful one, counted from 0
-    counts = success.sum(axis=0)
-    u_pick = rng.random(n_bins)
-    bin_ids = np.flatnonzero(counts)
-    pick = (u_pick[bin_ids] * counts[bin_ids]).astype(np.int64)
-    hit = success[:, bin_ids]
-    port = (hit & (np.cumsum(hit, axis=0) == pick + 1)).argmax(axis=0)
+    # the pick uniforms are drawn for every candidate bin, but only bins
+    # with a success need a port: the pick-th successful one, counted from 0
+    hits = np.flatnonzero(success)
+    hit_bins = bin_of[hits]
+    starts = np.flatnonzero(np.diff(hit_bins, prepend=-1))
+    counts = np.diff(starts, append=hits.size)
+    u_pick = rng.random(n_cand)
+    chosen = hits[starts + (u_pick[hit_bins[starts]] * counts).astype(np.int64)]
 
-    left = (port, bin_ids)
-    right = (port + 1, bin_ids)
-    keep = (k_idx[left] == k_idx[right]) & ((slices[left] - slices[right]) % (m_slices // 2) == 0)
-    port, bin_ids = port[keep], bin_ids[keep]
-    left = (port, bin_ids)
-    right = (port + 1, bin_ids)
-    return {
-        "port": port.astype(_index_type(ports)),
-        "m": (slices[left] % (m_slices // 2)).astype(np.int16),
-        "k_idx": k_idx[left],
-        "m_left": (2 * slices[left] // m_slices).astype(np.int8),
-        "m_right": (2 * slices[right] // m_slices).astype(np.int8),
-        "r_left": bits[left],
-        "r_right": bits[right],
-        "d": d_val[left],
+    k_left, k_right = k_pair[:, chosen]
+    s_left, s_right = slice_pair[:, chosen]
+    keep = (k_left == k_right) & ((s_left - s_right) % half == 0)
+    chosen, s_left, s_right = chosen[keep], s_left[keep], s_right[keep]
+    # phase bit floor(2 s / M) = [s >= M/2] (M is even); 2 s overflows int16
+    columns = {
+        "port": port[chosen].astype(_index_type(ports)),
+        "m": s_left % half,
+        "k_idx": k_left[keep],
+        "m_left": (s_left >= half).astype(np.int8),
+        "m_right": (s_right >= half).astype(np.int8),
+        "r_left": bit_pair[0, chosen],
+        "r_right": bit_pair[1, chosen],
+        "d": d_val[chosen],
     }
+    return columns, n_cand
 
 
 def _conference_bits(
@@ -289,12 +349,15 @@ def run_protocol(
     n_shards = (num_bins + _SHARD_BINS - 1) // _SHARD_BINS
     streams = np.random.SeedSequence(seed).spawn(n_shards + 1)
     columns: list[dict[str, np.ndarray]] = []
+    candidate_bins = 0
     remaining = num_bins
     for i in range(n_shards):
         size = min(_SHARD_BINS, remaining)
         remaining -= size
         rng = np.random.default_rng(streams[i])
-        columns.append(_generate_shard(config, channel, size, rng, cos_table))
+        shard, n_cand = _generate_shard(config, channel, size, rng, cos_table)
+        columns.append(shard)
+        candidate_bins += n_cand
 
     merged = {
         key: np.concatenate([c[key] for c in columns]) if columns else np.empty(0, dtype=np.int8)
@@ -383,6 +446,8 @@ def run_protocol(
         conference_errors_all_intensities=conf_errors_all,
         coincidences=int(sifted.sum()),
         matched_draws=matched_draws,
+        candidate_bins=candidate_bins,
+        shards=n_shards,
     )
 
 

@@ -23,7 +23,8 @@ from mfqcka.optimizer import SearchSpec, optimize_at_distance
 from mfqcka.photonstats import signal_coincidences_nphoton
 from mfqcka.special_math import bessel_i0, binary_entropy
 from mfqcka.channel import marginal_error
-from conftest import make_bundle
+from mfqcka.model import SecurityParams, validate
+from conftest import EC_EFFICIENCY, make_bundle, make_channel, make_geometric_config
 
 from test_montecarlo import ideal_columns, kernel_bits
 from test_special_math import i0_series
@@ -172,19 +173,38 @@ def test_criterion_4_finite_decoy_tracks_infinite():
     )
 
 
-@pytest.mark.parametrize("distance", [25.0, 50.0], ids=["25km", "50km"])
-def test_criterion_5_monte_carlo_oracle_equivalence(distance):
+def _monte_carlo_oracle(label, bundle, seed):
     """1e8 simulated bins agree with every analytic mean within |z| <= 5."""
-    bundle = make_bundle(num_users=3, distance_km=distance, data_size=1e8)
-    summary = run_protocol(bundle, 10**8, seed=20240 + int(distance))
+    summary = run_protocol(bundle, 10**8, seed=seed)
     comparison = compare_to_analytic(summary, bundle)
     flagged = [c.name for c in comparison.checks if c.flagged]
     report(
-        f"5 (MC oracle {distance:.0f} km)",
+        f"5 (MC oracle {label})",
         comparison.clean and len(comparison.checks) >= 40,
         f"{len(comparison.checks)} statistics, max |z| = {comparison.max_abs_z:.2f}, "
         f"flagged: {flagged or 'none'}",
     )
+
+
+@pytest.mark.parametrize("distance", [25.0, 50.0], ids=["25km", "50km"])
+def test_criterion_5_monte_carlo_oracle_equivalence(distance):
+    bundle = make_bundle(num_users=3, distance_km=distance, data_size=1e8)
+    _monte_carlo_oracle(f"{distance:.0f} km", bundle, seed=20240 + int(distance))
+
+
+@pytest.mark.parametrize("num_users", [5, 8], ids=["N5", "N8"])
+def test_criterion_5_many_user_monte_carlo_oracle(num_users):
+    """The count matrix past N=3 against 1e8 bins at 50 km: N=5 on the
+    standard ladder, N=8 on the geometric one."""
+    if num_users == 5:
+        bundle = make_bundle(num_users=5, distance_km=50.0, data_size=1e8)
+    else:
+        bundle = validate(
+            make_geometric_config(num_users),
+            make_channel(50.0),
+            SecurityParams(data_size=1e8, ec_efficiency=EC_EFFICIENCY),
+        )
+    _monte_carlo_oracle(f"N={num_users}, 50 km", bundle, seed=20290 + 1000 * num_users)
 
 
 def test_criterion_6_ghz_invariant_simulation():

@@ -137,17 +137,28 @@ def test_invalid_overrides_exit_config(config_path, capsys, argv):
     ],
     ids=["rate-out", "scan-out", "optimize-save-config", "simulate-out", "simulate-dump"],
 )
-def test_unwritable_output_exits_config(config_path, tmp_path, capsys, argv):
-    bad = str(tmp_path / "missing-dir" / "output")
-    assert main([a.format(cfg=config_path, bad=bad) for a in argv]) == EXIT_CONFIG
+def test_unwritable_output_exits_config(config_path, tmp_path, capsys, monkeypatch, argv):
+    from mfqcka import cli as cli_module
+
+    def never(*args, **kwargs):
+        raise AssertionError("simulate ran before checking its output paths")
+
+    monkeypatch.setattr(cli_module.montecarlo, "run_protocol", never)
+    bad = tmp_path / "missing-dir" / "output"
+    assert main([a.format(cfg=config_path, bad=str(bad)) for a in argv]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "missing-dir" in err
+    assert not bad.parent.exists()
 
 
 def _set(doc, section, key, value):
     doc[section][key] = value
     return doc
+
+
+def _no_clicks(doc):
+    return _set(_set(doc, "channel", "detector_efficiency", 0.0), "channel", "dark_count_rate", 0.0)
 
 
 @pytest.mark.parametrize(
@@ -168,7 +179,7 @@ def _set(doc, section, key, value):
         lambda d: _set(d, "security", "eps_chernoff", 1e-320),
         lambda d: _set(d, "source", "phase_slices", 40000),
         lambda d: _set(d, "source", "decoy_intensities", [1e-200, 1e-250, 0.0]),
-        lambda d: _set(_set(d, "channel", "detector_efficiency", 0.0), "channel", "dark_count_rate", 0.0),
+        _no_clicks,
     ],
     ids=[
         "fractional-phase-slices", "string-users", "bool-users", "infinite-data-size",
@@ -489,7 +500,32 @@ def test_simulate_zero_darks_ghz(config_path, capsys):
          "--seed", "3", "--dark-counts", "0"]
     )
     assert rc == EXIT_OK
-    assert "conference_errors_all_intensities = 0" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "conference_errors_all_intensities = 0" in out
+    candidates = int(out.split("candidate_bins = ")[1].split()[0])
+    assert 0 < candidates < 100000
+
+
+@pytest.mark.parametrize(
+    "document, expected",
+    [
+        (lambda: _no_clicks(make_bundle().to_dict()), EXIT_CONFIG),
+        # the signal saturates the constructive detector: max s rounds to 1
+        (lambda: make_bundle(signal=50.0, distance_km=0.0, dark_count_rate=0.0).to_dict(),
+         EXIT_OK),
+    ],
+    ids=["no-clicks", "saturated"],
+)
+def test_simulate_degenerate_channels(tmp_path, capsys, document, expected):
+    path = tmp_path / "degenerate.json"
+    path.write_text(json.dumps(document()))
+    assert main(["simulate", str(path), "--bins", "20000"]) == expected
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    if expected == EXIT_CONFIG:
+        assert err.startswith("error:")
+    else:
+        assert "clean = True" in out
 
 
 def test_simulate_many_users_exits_cleanly(tmp_path, capfd):
