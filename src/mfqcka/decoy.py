@@ -23,15 +23,23 @@ naive evaluation for small vacuum probabilities.
 Negative intermediate results are clamped to zero and reported in the
 ``clamped`` diagnostic of the returned bounds; clamping keeps the key
 rate conservative when statistical fluctuation drives a bound negative.
+
+The rule carries a leading batch axis: ``_decoy_rows`` bounds a stack of
+ladders (one row each) in one pass, the rate kernel calls it directly,
+and ``_decoy_bounds`` and the ``bounds_*`` entry points are one-row calls
+of it.  A row's value never depends on the rows around it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from functools import lru_cache
+from typing import Mapping, NamedTuple
 
-from .model import ConfigError, DecoyBounds, EstimationError
+import numpy as np
+
+from .model import INFEASIBLE, ConfigError, DecoyBounds, EstimationError
 
 __all__ = [
     "ObservedCounts",
@@ -76,113 +84,179 @@ class ObservedCounts:
         return ks
 
 
-def chernoff_expected_bounds(observed: float, eps: float) -> tuple[float, float]:
+def _chernoff_sides(s: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    root = 2.0 * beta * s
+    upper = s + beta + np.sqrt(root + beta * beta)
+    lower = np.maximum(s - 0.5 * beta - np.sqrt(root + 0.25 * beta * beta), 0.0)
+    return lower, upper
+
+
+def _observed_lower(v: np.ndarray, beta: float) -> np.ndarray:
+    return np.maximum(v - np.sqrt(2.0 * beta * v), 0.0)
+
+
+def chernoff_expected_bounds(observed, eps: float):
     """Two-sided interval for the expected value behind an observed count.
 
     upper = s + beta + sqrt(2 beta s + beta^2),
     lower = max(s - beta/2 - sqrt(2 beta s + beta^2/4), 0),  beta = ln(1/eps).
+    ``observed`` may be an array of counts.
     """
-    if observed < 0.0:
+    s = np.asarray(observed, dtype=float)
+    if (s < 0.0).any():
         raise ValueError("observed count must be nonnegative")
-    beta = math.log(1.0 / eps)
-    upper = observed + beta + math.sqrt(2.0 * beta * observed + beta * beta)
-    lower = max(observed - 0.5 * beta - math.sqrt(2.0 * beta * observed + 0.25 * beta * beta), 0.0)
+    lower, upper = _chernoff_sides(s, math.log(1.0 / eps))
+    if np.ndim(observed) == 0:
+        return float(lower), float(upper)
     return lower, upper
 
 
-def chernoff_observed_lower(expected_lower: float, eps: float) -> float:
+def chernoff_observed_lower(expected_lower, eps: float):
     """Pessimistic observed value implied by a lower-bounded expectation."""
-    if expected_lower < 0.0:
+    v = np.asarray(expected_lower, dtype=float)
+    if (v < 0.0).any():
         raise ValueError("expected value must be nonnegative")
-    beta = math.log(1.0 / eps)
-    return max(expected_lower - math.sqrt(2.0 * beta * expected_lower), 0.0)
+    lower = _observed_lower(v, math.log(1.0 / eps))
+    return float(lower) if np.ndim(expected_lower) == 0 else lower
 
 
-def _normalization_factors(obs: ObservedCounts, ks: tuple[float, ...]) -> dict[float, float]:
-    """exp(c (k - mu) + c (ln p_mu - ln p_k)), evaluated in log space."""
-    c = 2.0 * (obs.num_users - 1)
-    mu = ks[0]
-    log_p_mu = math.log(obs.probabilities[mu])
-    return {
-        k: math.exp(c * (k - mu) + c * (log_p_mu - math.log(obs.probabilities[k]))) for k in ks
-    }
+def _photon_numbers(num_users: int) -> range:
+    """The photon numbers m = N-1, N-3, ... >= 0 the N-user phase error needs, ascending."""
+    return range((num_users - 1) % 2, num_users, 2)
 
 
-def _clamp_bounds(raw: dict[int, float]) -> tuple[dict[int, float], tuple[int, ...]]:
-    clamped = tuple(n for n, v in sorted(raw.items()) if v < 0.0)
-    return {n: max(v, 0.0) for n, v in raw.items()}, clamped
+class DecoyRows(NamedTuple):
+    """The decoy rule on a batch of ladders; column i of the bounds is _photon_numbers(N)[i].
 
-
-def _phase_error(bounds: Mapping[int, float], s_mu: float) -> float:
-    if s_mu <= 0.0:
-        raise EstimationError("no sifted signal coincidences; phase error undefined")
-    phi = 1.0 - math.fsum(bounds.values()) / s_mu
-    return min(max(phi, 0.0), 1.0)
-
-
-def _photon_weights(ks: tuple[float, ...], num_users: int) -> dict[int, dict[float, float]]:
-    """Weights w_k of the bound on s_mu^m for m = N-1, N-3, ..., in ascending m.
-
-    With nodes x_j = k_j / mu over the m+1 smallest nonzero intensities and
-    S = sum_j x_j, reading the degree-m coefficient off the interpolation of
-    (t_j - t_0) / x_j by a degree-m polynomial gives
-
-        w_j = -(S - x_j) / (x_j prod_{i != j} (x_j - x_i)),
-
-    and the vacuum weight -sum_j w_j, the divided difference of S / x,
-    equals (-1)^m S / prod_j x_j.
+    ``cause`` holds, per row, the code (see ``model.INFEASIBLE``) of the
+    error the one-row entry points raise, 0 where they return.  The other
+    fields of such a row are meaningless.
     """
-    mu = ks[0]
-    weights: dict[int, dict[float, float]] = {}
-    for m in range((num_users - 1) % 2, num_users, 2):
-        if m == 0:
-            weights[0] = {0.0: 1.0}
+
+    bounds: np.ndarray
+    clamped: np.ndarray
+    phase_error: np.ndarray
+    chernoff_applications: np.ndarray
+    cause: np.ndarray
+
+
+_CONFIG = INFEASIBLE.index(ConfigError)
+_ESTIMATION = INFEASIBLE.index(EstimationError)
+
+
+@lru_cache(maxsize=None)
+def _eye(n: int) -> np.ndarray:
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
+def _decoy_rows(
+    ks: np.ndarray,
+    probs: np.ndarray,
+    sifted: np.ndarray,
+    num_users: int,
+    eps: float | None = None,
+) -> DecoyRows:
+    """The shared rule on a batch: row r is the ladder ``ks[r]`` (signal first).
+
+    ``probs`` and ``sifted`` are aligned with ``ks``.  With ``eps`` each
+    count enters at its Chernoff lower side where its weight is positive
+    and at its upper side otherwise, and every bound is converted back to a
+    pessimistic observed value.  ``chernoff_applications`` counts the
+    distinct (count, side) pairs used plus one per conversion.  Rows that
+    are not a strictly decreasing ladder ending in the vacuum, with
+    nonnegative counts and positive probabilities, get a ConfigError cause;
+    a weight whose nodes underflow and a zero signal count an
+    EstimationError cause.
+
+    The normalized counts t_k = s_k exp(c (k - mu)) (p_mu / p_k)^c are
+    formed in log space.  The bound on s_mu^m weighs the m+1 smallest
+    nonzero settings and the vacuum, a contiguous block of columns: with
+    x_j = k_j / mu and S = sum_j x_j, w_j = -(S - x_j) / (x_j prod_{i != j}
+    (x_j - x_i)) and the vacuum weight is (-1)^m S / prod_j x_j.
+    """
+    rows, settings = ks.shape
+    # ladder gaps and probabilities positive, vacuum last, counts nonnegative
+    margins = np.concatenate([ks[:, :-1] - ks[:, 1:], probs], axis=1)
+    valid = (margins.min(axis=1) > 0.0) & (ks[:, -1] == 0.0) & (sifted.min(axis=1) >= 0.0)
+    cause = (~valid) * np.int8(_CONFIG)
+    c = 2.0 * (num_users - 1)
+    mu = np.where(valid, ks[:, 0], 1.0)[:, None]
+    log_p = np.log(np.where(valid[:, None], probs, 1.0))
+    factors = np.exp(c * (ks - mu) + c * (log_p[:, :1] - log_p))
+    counts = np.where(valid[:, None], sifted, 0.0)
+    if eps is None:
+        lower = upper = counts
+    else:
+        beta = math.log(1.0 / eps)
+        lower, upper = _chernoff_sides(counts, beta)
+        used = np.zeros((rows, settings, 2), dtype=bool)
+
+    ms = _photon_numbers(num_users)
+    raw = np.empty((rows, len(ms)))
+    for i, m in enumerate(ms):
+        if m == 0:  # s_mu^0 = t_0: the vacuum count alone, with weight 1
+            raw[:, i] = lower[:, -1] * factors[:, -1]
+            if eps is not None:
+                used[:, -1, 0] = True
             continue
-        nodes = ks[-m - 2 : -1]
-        xs = [k / mu for k in nodes]
-        total = math.fsum(xs)
-        scale = math.prod(xs)
-        if scale == 0.0:
-            raise EstimationError("decoy intensities too small relative to the signal to weigh")
-        w = {0.0: (-1) ** m * total / scale}
-        for j, (k, x) in enumerate(zip(nodes, xs)):
-            others = math.prod(x - y for i, y in enumerate(xs) if i != j)
-            w[k] = -(total - x) / (x * others)
-        weights[m] = w
-    return weights
+        cols = slice(settings - m - 2, settings)
+        xs = ks[:, settings - m - 2 : -1] / mu
+        total = xs.sum(axis=1)
+        scale = xs.prod(axis=1)
+        underflow = scale == 0.0
+        cause[underflow & (cause == 0)] = _ESTIMATION
+        gaps = xs[:, :, None] - xs[:, None, :] + _eye(m + 1)  # x_j - x_i, 1 on the diagonal
+        denom = xs * gaps.prod(axis=2)
+        nodes = (xs - total[:, None]) / (denom + (denom == 0.0))
+        vacuum = (-1) ** m * total / (scale + underflow)
+        weights = np.concatenate([nodes, vacuum[:, None]], axis=1)
+        if eps is None:
+            sides = lower[:, cols]
+        else:
+            positive = weights > 0.0
+            sides = np.where(positive, lower[:, cols], upper[:, cols])
+            used[:, cols, 0] |= positive
+            used[:, cols, 1] |= ~positive
+        raw[:, i] = (weights * sides * factors[:, cols]).sum(axis=1)
+
+    clamped = raw < 0.0
+    bounds = np.maximum(raw, 0.0)
+    applications = np.zeros(rows, dtype=np.int64)
+    if eps is not None:
+        bounds = _observed_lower(bounds, beta)
+        applications = used.sum(axis=(1, 2)) + len(ms)
+    s_mu = sifted[:, 0]
+    no_signal = s_mu <= 0.0
+    cause[no_signal & (cause == 0)] = _ESTIMATION
+    phi = 1.0 - bounds.sum(axis=1) / np.where(no_signal, 1.0, s_mu)
+    return DecoyRows(bounds, clamped, np.minimum(np.maximum(phi, 0.0), 1.0), applications, cause)
 
 
 def _decoy_bounds(observed: ObservedCounts, num_users: int, eps: float | None = None) -> DecoyBounds:
-    """The shared rule; ``eps`` switches on the finite-size treatment.
+    """The shared rule on one set of counts; ``eps`` switches on the finite-size treatment.
 
-    With ``eps`` each count enters at its Chernoff lower side where its
-    weight is positive and at its upper side otherwise, and every bound is
-    converted back to a pessimistic observed value.  ``chernoff_applications``
-    counts the distinct (count, side) pairs used plus one per conversion.
+    One row of ``_decoy_rows``; raises where that row has a cause.
     """
     ks = observed._check(num_users + 1)
-    factors = _normalization_factors(observed, ks)
-    sides = {
-        k: (s, s) if eps is None else chernoff_expected_bounds(s, eps)
-        for k, s in observed.sifted.items()
-    }
-    used: set[tuple[float, int]] = set()
-    raw = {}
-    for m, ws in _photon_weights(ks, num_users).items():
-        terms = []
-        for k, w in ws.items():
-            side = 0 if w > 0.0 else 1
-            used.add((k, side))
-            terms.append(w * sides[k][side] * factors[k])
-        raw[m] = math.fsum(terms)
-    bounds, clamped = _clamp_bounds(raw)
-    if eps is not None:
-        bounds = {n: chernoff_observed_lower(v, eps) for n, v in bounds.items()}
+    rows = _decoy_rows(
+        np.array([ks]),
+        np.array([[observed.probabilities[k] for k in ks]]),
+        np.array([[observed.sifted[k] for k in ks]]),
+        num_users,
+        eps,
+    )
+    if rows.cause[0]:
+        if observed.sifted[ks[0]] <= 0.0:
+            raise EstimationError("no sifted signal coincidences; phase error undefined")
+        raise EstimationError("decoy intensities too small relative to the signal to weigh")
+    ms = _photon_numbers(num_users)
     return DecoyBounds(
-        s_mu_n_lower=bounds,
-        phase_error_upper=_phase_error(bounds, observed.sifted[ks[0]]),
-        clamped=clamped,
-        chernoff_applications=0 if eps is None else len(used) + len(bounds),
+        s_mu_n_lower=dict(zip(ms, rows.bounds[0].tolist())),
+        phase_error_upper=float(rows.phase_error[0]),
+        clamped=tuple(m for m, hit in zip(ms, rows.clamped[0]) if hit),
+        chernoff_applications=int(rows.chernoff_applications[0]),
     )
 
 

@@ -16,19 +16,22 @@ A(t)[a, b] = 1 - t q_avg[a, b] weighted by the send probabilities, left
 of the announced port and right of it.  The integrand is a polynomial of
 degree N-2 in t, so an N//2-node Gauss-Legendre rule integrates it
 exactly.  Cost is polynomial in the number of users.
+
+The formulas carry a leading batch axis: ``_count_rows`` and
+``_sifted_rows`` evaluate a stack of ladders (one row each) in one pass,
+and the lru-cached scalar entry points are one-row calls of them.  A row's
+value never depends on the rows around it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .channel import adjacent_bit_error, gain_fixed_phase, marginal_error, total_efficiency
+from .channel import adjacent_bit_error, marginal_error, pair_gains, total_efficiency
 from .model import ChannelParams, CoincidenceStats, SecurityParams, SourceConfig
-from .special_math import bessel_i0
 
 __all__ = [
     "retained_clicks",
@@ -38,30 +41,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class _GainTable:
-    """Per-configuration cache of the gains entering the matching sums."""
+@lru_cache(maxsize=None)
+def _setting_pairs(settings: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct setting pairs (a <= b), the index of every (a, b) among them, and of every (k, k)."""
+    first, second = np.triu_indices(settings)
+    index = np.empty((settings, settings), dtype=np.intp)
+    index[first, second] = index[second, first] = np.arange(len(first))
+    return first, second, index, np.diagonal(index).copy()
 
-    settings: tuple[float, ...]
-    probs: np.ndarray
-    q_avg: np.ndarray  # phase-averaged, indexed by setting pair
-    q_zero: np.ndarray  # matched intensities, zero phase difference
 
+def _gain_rows(ks: np.ndarray, eta_t: float, p_d: float) -> tuple[np.ndarray, np.ndarray]:
+    """The gains entering the matching sums, per ladder (row of ``ks``).
 
-@lru_cache(maxsize=256)
-def _gain_table(config: SourceConfig, channel: ChannelParams) -> _GainTable:
-    eta_t = total_efficiency(channel)
-    p_d = channel.dark_count_rate
-    ks = np.asarray(config.intensities, dtype=float)
-    y = (1.0 - p_d) * np.exp(-0.5 * eta_t * (ks[:, None] + ks[None, :]))
-    q_avg = 2.0 * y * bessel_i0(eta_t * np.sqrt(np.outer(ks, ks))) - 2.0 * y * y
-    q_zero = np.array([gain_fixed_phase(k, k, 0.0, eta_t, p_d) for k in ks])
-    return _GainTable(
-        settings=config.intensities,
-        probs=np.asarray(config.send_probabilities, dtype=float),
-        q_avg=q_avg,
-        q_zero=q_zero,
-    )
+    ``q_avg[r, a, b]`` is the phase-averaged gain of settings a and b and
+    ``q_zero[r, k]`` the zero-phase gain of matched setting k.  The gain
+    formulas are symmetric bit for bit, so both are evaluated on the
+    distinct pairs only.
+    """
+    first, second, index, matched = _setting_pairs(ks.shape[1])
+    q_fixed, q_pairs = pair_gains(ks[:, first], ks[:, second], eta_t, p_d)
+    return q_pairs[:, index], q_fixed[:, matched]
 
 
 def _setting_index(config: SourceConfig, k: float) -> int:
@@ -78,35 +77,85 @@ def _unit_gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
-def _correction_factors(table: _GainTable, num_users: int) -> np.ndarray:
-    """Mixture-averaged port-selection factor, indexed [port-1][setting].
+def _correction_factors(probs: np.ndarray, q_avg: np.ndarray, num_users: int) -> np.ndarray:
+    """Mixture-averaged port-selection factor, indexed [row, port-1, setting].
 
     Port v interferes users v and v+1.  For port j, users j and j+1 are
     pinned to setting k and the others are averaged with their send
     probabilities.  ``chains[n]`` is the average of prod (1 - t q_v) over
     a chain of n ports ending at a pinned user, per node and end setting;
     the ports left of j form a chain of length j-1 and, since q_avg is
-    symmetric, those right of j one of length N-1-j.
+    symmetric, those right of j one of length N-1-j.  Every sum runs
+    along an axis of the row's own block, in an order that does not
+    depend on the number of rows.
     """
     t, w = _unit_gauss_legendre(num_users // 2)
-    transfer = table.probs[None, :, None] * (1.0 - t[:, None, None] * table.q_avg)
-    chains = [np.ones((len(t), len(table.settings)))]
-    for _ in range(num_users - 2):
-        chains.append(np.einsum("na,nab->nb", chains[-1], transfer))
-    chains = np.asarray(chains)
-    return np.einsum("pnk,pnk,n->pk", chains, chains[::-1], w)
+    rows, settings = probs.shape
+    # transfer[r, n, b, a] = p_a (1 - t_n q_avg[a, b]); the chain step sums over a, the last axis
+    transfer = probs[:, None, None, :] * (1.0 - t[:, None, None] * q_avg[:, None, :, :])
+    chains = np.empty((rows, num_users - 1, len(t), settings))  # [row, chain length, node, setting]
+    chains[:, 0] = 1.0
+    for n in range(1, num_users - 1):
+        chains[:, n] = (chains[:, n - 1, :, None, :] * transfer).sum(axis=-1)
+    return (chains * chains[:, ::-1] * w[:, None]).sum(axis=2)
+
+
+def _count_rows(
+    ks: np.ndarray,
+    probs: np.ndarray,
+    num_users: int,
+    phase_slices: int,
+    channel: ChannelParams,
+    data_size: float,
+) -> np.ndarray:
+    """Expected per-slice retained clicks, indexed [row, port-1, setting].
+
+    Row r is the ladder ``ks[r]`` sent with probabilities ``probs[r]``;
+    every row is computed exactly as it would be alone.
+    """
+    q_avg, q_zero = _gain_rows(ks, total_efficiency(channel), channel.dark_count_rate)
+    prefactor = 4.0 * data_size * probs * probs * q_zero / (phase_slices * phase_slices)
+    return prefactor[:, None, :] * _correction_factors(probs, q_avg, num_users)
 
 
 @lru_cache(maxsize=256)
 def _count_matrix(
     config: SourceConfig, channel: ChannelParams, data_size: float
 ) -> tuple[tuple[float, ...], ...]:
-    """Expected per-slice retained clicks, indexed [port-1][setting]."""
-    table = _gain_table(config, channel)
-    m_slices = config.phase_slices
-    prefactor = 4.0 * data_size * table.probs * table.probs * table.q_zero / (m_slices * m_slices)
-    counts = prefactor * _correction_factors(table, config.num_users)
-    return tuple(tuple(row) for row in counts.tolist())
+    """Expected per-slice retained clicks, indexed [port-1][setting]; one row of ``_count_rows``."""
+    counts = _count_rows(
+        np.array([config.intensities]),
+        np.array([config.send_probabilities]),
+        config.num_users,
+        config.phase_slices,
+        channel,
+        data_size,
+    )
+    return tuple(tuple(row) for row in counts[0].tolist())
+
+
+def _port_totals(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Slice-set size per port, and its minimum per row (positive where every port has one)."""
+    totals = counts.sum(axis=-1)
+    return totals, totals.min(axis=-1)
+
+
+def _sifted_rows(counts: np.ndarray, phase_slices: int) -> np.ndarray:
+    """Matcher mean (M/2) * n_min * prod_j (n_k_j / n_j), indexed [row, setting].
+
+    Zero in the rows where some port's slice set is empty.
+    """
+    totals, n_min = _port_totals(counts)
+    fractions = counts / np.where(totals > 0.0, totals, 1.0)[:, :, None]
+    sifted = 0.5 * phase_slices * n_min[:, None] * fractions.prod(axis=1)
+    return np.where(n_min[:, None] > 0.0, sifted, 0.0)
+
+
+@lru_cache(maxsize=256)
+def _sifted_row(config: SourceConfig, channel: ChannelParams, data_size: float) -> tuple[float, ...]:
+    """Sifted coincidences of every setting of one configuration; one row of ``_sifted_rows``."""
+    counts = np.array([_count_matrix(config, channel, data_size)])
+    return tuple(_sifted_rows(counts, config.phase_slices)[0].tolist())
 
 
 def retained_clicks(
@@ -129,31 +178,16 @@ def slice_total(j: int, config: SourceConfig, channel: ChannelParams, sec: Secur
     return math.fsum(_count_matrix(config, channel, sec.data_size)[j - 1])
 
 
-def _sifted_from_matrix(
-    counts: tuple[tuple[float, ...], ...], k_idx: int, m_slices: int
-) -> float:
-    """Matcher mean: (M/2) * n_min * prod_j (n_k_j / n_j); counts[j][k]."""
-    totals = [math.fsum(row) for row in counts]
-    if any(t <= 0.0 for t in totals):
-        return 0.0
-    n_min = min(totals)
-    product = 1.0
-    for row, t in zip(counts, totals):
-        product *= row[k_idx] / t
-    return 0.5 * m_slices * n_min * product
-
-
 def sifted_coincidences(
     k: float, config: SourceConfig, channel: ChannelParams, sec: SecurityParams
 ) -> float:
     """Expected matched coincidences with common intensity k, all slices.
 
     s_k = (M/2) * n_min * prod_j (n_(k|k)_j / n_j) over the per-slice counts;
-    zero whenever some port's slice set is empty.
+    zero whenever some port's slice set is empty.  One row of ``_sifted_rows``.
     """
     k_idx = _setting_index(config, k)
-    counts = _count_matrix(config, channel, sec.data_size)
-    return _sifted_from_matrix(counts, k_idx, config.phase_slices)
+    return _sifted_row(config, channel, sec.data_size)[k_idx]
 
 
 def expected_stats(
@@ -172,10 +206,7 @@ def expected_stats(
     slice_totals = {
         (j + 1, m): math.fsum(counts[j]) for j in range(config.num_ports) for m in range(half)
     }
-    sifted = {
-        settings[k_idx]: _sifted_from_matrix(counts, k_idx, config.phase_slices)
-        for k_idx in range(len(settings))
-    }
+    sifted = dict(zip(settings, _sifted_row(config, channel, sec.data_size)))
     e_adj = adjacent_bit_error(
         config.signal_intensity, total_efficiency(channel), channel.dark_count_rate
     )

@@ -41,6 +41,11 @@ class EstimationError(ArithmeticError):
     """A statistical estimate is undefined (e.g. no sifted signal events)."""
 
 
+# A batch of rate evaluations reports, per row, the error that evaluating
+# the row alone raises: code c > 0 stands for INFEASIBLE[c], 0 for none.
+INFEASIBLE = (None, ConfigError, EstimationError, DegenerateChannelError)
+
+
 @dataclass(frozen=True)
 class ChannelParams:
     """Physical layer: detectors, dark counts, and fiber.

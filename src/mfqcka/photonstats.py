@@ -27,20 +27,25 @@ surviving photons of both users to one convolution,
 
 which costs O(n_max^2) per channel instead of the O(n_max^5) of the
 nested loops (see ``_port_weight_sequence``).
+
+``_phase_error_rows`` evaluates the exact phase error for a batch of
+ladders (one row each) from their count matrices; the scalar entry
+points are one-row calls of it.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
 
-from .matching import _count_matrix, sifted_coincidences
-from .model import ChannelParams, EstimationError, SecurityParams, SourceConfig
+from .matching import _count_matrix, _port_totals, sifted_coincidences
+from .model import INFEASIBLE, ChannelParams, EstimationError, SecurityParams, SourceConfig
 from .channel import total_efficiency
 
 __all__ = ["signal_coincidences_nphoton", "phase_error_exact"]
+
+_ESTIMATION = INFEASIBLE.index(EstimationError)
 
 
 @lru_cache(maxsize=32)
@@ -83,39 +88,95 @@ def _port_weight_sequence(eta_t: float, p_d: float, n_max: int) -> tuple[float, 
 
 @lru_cache(maxsize=32)
 def _composition_sums(
-    config: SourceConfig, channel: ChannelParams, data_size: float, n_max: int
-) -> tuple[float, ...]:
-    """(N-1)-fold convolution of the per-port factor (4 N_bins / M^2) w[m]."""
+    num_ports: int, phase_slices: int, channel: ChannelParams, data_size: float, n_max: int
+) -> np.ndarray:
+    """(N-1)-fold convolution of the per-port factor (4 N_bins / M^2) w[m].
+
+    It does not depend on the intensity ladder, so one read-only array
+    serves every row of a batch.
+    """
     eta_t = total_efficiency(channel)
-    scale = 4.0 * data_size / config.phase_slices**2
+    scale = 4.0 * data_size / phase_slices**2
     g = scale * np.asarray(_port_weight_sequence(eta_t, channel.dark_count_rate, n_max))
     conv = g.copy()
-    for _ in range(config.num_ports - 1):
+    for _ in range(num_ports - 1):
         conv = np.convolve(conv, g)
-    return tuple(conv[: n_max + 1])
+    conv = conv[: n_max + 1].copy()
+    conv.flags.writeable = False
+    return conv
 
 
-def _nphoton_terms(
-    config: SourceConfig, channel: ChannelParams, sec: SecurityParams, n_max: int
-) -> list[float]:
-    """s_n for n = 0..n_max; all zero when a row of the count matrix is empty.
+@lru_cache(maxsize=None)
+def _powers(n_max: int) -> np.ndarray:
+    n = np.arange(n_max + 1, dtype=float)
+    n.flags.writeable = False
+    return n
 
-    The count-matrix totals, their minimum and their product do not depend
-    on n, so they are computed once; each term keeps the left-to-right
-    order of M n_min e^(-2 P mu) mu^n p_mu^(2P) / (2 prod totals) w_P[n].
+
+def _nphoton_rows(
+    counts: np.ndarray,
+    mu: np.ndarray,
+    p_mu: np.ndarray,
+    num_users: int,
+    phase_slices: int,
+    channel: ChannelParams,
+    data_size: float,
+    n_max: int,
+) -> np.ndarray:
+    """s_n for n = 0..n_max, indexed [row, n]; all zero in a row whose count matrix has an empty port.
+
+    Row r has the count matrix ``counts[r]``, signal intensity ``mu[r]``
+    and signal probability ``p_mu[r]``:
+    s_n = M n_min e^(-2 P mu) p_mu^(2P) / (2 prod totals) mu^n w_P[n].
     """
-    counts = _count_matrix(config, channel, sec.data_size)
-    totals = [math.fsum(row) for row in counts]
-    if any(t <= 0.0 for t in totals):
-        return [0.0] * (n_max + 1)
-    n_min = min(totals)
-    mu = config.signal_intensity
-    ports = config.num_ports
-    lead = config.phase_slices * n_min * math.exp(-2.0 * ports * mu)
-    senders = config.send_probabilities[0] ** (2 * ports)
-    denom = 2.0 * math.prod(totals)
-    comp = _composition_sums(config, channel, sec.data_size, n_max)
-    return [lead * mu**n * senders / denom * comp[n] for n in range(n_max + 1)]
+    totals, n_min = _port_totals(counts)
+    ports = num_users - 1
+    filled = n_min > 0.0
+    scale = (
+        phase_slices * n_min * np.exp(-2.0 * ports * mu) * p_mu ** (2 * ports)
+        / np.where(filled, 2.0 * totals.prod(axis=-1), 1.0)
+    )
+    comp = _composition_sums(ports, phase_slices, channel, data_size, n_max)
+    return np.where(filled, scale, 0.0)[:, None] * mu[:, None] ** _powers(n_max) * comp
+
+
+def _phase_error_rows(
+    counts: np.ndarray,
+    mu: np.ndarray,
+    p_mu: np.ndarray,
+    s_mu: np.ndarray,
+    num_users: int,
+    phase_slices: int,
+    channel: ChannelParams,
+    data_size: float,
+    n_max: int = 20,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact phase error per row, and its cause code (``model.INFEASIBLE``).
+
+    ``s_mu`` is each row's sifted signal count; a row without one gets an
+    EstimationError cause and a meaningless phase error.
+    """
+    if n_max < num_users:
+        raise ValueError("n_max must be at least the number of users")
+    no_signal = s_mu <= 0.0
+    good_parity = 1 if num_users % 2 == 0 else 0
+    terms = _nphoton_rows(counts, mu, p_mu, num_users, phase_slices, channel, data_size, n_max)
+    acc = np.ascontiguousarray(terms[:, good_parity::2]).sum(axis=-1)
+    phi = 1.0 - acc / np.where(no_signal, 1.0, s_mu)
+    return np.minimum(np.maximum(phi, 0.0), 1.0), no_signal * np.int8(_ESTIMATION)
+
+
+def _one_row(config: SourceConfig, channel: ChannelParams, data_size: float) -> dict:
+    """The arguments that describe one configuration to the row functions."""
+    return dict(
+        counts=np.array([_count_matrix(config, channel, data_size)]),
+        mu=np.array([config.signal_intensity]),
+        p_mu=np.array([config.send_probabilities[0]]),
+        num_users=config.num_users,
+        phase_slices=config.phase_slices,
+        channel=channel,
+        data_size=data_size,
+    )
 
 
 def signal_coincidences_nphoton(
@@ -130,7 +191,8 @@ def signal_coincidences_nphoton(
     """
     if n < 0:
         raise ValueError("photon number must be nonnegative")
-    return _nphoton_terms(config, channel, sec, max(n_max, n))[n]
+    row = _one_row(config, channel, sec.data_size)
+    return float(_nphoton_rows(**row, n_max=max(n_max, n))[0, n])
 
 
 def phase_error_exact(
@@ -141,17 +203,11 @@ def phase_error_exact(
     Complements the partial sum of the "good parity" contributions (even
     total photon number for odd N, odd for even N), so truncating the sum
     at n_max can only increase the returned value and the upper-bound
-    property survives truncation.
+    property survives truncation.  One row of ``_phase_error_rows``.
     """
-    if n_max < config.num_users:
-        raise ValueError("n_max must be at least the number of users")
     s_mu = sifted_coincidences(config.signal_intensity, config, channel, sec)
     if s_mu <= 0.0:
         raise EstimationError("no sifted signal coincidences; phase error undefined")
-    good_parity = 1 if config.num_users % 2 == 0 else 0
-    terms = _nphoton_terms(config, channel, sec, n_max)
-    acc = 0.0
-    for n in range(good_parity, n_max + 1, 2):
-        acc += terms[n]
-    phi = 1.0 - acc / s_mu
-    return min(max(phi, 0.0), 1.0)
+    row = _one_row(config, channel, sec.data_size)
+    phi, _ = _phase_error_rows(**row, s_mu=np.array([s_mu]), n_max=n_max)
+    return float(phi[0])

@@ -1,8 +1,11 @@
-"""Scalar special functions used by the analytic rate formulas.
+"""Special functions used by the analytic rate formulas.
 
 Nothing here depends on the protocol; the three functions are kept
 dependency-free (numpy only) and accurate well beyond the needs of the
-key-rate formulas so that they never dominate an error budget.
+key-rate formulas so that they never dominate an error budget.  The
+entropy and I0 accept scalars or arrays, and an element's value never
+depends on the array around it, so a batch of rate evaluations gives
+each row bit for bit the value it gets alone.
 """
 
 from __future__ import annotations
@@ -14,17 +17,29 @@ import numpy as np
 __all__ = ["binary_entropy", "bessel_i0", "binomial"]
 
 
-def binary_entropy(x: float) -> float:
+def binary_entropy(x):
     """Binary Shannon entropy H2(x) = -x log2 x - (1-x) log2 (1-x).
 
     The limits at x = 0 and x = 1 are defined as 0 by continuity; error
     rates in noiseless test configurations hit these endpoints exactly.
+    Accepts a scalar or an ndarray; any argument outside [0, 1] (nan
+    included) is rejected.
     """
-    if not 0.0 <= x <= 1.0:
+    arr = np.asarray(x, dtype=float)
+    if not ((arr >= 0.0) & (arr <= 1.0)).all():
         raise ValueError(f"binary_entropy argument must lie in [0, 1], got {x!r}")
-    if x == 0.0 or x == 1.0:
-        return 0.0
-    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+    h = _entropy(arr)
+    return float(h) if np.ndim(x) == 0 else h
+
+
+def _entropy(x: np.ndarray) -> np.ndarray:
+    """H2 of an array in [0, 1] (nan stays nan), without the range check.
+
+    At an endpoint the logarithm is taken of 1 instead of 0, which gives
+    the 0 log 0 = 0 convention; adding 0.0 turns the -0.0 there into 0.0.
+    """
+    y = 1.0 - x
+    return -x * np.log2(x + (x == 0.0)) - y * np.log2(y + (y == 0.0)) + 0.0
 
 
 # Gauss-Legendre rule for I0(x) = (1/pi) * integral_0^pi exp(x cos t) dt.
@@ -41,15 +56,22 @@ def bessel_i0(x):
     Evaluates the integral representation (1/pi) * int_0^pi e^{x cos t} dt
     with a fixed Gauss-Legendre rule, which keeps the implementation
     independent of the power-series route used as the test oracle.
-    Accepts a scalar or an ndarray; negative arguments are rejected.
+    Accepts a scalar or an ndarray; negative arguments are rejected.  The
+    rule is summed along the contiguous last axis rather than by a BLAS
+    product, whose blocking can depend on the number of rows.
     """
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0):
+    if (arr < 0.0).any():
         raise ValueError("bessel_i0 requires nonnegative arguments")
-    vals = np.exp(arr[..., None] * _I0_COS) @ _I0_W
+    vals = _i0_rule(arr)
     if np.ndim(x) == 0:
         return float(vals)
     return vals
+
+
+def _i0_rule(x: np.ndarray) -> np.ndarray:
+    """The quadrature of ``bessel_i0`` without the sign check (nan stays nan)."""
+    return (np.exp(x[..., None] * _I0_COS) * _I0_W).sum(axis=-1)
 
 
 def binomial(n: int, k: int) -> int:

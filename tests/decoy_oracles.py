@@ -1,23 +1,94 @@
-"""Closed-form decoy-state ladders kept as test oracles.
+"""Scalar decoy-state rules kept as test oracles.
 
-These are the hand-expanded three-, four- and five-user expressions that
-``mfqcka.decoy`` once implemented directly.  The package now derives every
-bound from one Lagrange-interpolation rule; the tests compare that rule
-against these forms.
+``decoy_bounds`` is the one-ladder Lagrange-interpolation rule that
+``mfqcka.decoy`` evaluated before it took a batch axis, with dictionaries
+and exactly rounded sums.  The ``bounds_*user_*`` functions are the
+hand-expanded three-, four- and five-user expressions that came before
+that rule.  The tests compare the package's array rule against both.
 """
 
 import math
 from typing import Mapping
 
-from mfqcka.decoy import (
-    ObservedCounts,
-    _clamp_bounds,
-    _normalization_factors,
-    _phase_error,
-    chernoff_expected_bounds,
-    chernoff_observed_lower,
-)
-from mfqcka.model import DecoyBounds
+from mfqcka.decoy import ObservedCounts, chernoff_expected_bounds, chernoff_observed_lower
+from mfqcka.model import DecoyBounds, EstimationError
+
+
+def _normalization_factors(obs: ObservedCounts, ks: tuple[float, ...]) -> dict[float, float]:
+    """exp(c (k - mu) + c (ln p_mu - ln p_k)), evaluated in log space."""
+    c = 2.0 * (obs.num_users - 1)
+    mu = ks[0]
+    log_p_mu = math.log(obs.probabilities[mu])
+    return {
+        k: math.exp(c * (k - mu) + c * (log_p_mu - math.log(obs.probabilities[k]))) for k in ks
+    }
+
+
+def _clamp_bounds(raw: dict[int, float]) -> tuple[dict[int, float], tuple[int, ...]]:
+    clamped = tuple(n for n, v in sorted(raw.items()) if v < 0.0)
+    return {n: max(v, 0.0) for n, v in raw.items()}, clamped
+
+
+def _phase_error(bounds: Mapping[int, float], s_mu: float) -> float:
+    if s_mu <= 0.0:
+        raise EstimationError("no sifted signal coincidences; phase error undefined")
+    phi = 1.0 - math.fsum(bounds.values()) / s_mu
+    return min(max(phi, 0.0), 1.0)
+
+
+def _photon_weights(ks: tuple[float, ...], num_users: int) -> dict[int, dict[float, float]]:
+    """Weights w_k of the bound on s_mu^m for m = N-1, N-3, ..., in ascending m.
+
+    With nodes x_j = k_j / mu over the m+1 smallest nonzero intensities and
+    S = sum_j x_j, w_j = -(S - x_j) / (x_j prod_{i != j} (x_j - x_i)), and
+    the vacuum weight is (-1)^m S / prod_j x_j.
+    """
+    mu = ks[0]
+    weights: dict[int, dict[float, float]] = {}
+    for m in range((num_users - 1) % 2, num_users, 2):
+        if m == 0:
+            weights[0] = {0.0: 1.0}
+            continue
+        nodes = ks[-m - 2 : -1]
+        xs = [k / mu for k in nodes]
+        total = math.fsum(xs)
+        scale = math.prod(xs)
+        if scale == 0.0:
+            raise EstimationError("decoy intensities too small relative to the signal to weigh")
+        w = {0.0: (-1) ** m * total / scale}
+        for j, (k, x) in enumerate(zip(nodes, xs)):
+            others = math.prod(x - y for i, y in enumerate(xs) if i != j)
+            w[k] = -(total - x) / (x * others)
+        weights[m] = w
+    return weights
+
+
+def decoy_bounds(observed: ObservedCounts, num_users: int, eps: float | None = None) -> DecoyBounds:
+    """The general rule on one set of counts; ``eps`` switches on the finite-size treatment."""
+    ks = observed._check(num_users + 1)
+    factors = _normalization_factors(observed, ks)
+    sides = {
+        k: (s, s) if eps is None else chernoff_expected_bounds(s, eps)
+        for k, s in observed.sifted.items()
+    }
+    used: set[tuple[float, int]] = set()
+    raw = {}
+    for m, ws in _photon_weights(ks, num_users).items():
+        terms = []
+        for k, w in ws.items():
+            side = 0 if w > 0.0 else 1
+            used.add((k, side))
+            terms.append(w * sides[k][side] * factors[k])
+        raw[m] = math.fsum(terms)
+    bounds, clamped = _clamp_bounds(raw)
+    if eps is not None:
+        bounds = {n: chernoff_observed_lower(v, eps) for n, v in bounds.items()}
+    return DecoyBounds(
+        s_mu_n_lower=bounds,
+        phase_error_upper=_phase_error(bounds, observed.sifted[ks[0]]),
+        clamped=clamped,
+        chernoff_applications=0 if eps is None else len(used) + len(bounds),
+    )
 
 
 def _diff(t: Mapping[float, float], x: float, y: float) -> float:

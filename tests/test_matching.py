@@ -10,7 +10,7 @@ from mfqcka.channel import gain_fixed_phase, gain_phase_averaged, total_efficien
 from mfqcka.matching import (
     _correction_factors,
     _count_matrix,
-    _gain_table,
+    _gain_rows,
     expected_stats,
     retained_clicks,
     sifted_coincidences,
@@ -89,9 +89,12 @@ class TestRetainedClicks:
         for num_users in (3, 4, 5):
             for distance in (0.0, 50.0, 200.0, 350.0):
                 config = make_config(num_users)
-                table = _gain_table(config, make_channel(distance))
-                factors = _correction_factors(table, num_users)
-                assert factors.shape == (num_users - 1, len(config.intensities))
+                channel = make_channel(distance)
+                ks = np.array([config.intensities])
+                probs = np.array([config.send_probabilities])
+                q_avg, _ = _gain_rows(ks, total_efficiency(channel), channel.dark_count_rate)
+                factors = _correction_factors(probs, q_avg, num_users)
+                assert factors.shape == (1, num_users - 1, len(config.intensities))
                 for value in factors.flat:
                     assert 0.0 < value <= 1.0
 

@@ -1,20 +1,43 @@
-"""Search-engine behaviour: recovery, feasibility, determinism."""
+"""Search-engine behaviour: recovery, feasibility, determinism, lock-step rounds."""
+
+import logging
+import math
 
 import numpy as np
 import pytest
 
 from mfqcka.keyrate import finite_rate
-from mfqcka.model import ConfigError, validate
+from mfqcka.model import (
+    ChannelParams,
+    ConfigError,
+    DegenerateChannelError,
+    EstimationError,
+    SecurityParams,
+    validate,
+)
 from mfqcka.optimizer import (
     SearchSpec,
     _default_start,
     _nelder_mead,
     _project,
+    _sample_starts,
     _to_config,
     optimize_at_distance,
     scan_distances,
 )
-from conftest import make_bundle
+from conftest import make_bundle, make_config
+
+
+def run_simplex(cost, x0, spec, n_users):
+    """Drive one simplex generator alone, scoring each projected point with ``cost``."""
+    simplex = _nelder_mead(x0, spec)
+    point = next(simplex)
+    try:
+        while True:
+            point = simplex.send(cost(_project(point, n_users, spec)))
+    except StopIteration as done:
+        best, value, evals, stop = done.value
+    return _project(best, n_users, spec), value, evals, stop
 
 
 def test_spec_validation():
@@ -24,6 +47,23 @@ def test_spec_validation():
         SearchSpec(prob_bounds=(0.1, 1.0))
     with pytest.raises(ConfigError):
         SearchSpec(restarts=0)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("presamples", -1),
+        ("ordering_gap", 0.0),
+        ("ordering_gap", -1e-4),
+        ("ordering_gap", math.nan),
+        ("min_vacuum_prob", 0.0),
+        ("min_vacuum_prob", 1.0),
+        ("min_vacuum_prob", math.nan),
+    ],
+)
+def test_spec_rejects_unusable_search_settings(field, value):
+    with pytest.raises(ConfigError):
+        SearchSpec(**{field: value})
 
 
 class TestProjection:
@@ -59,16 +99,30 @@ class TestNelderMead:
         def cost(x):
             return float(np.sum((x - target) ** 2))
 
-        best, value, evals = _nelder_mead(cost, _default_start(3, spec), spec, 3)
+        best, value, evals, _ = run_simplex(cost, _default_start(3, spec), spec, 3)
         assert value < 1e-8
         assert np.allclose(best, target, atol=1e-4)
         assert evals <= spec.max_evals + 7
 
     def test_constant_objective_returns_feasible_point(self):
         spec = SearchSpec(max_evals=100)
-        best, value, _ = _nelder_mead(lambda x: 1.25, _default_start(3, spec), spec, 3)
+        best, value, evals, stop = run_simplex(lambda x: 1.25, _default_start(3, spec), spec, 3)
         assert value == 1.25
         assert np.allclose(_project(best, 3, spec), best, atol=1e-12)
+        assert (evals, stop) == (7, "tolerance")  # the first simplex already agrees
+
+    def test_budget_stop_counts_every_evaluation(self):
+        spec = SearchSpec(max_evals=50, tolerance=0.0)
+        calls = []
+
+        def cost(x):
+            calls.append(x)
+            return float(np.sum(x**2))
+
+        _, _, evals, stop = run_simplex(cost, _default_start(3, spec), spec, 3)
+        assert stop == "budget"
+        assert evals == len(calls)
+        assert spec.max_evals <= evals <= spec.max_evals + 7
 
 
 class TestOptimizeAtDistance:
@@ -143,3 +197,111 @@ class TestScanDistances:
         bundle = make_bundle()
         with pytest.raises(ValueError):
             scan_distances([], SearchSpec(), "finite", bundle)
+
+
+def search_telemetry(caplog):
+    """The one DEBUG record an optimize_at_distance call logs, as its telemetry dict."""
+    records = [r for r in caplog.records if r.name == "mfqcka.optimizer"]
+    assert len(records) == 1
+    return records[0].telemetry
+
+
+def scalar_cost(rate_of):
+    """The optimizer's cost evaluated one point at a time through the scalar entry points."""
+
+    def cost(x):
+        try:
+            raw = rate_of(x).key_rate_raw
+        except (ConfigError, EstimationError, DegenerateChannelError):
+            return math.inf
+        return -raw if math.isfinite(raw) else math.inf
+
+    return cost
+
+
+class TestLockStep:
+    def test_no_presamples(self, caplog):
+        bundle = make_bundle(distance_km=50.0, data_size=1e14)
+        spec = SearchSpec(restarts=3, max_evals=100, presamples=0)
+        with caplog.at_level(logging.DEBUG, logger="mfqcka.optimizer"):
+            config, report = optimize_at_distance(spec, "finite", bundle)
+        telemetry = search_telemetry(caplog)
+        assert telemetry["presamples"] == 0
+        assert len(telemetry["restarts"]) == 1
+        assert telemetry["evaluations"] == telemetry["restarts"][0]["evals"]
+        validate(config, bundle.channel, bundle.security)
+        assert report.key_rate_raw == -telemetry["restarts"][0]["best"]
+
+    def test_more_restarts_than_starts(self, caplog):
+        bundle = make_bundle(distance_km=50.0, data_size=1e14)
+        spec = SearchSpec(restarts=6, max_evals=80, presamples=2)
+        with caplog.at_level(logging.DEBUG, logger="mfqcka.optimizer"):
+            optimize_at_distance(spec, "finite", bundle)
+        telemetry = search_telemetry(caplog)
+        assert len(telemetry["restarts"]) == 3  # the default start and both presamples
+        assert telemetry["evaluations"] == 2 + sum(r["evals"] for r in telemetry["restarts"])
+
+    def test_equals_restarts_run_one_at_a_time(self, caplog):
+        bundle = make_bundle(distance_km=80.0, data_size=1e13)
+        spec = SearchSpec(restarts=4, max_evals=300, presamples=48, seed=5)
+        with caplog.at_level(logging.DEBUG, logger="mfqcka.optimizer"):
+            config, report = optimize_at_distance(spec, "finite", bundle)
+        telemetry = search_telemetry(caplog)
+
+        cost = scalar_cost(
+            lambda x: finite_rate(_to_config(x, bundle.config), bundle.channel, bundle.security)
+        )
+        pool = _sample_starts(np.random.default_rng(spec.seed), spec.presamples, 3, spec)
+        ranked = sorted(range(len(pool)), key=lambda i: (cost(pool[i]), i))
+        starts = [_default_start(3, spec)] + [pool[i] for i in ranked[: spec.restarts - 1]]
+        alone = [run_simplex(cost, start, spec, 3) for start in starts]
+
+        # with the default tolerance the restarts stop in different rounds
+        assert len({evals for _, _, evals, _ in alone}) > 1
+        assert telemetry["rounds"] == max(evals for _, _, evals, _ in alone)
+        assert [(r["evals"], r["stop"], r["best"]) for r in telemetry["restarts"]] == [
+            (evals, stop, value) for _, value, evals, stop in alone
+        ]
+        best_x, best_value, _, _ = min(alone, key=lambda result: result[1])
+        assert config == _to_config(best_x, bundle.config)
+        assert report.key_rate_raw == -best_value
+
+    @pytest.mark.parametrize("objective", ["asymptotic-decoy", "asymptotic-exact"])
+    def test_reported_rate_is_the_best_cost(self, objective, caplog):
+        bundle = make_bundle(num_users=4, distance_km=150.0)
+        spec = SearchSpec(restarts=3, max_evals=120, presamples=32, seed=11)
+        with caplog.at_level(logging.DEBUG, logger="mfqcka.optimizer"):
+            _, report = optimize_at_distance(spec, objective, bundle)
+        best = min(r["best"] for r in search_telemetry(caplog)["restarts"])
+        assert report.key_rate_raw == -best
+        mode = objective.split("-")[1]
+        assert report.mode == f"asymptotic-{mode}"
+
+
+def test_telemetry_counts_infeasible_points_by_cause(caplog):
+    # Negligible detector efficiency and no dark counts: no point has a
+    # sifted signal, so every evaluation raises EstimationError when run
+    # alone (the decoy bound fails before the adjacent error could raise
+    # DegenerateChannelError), and the kernel counts it under that class.
+    channel = ChannelParams(
+        detector_efficiency=1e-300, dark_count_rate=0.0, fiber_alpha=0.16, distance_km=50.0
+    )
+    bundle = validate(make_config(3), channel, SecurityParams(data_size=1e12))
+    spec = SearchSpec(restarts=2, max_evals=20, presamples=10)
+    with pytest.raises(EstimationError):
+        finite_rate(_to_config(_default_start(3, spec), bundle.config), channel, bundle.security)
+    with caplog.at_level(logging.DEBUG, logger="mfqcka.optimizer"):
+        with pytest.raises(EstimationError):
+            optimize_at_distance(spec, "finite", bundle)
+    telemetry = search_telemetry(caplog)
+    assert telemetry["evaluations"] == 10 + sum(r["evals"] for r in telemetry["restarts"])
+    assert telemetry["infeasible"] == {"EstimationError": telemetry["evaluations"]}
+    assert all(r["best"] == math.inf for r in telemetry["restarts"])
+    assert "EstimationError" in caplog.text
+
+
+def test_telemetry_is_silent_above_debug(caplog):
+    bundle = make_bundle(distance_km=50.0, data_size=1e14)
+    with caplog.at_level(logging.INFO, logger="mfqcka.optimizer"):
+        optimize_at_distance(SearchSpec(restarts=1, max_evals=20, presamples=4), "finite", bundle)
+    assert not [r for r in caplog.records if r.name == "mfqcka.optimizer"]

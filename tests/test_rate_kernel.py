@@ -1,0 +1,195 @@
+"""The array rate kernel: batch independence, one-row entry points, scalar oracles."""
+
+import math
+
+import numpy as np
+import pytest
+
+import keyrate_oracles
+from mfqcka.channel import adjacent_bit_error
+from mfqcka.keyrate import MODES, _error_rows, asymptotic_rate, finite_rate, rate_rows
+from mfqcka.model import (
+    INFEASIBLE,
+    ChannelParams,
+    ConfigError,
+    DegenerateChannelError,
+    EstimationError,
+    SourceConfig,
+)
+from mfqcka.optimizer import SearchSpec, _ladders, _project, _sample_starts, _to_config
+from conftest import make_bundle, make_channel
+
+CASES = [(3, "finite")] + [(n, mode) for mode in MODES[1:] for n in (3, 4, 5)]
+
+
+def pool(num_users, size, seed):
+    """Projected points of the optimizer's presample law, and their configurations."""
+    points = _sample_starts(np.random.default_rng(seed), size, num_users, SearchSpec())
+    return points, _ladders(points, num_users)
+
+
+def scalar_rate(config, channel, sec, mode):
+    if mode == "finite":
+        return finite_rate(config, channel, sec)
+    return asymptotic_rate(config, channel, mode.split("-")[1], ec_efficiency=sec.ec_efficiency)
+
+
+def oracle_rate(config, channel, sec, mode):
+    """(key_rate_raw, cause code) of the scalar oracle."""
+    try:
+        if mode == "finite":
+            raw = keyrate_oracles.finite_rate_raw(config, channel, sec)
+        else:
+            raw = keyrate_oracles.asymptotic_rate_raw(
+                config, channel, mode.split("-")[1], sec.ec_efficiency
+            )
+    except (ConfigError, EstimationError, DegenerateChannelError) as exc:
+        return math.nan, INFEASIBLE.index(type(exc))
+    return raw, 0
+
+
+@pytest.mark.parametrize("distance", [50.0, 250.0])
+@pytest.mark.parametrize("num_users,mode", CASES)
+def test_rows_do_not_depend_on_the_batch(num_users, mode, distance):
+    bundle = make_bundle(num_users=num_users, distance_km=distance, data_size=1e14)
+    points, (ints, probs) = pool(num_users, 512, 900 + num_users)
+
+    def run(lo, hi):
+        return rate_rows(ints[lo:hi], probs[lo:hi], bundle.config, bundle.channel, bundle.security, mode)
+
+    raw, cause = run(0, 512)
+    for size, stop in ((7, 512), (1, 128)):
+        parts = [run(lo, lo + size) for lo in range(0, stop, size)]
+        assert np.array_equal(np.concatenate([c for _, c in parts]), cause[:stop])
+        assert np.array_equal(np.concatenate([r for r, _ in parts]), raw[:stop], equal_nan=True)
+    # the scalar entry points are one-row calls of the same layers
+    for i in range(0, 512, 37):
+        config = _to_config(points[i], bundle.config)
+        if cause[i]:
+            with pytest.raises(INFEASIBLE[cause[i]]):
+                scalar_rate(config, bundle.channel, bundle.security, mode)
+        else:
+            assert scalar_rate(config, bundle.channel, bundle.security, mode).key_rate_raw == raw[i]
+
+
+@pytest.mark.parametrize("num_users,mode", CASES)
+def test_kernel_matches_scalar_oracles(num_users, mode):
+    """Agreement to 1e-9 of the rate's scale s_mu / N_bins at 0-50 km.
+
+    The scale, not key_rate_raw itself: near the edge of the positive-rate
+    region the bracket 1 - H(phi) - f H(E) cancels, and a raw value close
+    to zero turns the last-digit differences of exp and of the decoy sum
+    into large relative ones.
+    """
+    bundle = make_bundle(num_users=num_users, data_size=1e14)
+    points, (ints, probs) = pool(num_users, 64, 700 + num_users)
+    n_bins = bundle.security.data_size if mode == "finite" else 1.0
+    compared = 0
+    for distance in (0.0, 10.0, 25.0, 50.0):
+        channel = make_channel(distance)
+        raw, cause = rate_rows(ints, probs, bundle.config, channel, bundle.security, mode)
+        for i, point in enumerate(points):
+            config = _to_config(point, bundle.config)
+            expected, expected_cause = oracle_rate(config, channel, bundle.security, mode)
+            assert cause[i] == expected_cause
+            if expected_cause:
+                continue
+            s_mu = keyrate_oracles.observed(config, channel, n_bins).sifted[config.signal_intensity]
+            assert abs(raw[i] - expected) <= 1e-9 * s_mu / n_bins
+            compared += 1
+    assert compared > 200
+
+
+def clustered_ladders(num_users):
+    """Ladders packed against the lower intensity bound, a few gaps apart."""
+    spec = SearchSpec()
+    lo, gap = spec.intensity_bounds[0], spec.ordering_gap
+    rows = []
+    for spread in (1.0, 1.5, 3.0, 10.0):
+        ints = lo + gap * spread * np.arange(num_users)[::-1]
+        rows.append(np.concatenate([ints, np.full(num_users, 0.9 / (num_users + 1))]))
+    rows.append(np.concatenate([lo + gap * np.arange(num_users)[::-1], np.full(num_users, 0.19)]))
+    return _project(np.array(rows), num_users, spec)
+
+
+# Negligible detector efficiencies, with and without dark counts.  They
+# keep eta_t * k far below 1e-16, where every exp in the gains is exactly 1
+# and the signal gain exactly 0.  Between about 5e-17 and 1e-15 the matched
+# gain is a few ulps of 2 that the kernel's exp and the math module's can
+# round apart, so whether a point there has any signal at all is decided
+# by the last bit of exp (efficiency 1e-12 at 100 km is such a point).
+CORNERS = [
+    ChannelParams(detector_efficiency=eff, dark_count_rate=p_d, fiber_alpha=0.16, distance_km=d)
+    for eff in (1e-300, 1e-30, 1e-17)
+    for p_d in (0.0, 1e-17, 3.03e-9)
+    for d in (0.0, 100.0)
+]
+
+
+@pytest.mark.parametrize("num_users,mode", CASES)
+def test_infeasible_rows_match_oracle(num_users, mode):
+    bundle = make_bundle(num_users=num_users, data_size=1e12)
+    points, _ = pool(num_users, 16, 500 + num_users)
+    points = np.concatenate([points, clustered_ladders(num_users)])
+    ints, probs = _ladders(points, num_users)
+    channels = [make_channel(d) for d in range(0, 400, 60)] + CORNERS
+    causes = []
+    for channel in channels:
+        _, cause = rate_rows(ints, probs, bundle.config, channel, bundle.security, mode)
+        for i, point in enumerate(points):
+            config = _to_config(point, bundle.config)
+            assert cause[i] == oracle_rate(config, channel, bundle.security, mode)[1]
+        causes.append(cause)
+    # the corners without dark counts have no signal at all
+    assert INFEASIBLE.index(EstimationError) in np.concatenate(causes)
+
+
+@pytest.mark.parametrize("mode", ["finite", "asymptotic-decoy"])
+def test_malformed_ladders_are_config_errors(mode):
+    bundle = make_bundle(num_users=3, distance_km=50.0)
+    ints = np.array([[0.1, 0.1, 0.05, 0.0], [0.1, 0.05, 0.01, 0.001], [0.1, 0.05, 0.01, 0.0]])
+    probs = np.array([[0.4, 0.3, 0.2, 0.1], [0.4, 0.3, 0.2, 0.1], [0.5, 0.3, 0.2, 0.0]])
+    _, cause = rate_rows(ints, probs, bundle.config, bundle.channel, bundle.security, mode)
+    assert cause.tolist() == [INFEASIBLE.index(ConfigError)] * 3
+    for row_ints, row_probs in zip(ints, probs):
+        config = SourceConfig(3, row_ints[0], tuple(row_ints[1:]), tuple(row_probs), 16)
+        assert oracle_rate(config, bundle.channel, bundle.security, mode)[1] == 1
+
+
+def test_unsupported_user_counts_are_config_errors():
+    _, (ints, probs) = pool(4, 5, 1)
+    bundle = make_bundle(num_users=4)
+    _, cause = rate_rows(ints, probs, bundle.config, bundle.channel, bundle.security, "finite")
+    assert (cause == INFEASIBLE.index(ConfigError)).all()
+    six = SourceConfig(6, 0.1, (0.07, 0.03, 0.012, 0.005, 0.002, 0.0), (0.3, 0.2, 0.15, 0.13, 0.1, 0.07, 0.05), 16)
+    _, (ints, probs) = pool(6, 5, 1)
+    _, cause = rate_rows(ints, probs, six, bundle.channel, bundle.security, "asymptotic-decoy")
+    assert (cause == INFEASIBLE.index(ConfigError)).all()
+    with pytest.raises(ValueError):
+        rate_rows(ints, probs, bundle.config, bundle.channel, bundle.security, "exact")
+
+
+def test_empty_batch():
+    bundle = make_bundle()
+    ints, probs = np.empty((0, 4)), np.empty((0, 4))
+    raw, cause = rate_rows(ints, probs, bundle.config, bundle.channel, bundle.security, "finite")
+    assert raw.shape == cause.shape == (0,)
+
+
+def test_degenerate_adjacent_error_is_flagged_per_row():
+    channel = ChannelParams(detector_efficiency=0.0, dark_count_rate=0.0, fiber_alpha=0.16, distance_km=0.0)
+    rows = _error_rows(np.array([0.1, 1e-300]), 3, make_channel(50.0))
+    assert not rows.degenerate.any()
+    rows = _error_rows(np.array([0.1, 1e-300]), 3, channel)
+    assert rows.degenerate.all()
+    with pytest.raises(DegenerateChannelError):
+        adjacent_bit_error(1e-300, 0.0, 0.0)
+
+
+def test_chunks_bound_the_gain_table():
+    from mfqcka.keyrate import _CHUNK_BYTES, _chunk_rows
+
+    for settings in range(4, 10):
+        rows = _chunk_rows(settings)
+        assert rows >= 1
+        assert rows * settings * settings * 128 * 8 <= max(_CHUNK_BYTES, settings * settings * 1024)
