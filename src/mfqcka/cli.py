@@ -17,9 +17,10 @@ Configuration is a JSON document with four top-level sections::
 
 `decoy_intensities` lists one entry per user, ending with the vacuum (0);
 `send_probabilities` is aligned with (signal, *decoys) and sums to 1.
-The ``optimizer`` section is optional.  Exit codes: 0 success, 2 parse or
-validation failure, an output file that cannot be written or a working
-point with no signal to evaluate, 3 simulation-consistency failure.
+The ``optimizer`` section is optional; an unknown section or field is an
+error, not a default.  Exit codes: 0 success, 2 parse or validation
+failure, an output file that cannot be written or a working point with
+no signal to evaluate, 3 simulation-consistency failure.
 
 CSV output uses a fixed column set, scientific notation with 10
 significant digits, and no locale-dependent formatting, so files from
@@ -107,6 +108,9 @@ def _search_spec(doc: dict[str, Any], args: argparse.Namespace) -> optimizer.Sea
         "seed": _integer,
         "tolerance": _number,
     }
+    for name in opt:
+        if name not in parsers:
+            raise ConfigError(f"unknown field optimizer.{name}")
     kwargs: dict[str, Any] = {
         name: parse(opt[name], f"optimizer.{name}")
         for name, parse in parsers.items()
@@ -133,7 +137,7 @@ def _objective(args: argparse.Namespace) -> str:
 
 
 def _evaluate(bundle: Bundle, objective: str) -> RateReport:
-    return optimizer._objective_fn(objective, bundle)(bundle.config)
+    return keyrate.rate_report(bundle.config, bundle.channel, bundle.security, objective)
 
 
 def _print_report(report: RateReport) -> None:

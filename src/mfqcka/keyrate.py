@@ -16,9 +16,14 @@ optimizers keep a usable objective in the negative-rate region.
 ``rate_rows`` is the array kernel: it takes a batch of source settings
 (one ladder per row) and runs the matching, decoy or photon-number, error
 and assembly layers on the whole batch, returning ``key_rate_raw`` and an
-infeasibility cause per row.  ``finite_rate`` and ``asymptotic_rate``
-compose the layers' one-row entry points instead, so their reports keep
-every intermediate; a row's value is the same either way.
+infeasibility cause per row.  ``finite_rate`` and ``asymptotic_rate`` are
+one report builder, ``_report``, that composes the layers' one-row entry
+points instead, so the report keeps every intermediate; ``rate_report``
+picks one of the two by mode.  Both paths take the data size and the
+finite correction from ``_scale``, so a row's value is the same either
+way.  ``_check_mode`` alone decides which modes exist for how many users:
+the kernel and the builder call it, and an unsupported pair raises before
+any layer runs.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from .model import (
 )
 from .special_math import _entropy
 
-__all__ = ["asymptotic_rate", "finite_rate", "multicast_bound", "rate_rows", "MODES"]
+__all__ = ["asymptotic_rate", "finite_rate", "multicast_bound", "rate_report", "rate_rows", "MODES"]
 
 
 def multicast_bound(channel: ChannelParams) -> float:
@@ -103,11 +108,15 @@ def _error_terms(config: SourceConfig, channel: ChannelParams) -> tuple[float, t
     )
 
 
-def _finite_correction(num_users: int, sec: SecurityParams) -> float:
-    """Error-correction and privacy-amplification cost per time bin."""
-    return (
+def _scale(num_users: int, sec: SecurityParams, mode: str) -> tuple[float, float]:
+    """(n_bins, correction) of ``_assemble``: the data size and the error-correction
+    and privacy-amplification cost per time bin for ``finite``, (1, 0) asymptotically."""
+    if mode != "finite":
+        return 1.0, 0.0
+    correction = (
         math.log2(2.0 * (num_users - 1) / sec.eps_ec) + 2.0 * math.log2(1.0 / (2.0 * sec.eps_pa))
     ) / sec.data_size
+    return sec.data_size, correction
 
 
 def _assemble(
@@ -141,6 +150,22 @@ _DECOY_ASYMPTOTIC = {
 
 MODES = ("finite", "asymptotic-decoy", "asymptotic-exact")
 
+
+def _check_mode(num_users: int, mode: str) -> None:
+    """Raise unless ``mode`` has a phase-error estimate for ``num_users`` users.
+
+    The one place that knows which (users, mode) pairs are rated: a mode
+    outside MODES is a ValueError, a user count the mode has no estimate
+    for a ConfigError.
+    """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
+    if mode == "finite" and num_users != 3:
+        raise ConfigError("finite-size decoy bounds are available for 3 users only")
+    if mode == "asymptotic-decoy" and num_users not in _DECOY_ASYMPTOTIC:
+        raise ConfigError(f"decoy-state bounds are available for 3-5 users, not {num_users}")
+
+
 # Rows per kernel pass are chosen so that the (rows, S, S, 128) temporary of
 # the Bessel quadrature in the count matrix stays near this size.
 _CHUNK_BYTES = 1 << 18
@@ -162,23 +187,20 @@ def rate_rows(
 
     Row r is the intensity ladder ``ints[r]`` (signal first, vacuum last)
     sent with probabilities ``probs[r]``; ``config`` gives the number of
-    users and phase slices, and ``mode`` is one of MODES.  The asymptotic
-    modes take only ``ec_efficiency`` from ``sec``.  ``cause[r]`` is the
+    users and phase slices, and ``mode`` is one of MODES; a mode without
+    an estimate for that many users raises (``_check_mode``) before any
+    row is rated.  The asymptotic modes take only ``ec_efficiency`` from
+    ``sec``.  ``cause[r]`` is the
     code (``model.INFEASIBLE``) of the error that ``finite_rate`` or
     ``asymptotic_rate`` raises for row r alone, 0 where they return; then
     ``key_rate_raw[r]`` is their value bit for bit, whatever the other
     rows are.  Rows are evaluated in chunks of ``_chunk_rows`` to bound
     the memory of the gain table.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
+    _check_mode(config.num_users, mode)
     rows, settings = ints.shape
     raw = np.full(rows, np.nan)
     cause = np.zeros(rows, dtype=np.int8)
-    n = config.num_users
-    if (mode == "finite" and n != 3) or (mode == "asymptotic-decoy" and n not in _DECOY_ASYMPTOTIC):
-        cause[:] = INFEASIBLE.index(ConfigError)
-        return raw, cause
     step = _chunk_rows(settings)
     for lo in range(0, rows, step):
         part = slice(lo, lo + step)
@@ -195,26 +217,67 @@ def _rate_chunk(
     mode: str,
 ) -> tuple[np.ndarray, np.ndarray]:
     n, m_slices = config.num_users, config.phase_slices
-    finite = mode == "finite"
-    data_size = sec.data_size if finite else 1.0
+    n_bins, correction = _scale(n, sec, mode)
     mu, p_mu = ks[:, 0].copy(), probs[:, 0].copy()
-    counts = matching._count_rows(ks, probs, n, m_slices, channel, data_size)
+    counts = matching._count_rows(ks, probs, n, m_slices, channel, n_bins)
     sifted = matching._sifted_rows(counts, m_slices)
     s_mu = sifted[:, 0].copy()
     if mode == "asymptotic-exact":
         phase, cause = photonstats._phase_error_rows(
-            counts, mu, p_mu, s_mu, n, m_slices, channel, data_size
+            counts, mu, p_mu, s_mu, n, m_slices, channel, n_bins
         )
     else:
-        bounds = decoy._decoy_rows(ks, probs, sifted, n, sec.eps_chernoff if finite else None)
+        eps = sec.eps_chernoff if mode == "finite" else None
+        bounds = decoy._decoy_rows(ks, probs, sifted, n, eps)
         phase, cause = bounds.phase_error, bounds.cause
     errors = _error_rows(mu, n, channel)
     degenerate = (cause == 0) & errors.degenerate
     cause[degenerate] = INFEASIBLE.index(DegenerateChannelError)
-    n_bins, correction = (sec.data_size, _finite_correction(n, sec)) if finite else (1.0, 0.0)
     worst_entropy = errors.entropies.max(axis=1)
     raw = _assemble(s_mu, phase, worst_entropy, sec.ec_efficiency, n_bins, correction)
     return raw, cause
+
+
+def _report(config: SourceConfig, channel: ChannelParams, sec: SecurityParams, mode: str) -> RateReport:
+    """The rate report of one configuration: the body of ``finite_rate`` and ``asymptotic_rate``."""
+    _check_mode(config.num_users, mode)
+    obs = _observed_from_expected(config, channel, sec)
+    s_mu = obs.sifted[config.signal_intensity]
+    bounds: dict[int, float] = {}
+    applications = 0
+    if mode == "asymptotic-exact":
+        phase_err = photonstats.phase_error_exact(config, channel, sec)
+    else:
+        if mode == "finite":
+            db = decoy.bounds_3user_finite(obs, sec)
+        else:
+            db = _DECOY_ASYMPTOTIC[config.num_users](obs)
+        phase_err, bounds = db.phase_error_upper, dict(db.s_mu_n_lower)
+        applications = db.chernoff_applications
+    e_adj, marginals, worst, worst_h = _error_terms(config, channel)
+    n_bins, correction = _scale(config.num_users, sec, mode)
+    raw = float(_assemble(
+        np.array([s_mu]), np.array([phase_err]), np.array([worst_h]), sec.ec_efficiency, n_bins, correction
+    )[0])
+    return RateReport(
+        key_rate=max(raw, 0.0),
+        key_rate_raw=raw,
+        multicast_bound=multicast_bound(channel),
+        phase_error_upper=phase_err,
+        adjacent_error=e_adj,
+        worst_marginal_error=worst,
+        sifted_signal=s_mu,
+        params_used=config,
+        distance_km=channel.distance_km,
+        data_size=n_bins,
+        mode=mode,
+        marginal_errors=marginals,
+        sifted=dict(obs.sifted),
+        s_mu_n_lower=bounds,
+        correction_bits=correction,
+        chernoff_applications=applications,
+        failure_budget=applications * sec.eps_chernoff,
+    )
 
 
 def asymptotic_rate(
@@ -231,43 +294,8 @@ def asymptotic_rate(
     Each layer is a one-row call of the array kernel, so the result equals
     the matching row of ``rate_rows``.
     """
-    if mode not in ("exact", "decoy"):
-        raise ValueError("mode must be 'exact' or 'decoy'")
     sec = SecurityParams(data_size=1.0, ec_efficiency=ec_efficiency)
-    obs = _observed_from_expected(config, channel, sec)
-    s_mu = obs.sifted[config.signal_intensity]
-    if mode == "exact":
-        phase_err = photonstats.phase_error_exact(config, channel, sec)
-        bounds: dict[int, float] = {}
-    else:
-        estimator = _DECOY_ASYMPTOTIC.get(config.num_users)
-        if estimator is None:
-            raise ConfigError(
-                f"decoy-state bounds are available for 3-5 users, not {config.num_users}"
-            )
-        db = estimator(obs)
-        phase_err = db.phase_error_upper
-        bounds = dict(db.s_mu_n_lower)
-    e_adj, marginals, worst, worst_h = _error_terms(config, channel)
-    raw = float(_assemble(
-        np.array([s_mu]), np.array([phase_err]), np.array([worst_h]), sec.ec_efficiency, 1.0, 0.0
-    )[0])
-    return RateReport(
-        key_rate=max(raw, 0.0),
-        key_rate_raw=raw,
-        multicast_bound=multicast_bound(channel),
-        phase_error_upper=phase_err,
-        adjacent_error=e_adj,
-        worst_marginal_error=worst,
-        sifted_signal=s_mu,
-        params_used=config,
-        distance_km=channel.distance_km,
-        data_size=sec.data_size,
-        mode=f"asymptotic-{mode}",
-        marginal_errors=marginals,
-        sifted=dict(obs.sifted),
-        s_mu_n_lower=bounds,
-    )
+    return _report(config, channel, sec, f"asymptotic-{mode}")
 
 
 def finite_rate(config: SourceConfig, channel: ChannelParams, sec: SecurityParams) -> RateReport:
@@ -277,38 +305,22 @@ def finite_rate(config: SourceConfig, channel: ChannelParams, sec: SecurityParam
     user counts raise ConfigError.  Each layer is a one-row call of the
     array kernel, so the result equals the matching row of ``rate_rows``.
     """
-    if config.num_users != 3:
-        raise ConfigError("finite-size decoy bounds are available for 3 users only")
-    obs = _observed_from_expected(config, channel, sec)
-    s_mu = obs.sifted[config.signal_intensity]
-    db = decoy.bounds_3user_finite(obs, sec)
-    e_adj, marginals, worst, worst_h = _error_terms(config, channel)
-    n_bins = sec.data_size
-    correction = _finite_correction(config.num_users, sec)
-    raw = float(_assemble(
-        np.array([s_mu]),
-        np.array([db.phase_error_upper]),
-        np.array([worst_h]),
-        sec.ec_efficiency,
-        n_bins,
-        correction,
-    )[0])
-    return RateReport(
-        key_rate=max(raw, 0.0),
-        key_rate_raw=raw,
-        multicast_bound=multicast_bound(channel),
-        phase_error_upper=db.phase_error_upper,
-        adjacent_error=e_adj,
-        worst_marginal_error=worst,
-        sifted_signal=s_mu,
-        params_used=config,
-        distance_km=channel.distance_km,
-        data_size=n_bins,
-        mode="finite",
-        marginal_errors=marginals,
-        sifted=dict(obs.sifted),
-        s_mu_n_lower=dict(db.s_mu_n_lower),
-        correction_bits=correction,
-        chernoff_applications=db.chernoff_applications,
-        failure_budget=db.chernoff_applications * sec.eps_chernoff,
+    return _report(config, channel, sec, "finite")
+
+
+def rate_report(
+    config: SourceConfig, channel: ChannelParams, sec: SecurityParams, mode: str
+) -> RateReport:
+    """The full rate report of one configuration under ``mode``, one of MODES.
+
+    ``finite`` is ``finite_rate``; the asymptotic modes are
+    ``asymptotic_rate`` with their estimator and ``sec.ec_efficiency``.
+    A mode outside MODES raises ValueError, and a user count that the
+    mode has no phase-error estimate for raises ConfigError.
+    """
+    _check_mode(config.num_users, mode)
+    if mode == "finite":
+        return finite_rate(config, channel, sec)
+    return asymptotic_rate(
+        config, channel, mode=mode.removeprefix("asymptotic-"), ec_efficiency=sec.ec_efficiency
     )

@@ -95,9 +95,6 @@ class SourceConfig:
     def num_ports(self) -> int:
         return self.num_users - 1
 
-    def probability_of(self, intensity: float) -> float:
-        return self.send_probabilities[self.intensities.index(intensity)]
-
 
 @dataclass(frozen=True)
 class SecurityParams:
@@ -113,11 +110,6 @@ class SecurityParams:
     eps_pa: float = 1e-10
     eps_chernoff: float = 1e-10
     ec_efficiency: float = 1.1
-
-    @property
-    def beta(self) -> float:
-        """ln(1/eps) for the Chernoff-style bounds."""
-        return math.log(1.0 / self.eps_chernoff)
 
 
 @dataclass(frozen=True)
@@ -193,8 +185,9 @@ def bundle_from_dict(doc: Mapping[str, Any]) -> Bundle:
 
     Raises ConfigError naming the missing/invalid field on malformed input:
     a missing section or field, a section that is not an object, a value
-    that is not a finite number (bools included), or a non-integral
-    ``users``/``phase_slices``.
+    that is not a finite number (bools included), a non-integral
+    ``users``/``phase_slices``, or a top-level section or section field
+    that no parameter reads (the ``optimizer`` section is the caller's).
     """
     sections = {}
     for name in ("channel", "source", "security"):
@@ -205,8 +198,13 @@ def bundle_from_dict(doc: Mapping[str, Any]) -> Bundle:
         if not isinstance(section, Mapping):
             raise ConfigError(f"section {name} must be an object")
         sections[name] = section
+    for name in doc:
+        if name not in sections and name != "optimizer":
+            raise ConfigError(f"unknown top-level section: {name!r}")
+    read = set()
 
     def _get(name: str, key: str, parse=_number, default: Any = None) -> Any:
+        read.add((name, key))
         section = sections[name]
         if key in section:
             return parse(section[key], f"{name}.{key}")
@@ -234,6 +232,10 @@ def bundle_from_dict(doc: Mapping[str, Any]) -> Bundle:
         eps_chernoff=_get("security", "eps_chernoff", default=1e-10),
         ec_efficiency=_get("security", "ec_efficiency", default=1.1),
     )
+    for name, section in sections.items():
+        for key in section:
+            if (name, key) not in read:
+                raise ConfigError(f"unknown field {name}.{key}")
     return validate(config, channel, security)
 
 
@@ -339,10 +341,6 @@ class DecoyBounds:
     phase_error_upper: float
     clamped: tuple[int, ...] = ()
     chernoff_applications: int = 0
-
-    @property
-    def total_lower(self) -> float:
-        return math.fsum(self.s_mu_n_lower.values())
 
 
 @dataclass(frozen=True)

@@ -69,8 +69,6 @@ class SearchSpec:
     presamples: int = 512
     tolerance: float = 1e-9
     seed: int = 2024
-    ordering_gap: float = 1e-4
-    min_vacuum_prob: float = 1e-3
 
     def __post_init__(self) -> None:
         lo, hi = self.intensity_bounds
@@ -89,24 +87,26 @@ class SearchSpec:
             raise ConfigError("tolerance must be a finite number >= 0")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
-        if not self.ordering_gap > 0.0:
-            raise ConfigError("ordering_gap must be positive")
-        if not 0.0 < self.min_vacuum_prob < 1.0:
-            raise ConfigError("min_vacuum_prob must lie strictly inside (0, 1)")
+
+
+# Smallest spacing of adjacent intensities, and smallest vacuum send
+# probability, of a feasible point.
+ORDERING_GAP = 1e-4
+MIN_VACUUM_PROB = 1e-3
 
 
 def _check_box(n_users: int, spec: SearchSpec) -> None:
     """Reject bounds that hold no feasible point for n_users users."""
     lo, hi = spec.intensity_bounds
-    if hi - lo < (n_users - 1) * spec.ordering_gap:
+    if hi - lo < (n_users - 1) * ORDERING_GAP:
         raise ConfigError(
             f"intensity bounds [{lo}, {hi}] cannot hold {n_users} intensities "
-            f"{spec.ordering_gap} apart"
+            f"{ORDERING_GAP} apart"
         )
-    if n_users * spec.prob_bounds[0] > 1.0 - spec.min_vacuum_prob:
+    if n_users * spec.prob_bounds[0] > 1.0 - MIN_VACUUM_PROB:
         raise ConfigError(
             f"{n_users} send probabilities of at least {spec.prob_bounds[0]} leave no room "
-            f"for the vacuum probability {spec.min_vacuum_prob}"
+            f"for the vacuum probability {MIN_VACUUM_PROB}"
         )
 
 
@@ -119,17 +119,16 @@ def _project(x: np.ndarray, n_users: int, spec: SearchSpec) -> np.ndarray:
     points = np.atleast_2d(np.asarray(x, dtype=float))
     n = n_users  # intensities: signal + (n-1) nonzero decoys
     lo, hi = spec.intensity_bounds
-    gap = spec.ordering_gap
     ints = np.sort(np.clip(points[:, :n], lo, hi), axis=1)[:, ::-1].copy()
     for i in range(1, n):
-        ints[:, i] = np.minimum(ints[:, i], ints[:, i - 1] - gap)
+        ints[:, i] = np.minimum(ints[:, i], ints[:, i - 1] - ORDERING_GAP)
     ints[:, n - 1] = np.maximum(ints[:, n - 1], lo)
     for i in range(n - 2, -1, -1):
-        ints[:, i] = np.maximum(ints[:, i], ints[:, i + 1] + gap)
+        ints[:, i] = np.maximum(ints[:, i], ints[:, i + 1] + ORDERING_GAP)
 
     plo, phi = spec.prob_bounds
     probs = np.clip(points[:, n:], plo, phi)
-    excess = probs.sum(axis=1) - (1.0 - spec.min_vacuum_prob)
+    excess = probs.sum(axis=1) - (1.0 - MIN_VACUUM_PROB)
     over = excess > 0.0
     slack = probs - plo
     share = np.where(over, slack.sum(axis=1), 1.0)
@@ -160,34 +159,6 @@ def _from_config(config: SourceConfig) -> np.ndarray:
     ints = [config.signal_intensity, *config.decoy_intensities[:-1]]
     probs = list(config.send_probabilities[:-1])
     return np.asarray(ints + probs, dtype=float)
-
-
-# Optimizer objective -> rate-kernel mode.
-_MODES = {
-    "finite": "finite",
-    "asymptotic": "asymptotic-decoy",
-    "asymptotic-decoy": "asymptotic-decoy",
-    "asymptotic-exact": "asymptotic-exact",
-}
-
-
-def _objective_fn(
-    objective: str, bundle: Bundle
-) -> Callable[[SourceConfig], RateReport]:
-    """The full rate report of one configuration under ``objective``."""
-    channel = bundle.channel
-    sec = bundle.security
-    if objective == "finite":
-        return lambda cfg: keyrate.finite_rate(cfg, channel, sec)
-    if objective in ("asymptotic", "asymptotic-decoy"):
-        return lambda cfg: keyrate.asymptotic_rate(
-            cfg, channel, mode="decoy", ec_efficiency=sec.ec_efficiency
-        )
-    if objective == "asymptotic-exact":
-        return lambda cfg: keyrate.asymptotic_rate(
-            cfg, channel, mode="exact", ec_efficiency=sec.ec_efficiency
-        )
-    raise ValueError(f"unknown objective {objective!r}")
 
 
 def _default_start(n_users: int, spec: SearchSpec) -> np.ndarray:
@@ -311,15 +282,17 @@ def optimize_at_distance(
 ) -> tuple[SourceConfig, RateReport]:
     """Maximize the selected key rate over intensities and probabilities.
 
-    ``objective`` is one of "finite", "asymptotic" or "asymptotic-decoy"
-    (decoy-state phase error) or "asymptotic-exact".  The best feasible
-    point found over all restarts is returned together with its full rate
-    report; a fixed seed makes the result reproducible bit for bit.  Bounds
-    that hold no feasible point raise ConfigError; a box in which no point
-    has a rate raises EstimationError.
+    ``objective`` is one of ``keyrate.MODES`` ("finite", "asymptotic-decoy",
+    "asymptotic-exact"), or "asymptotic", an alias of "asymptotic-decoy".
+    The best feasible point found over all restarts is returned together
+    with its ``keyrate.rate_report``; a fixed seed makes the result
+    reproducible bit for bit.  An objective that ``keyrate`` cannot rate
+    for the bundle's number of users raises (ConfigError, or ValueError
+    for an unknown objective) at the first evaluation, before any search.
+    Bounds that hold no feasible point raise ConfigError; a box in which
+    no point has a rate raises EstimationError.
     """
-    rate_of = _objective_fn(objective, bundle)
-    mode = _MODES[objective]
+    mode = "asymptotic-decoy" if objective == "asymptotic" else objective
     n_users = bundle.config.num_users
     _check_box(n_users, spec)
     tally = np.zeros(len(INFEASIBLE), dtype=np.int64)
@@ -356,7 +329,7 @@ def optimize_at_distance(
     if best_x is None:
         raise EstimationError("no point in the search box has a rate to optimize")
     best_config = _to_config(_project(best_x, n_users, spec), bundle.config)
-    return best_config, rate_of(best_config)
+    return best_config, keyrate.rate_report(best_config, bundle.channel, bundle.security, mode)
 
 
 def _log_search(

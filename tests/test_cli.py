@@ -267,6 +267,78 @@ def test_decoy_rate_beyond_five_users_exit_config(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["optimize", "{cfg}"], ["scan", "{cfg}", "--from", "50", "--to", "60", "--step", "10", "--optimize"]],
+    ids=["optimize", "scan-optimize"],
+)
+def test_decoy_optimize_beyond_five_users_fails_before_search(tmp_path, capsys, monkeypatch, argv):
+    from mfqcka import optimizer
+
+    bundle = make_bundle(
+        num_users=6,
+        decoys=(0.07, 0.03, 0.012, 0.005, 0.002, 0.0),
+        probs=(0.3, 0.2, 0.15, 0.13, 0.1, 0.07, 0.05),
+    )
+    path = tmp_path / "six.json"
+    path.write_text(json.dumps(bundle.to_dict()))
+    monkeypatch.setattr(optimizer, "_nelder_mead", None)  # any search would fail on it
+    assert main([a.format(cfg=path) for a in argv] + ["--objective", "asymptotic"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "3-5 users, not 6" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "edit,key",
+    [
+        (lambda d: dict(d, optimiser={"seed": 3}), "optimiser"),
+        (lambda d: _set(d, "channel", "distance", 80.0), "channel.distance"),
+        (lambda d: _set(d, "source", "comment", "tuned"), "source.comment"),
+        (lambda d: _set(d, "security", "eps_chernof", 1e-9), "security.eps_chernof"),
+        (_set_optimizer("max_eval", 50), "optimizer.max_eval"),
+        (_set_optimizer("presamples", 8), "optimizer.presamples"),
+        (_set_optimizer("ordering_gap", 1e-3), "optimizer.ordering_gap"),
+    ],
+    ids=["top-level", "channel", "source", "security", "optimizer-typo", "optimizer-presamples",
+         "optimizer-constant"],
+)
+def test_unknown_config_keys_exit_config(tmp_path, capsys, edit, key):
+    doc = edit(dict(make_bundle().to_dict(), optimizer={"restarts": 1, "max_evals": 10}))
+    path = tmp_path / "unknown.json"
+    path.write_text(json.dumps(doc))
+    assert main(["optimize", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown") and key in err
+
+
+@pytest.mark.parametrize(
+    "argv,calls",
+    [
+        (["rate", "{cfg}"], 1),
+        (["rate", "{cfg}", "--objective", "asymptotic", "--mode", "exact"], 1),
+        (["scan", "{cfg}", "--from", "50", "--to", "70", "--step", "10"], 3),
+    ],
+    ids=["rate", "rate-exact", "scan"],
+)
+def test_commands_evaluate_through_the_evaluate_hook(config_path, capsys, monkeypatch, argv, calls):
+    # The benchmark marks the end of set-up by hooking cli._evaluate.
+    from mfqcka import cli
+
+    seen = []
+    evaluate = cli._evaluate
+
+    def spy(bundle, objective):
+        seen.append((bundle.channel.distance_km, objective))
+        return evaluate(bundle, objective)
+
+    monkeypatch.setattr(cli, "_evaluate", spy)
+    assert main([a.format(cfg=config_path) for a in argv]) == EXIT_OK
+    assert len(seen) == calls
+    if argv[0] == "scan":
+        assert [d for d, _ in seen] == [50.0, 60.0, 70.0]
+
+
 _VALID_DOC = make_bundle(distance_km=50.0, data_size=1e12).to_dict()
 _FIELDS = [(section, key) for section, fields in _VALID_DOC.items() for key in fields]
 _BAD_VALUES = st.one_of(

@@ -16,6 +16,7 @@ from mfqcka.model import (
     validate,
 )
 from mfqcka.optimizer import (
+    MIN_VACUUM_PROB,
     SearchSpec,
     _default_start,
     _nelder_mead,
@@ -49,18 +50,7 @@ def test_spec_validation():
         SearchSpec(restarts=0)
 
 
-@pytest.mark.parametrize(
-    "field,value",
-    [
-        ("presamples", -1),
-        ("ordering_gap", 0.0),
-        ("ordering_gap", -1e-4),
-        ("ordering_gap", math.nan),
-        ("min_vacuum_prob", 0.0),
-        ("min_vacuum_prob", 1.0),
-        ("min_vacuum_prob", math.nan),
-    ],
-)
+@pytest.mark.parametrize("field,value", [("presamples", -1)])
 def test_spec_rejects_unusable_search_settings(field, value):
     with pytest.raises(ConfigError):
         SearchSpec(**{field: value})
@@ -79,14 +69,14 @@ class TestProjection:
             assert ints[0] <= spec.intensity_bounds[1]
             assert ints[-1] >= spec.intensity_bounds[0]
             assert probs.min() >= spec.prob_bounds[0] - 1e-12
-            assert probs.sum() <= 1.0 - spec.min_vacuum_prob + 1e-12
+            assert probs.sum() <= 1.0 - MIN_VACUUM_PROB + 1e-12
 
     def test_collapsed_input_separated(self):
         spec = SearchSpec()
         x = _project(np.array([0.5, 0.5, 0.5, 0.9, 0.9, 0.9]), 3, spec)
         ints = x[:3]
         assert ints[0] > ints[1] > ints[2]
-        assert x[3:].sum() <= 1.0 - spec.min_vacuum_prob + 1e-12
+        assert x[3:].sum() <= 1.0 - MIN_VACUUM_PROB + 1e-12
 
 
 class TestNelderMead:
@@ -160,6 +150,17 @@ class TestOptimizeAtDistance:
             assert report.key_rate >= 0.0
         with pytest.raises(ValueError):
             optimize_at_distance(spec, "simplex", bundle)
+
+    @pytest.mark.parametrize("presamples", [0, 512])
+    def test_unsupported_user_count_raises_before_any_search(self, presamples, caplog):
+        bundle = make_bundle(num_users=4, distance_km=50.0)
+        spec = SearchSpec(presamples=presamples)
+        with caplog.at_level(logging.DEBUG, logger="mfqcka.optimizer"):
+            with pytest.raises(ConfigError, match="3 users only"):
+                optimize_at_distance(spec, "finite", bundle)
+            with pytest.raises(ConfigError, match="3 users only"):
+                scan_distances([50.0, 100.0], spec, "finite", bundle)
+        assert not [r for r in caplog.records if r.name == "mfqcka.optimizer"]
 
     def test_warm_start_used(self):
         bundle = make_bundle(distance_km=50.0, data_size=1e14)

@@ -7,7 +7,7 @@ import pytest
 
 import keyrate_oracles
 from mfqcka.channel import adjacent_bit_error
-from mfqcka.keyrate import MODES, _error_rows, asymptotic_rate, finite_rate, rate_rows
+from mfqcka.keyrate import MODES, _error_rows, asymptotic_rate, finite_rate, rate_report, rate_rows
 from mfqcka.model import (
     INFEASIBLE,
     ChannelParams,
@@ -16,7 +16,7 @@ from mfqcka.model import (
     EstimationError,
     SourceConfig,
 )
-from mfqcka.optimizer import SearchSpec, _ladders, _project, _sample_starts, _to_config
+from mfqcka.optimizer import ORDERING_GAP, SearchSpec, _ladders, _project, _sample_starts, _to_config
 from conftest import make_bundle, make_channel
 
 CASES = [(3, "finite")] + [(n, mode) for mode in MODES[1:] for n in (3, 4, 5)]
@@ -26,12 +26,6 @@ def pool(num_users, size, seed):
     """Projected points of the optimizer's presample law, and their configurations."""
     points = _sample_starts(np.random.default_rng(seed), size, num_users, SearchSpec())
     return points, _ladders(points, num_users)
-
-
-def scalar_rate(config, channel, sec, mode):
-    if mode == "finite":
-        return finite_rate(config, channel, sec)
-    return asymptotic_rate(config, channel, mode.split("-")[1], ec_efficiency=sec.ec_efficiency)
 
 
 def oracle_rate(config, channel, sec, mode):
@@ -67,9 +61,9 @@ def test_rows_do_not_depend_on_the_batch(num_users, mode, distance):
         config = _to_config(points[i], bundle.config)
         if cause[i]:
             with pytest.raises(INFEASIBLE[cause[i]]):
-                scalar_rate(config, bundle.channel, bundle.security, mode)
+                rate_report(config, bundle.channel, bundle.security, mode)
         else:
-            assert scalar_rate(config, bundle.channel, bundle.security, mode).key_rate_raw == raw[i]
+            assert rate_report(config, bundle.channel, bundle.security, mode).key_rate_raw == raw[i]
 
 
 @pytest.mark.parametrize("num_users,mode", CASES)
@@ -103,7 +97,7 @@ def test_kernel_matches_scalar_oracles(num_users, mode):
 def clustered_ladders(num_users):
     """Ladders packed against the lower intensity bound, a few gaps apart."""
     spec = SearchSpec()
-    lo, gap = spec.intensity_bounds[0], spec.ordering_gap
+    lo, gap = spec.intensity_bounds[0], ORDERING_GAP
     rows = []
     for spread in (1.0, 1.5, 3.0, 10.0):
         ints = lo + gap * spread * np.arange(num_users)[::-1]
@@ -159,14 +153,44 @@ def test_malformed_ladders_are_config_errors(mode):
 def test_unsupported_user_counts_are_config_errors():
     _, (ints, probs) = pool(4, 5, 1)
     bundle = make_bundle(num_users=4)
-    _, cause = rate_rows(ints, probs, bundle.config, bundle.channel, bundle.security, "finite")
-    assert (cause == INFEASIBLE.index(ConfigError)).all()
+    with pytest.raises(ConfigError, match="3 users only"):
+        rate_rows(ints, probs, bundle.config, bundle.channel, bundle.security, "finite")
     six = SourceConfig(6, 0.1, (0.07, 0.03, 0.012, 0.005, 0.002, 0.0), (0.3, 0.2, 0.15, 0.13, 0.1, 0.07, 0.05), 16)
     _, (ints, probs) = pool(6, 5, 1)
-    _, cause = rate_rows(ints, probs, six, bundle.channel, bundle.security, "asymptotic-decoy")
-    assert (cause == INFEASIBLE.index(ConfigError)).all()
-    with pytest.raises(ValueError):
-        rate_rows(ints, probs, bundle.config, bundle.channel, bundle.security, "exact")
+    for run in (
+        lambda: rate_rows(ints, probs, six, bundle.channel, bundle.security, "asymptotic-decoy"),
+        lambda: rate_report(six, bundle.channel, bundle.security, "asymptotic-decoy"),
+    ):
+        with pytest.raises(ConfigError, match="3-5 users, not 6"):
+            run()
+    for mode in ("exact", "decoy", "asymptotic"):
+        with pytest.raises(ValueError):
+            rate_rows(ints, probs, bundle.config, bundle.channel, bundle.security, mode)
+        with pytest.raises(ValueError):
+            rate_report(bundle.config, bundle.channel, bundle.security, mode)
+
+
+@pytest.mark.parametrize("num_users,mode", CASES)
+def test_rate_report_is_the_entry_point_of_its_mode(num_users, mode):
+    bundle = make_bundle(num_users=num_users, data_size=1e12)
+    points, _ = pool(num_users, 24, 300 + num_users)
+    for distance in (0.0, 50.0, 250.0):
+        channel = make_channel(distance)
+        for point in points:
+            config = _to_config(point, bundle.config)
+            if mode == "finite":
+                direct = lambda: finite_rate(config, channel, bundle.security)
+            else:
+                direct = lambda: asymptotic_rate(
+                    config, channel, mode.split("-")[1], ec_efficiency=bundle.security.ec_efficiency
+                )
+            try:
+                expected = direct()
+            except (EstimationError, DegenerateChannelError) as exc:
+                with pytest.raises(type(exc)):
+                    rate_report(config, channel, bundle.security, mode)
+                continue
+            assert rate_report(config, channel, bundle.security, mode) == expected
 
 
 def test_empty_batch():
