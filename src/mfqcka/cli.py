@@ -96,7 +96,8 @@ def _bounds(value: Any, name: str) -> tuple[float, float]:
     return bounds
 
 
-def _search_spec(doc: dict[str, Any], args: argparse.Namespace) -> optimizer.SearchSpec:
+def _search_spec(doc: dict[str, Any], args: argparse.Namespace | None = None) -> optimizer.SearchSpec:
+    """The document's ``optimizer`` section, with the --restarts, --max-evals and --seed of ``args``."""
     opt = doc.get("optimizer") or {}
     if not isinstance(opt, Mapping):
         raise ConfigError("section optimizer must be an object")
@@ -116,12 +117,9 @@ def _search_spec(doc: dict[str, Any], args: argparse.Namespace) -> optimizer.Sea
         for name, parse in parsers.items()
         if opt.get(name) is not None
     }
-    if getattr(args, "restarts", None) is not None:
-        kwargs["restarts"] = args.restarts
-    if getattr(args, "max_evals", None) is not None:
-        kwargs["max_evals"] = args.max_evals
-    if getattr(args, "seed", None) is not None:
-        kwargs["seed"] = args.seed
+    for name in ("restarts", "max_evals", "seed"):
+        if getattr(args, name, None) is not None:
+            kwargs[name] = getattr(args, name)
     return optimizer.SearchSpec(**kwargs)
 
 
@@ -211,7 +209,8 @@ def _csv_row(report: RateReport, seed: int) -> list[str]:
 
 def cmd_rate(args: argparse.Namespace) -> int:
     objective = _objective(args)
-    bundle, _ = _load_bundle(args.config, args.distance)
+    bundle, doc = _load_bundle(args.config, args.distance)
+    _search_spec(doc)  # validated although rate never optimizes
     if args.bound_only:
         print(f"multicast_bound = {_fmt(keyrate.multicast_bound(bundle.channel))}")
         return EXIT_OK
@@ -291,7 +290,10 @@ def _check_writable(path: str) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    bundle, _ = _load_bundle(args.config, args.distance)
+    bundle, doc = _load_bundle(args.config, args.distance)
+    # Validated although simulate never optimizes; its --seed seeds the
+    # Monte Carlo run, not the optimizer.
+    _search_spec(doc)
     if args.dark_counts is not None:
         bundle = _override(bundle, dark_count_rate=args.dark_counts)
     if args.bins < 1:

@@ -44,7 +44,7 @@ from .model import (
     SecurityParams,
     SourceConfig,
 )
-from .special_math import _entropy
+from .special_math import I0_NODES, _entropy
 
 __all__ = ["asymptotic_rate", "finite_rate", "multicast_bound", "rate_report", "rate_rows", "MODES"]
 
@@ -166,13 +166,15 @@ def _check_mode(num_users: int, mode: str) -> None:
         raise ConfigError(f"decoy-state bounds are available for 3-5 users, not {num_users}")
 
 
-# Rows per kernel pass are chosen so that the (rows, S, S, 128) temporary of
-# the Bessel quadrature in the count matrix stays near this size.
+# Rows per kernel pass are chosen so that the (rows, pairs, I0_NODES) temporary
+# of the Bessel quadrature in the gain table, one I0 argument per distinct
+# setting pair, stays within this size.
 _CHUNK_BYTES = 1 << 18
 
 
 def _chunk_rows(settings: int) -> int:
-    return max(1, _CHUNK_BYTES // (settings * settings * 128 * 8))
+    pairs = settings * (settings + 1) // 2
+    return max(1, _CHUNK_BYTES // (pairs * I0_NODES * 8))
 
 
 def rate_rows(

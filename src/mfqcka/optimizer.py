@@ -13,28 +13,34 @@ probabilities are clipped and rescaled to leave room for the vacuum.
 
 Every evaluation goes through the array rate kernel
 (``keyrate.rate_rows``).  A seeded generator draws the presample pool,
-which is scored in one kernel call; the best of it seed the restarts.
-The restarts then run in lock-step rounds: each simplex is a generator
-that yields the next point it needs and receives that point's cost, and
-every round collects one point from each restart still running,
-projects them together and scores them in one kernel call.  A row's
-value never depends on the other rows of its batch, so each restart
-sees exactly the values it would see run alone, and the result is the
-one the restarts give one after another; a fixed seed reproduces it bit
-for bit.
+which depends only on the spec and the number of users, so a scan draws
+it once for all its distances; it is scored in one kernel call and its
+best points seed the restarts.  The simplices of all restarts are then
+held in one array (``_simplex_search``).  Each round advances every
+running restart by one full Nelder-Mead iteration: the reflected,
+expanded and contracted points of all of them are scored speculatively
+in one kernel call, and the restarts that shrink score their new
+vertices in a second one.  A restart uses only the points a sequential
+simplex would have asked for, and a row's value never depends on the
+other rows of its batch, so each restart moves, counts and stops
+exactly as it would alone; a fixed seed reproduces the result bit for
+bit.
 
 Each search logs one DEBUG record on the ``mfqcka.optimizer`` logger
 (the same data as the record's ``telemetry`` attribute): the presample
-count, the number of rounds, each restart's evaluations, stop reason
-and best cost, and the infeasible evaluations counted by the exception
-that evaluating the point alone raises.
+count and best presample cost, the number of kernel calls ("rounds",
+the presample pool's included) and of rows they scored, each restart's
+evaluations, stop reason and best cost, and the evaluations used, with
+the infeasible ones counted by the exception that evaluating the point
+alone raises.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Generator
+from functools import lru_cache
+from typing import Any, Callable
 
 import numpy as np
 
@@ -185,93 +191,100 @@ def _sample_starts(
     return _project(raw, n_users, spec)
 
 
-# The simplex yields a point and receives its cost; it returns
-# (best point, best cost, evaluations, stop reason).
-_Simplex = Generator[np.ndarray, float, "tuple[np.ndarray, float, int, str]"]
+# Nelder-Mead coefficients: reflection, expansion, contraction, shrink.
+_ALPHA, _GAMMA, _RHO, _SIGMA = 1.0, 2.0, 0.5, 0.5
+
+# A restart's result: best point (unprojected), its cost, evaluations, stop reason.
+_Result = tuple[np.ndarray, float, int, str]
 
 
-def _nelder_mead(x0: np.ndarray, spec: SearchSpec) -> _Simplex:
-    """Budgeted simplex descent (minimization) as a generator.
+def _simplex_search(
+    starts: np.ndarray,
+    spec: SearchSpec,
+    score: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+) -> tuple[list[_Result], np.ndarray]:
+    """Budgeted Nelder-Mead descent (minimization) from every row of ``starts`` at once.
 
-    Yields every point it needs scored, unprojected (the caller projects
-    it before scoring), and takes the cost back through ``send``.  Stops
-    when the simplex values agree to ``spec.tolerance`` ("tolerance") or
-    the evaluations reach ``spec.max_evals`` ("budget"; a shrink may run
-    up to dim evaluations past it).  The returned best point is unprojected.
+    The simplices of all R restarts are one (R, d+1, d) array and their
+    values one (R, d+1) array.  ``score`` maps a stack of unprojected
+    points to their costs and infeasibility causes.  The initial
+    vertices are scored in one call; then each round advances every
+    running restart by one full iteration.  Its reflected, expanded and
+    contracted points are scored together in one call, and the restarts
+    that shrink score their d new vertices in a second one.  A restart
+    uses 1, 2 or 2+d of those points per iteration, exactly those a
+    sequential simplex would have asked for, so it moves, counts and
+    stops as it would alone: at ``spec.tolerance`` agreement of its
+    values ("tolerance") or once its evaluations reach ``spec.max_evals``
+    ("budget"; the last iteration may run past it by up to d+1).
+
+    Returns each restart's result and the causes of the evaluations the
+    restarts used (speculative points they did not use are left out),
+    counted per ``model.INFEASIBLE`` code.
     """
-    dim = x0.size
-    simplex = [x0.copy()]
-    for i in range(dim):
-        step = 0.25 * x0[i] + 0.02
-        vertex = x0.copy()
-        vertex[i] += step
-        simplex.append(vertex)
-    values = []
-    for vertex in simplex:
-        values.append((yield vertex))
-    evals = len(simplex)
-
-    alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
-    stop = "budget"
-    while evals < spec.max_evals:
-        order = np.argsort(values)
-        simplex = [simplex[i] for i in order]
-        values = [values[i] for i in order]
-        best, worst = values[0], values[-1]
-        if math.isfinite(best) and abs(worst - best) <= spec.tolerance * (abs(best) + 1e-300):
-            stop = "tolerance"
+    count, dim = starts.shape
+    simplex = np.repeat(starts[:, None, :], dim + 1, axis=1)
+    axis = np.arange(dim)
+    simplex[:, axis + 1, axis] += 0.25 * starts + 0.02
+    tally = np.zeros(len(INFEASIBLE), dtype=np.int64)
+    cost, cause = score(simplex.reshape(-1, dim))
+    values = cost.reshape(count, dim + 1)
+    tally += np.bincount(cause, minlength=len(INFEASIBLE))
+    evals = np.full(count, dim + 1)
+    stop = ["budget"] * count
+    live = np.flatnonzero(evals < spec.max_evals)
+    while live.size:
+        order = np.argsort(values[live], axis=1)
+        sim, val = simplex[live[:, None], order], values[live[:, None], order]
+        simplex[live], values[live] = sim, val
+        best, worst = val[:, 0], val[:, -1]
+        # The spread is only taken where the best value is finite: inf - inf is nan.
+        done = np.isfinite(best)
+        done[done] = np.abs(worst[done] - best[done]) <= spec.tolerance * (np.abs(best[done]) + 1e-300)
+        for r in live[done].tolist():
+            stop[r] = "tolerance"
+        go = ~done
+        live, sim, val = live[go], sim[go], val[go]
+        if not live.size:
             break
-        centroid = np.mean(simplex[:-1], axis=0)
-        reflected = centroid + alpha * (centroid - simplex[-1])
-        f_r = yield reflected
-        evals += 1
-        if f_r < values[0]:
-            expanded = centroid + gamma * (reflected - centroid)
-            f_e = yield expanded
-            evals += 1
-            if f_e < f_r:
-                simplex[-1], values[-1] = expanded, f_e
-            else:
-                simplex[-1], values[-1] = reflected, f_r
-        elif f_r < values[-2]:
-            simplex[-1], values[-1] = reflected, f_r
-        else:
-            contracted = centroid + rho * (simplex[-1] - centroid)
-            f_c = yield contracted
-            evals += 1
-            if f_c < values[-1]:
-                simplex[-1], values[-1] = contracted, f_c
-            else:
-                for i in range(1, len(simplex)):
-                    simplex[i] = simplex[0] + sigma * (simplex[i] - simplex[0])
-                    values[i] = yield simplex[i]
-                    evals += 1
-    order = np.argsort(values)
-    return simplex[order[0]], values[order[0]], evals, stop
 
+        worst_pt = sim[:, -1]
+        centroid = sim[:, :-1].mean(axis=1)
+        reflected = centroid + _ALPHA * (centroid - worst_pt)
+        expanded = centroid + _GAMMA * (reflected - centroid)
+        contracted = centroid + _RHO * (worst_pt - centroid)
+        cost, cause = score(np.concatenate([reflected, expanded, contracted]))
+        f_r, f_e, f_c = cost.reshape(3, len(live))
+        c_r, c_e, c_c = cause.reshape(3, len(live))
+        expand = f_r < val[:, 0]
+        reflect = ~expand & (f_r < val[:, -2])
+        contract = ~expand & ~reflect
+        used = np.concatenate([c_r, c_e[expand], c_c[contract]])
+        tally += np.bincount(used, minlength=len(INFEASIBLE))
+        evals[live] += np.where(reflect, 1, 2)
 
-def _lock_step(
-    simplices: list[_Simplex], score: Callable[[np.ndarray], np.ndarray]
-) -> tuple[list[tuple[np.ndarray, float, int, str]], int]:
-    """Advance every simplex one evaluation per round, scoring each round's points together.
+        take_e = expand & (f_e < f_r)
+        take_c = contract & (f_c < val[:, -1])
+        shrink = contract & ~take_c
+        moved = ~shrink
+        point = np.where(take_e[:, None], expanded, np.where(take_c[:, None], contracted, reflected))
+        sim[moved, -1] = point[moved]
+        val[moved, -1] = np.where(take_e, f_e, np.where(take_c, f_c, f_r))[moved]
+        if shrink.any():
+            first = sim[shrink, :1]
+            sim[shrink, 1:] = first + _SIGMA * (sim[shrink, 1:] - first)
+            cost, cause = score(sim[shrink, 1:].reshape(-1, dim))
+            val[shrink, 1:] = cost.reshape(-1, dim)
+            tally += np.bincount(cause, minlength=len(INFEASIBLE))
+            evals[live[shrink]] += dim
+        simplex[live], values[live] = sim, val
+        live = live[evals[live] < spec.max_evals]
 
-    ``score`` maps a stack of unprojected points to their costs.  Returns
-    each simplex's result, in order, and the number of rounds.
-    """
-    pending = {i: next(simplex) for i, simplex in enumerate(simplices)}
-    results: dict[int, tuple[np.ndarray, float, int, str]] = {}
-    rounds = 0
-    while pending:
-        ids = list(pending)
-        costs = score(np.array([pending[i] for i in ids]))
-        rounds += 1
-        for i, cost in zip(ids, costs.tolist()):
-            try:
-                pending[i] = simplices[i].send(cost)
-            except StopIteration as done:
-                results[i] = done.value
-                del pending[i]
-    return [results[i] for i in range(len(simplices))], rounds
+    pick = np.argsort(values, axis=1)[:, 0]
+    results = [
+        (simplex[r, pick[r]], float(values[r, pick[r]]), int(evals[r]), stop[r]) for r in range(count)
+    ]
+    return results, tally
 
 
 def optimize_at_distance(
@@ -288,39 +301,48 @@ def optimize_at_distance(
     with its ``keyrate.rate_report``; a fixed seed makes the result
     reproducible bit for bit.  An objective that ``keyrate`` cannot rate
     for the bundle's number of users raises (ConfigError, or ValueError
-    for an unknown objective) at the first evaluation, before any search.
+    for an unknown objective) before any evaluation.
     Bounds that hold no feasible point raise ConfigError; a box in which
     no point has a rate raises EstimationError.
     """
     mode = "asymptotic-decoy" if objective == "asymptotic" else objective
     n_users = bundle.config.num_users
+    keyrate._check_mode(n_users, mode)
     _check_box(n_users, spec)
-    tally = np.zeros(len(INFEASIBLE), dtype=np.int64)
 
-    def score(points: np.ndarray) -> np.ndarray:
-        """Cost -key_rate_raw of projected points; inf where the rate is undefined."""
+    kernel = {"rounds": 0, "scored": 0}  # kernel calls and the rows they rated
+
+    def score(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Cost -key_rate_raw of projected points (inf where the rate is undefined), and cause."""
+        kernel["rounds"] += 1
+        kernel["scored"] += len(points)
         ints, probs = _ladders(points, n_users)
         raw, cause = keyrate.rate_rows(
             ints, probs, bundle.config, bundle.channel, bundle.security, mode
         )
-        tally[:] += np.bincount(cause, minlength=len(INFEASIBLE))
-        return np.where((cause == 0) & np.isfinite(raw), -raw, math.inf)
+        return np.where((cause == 0) & np.isfinite(raw), -raw, math.inf), cause
 
-    rng = np.random.default_rng(spec.seed)
     starts = [
         _project(_from_config(initial), n_users, spec)
         if initial is not None
         else _default_start(n_users, spec)
     ]
-    pool = _sample_starts(rng, spec.presamples, n_users, spec)
-    ranked = np.argsort(score(pool), kind="stable")
-    starts.extend(pool[i] for i in ranked[: spec.restarts - 1])
+    pool = _presample_pool(spec, n_users)
+    tally = np.zeros(len(INFEASIBLE), dtype=np.int64)
+    presample_best = None
+    if len(pool):
+        cost, cause = score(pool)
+        tally += np.bincount(cause, minlength=len(INFEASIBLE))
+        presample_best = float(cost.min())
+        ranked = np.argsort(cost, kind="stable")
+        starts.extend(pool[i] for i in ranked[: spec.restarts - 1])
 
-    results, rounds = _lock_step(
-        [_nelder_mead(start, spec) for start in starts],
-        lambda points: score(_project(points, n_users, spec)),
+    results, used = _simplex_search(
+        np.array(starts), spec, lambda points: score(_project(points, n_users, spec))
     )
-    _log_search(bundle, objective, spec.presamples, rounds, results, tally)
+    tally += used
+    counts = {"presamples": len(pool), "presample_best": presample_best, **kernel}
+    _log_search(bundle, objective, counts, results, tally)
 
     best_x, best_cost = None, math.inf
     for x, c, _, _ in results:
@@ -332,15 +354,27 @@ def optimize_at_distance(
     return best_config, keyrate.rate_report(best_config, bundle.channel, bundle.security, mode)
 
 
+@lru_cache(maxsize=8)
+def _presample_pool(spec: SearchSpec, n_users: int) -> np.ndarray:
+    """The seeded presample pool (read-only); drawn once for all distances of a scan."""
+    pool = _sample_starts(np.random.default_rng(spec.seed), spec.presamples, n_users, spec)
+    pool.flags.writeable = False
+    return pool
+
+
 def _log_search(
     bundle: Bundle,
     objective: str,
-    presamples: int,
-    rounds: int,
-    results: list[tuple[np.ndarray, float, int, str]],
+    counts: dict[str, Any],
+    results: list[_Result],
     tally: np.ndarray,
 ) -> None:
-    """Log the search's telemetry record at DEBUG level."""
+    """Log the search's telemetry record at DEBUG level.
+
+    ``counts`` holds the presample count and best presample cost (None
+    without presamples), the kernel calls ("rounds") and the rows they
+    rated ("scored"); ``tally`` counts the evaluations used by cause.
+    """
     # Imported here rather than with the module, so that the commands that
     # never optimize (rate, scan without --optimize, simulate) skip it.
     import logging
@@ -351,8 +385,7 @@ def _log_search(
     telemetry = {
         "objective": objective,
         "distance_km": bundle.channel.distance_km,
-        "presamples": presamples,
-        "rounds": rounds,
+        **counts,
         "evaluations": int(tally.sum()),
         "restarts": [{"evals": e, "stop": stop, "best": c} for _, c, e, stop in results],
         "infeasible": {
@@ -362,12 +395,14 @@ def _log_search(
         },
     }
     logger.debug(
-        "optimized %s at %g km: %d presamples, %d rounds, %d evaluations; "
-        "restarts (evals, stop, best cost) %s; infeasible %s",
+        "optimized %s at %g km: %d presamples (best cost %s), %d rounds, %d rows scored, "
+        "%d evaluations; restarts (evals, stop, best cost) %s; infeasible %s",
         objective,
         telemetry["distance_km"],
-        presamples,
-        rounds,
+        telemetry["presamples"],
+        telemetry["presample_best"],
+        telemetry["rounds"],
+        telemetry["scored"],
         telemetry["evaluations"],
         [(r["evals"], r["stop"], r["best"]) for r in telemetry["restarts"]],
         telemetry["infeasible"],

@@ -42,19 +42,20 @@ def _entropy(x: np.ndarray) -> np.ndarray:
     return -x * np.log2(x + (x == 0.0)) - y * np.log2(y + (y == 0.0)) + 0.0
 
 
-# Gauss-Legendre rule for I0(x) = (1/pi) * integral_0^pi exp(x cos t) dt.
-# 128 nodes hold the relative error below 1e-15 over [0, 30]; the analytic
-# formulas only ever evaluate x = eta_t * sqrt(ka*kb) << 1.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(128)
-_I0_COS = np.cos(0.5 * math.pi * (_GL_NODES + 1.0))
-_I0_W = 0.5 * _GL_WEIGHTS
+# Midpoint (periodic trapezoid) rule for I0(x) = (1/pi) * integral_0^pi exp(x cos t) dt:
+# I0(x) ~ (1/n) sum_j exp(x cos((j + 1/2) pi / n)).  The integrand is smooth and
+# periodic, so the error falls geometrically with n (like I_2n(x) / I0(x)); at
+# 40 nodes only round-off is left, at most 3.8e-15 relative over [0, 50], the
+# whole range the rate formulas reach (x = eta_t * sqrt(ka*kb) <= 50).
+I0_NODES = 40
+_I0_COS = np.cos((np.arange(I0_NODES) + 0.5) * (math.pi / I0_NODES))
 
 
 def bessel_i0(x):
     """Modified Bessel function of the first kind, order zero.
 
     Evaluates the integral representation (1/pi) * int_0^pi e^{x cos t} dt
-    with a fixed Gauss-Legendre rule, which keeps the implementation
+    with a fixed midpoint rule of ``I0_NODES`` nodes, which keeps the implementation
     independent of the power-series route used as the test oracle.
     Accepts a scalar or an ndarray; negative arguments are rejected.  The
     rule is summed along the contiguous last axis rather than by a BLAS
@@ -71,7 +72,7 @@ def bessel_i0(x):
 
 def _i0_rule(x: np.ndarray) -> np.ndarray:
     """The quadrature of ``bessel_i0`` without the sign check (nan stays nan)."""
-    return (np.exp(x[..., None] * _I0_COS) * _I0_W).sum(axis=-1)
+    return (np.exp(x[..., None] * _I0_COS) * (1.0 / I0_NODES)).sum(axis=-1)
 
 
 def binomial(n: int, k: int) -> int:

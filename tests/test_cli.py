@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mfqcka.cli import EXIT_CONFIG, EXIT_CONSISTENCY, EXIT_OK, _scan_distances, main
+from mfqcka.model import ConfigError
 from conftest import make_bundle
 
 
@@ -282,7 +283,7 @@ def test_decoy_optimize_beyond_five_users_fails_before_search(tmp_path, capsys, 
     )
     path = tmp_path / "six.json"
     path.write_text(json.dumps(bundle.to_dict()))
-    monkeypatch.setattr(optimizer, "_nelder_mead", None)  # any search would fail on it
+    monkeypatch.setattr(optimizer, "_simplex_search", None)  # any search would fail on it
     assert main([a.format(cfg=path) for a in argv] + ["--objective", "asymptotic"]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error:") and "3-5 users, not 6" in err
@@ -310,6 +311,51 @@ def test_unknown_config_keys_exit_config(tmp_path, capsys, edit, key):
     assert main(["optimize", str(path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error: unknown") and key in err
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (_set_optimizer("max_eval", 50), "unknown field optimizer.max_eval"),
+        (_set_optimizer("restarts", 0), "restarts must be at least 1"),
+        (_set_optimizer("tolerance", "tight"), "optimizer.tolerance"),
+    ],
+    ids=["typo", "zero-restarts", "string-tolerance"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [["rate"], ["rate", "--bound-only"], ["simulate", "--bins", "1000", "--seed", "3"]],
+    ids=["rate", "rate-bound-only", "simulate"],
+)
+def test_commands_that_never_optimize_validate_the_optimizer_section(
+    tmp_path, capsys, monkeypatch, edit, message, argv
+):
+    from mfqcka import cli as cli_module
+
+    def never(*args, **kwargs):
+        raise AssertionError("simulate ran before validating its configuration")
+
+    monkeypatch.setattr(cli_module.montecarlo, "run_protocol", never)
+    path = tmp_path / "bad-optimizer.json"
+    path.write_text(json.dumps(edit(make_bundle().to_dict())))
+    assert main([argv[0], str(path), *argv[1:]]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+
+
+def test_simulate_seed_is_not_the_optimizer_seed(config_path, monkeypatch):
+    from mfqcka import cli as cli_module
+
+    seen = []
+
+    def spec(**kwargs):
+        seen.append(kwargs)
+        raise ConfigError("stop after parsing")
+
+    monkeypatch.setattr(cli_module.optimizer, "SearchSpec", spec)
+    assert main(["simulate", config_path, "--bins", "1000", "--seed", "9"]) == EXIT_CONFIG
+    assert seen == [{"restarts": 2, "max_evals": 200, "seed": 5}]
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from mfqcka.keyrate import finite_rate
+from mfqcka import keyrate
+from mfqcka.keyrate import finite_rate, rate_report
 from mfqcka.model import (
     ChannelParams,
     ConfigError,
@@ -19,26 +20,39 @@ from mfqcka.optimizer import (
     MIN_VACUUM_PROB,
     SearchSpec,
     _default_start,
-    _nelder_mead,
+    _ladders,
     _project,
     _sample_starts,
+    _simplex_search,
     _to_config,
     optimize_at_distance,
     scan_distances,
 )
-from conftest import make_bundle, make_config
+from conftest import make_bundle, make_channel, make_config, make_geometric_config
+from optimizer_oracles import lock_step, nelder_mead, run_alone
+
+
+def search(cost, starts, spec, n_users):
+    """The array search from each row of ``starts``, scoring each projected point with ``cost``.
+
+    Returns the search's results, with every best point projected, and
+    the sizes of the batches it scored.
+    """
+    batches = []
+
+    def score(points):
+        batches.append(len(points))
+        costs = np.array([cost(_project(point, n_users, spec)) for point in points])
+        return costs, np.zeros(len(points), dtype=np.intp)
+
+    results, _ = _simplex_search(np.atleast_2d(starts), spec, score)
+    results = [(_project(x, n_users, spec), value, evals, stop) for x, value, evals, stop in results]
+    return results, batches
 
 
 def run_simplex(cost, x0, spec, n_users):
-    """Drive one simplex generator alone, scoring each projected point with ``cost``."""
-    simplex = _nelder_mead(x0, spec)
-    point = next(simplex)
-    try:
-        while True:
-            point = simplex.send(cost(_project(point, n_users, spec)))
-    except StopIteration as done:
-        best, value, evals, stop = done.value
-    return _project(best, n_users, spec), value, evals, stop
+    """One restart of the array search alone: (projected best point, cost, evaluations, stop)."""
+    return search(cost, x0, spec, n_users)[0][0]
 
 
 def test_spec_validation():
@@ -109,10 +123,36 @@ class TestNelderMead:
             calls.append(x)
             return float(np.sum(x**2))
 
-        _, _, evals, stop = run_simplex(cost, _default_start(3, spec), spec, 3)
+        [(_, _, evals, stop)], batches = search(cost, _default_start(3, spec), spec, 3)
         assert stop == "budget"
-        assert evals == len(calls)
+        assert sum(batches) == len(calls)
         assert spec.max_evals <= evals <= spec.max_evals + 7
+        # every point the sequential simplex asks for is counted, and only those
+        calls.clear()
+        assert run_alone(cost, _default_start(3, spec), spec, 3)[2] == evals == len(calls)
+
+
+    @pytest.mark.parametrize("n_users", [3, 8])
+    def test_matches_the_oracle_across_infeasible_regions(self, n_users):
+        # No rate past a wall on every coordinate.  The first restart starts
+        # just inside, so each axis step of its first simplex lands past a
+        # wall: its values mix finite ones with tied infs, which the default
+        # sort orders differently from a stable one.  The random starts lie
+        # past the walls, on an inf plateau.
+        spec = SearchSpec(restarts=4, max_evals=400, seed=31)
+        walls = np.concatenate([0.3 * 0.5 ** np.arange(n_users), np.full(n_users, 0.5 / n_users)])
+
+        def cost(x):
+            return math.inf if (x > walls).any() else float(np.sum((x - 0.5 * walls) ** 2))
+
+        pool = _sample_starts(np.random.default_rng(31), 3, n_users, spec)
+        starts = np.vstack([_project(0.97 * walls, n_users, spec), pool])
+        results, _ = search(cost, starts, spec, n_users)
+        alone = [run_alone(cost, start, spec, n_users) for start in starts]
+        assert results[0][1] < math.inf
+        for (x, value, evals, stop), (x_alone, *rest) in zip(results, alone):
+            assert (value, evals, stop) == tuple(rest)
+            assert x.tobytes() == _project(x_alone, n_users, spec).tobytes()
 
 
 class TestOptimizeAtDistance:
@@ -242,9 +282,17 @@ class TestLockStep:
         assert len(telemetry["restarts"]) == 3  # the default start and both presamples
         assert telemetry["evaluations"] == 2 + sum(r["evals"] for r in telemetry["restarts"])
 
-    def test_equals_restarts_run_one_at_a_time(self, caplog):
+    def test_equals_restarts_run_one_at_a_time(self, caplog, monkeypatch):
         bundle = make_bundle(distance_km=80.0, data_size=1e13)
         spec = SearchSpec(restarts=4, max_evals=300, presamples=48, seed=5)
+        batches = []
+        rate_rows = keyrate.rate_rows
+
+        def spy(ints, *args):
+            batches.append(len(ints))
+            return rate_rows(ints, *args)
+
+        monkeypatch.setattr(keyrate, "rate_rows", spy)
         with caplog.at_level(logging.DEBUG, logger="mfqcka.optimizer"):
             config, report = optimize_at_distance(spec, "finite", bundle)
         telemetry = search_telemetry(caplog)
@@ -255,16 +303,21 @@ class TestLockStep:
         pool = _sample_starts(np.random.default_rng(spec.seed), spec.presamples, 3, spec)
         ranked = sorted(range(len(pool)), key=lambda i: (cost(pool[i]), i))
         starts = [_default_start(3, spec)] + [pool[i] for i in ranked[: spec.restarts - 1]]
-        alone = [run_simplex(cost, start, spec, 3) for start in starts]
+        alone = [run_alone(cost, start, spec, 3) for start in starts]
 
         # with the default tolerance the restarts stop in different rounds
         assert len({evals for _, _, evals, _ in alone}) > 1
-        assert telemetry["rounds"] == max(evals for _, _, evals, _ in alone)
+        # rounds are kernel calls: the pool's, the initial vertices', and one or
+        # two per iteration, far fewer than the evaluations of the longest restart
+        assert telemetry["rounds"] == len(batches) < max(evals for _, _, evals, _ in alone)
+        assert telemetry["scored"] == sum(batches) >= telemetry["evaluations"]
+        assert batches[:2] == [spec.presamples, 7 * spec.restarts]
+        assert telemetry["presample_best"] == min(cost(x) for x in pool)
         assert [(r["evals"], r["stop"], r["best"]) for r in telemetry["restarts"]] == [
             (evals, stop, value) for _, value, evals, stop in alone
         ]
         best_x, best_value, _, _ = min(alone, key=lambda result: result[1])
-        assert config == _to_config(best_x, bundle.config)
+        assert config == _to_config(_project(best_x, 3, spec), bundle.config)
         assert report.key_rate_raw == -best_value
 
     @pytest.mark.parametrize("objective", ["asymptotic-decoy", "asymptotic-exact"])
@@ -277,6 +330,90 @@ class TestLockStep:
         assert report.key_rate_raw == -best
         mode = objective.split("-")[1]
         assert report.mode == f"asymptotic-{mode}"
+
+
+def no_signal(num_users):
+    """Negligible detector efficiency and no dark counts: no point has a rate."""
+    channel = ChannelParams(
+        detector_efficiency=1e-300, dark_count_rate=0.0, fiber_alpha=0.16, distance_km=50.0
+    )
+    return validate(make_geometric_config(num_users), channel, SecurityParams(data_size=1e12))
+
+
+ORACLE_CASES = {
+    # name: (bundle, mode, spec)
+    "n3-finite": (
+        make_bundle(distance_km=80.0, data_size=1e13),
+        "finite",
+        SearchSpec(restarts=3, max_evals=300, seed=5),
+    ),
+    "n4-decoy": (
+        make_bundle(num_users=4, distance_km=150.0),
+        "asymptotic-decoy",
+        SearchSpec(restarts=3, max_evals=150, seed=11),
+    ),
+    "n8-exact": (
+        validate(make_geometric_config(8), make_channel(50.0), SecurityParams(data_size=1e12)),
+        "asymptotic-exact",
+        SearchSpec(restarts=2, max_evals=90, seed=13),
+    ),
+    "plateau-n3": (no_signal(3), "finite", SearchSpec(restarts=2, max_evals=40, seed=17)),
+    "plateau-n8": (no_signal(8), "asymptotic-exact", SearchSpec(restarts=2, max_evals=60, seed=19)),
+    "budget": (
+        make_bundle(distance_km=50.0, data_size=1e14),
+        "finite",
+        SearchSpec(restarts=3, max_evals=120, tolerance=0.0, seed=23),
+    ),
+    "tolerance": (
+        make_bundle(distance_km=30.0, data_size=1e14),
+        "finite",
+        SearchSpec(restarts=3, max_evals=2000, tolerance=1e-6, seed=29),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_array_search_matches_the_generator_oracle(case):
+    bundle, mode, spec = ORACLE_CASES[case]
+    n = bundle.config.num_users
+    dim = 2 * n
+    pool = _sample_starts(np.random.default_rng(spec.seed), spec.restarts - 1, n, spec)
+    starts = np.vstack([_default_start(n, spec), pool])
+
+    batches = []
+
+    def score(points):
+        batches.append(len(points))
+        ints, probs = _ladders(_project(points, n, spec), n)
+        raw, cause = keyrate.rate_rows(ints, probs, bundle.config, bundle.channel, bundle.security, mode)
+        return np.where((cause == 0) & np.isfinite(raw), -raw, math.inf), cause
+
+    results, tally = _simplex_search(starts, spec, score)
+    cost = scalar_cost(
+        lambda x: rate_report(_to_config(x, bundle.config), bundle.channel, bundle.security, mode)
+    )
+    alone = [run_alone(cost, start, spec, n) for start in starts]
+    for (x, value, evals, stop), (x_alone, *rest) in zip(results, alone):
+        assert (value, evals, stop) == tuple(rest)
+        assert x.tobytes() == x_alone.tobytes()
+    assert tally.sum() == sum(evals for _, _, evals, _ in results) <= sum(batches)
+    calls = len(batches)
+    # the generators in lock-step, one evaluation per restart and kernel call
+    locked, rounds = lock_step([nelder_mead(start, spec) for start in starts], lambda p: score(p)[0])
+    assert [(v, e, st) for _, v, e, st in locked] == [(v, e, st) for _, v, e, st in alone]
+    assert rounds == max(evals for _, _, evals, _ in results) > calls
+
+    stops = {stop for _, _, _, stop in results}
+    if case.startswith("plateau"):
+        # Every iteration on an inf plateau rejects the reflected and the
+        # contracted point and shrinks: 2 + dim evaluations.
+        assert all(value == math.inf for _, value, _, _ in results)
+        assert all((evals - dim - 1) % (dim + 2) == 0 and evals > dim + 1 for _, _, evals, _ in results)
+        assert tally[0] == 0
+    if case == "budget":
+        assert stops == {"budget"}
+    if case == "tolerance":
+        assert "tolerance" in stops
 
 
 def test_telemetry_counts_infeasible_points_by_cause(caplog):

@@ -212,8 +212,11 @@ def test_degenerate_adjacent_error_is_flagged_per_row():
 
 def test_chunks_bound_the_gain_table():
     from mfqcka.keyrate import _CHUNK_BYTES, _chunk_rows
+    from mfqcka.special_math import I0_NODES
 
     for settings in range(4, 10):
         rows = _chunk_rows(settings)
+        row_bytes = settings * (settings + 1) // 2 * I0_NODES * 8  # one I0 argument per distinct pair
         assert rows >= 1
-        assert rows * settings * settings * 128 * 8 <= max(_CHUNK_BYTES, settings * settings * 1024)
+        assert rows * row_bytes <= max(_CHUNK_BYTES, row_bytes)
+        assert rows == 1 or (rows + 1) * row_bytes > _CHUNK_BYTES

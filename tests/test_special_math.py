@@ -52,6 +52,13 @@ class TestBesselI0:
         for x, v in zip(xs, values):
             assert abs(v - i0_series(x)) <= 1e-12 * i0_series(x)
 
+    def test_series_oracle_on_the_whole_domain(self):
+        # x = eta_t * sqrt(ka*kb) <= 50 for eta_t <= 1/2 and intensities <= 100
+        xs = np.concatenate([np.linspace(0.0, 50.0, 2001), np.logspace(-12.0, math.log10(50.0), 400)])
+        values = bessel_i0(xs)
+        for x, v in zip(xs, values):
+            assert abs(v - i0_series(x)) <= 1e-14 * i0_series(x)
+
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             bessel_i0(-1.0)
