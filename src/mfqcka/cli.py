@@ -12,7 +12,8 @@ Configuration is a JSON document with four top-level sections::
       "security": {"data_size": 1e14, "eps_ec": 1e-15, "eps_pa": 1e-10,
                    "eps_chernoff": 1e-10, "ec_efficiency": 1.1},
       "optimizer": {"intensity_bounds": [1e-4, 1.0], "prob_bounds": [1e-3, 0.99],
-                    "restarts": 8, "max_evals": 2000, "seed": 2024}
+                    "restarts": 8, "max_evals": 2000, "seed": 2024,
+                    "tolerance": 1e-9}
     }
 
 `decoy_intensities` lists one entry per user, ending with the vacuum (0);
@@ -36,7 +37,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 from . import keyrate, montecarlo, optimizer
 from .model import (
@@ -45,11 +46,10 @@ from .model import (
     DegenerateChannelError,
     EstimationError,
     RateReport,
-    _integer,
-    _number,
-    _numbers,
+    SCHEMA,
     _write_text,
     bundle_from_dict,
+    read_section,
     validate,
 )
 
@@ -89,34 +89,13 @@ def _override(bundle: Bundle, **channel_fields: float) -> Bundle:
     return validate(bundle.config, channel, bundle.security)
 
 
-def _bounds(value: Any, name: str) -> tuple[float, float]:
-    bounds = _numbers(value, name)
-    if len(bounds) != 2:
-        raise ConfigError(f"{name} must list exactly two numbers (lower, upper), got {value!r}")
-    return bounds
-
-
 def _search_spec(doc: dict[str, Any], args: argparse.Namespace | None = None) -> optimizer.SearchSpec:
     """The document's ``optimizer`` section, with the --restarts, --max-evals and --seed of ``args``."""
     opt = doc.get("optimizer") or {}
     if not isinstance(opt, Mapping):
         raise ConfigError("section optimizer must be an object")
-    parsers = {
-        "intensity_bounds": _bounds,
-        "prob_bounds": _bounds,
-        "restarts": _integer,
-        "max_evals": _integer,
-        "seed": _integer,
-        "tolerance": _number,
-    }
-    for name in opt:
-        if name not in parsers:
-            raise ConfigError(f"unknown field optimizer.{name}")
-    kwargs: dict[str, Any] = {
-        name: parse(opt[name], f"optimizer.{name}")
-        for name, parse in parsers.items()
-        if opt.get(name) is not None
-    }
+    fields = read_section("optimizer", opt, SCHEMA["optimizer"], required=())
+    kwargs = {name: value for name, value in fields.items() if value is not None}
     for name in ("restarts", "max_evals", "seed"):
         if getattr(args, name, None) is not None:
             kwargs[name] = getattr(args, name)
@@ -166,45 +145,38 @@ def _print_report(report: RateReport) -> None:
         print(f"s_mu_{n}_lower = {_fmt(v)}")
 
 
-def _csv_header(num_decoys: int) -> list[str]:
-    cols = [
-        "distance_km",
-        "users",
-        "data_size",
-        "key_rate",
-        "key_rate_raw",
-        "multicast_bound",
-        "phase_error_upper",
-        "adjacent_error",
-        "worst_marginal_error",
-        "s_mu",
-        "mu",
-    ]
-    cols += [f"decoy_{i + 1}" for i in range(num_decoys)]
-    cols += ["p_mu"] + [f"p_decoy_{i + 1}" for i in range(num_decoys)]
-    cols += ["seed"]
-    return cols
-
-
-def _csv_row(report: RateReport, seed: int) -> list[str]:
+def _csv_columns(report: RateReport, seed: int) -> list[tuple[str, Any]]:
+    """The CSV columns of one report, as (header, value) in file order."""
     cfg = report.params_used
-    cells = [
-        _fmt(report.distance_km),
-        str(cfg.num_users),
-        _fmt(report.data_size),
-        _fmt(report.key_rate),
-        _fmt(report.key_rate_raw),
-        _fmt(report.multicast_bound),
-        _fmt(report.phase_error_upper),
-        _fmt(report.adjacent_error),
-        _fmt(report.worst_marginal_error),
-        _fmt(report.sifted_signal),
-        _fmt(cfg.signal_intensity),
+    decoys = range(1, len(cfg.decoy_intensities) + 1)
+    return [
+        ("distance_km", report.distance_km),
+        ("users", cfg.num_users),
+        ("data_size", report.data_size),
+        ("key_rate", report.key_rate),
+        ("key_rate_raw", report.key_rate_raw),
+        ("multicast_bound", report.multicast_bound),
+        ("phase_error_upper", report.phase_error_upper),
+        ("adjacent_error", report.adjacent_error),
+        ("worst_marginal_error", report.worst_marginal_error),
+        ("s_mu", report.sifted_signal),
+        ("mu", cfg.signal_intensity),
+        *zip((f"decoy_{i}" for i in decoys), cfg.decoy_intensities),
+        ("p_mu", cfg.send_probabilities[0]),
+        *zip((f"p_decoy_{i}" for i in decoys), cfg.send_probabilities[1:]),
+        ("seed", seed),
     ]
-    cells += [_fmt(x) for x in cfg.decoy_intensities]
-    cells += [_fmt(p) for p in cfg.send_probabilities]
-    cells += [str(seed)]
-    return cells
+
+
+def _csv_text(reports: Iterable[RateReport], seed: int) -> str:
+    """The header line, then one row per report."""
+    lines = []
+    for report in reports:
+        columns = _csv_columns(report, seed)
+        if not lines:
+            lines.append(",".join(name for name, _ in columns))
+        lines.append(",".join(_fmt(value) for _, value in columns))
+    return "".join(line + "\n" for line in lines)
 
 
 def cmd_rate(args: argparse.Namespace) -> int:
@@ -217,9 +189,7 @@ def cmd_rate(args: argparse.Namespace) -> int:
     report = _evaluate(bundle, objective)
     _print_report(report)
     if args.out:
-        header = _csv_header(len(bundle.config.decoy_intensities))
-        row = _csv_row(report, seed=0)
-        _write_text(args.out, ",".join(header) + "\n" + ",".join(row) + "\n")
+        _write_text(args.out, _csv_text([report], seed=0))
     return EXIT_OK
 
 
@@ -243,17 +213,13 @@ def cmd_scan(args: argparse.Namespace) -> int:
     steps = [_override(bundle, distance_km=d) for d in distances]
 
     spec = _search_spec(doc, args)
-    rows: list[list[str]] = []
     if args.optimize:
         records = optimizer.scan_distances(distances, spec, objective, bundle)
-        for rec in records:
-            rows.append(_csv_row(rec.report, spec.seed))
+        reports = [rec.report for rec in records]
     else:
-        for step in steps:
-            rows.append(_csv_row(_evaluate(step, objective), spec.seed))
+        reports = (_evaluate(step, objective) for step in steps)
 
-    header = _csv_header(len(bundle.config.decoy_intensities))
-    text = "\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n"
+    text = _csv_text(reports, spec.seed)
     if args.out:
         _write_text(args.out, text)
     else:

@@ -286,7 +286,7 @@ def asymptotic_rate(
     config: SourceConfig,
     channel: ChannelParams,
     mode: str = "decoy",
-    ec_efficiency: float = 1.1,
+    ec_efficiency: float = SecurityParams.ec_efficiency,
 ) -> RateReport:
     """Asymptotic key rate per time bin.
 

@@ -6,6 +6,10 @@ All physical and protocol parameters live in three frozen dataclasses
 :class:`Bundle`; everything downstream may assume a validated bundle and
 share it freely across workers.
 
+The JSON configuration document is described once, by ``SCHEMA``:
+``read_section`` parses a section of it and ``write_section`` writes one.
+``jsonable`` is the one rule by which every report becomes JSON data.
+
 Conventions used throughout the package:
 
 * the star network is symmetric: every user sits ``distance_km`` from the
@@ -22,7 +26,7 @@ import dataclasses
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Callable, Collection, Mapping
 
 
 class ConfigError(ValueError):
@@ -60,7 +64,7 @@ class ChannelParams:
     detector_efficiency: float
     dark_count_rate: float
     fiber_alpha: float
-    distance_km: float
+    distance_km: float = 0.0
 
     def with_distance(self, distance_km: float) -> "ChannelParams":
         return dataclasses.replace(self, distance_km=float(distance_km))
@@ -122,26 +126,9 @@ class Bundle:
 
     def to_dict(self) -> dict[str, Any]:
         return {
-            "channel": {
-                "detector_efficiency": self.channel.detector_efficiency,
-                "dark_count_rate": self.channel.dark_count_rate,
-                "fiber_alpha_db_per_km": self.channel.fiber_alpha,
-                "distance_km": self.channel.distance_km,
-            },
-            "source": {
-                "users": self.config.num_users,
-                "signal_intensity": self.config.signal_intensity,
-                "decoy_intensities": list(self.config.decoy_intensities),
-                "send_probabilities": list(self.config.send_probabilities),
-                "phase_slices": self.config.phase_slices,
-            },
-            "security": {
-                "data_size": self.security.data_size,
-                "eps_ec": self.security.eps_ec,
-                "eps_pa": self.security.eps_pa,
-                "eps_chernoff": self.security.eps_chernoff,
-                "ec_efficiency": self.security.ec_efficiency,
-            },
+            "channel": write_section("channel", self.channel),
+            "source": write_section("source", self.config),
+            "security": write_section("security", self.security),
         }
 
 
@@ -180,17 +167,121 @@ def _write_text(path: str, text: str) -> None:
         raise ConfigError(f"cannot write output file: {exc}") from None
 
 
+def _bounds(value: Any, name: str) -> tuple[float, float]:
+    bounds = _numbers(value, name)
+    if len(bounds) != 2:
+        raise ConfigError(f"{name} must list exactly two numbers (lower, upper), got {value!r}")
+    return bounds
+
+
+_Parser = Callable[[Any, str], Any]
+
+
+def _or_default(parse: _Parser) -> _Parser:
+    """``parse``, except that a null parses to None: the field keeps its default."""
+    return lambda value, name: None if value is None else parse(value, name)
+
+
+# The configuration document: for each section, in document order, the
+# (JSON key, dataclass field, parser) of every field it may hold.  The
+# optimizer section fills ``optimizer.SearchSpec``.
+SCHEMA: dict[str, tuple[tuple[str, str, _Parser], ...]] = {
+    "channel": (
+        ("detector_efficiency", "detector_efficiency", _number),
+        ("dark_count_rate", "dark_count_rate", _number),
+        ("fiber_alpha_db_per_km", "fiber_alpha", _number),
+        ("distance_km", "distance_km", _number),
+    ),
+    "source": (
+        ("users", "num_users", _integer),
+        ("signal_intensity", "signal_intensity", _number),
+        ("decoy_intensities", "decoy_intensities", _numbers),
+        ("send_probabilities", "send_probabilities", _numbers),
+        ("phase_slices", "phase_slices", _integer),
+    ),
+    "security": (
+        ("data_size", "data_size", _number),
+        ("eps_ec", "eps_ec", _number),
+        ("eps_pa", "eps_pa", _number),
+        ("eps_chernoff", "eps_chernoff", _number),
+        ("ec_efficiency", "ec_efficiency", _number),
+    ),
+    "optimizer": (
+        ("intensity_bounds", "intensity_bounds", _or_default(_bounds)),
+        ("prob_bounds", "prob_bounds", _or_default(_bounds)),
+        ("restarts", "restarts", _or_default(_integer)),
+        ("max_evals", "max_evals", _or_default(_integer)),
+        ("seed", "seed", _or_default(_integer)),
+        ("tolerance", "tolerance", _or_default(_number)),
+    ),
+}
+# The sections that hold the bundle's parameters, and their classes.
+_PARAMETER_SECTIONS = {"channel": ChannelParams, "source": SourceConfig, "security": SecurityParams}
+
+
+def read_section(
+    name: str,
+    section: Mapping[str, Any],
+    fields: tuple[tuple[str, str, _Parser], ...],
+    required: Collection[str],
+) -> dict[str, Any]:
+    """Parse one document section into ``{dataclass field: value}``.
+
+    ``fields`` are the section's (JSON key, dataclass field, parser)
+    triples.  An absent key is left out, so its field keeps its default,
+    unless its field is in ``required``; a key that ``fields`` does not
+    list is an error.  Keys are parsed in ``fields`` order, before the
+    unknown-key check.
+    """
+    values = {}
+    for key, attr, parse in fields:
+        if key in section:
+            values[attr] = parse(section[key], f"{name}.{key}")
+        elif attr in required:
+            raise ConfigError(f"missing field {name}.{key}")
+    listed = {key for key, _, _ in fields}
+    for key in section:
+        if key not in listed:
+            raise ConfigError(f"unknown field {name}.{key}")
+    return values
+
+
+def write_section(name: str, params: Any) -> dict[str, Any]:
+    """The document section ``name`` that ``read_section`` reads back into ``params``."""
+    return {key: jsonable(getattr(params, attr)) for key, attr, _ in SCHEMA[name]}
+
+
+def jsonable(value: Any) -> Any:
+    """Plain JSON data from a report: the one rule every ``to_dict`` follows.
+
+    A dataclass becomes an object of its fields, a tuple or list a list,
+    and a mapping an object sorted by key whose keys are the keys'
+    ``repr``; a tuple key becomes its parts' ``repr`` joined by ``|``.
+    """
+    if dataclasses.is_dataclass(value):
+        return {f.name: jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, Mapping):
+        return {
+            "|".join(map(repr, k)) if isinstance(k, tuple) else repr(k): jsonable(v)
+            for k, v in sorted(value.items())
+        }
+    if isinstance(value, (tuple, list)):
+        return [jsonable(v) for v in value]
+    return value
+
+
 def bundle_from_dict(doc: Mapping[str, Any]) -> Bundle:
     """Build and validate a bundle from a parsed JSON configuration document.
 
     Raises ConfigError naming the missing/invalid field on malformed input:
-    a missing section or field, a section that is not an object, a value
-    that is not a finite number (bools included), a non-integral
+    a missing section or required field, a section that is not an object,
+    a value that is not a finite number (bools included), a non-integral
     ``users``/``phase_slices``, or a top-level section or section field
-    that no parameter reads (the ``optimizer`` section is the caller's).
+    that ``SCHEMA`` does not list (the ``optimizer`` section is the
+    caller's).  An omitted optional field takes its dataclass default.
     """
     sections = {}
-    for name in ("channel", "source", "security"):
+    for name in _PARAMETER_SECTIONS:
         try:
             section = doc[name]
         except (KeyError, TypeError) as exc:
@@ -199,44 +290,18 @@ def bundle_from_dict(doc: Mapping[str, Any]) -> Bundle:
             raise ConfigError(f"section {name} must be an object")
         sections[name] = section
     for name in doc:
-        if name not in sections and name != "optimizer":
+        if name not in SCHEMA:
             raise ConfigError(f"unknown top-level section: {name!r}")
-    read = set()
-
-    def _get(name: str, key: str, parse=_number, default: Any = None) -> Any:
-        read.add((name, key))
-        section = sections[name]
-        if key in section:
-            return parse(section[key], f"{name}.{key}")
-        if default is not None:
-            return default
-        raise ConfigError(f"missing field {name}.{key}")
-
-    channel = ChannelParams(
-        detector_efficiency=_get("channel", "detector_efficiency"),
-        dark_count_rate=_get("channel", "dark_count_rate"),
-        fiber_alpha=_get("channel", "fiber_alpha_db_per_km"),
-        distance_km=_get("channel", "distance_km", default=0.0),
+    channel, config, security = (
+        cls(**read_section(name, sections[name], SCHEMA[name], _required(cls)))
+        for name, cls in _PARAMETER_SECTIONS.items()
     )
-    config = SourceConfig(
-        num_users=_get("source", "users", _integer),
-        signal_intensity=_get("source", "signal_intensity"),
-        decoy_intensities=_get("source", "decoy_intensities", _numbers),
-        send_probabilities=_get("source", "send_probabilities", _numbers),
-        phase_slices=_get("source", "phase_slices", _integer),
-    )
-    security = SecurityParams(
-        data_size=_get("security", "data_size"),
-        eps_ec=_get("security", "eps_ec", default=1e-15),
-        eps_pa=_get("security", "eps_pa", default=1e-10),
-        eps_chernoff=_get("security", "eps_chernoff", default=1e-10),
-        ec_efficiency=_get("security", "ec_efficiency", default=1.1),
-    )
-    for name, section in sections.items():
-        for key in section:
-            if (name, key) not in read:
-                raise ConfigError(f"unknown field {name}.{key}")
     return validate(config, channel, security)
+
+
+def _required(cls: type) -> set[str]:
+    """The fields of a parameter class that have no default."""
+    return {f.name for f in dataclasses.fields(cls) if f.default is dataclasses.MISSING}
 
 
 _PROB_SUM_TOL = 1e-9
@@ -370,14 +435,4 @@ class RateReport:
     failure_budget: float = 0.0
 
     def to_dict(self) -> dict[str, Any]:
-        d = dataclasses.asdict(self)
-        d["params_used"] = {
-            "users": self.params_used.num_users,
-            "signal_intensity": self.params_used.signal_intensity,
-            "decoy_intensities": list(self.params_used.decoy_intensities),
-            "send_probabilities": list(self.params_used.send_probabilities),
-            "phase_slices": self.params_used.phase_slices,
-        }
-        d["sifted"] = {repr(k): v for k, v in self.sifted.items()}
-        d["s_mu_n_lower"] = {str(k): v for k, v in self.s_mu_n_lower.items()}
-        return d
+        return dict(jsonable(self), params_used=write_section("source", self.params_used))

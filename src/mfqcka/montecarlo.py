@@ -48,7 +48,7 @@ import numpy as np
 
 from . import matching
 from .channel import total_efficiency
-from .model import Bundle, ChannelParams, SecurityParams, SourceConfig, _write_text
+from .model import Bundle, ChannelParams, SecurityParams, SourceConfig, _write_text, jsonable
 
 __all__ = [
     "TrialSummary",
@@ -83,26 +83,7 @@ class TrialSummary:
     shards: int
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "bins": self.bins,
-            "seed": self.seed,
-            "num_users": self.num_users,
-            "phase_slices": self.phase_slices,
-            "intensities": list(self.intensities),
-            "retained_clicks": {
-                f"{k}|{port}|{m}": v for (k, port, m), v in sorted(self.retained_clicks.items())
-            },
-            "slice_totals": {f"{port}|{m}": v for (port, m), v in sorted(self.slice_totals.items())},
-            "sifted": {repr(k): v for k, v in sorted(self.sifted.items())},
-            "adjacent_total": {str(p): v for p, v in sorted(self.adjacent_total.items())},
-            "adjacent_wrong": {str(p): v for p, v in sorted(self.adjacent_wrong.items())},
-            "conference_errors": {str(u): v for u, v in sorted(self.conference_errors.items())},
-            "conference_errors_all_intensities": self.conference_errors_all_intensities,
-            "coincidences": self.coincidences,
-            "matched_draws": self.matched_draws,
-            "candidate_bins": self.candidate_bins,
-            "shards": self.shards,
-        }
+        return jsonable(self)
 
 
 def _index_type(count: int) -> np.dtype:
@@ -474,21 +455,7 @@ class ComparisonReport:
         return max((abs(c.z) for c in self.checks), default=0.0)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "clean": self.clean,
-            "max_abs_z": self.max_abs_z,
-            "checks": [
-                {
-                    "name": c.name,
-                    "observed": c.observed,
-                    "expected": c.expected,
-                    "z": c.z,
-                    "flagged": c.flagged,
-                }
-                for c in self.checks
-            ],
-            "skipped": list(self.skipped),
-        }
+        return {"clean": self.clean, "max_abs_z": self.max_abs_z, **jsonable(self)}
 
 
 _Z_FLAG = 5.0

@@ -675,3 +675,111 @@ def test_simulate_flags_mismatch(config_path, capsys, monkeypatch):
     rc = main(["simulate", config_path, "--distance", "15", "--bins", "50000", "--seed", "4"])
     assert rc == EXIT_CONSISTENCY
     assert "FLAG sifted[k=0.1]" in capsys.readouterr().out
+
+
+# Every document below differs from a valid one by a single fault; `rate`
+# must answer each with exactly this exit code and error line (None: the
+# field has a default, so the document is valid).
+_NUMBER_FIELDS = [
+    ("channel", "detector_efficiency"), ("channel", "dark_count_rate"),
+    ("channel", "fiber_alpha_db_per_km"), ("channel", "distance_km"),
+    ("source", "users"), ("source", "signal_intensity"), ("source", "phase_slices"),
+    ("security", "data_size"), ("security", "eps_ec"), ("security", "eps_pa"),
+    ("security", "eps_chernoff"), ("security", "ec_efficiency"),
+]
+_LIST_FIELDS = [("source", "decoy_intensities"), ("source", "send_probabilities")]
+_DEFAULTED = {"channel.distance_km", "security.eps_ec", "security.eps_pa",
+              "security.eps_chernoff", "security.ec_efficiency"}
+_ONE_ITEM_LIST = {
+    "source.decoy_intensities":
+        "decoy_intensities must list 3 settings for 3 users (the nonzero decoys followed by the vacuum)",
+    "source.send_probabilities": "send_probabilities must have one entry per intensity setting (4)",
+}
+_BAD = [None, "x", True, [1]]
+
+
+def _field_faults():
+    for section, key in _NUMBER_FIELDS + _LIST_FIELDS:
+        where = f"{section}.{key}"
+        kind = "a list of numbers" if (section, key) in _LIST_FIELDS else "a finite number"
+        yield where, ("delete", section, key), None if where in _DEFAULTED else f"missing field {where}"
+        for value in _BAD:
+            if value == [1] and where in _ONE_ITEM_LIST:
+                message = _ONE_ITEM_LIST[where]
+            else:
+                message = f"{where} must be {kind}, got {value!r}"
+            yield f"{where}={json.dumps(value)}", ("set", section, key, value), message
+
+
+def _optimizer_faults():
+    for key in ("intensity_bounds", "prob_bounds"):
+        where = f"optimizer.{key}"
+        yield f"{where}=null", ("set", "optimizer", key, None), None
+        yield f'{where}="x"', ("set", "optimizer", key, "x"), f"{where} must be a list of numbers, got 'x'"
+        yield f"{where}=true", ("set", "optimizer", key, True), f"{where} must be a list of numbers, got True"
+        yield (f"{where}=[1]", ("set", "optimizer", key, [1]),
+               f"{where} must list exactly two numbers (lower, upper), got [1]")
+    for key in ("restarts", "max_evals", "seed", "tolerance"):
+        where = f"optimizer.{key}"
+        yield f"{where}=null", ("set", "optimizer", key, None), None
+        for value in _BAD[1:]:
+            yield (f"{where}={json.dumps(value)}", ("set", "optimizer", key, value),
+                   f"{where} must be a finite number, got {value!r}")
+
+
+def _section_faults():
+    for section in ("channel", "source", "security"):
+        yield f"no-{section}", ("drop", section), f"missing top-level section: {section!r}"
+    for section in ("channel", "source", "security", "optimizer"):
+        yield f"{section}-string", ("section", section, "x"), f"section {section} must be an object"
+        yield (f"{section}.bogus", ("set", section, "bogus", 1), f"unknown field {section}.bogus")
+    yield "extra-section", ("section", "extra", {}), "unknown top-level section: 'extra'"
+
+
+_SINGLE_FAULTS = [*_field_faults(), *_optimizer_faults(), *_section_faults()]
+
+
+def _apply_fault(doc, fault):
+    action, section, *rest = fault
+    if action == "drop":
+        del doc[section]
+    elif action == "section":
+        doc[section] = rest[0]
+    elif action == "delete":
+        del doc[section][rest[0]]
+    else:
+        doc[section][rest[0]] = rest[1]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "fault,message", [case[1:] for case in _SINGLE_FAULTS], ids=[case[0] for case in _SINGLE_FAULTS]
+)
+def test_single_fault_documents_exit_code_and_error_line(tmp_path, capsys, fault, message):
+    doc = dict(make_bundle().to_dict(), optimizer={"restarts": 2, "max_evals": 200, "seed": 5})
+    path = tmp_path / "fault.json"
+    path.write_text(json.dumps(_apply_fault(doc, fault)))
+    code = main(["rate", str(path)])
+    err = capsys.readouterr().err
+    if message is None:
+        assert (code, err) == (EXIT_OK, "")
+    else:
+        assert (code, err) == (EXIT_CONFIG, f"error: {message}\n")
+
+
+def test_null_means_default_in_optimizer_only(tmp_path, capsys):
+    from mfqcka import optimizer
+    from mfqcka.cli import _search_spec
+
+    keys = ("intensity_bounds", "prob_bounds", "restarts", "max_evals", "seed", "tolerance")
+    assert _search_spec({"optimizer": dict.fromkeys(keys)}) == optimizer.SearchSpec()
+    assert _search_spec({"optimizer": {"seed": None}}).seed == optimizer.SearchSpec().seed
+
+    path = tmp_path / "null.json"
+    path.write_text(json.dumps(dict(make_bundle().to_dict(), optimizer={"seed": None})))
+    assert main(["rate", str(path)]) == EXIT_OK
+    doc = make_bundle().to_dict()
+    doc["channel"]["distance_km"] = None
+    path.write_text(json.dumps(doc))
+    assert main(["rate", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: channel.distance_km must be a finite number, got None\n"

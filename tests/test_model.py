@@ -106,3 +106,17 @@ def test_bundle_from_dict_reports_missing_field():
     del doc["source"]["signal_intensity"]
     with pytest.raises(ConfigError, match="source.signal_intensity"):
         bundle_from_dict(doc)
+
+
+def test_rate_report_to_dict_is_plain_json():
+    from mfqcka.keyrate import rate_report
+
+    bundle = make_bundle(distance_km=10.0)
+    report = rate_report(bundle.config, bundle.channel, bundle.security, "finite")
+    d = report.to_dict()
+    assert json.loads(json.dumps(d)) == d
+    assert d["params_used"] == bundle.to_dict()["source"]
+    assert set(d["sifted"]) == {repr(k) for k in report.sifted} == {"0.1", "0.05", "0.01", "0.0"}
+    assert set(d["s_mu_n_lower"]) == {str(n) for n in report.s_mu_n_lower} == {"0", "2"}
+    assert d["sifted"]["0.05"] == report.sifted[0.05]
+    assert d["key_rate"] == report.key_rate and d["mode"] == "finite"

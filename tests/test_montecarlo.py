@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import itertools
+import json
 import math
 
 import numpy as np
@@ -301,6 +302,19 @@ class TestRunProtocol:
         assert a.to_dict() == b.to_dict()
         c = run_protocol(bundle, 3 * 10**5, seed=22)
         assert c.to_dict() != a.to_dict()
+
+    def test_summary_to_dict_key_format(self):
+        summary = run_protocol(make_bundle(distance_km=10.0), 20000, seed=1)
+        d = summary.to_dict()
+        assert json.loads(json.dumps(d)) == d
+        # a tuple key is its parts' reprs joined by "|"
+        assert d["retained_clicks"]["0.05|1|0"] == summary.retained_clicks[(0.05, 1, 0)]
+        assert d["slice_totals"]["2|7"] == summary.slice_totals[(2, 7)]
+        assert list(d["sifted"]) == ["0.0", "0.01", "0.05", "0.1"]
+        assert list(d["adjacent_total"]) == ["1", "2"]
+        assert list(d["conference_errors"]) == ["2", "3"]
+        assert d["intensities"] == [0.1, 0.05, 0.01, 0.0]
+        assert d["coincidences"] == summary.coincidences
 
     def test_matching_consumes_bins_once(self):
         bundle = make_bundle(distance_km=10.0)
