@@ -40,7 +40,7 @@ from .decoy import (
     chernoff_observed_lower,
 )
 from .keyrate import asymptotic_rate, finite_rate, multicast_bound
-from .optimizer import ScanRecord, SearchSpec, optimize_at_distance, scan_distances
+from .optimizer import SearchSpec, optimize_at_distance, scan_distances
 from .montecarlo import (
     ComparisonReport,
     TrialSummary,

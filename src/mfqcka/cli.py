@@ -91,10 +91,10 @@ def _override(bundle: Bundle, **channel_fields: float) -> Bundle:
 
 def _search_spec(doc: dict[str, Any], args: argparse.Namespace | None = None) -> optimizer.SearchSpec:
     """The document's ``optimizer`` section, with the --restarts, --max-evals and --seed of ``args``."""
-    opt = doc.get("optimizer") or {}
-    if not isinstance(opt, Mapping):
+    opt = doc.get("optimizer")
+    if opt is not None and not isinstance(opt, Mapping):
         raise ConfigError("section optimizer must be an object")
-    fields = read_section("optimizer", opt, SCHEMA["optimizer"], required=())
+    fields = read_section("optimizer", opt or {}, SCHEMA["optimizer"], required=())
     kwargs = {name: value for name, value in fields.items() if value is not None}
     for name in ("restarts", "max_evals", "seed"):
         if getattr(args, name, None) is not None:
@@ -214,8 +214,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
     spec = _search_spec(doc, args)
     if args.optimize:
-        records = optimizer.scan_distances(distances, spec, objective, bundle)
-        reports = [rec.report for rec in records]
+        reports = optimizer.scan_distances(distances, spec, objective, bundle)
     else:
         reports = (_evaluate(step, objective) for step in steps)
 
@@ -231,10 +230,10 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     objective = _objective(args)
     bundle, doc = _load_bundle(args.config, args.distance)
     spec = _search_spec(doc, args)
-    config, report = optimizer.optimize_at_distance(spec, objective, bundle)
+    report = optimizer.optimize_at_distance(spec, objective, bundle)
     _print_report(report)
     if args.save_config:
-        tuned = Bundle(config=config, channel=bundle.channel, security=bundle.security)
+        tuned = Bundle(config=report.params_used, channel=bundle.channel, security=bundle.security)
         out = tuned.to_dict()
         out["optimizer"] = doc.get("optimizer", {})
         _write_text(args.save_config, json.dumps(out, indent=2) + "\n")

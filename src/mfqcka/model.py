@@ -274,18 +274,20 @@ def bundle_from_dict(doc: Mapping[str, Any]) -> Bundle:
     """Build and validate a bundle from a parsed JSON configuration document.
 
     Raises ConfigError naming the missing/invalid field on malformed input:
-    a missing section or required field, a section that is not an object,
-    a value that is not a finite number (bools included), a non-integral
-    ``users``/``phase_slices``, or a top-level section or section field
-    that ``SCHEMA`` does not list (the ``optimizer`` section is the
-    caller's).  An omitted optional field takes its dataclass default.
+    a document or section that is not an object, a missing section or
+    required field, a value that is not a finite number (bools included),
+    a non-integral ``users``/``phase_slices``, or a top-level section or
+    section field that ``SCHEMA`` does not list (the ``optimizer``
+    section is the caller's).  An omitted optional field takes its
+    dataclass default.
     """
+    if not isinstance(doc, Mapping):
+        raise ConfigError("configuration document must be a JSON object")
     sections = {}
     for name in _PARAMETER_SECTIONS:
-        try:
-            section = doc[name]
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"missing top-level section: {exc}") from None
+        if name not in doc:
+            raise ConfigError(f"missing top-level section: {name!r}")
+        section = doc[name]
         if not isinstance(section, Mapping):
             raise ConfigError(f"section {name} must be an object")
         sections[name] = section

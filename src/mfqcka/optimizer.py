@@ -12,10 +12,13 @@ sorted into a strictly decreasing ladder inside their bounds and
 probabilities are clipped and rescaled to leave room for the vacuum.
 
 Every evaluation goes through the array rate kernel
-(``keyrate.rate_rows``).  A seeded generator draws the presample pool,
-which depends only on the spec and the number of users, so a scan draws
-it once for all its distances; it is scored in one kernel call and its
-best points seed the restarts.  The simplices of all restarts are then
+(``keyrate.rate_rows``).  A seeded generator draws a pool of
+``PRESAMPLES`` random feasible points, which depends only on the spec
+and the number of users, so a scan draws it once for all its distances.
+The pool is scored in one kernel call and ranked by cost; it is the only
+source of starting points.  Without a warm start the restarts begin at
+the ``restarts`` best points of the pool; with one, at the warm start and
+the ``restarts - 1`` best points.  The simplices of all restarts are then
 held in one array (``_simplex_search``).  Each round advances every
 running restart by one full Nelder-Mead iteration: the reflected,
 expanded and contracted points of all of them are scored speculatively
@@ -54,25 +57,28 @@ from .model import (
     SourceConfig,
 )
 
-__all__ = ["SearchSpec", "optimize_at_distance", "scan_distances", "ScanRecord"]
+__all__ = ["SearchSpec", "optimize_at_distance", "scan_distances"]
+
+# Random feasible points scored before the restarts; the best of them
+# are the restarts' starting points.
+PRESAMPLES = 512
 
 
 @dataclass(frozen=True)
 class SearchSpec:
     """Bounds, budget and seed of one optimization run.
 
-    ``presamples`` random feasible points are scored first and the best
-    of them seed the simplex restarts; the feasible basin can be narrow
-    at long distances (tiny decoy counts blow up the concentration
-    bounds), so blind restarts alone tend to strand on the zero-rate
-    plateau.
+    ``seed`` draws the ``PRESAMPLES`` random feasible points whose best
+    ones start the ``restarts`` simplex descents; the feasible basin can
+    be narrow at long distances (tiny decoy counts blow up the
+    concentration bounds), so blind restarts tend to strand on the
+    zero-rate plateau.  ``max_evals`` budgets each restart's evaluations.
     """
 
     intensity_bounds: tuple[float, float] = (1e-4, 1.0)
     prob_bounds: tuple[float, float] = (1e-3, 0.99)
     restarts: int = 8
     max_evals: int = 2000
-    presamples: int = 512
     tolerance: float = 1e-9
     seed: int = 2024
 
@@ -87,8 +93,6 @@ class SearchSpec:
             raise ConfigError("restarts must be at least 1")
         if self.max_evals < 1:
             raise ConfigError("max_evals must be at least 1")
-        if self.presamples < 0:
-            raise ConfigError("presamples must be nonnegative")
         if not (math.isfinite(self.tolerance) and self.tolerance >= 0.0):
             raise ConfigError("tolerance must be a finite number >= 0")
         if self.seed < 0:
@@ -165,13 +169,6 @@ def _from_config(config: SourceConfig) -> np.ndarray:
     ints = [config.signal_intensity, *config.decoy_intensities[:-1]]
     probs = list(config.send_probabilities[:-1])
     return np.asarray(ints + probs, dtype=float)
-
-
-def _default_start(n_users: int, spec: SearchSpec) -> np.ndarray:
-    # geometric intensity ladder and a signal-heavy probability split
-    ints = [0.45 * 0.3**i for i in range(n_users)]
-    probs = [0.5] + [0.4 / (n_users - 1)] * (n_users - 1)
-    return _project(np.asarray(ints + probs), n_users, spec)
 
 
 def _sample_starts(
@@ -292,16 +289,18 @@ def optimize_at_distance(
     objective: str,
     bundle: Bundle,
     initial: SourceConfig | None = None,
-) -> tuple[SourceConfig, RateReport]:
+) -> RateReport:
     """Maximize the selected key rate over intensities and probabilities.
 
     ``objective`` is one of ``keyrate.MODES`` ("finite", "asymptotic-decoy",
     "asymptotic-exact"), or "asymptotic", an alias of "asymptotic-decoy".
-    The best feasible point found over all restarts is returned together
-    with its ``keyrate.rate_report``; a fixed seed makes the result
-    reproducible bit for bit.  An objective that ``keyrate`` cannot rate
-    for the bundle's number of users raises (ConfigError, or ValueError
-    for an unknown objective) before any evaluation.
+    ``initial``, if given, is the first restart's starting point.  Returns
+    the ``keyrate.rate_report`` of the best feasible point found over all
+    restarts (its ``params_used`` is the tuned configuration); a fixed
+    seed makes the result reproducible bit for bit.  An objective that
+    ``keyrate`` cannot rate for the bundle's number of users raises
+    (ConfigError, or ValueError for an unknown objective) before any
+    evaluation.
     Bounds that hold no feasible point raise ConfigError; a box in which
     no point has a rate raises EstimationError.
     """
@@ -322,26 +321,20 @@ def optimize_at_distance(
         )
         return np.where((cause == 0) & np.isfinite(raw), -raw, math.inf), cause
 
-    starts = [
-        _project(_from_config(initial), n_users, spec)
-        if initial is not None
-        else _default_start(n_users, spec)
-    ]
     pool = _presample_pool(spec, n_users)
-    tally = np.zeros(len(INFEASIBLE), dtype=np.int64)
-    presample_best = None
-    if len(pool):
-        cost, cause = score(pool)
-        tally += np.bincount(cause, minlength=len(INFEASIBLE))
-        presample_best = float(cost.min())
-        ranked = np.argsort(cost, kind="stable")
-        starts.extend(pool[i] for i in ranked[: spec.restarts - 1])
+    cost, cause = score(pool)
+    ranked = pool[np.argsort(cost, kind="stable")]
+    if initial is None:
+        starts = ranked[: spec.restarts]
+    else:
+        warm = _project(_from_config(initial), n_users, spec)
+        starts = np.vstack([warm, ranked[: spec.restarts - 1]])
 
     results, used = _simplex_search(
-        np.array(starts), spec, lambda points: score(_project(points, n_users, spec))
+        starts, spec, lambda points: score(_project(points, n_users, spec))
     )
-    tally += used
-    counts = {"presamples": len(pool), "presample_best": presample_best, **kernel}
+    tally = np.bincount(cause, minlength=len(INFEASIBLE)) + used
+    counts = {"presamples": PRESAMPLES, "presample_best": float(cost.min()), **kernel}
     _log_search(bundle, objective, counts, results, tally)
 
     best_x, best_cost = None, math.inf
@@ -351,13 +344,13 @@ def optimize_at_distance(
     if best_x is None:
         raise EstimationError("no point in the search box has a rate to optimize")
     best_config = _to_config(_project(best_x, n_users, spec), bundle.config)
-    return best_config, keyrate.rate_report(best_config, bundle.channel, bundle.security, mode)
+    return keyrate.rate_report(best_config, bundle.channel, bundle.security, mode)
 
 
 @lru_cache(maxsize=8)
 def _presample_pool(spec: SearchSpec, n_users: int) -> np.ndarray:
     """The seeded presample pool (read-only); drawn once for all distances of a scan."""
-    pool = _sample_starts(np.random.default_rng(spec.seed), spec.presamples, n_users, spec)
+    pool = _sample_starts(np.random.default_rng(spec.seed), PRESAMPLES, n_users, spec)
     pool.flags.writeable = False
     return pool
 
@@ -371,9 +364,9 @@ def _log_search(
 ) -> None:
     """Log the search's telemetry record at DEBUG level.
 
-    ``counts`` holds the presample count and best presample cost (None
-    without presamples), the kernel calls ("rounds") and the rows they
-    rated ("scored"); ``tally`` counts the evaluations used by cause.
+    ``counts`` holds the presample count and best presample cost, the
+    kernel calls ("rounds") and the rows they rated ("scored"); ``tally``
+    counts the evaluations used by cause.
     """
     # Imported here rather than with the module, so that the commands that
     # never optimize (rate, scan without --optimize, simulate) skip it.
@@ -410,31 +403,22 @@ def _log_search(
     )
 
 
-@dataclass(frozen=True)
-class ScanRecord:
-    distance_km: float
-    config: SourceConfig
-    report: RateReport
-
-
 def scan_distances(
     distances: list[float],
     spec: SearchSpec,
     objective: str,
     bundle: Bundle,
-) -> list[ScanRecord]:
-    """Optimize the rate at each distance, warm-starting from the previous one."""
+) -> list[RateReport]:
+    """Optimize the rate at each distance, warm-starting from the previous one's result."""
     if not distances:
         raise ValueError("distance list must not be empty")
-    records: list[ScanRecord] = []
-    warm: SourceConfig | None = None
+    reports: list[RateReport] = []
     for distance in distances:
         step_bundle = Bundle(
             config=bundle.config,
             channel=bundle.channel.with_distance(distance),
             security=bundle.security,
         )
-        config, report = optimize_at_distance(spec, objective, step_bundle, initial=warm)
-        records.append(ScanRecord(distance_km=distance, config=config, report=report))
-        warm = config
-    return records
+        warm = reports[-1].params_used if reports else None
+        reports.append(optimize_at_distance(spec, objective, step_bundle, initial=warm))
+    return reports

@@ -35,13 +35,13 @@ def report(criterion: str, passed: bool, detail: str) -> None:
     assert passed, f"{criterion}: {detail}"
 
 
-FULL = SearchSpec(restarts=8, max_evals=2000, presamples=512, seed=2024)
+FULL = SearchSpec(restarts=8, max_evals=2000, seed=2024)
 
 
 def test_criterion_1_fig4_anchor_point():
     """Optimized finite rate at N=3, L=50 km, 1e14 pulses hits 1.44e-4 +-15%."""
     bundle = make_bundle(num_users=3, distance_km=50.0, data_size=1e14)
-    _, rep = optimize_at_distance(FULL, "finite", bundle)
+    rep = optimize_at_distance(FULL, "finite", bundle)
     target = 1.44e-4
     ratio = rep.key_rate / target
     report(
@@ -59,7 +59,7 @@ def test_criterion_1_fig4_anchor_point():
 def test_criterion_2_distance_reach(data_size, distance):
     """Positive optimized finite-size rate at the quoted reach distances."""
     bundle = make_bundle(num_users=3, distance_km=distance, data_size=data_size)
-    _, rep = optimize_at_distance(FULL, "finite", bundle)
+    rep = optimize_at_distance(FULL, "finite", bundle)
     report(
         f"2 (reach {distance:.0f} km @ {data_size:.0e})",
         rep.key_rate > 0.0,
@@ -72,7 +72,7 @@ def test_criterion_3_finite_size_capacity_crossing():
     crossed = None
     for distance in (250.0, 260.0, 270.0):
         bundle = make_bundle(num_users=3, distance_km=distance, data_size=1e15)
-        _, rep = optimize_at_distance(FULL, "finite", bundle)
+        rep = optimize_at_distance(FULL, "finite", bundle)
         if rep.key_rate > rep.multicast_bound:
             crossed = (distance, rep.key_rate, rep.multicast_bound)
             break
@@ -93,8 +93,8 @@ def test_criterion_3_finite_size_capacity_crossing():
 def test_criterion_3_asymptotic_capacity_crossing(num_users, distance):
     """Asymptotic rates for 3-5 users each exceed the bound somewhere."""
     bundle = make_bundle(num_users=num_users, distance_km=distance, data_size=1e14)
-    spec = SearchSpec(restarts=4, max_evals=1000, presamples=256, seed=2024)
-    _, rep = optimize_at_distance(spec, "asymptotic", bundle)
+    spec = SearchSpec(restarts=4, max_evals=1000, seed=2024)
+    rep = optimize_at_distance(spec, "asymptotic", bundle)
     report(
         f"3 (asymptotic N={num_users})",
         rep.key_rate > rep.multicast_bound,
@@ -159,11 +159,11 @@ def test_criterion_4_decoy_soundness_grid():
 def test_criterion_4_finite_decoy_tracks_infinite():
     """Finite-decoy asymptotic rate within a factor 2 of infinite decoys at 280+ km."""
     worst = 1.0
-    spec = SearchSpec(restarts=4, max_evals=1000, presamples=256, seed=2024)
+    spec = SearchSpec(restarts=4, max_evals=1000, seed=2024)
     for distance in (280.0, 300.0):
         bundle = make_bundle(num_users=3, distance_km=distance, data_size=1e14)
-        config, rep = optimize_at_distance(spec, "asymptotic", bundle)
-        exact = asymptotic_rate(config, bundle.channel, "exact", ec_efficiency=1.1)
+        rep = optimize_at_distance(spec, "asymptotic", bundle)
+        exact = asymptotic_rate(rep.params_used, bundle.channel, "exact", ec_efficiency=1.1)
         assert rep.key_rate <= exact.key_rate * (1 + 1e-9)
         worst = min(worst, rep.key_rate / exact.key_rate)
     report(

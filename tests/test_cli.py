@@ -734,6 +734,14 @@ def _section_faults():
         yield f"{section}-string", ("section", section, "x"), f"section {section} must be an object"
         yield (f"{section}.bogus", ("set", section, "bogus", 1), f"unknown field {section}.bogus")
     yield "extra-section", ("section", "extra", {}), "unknown top-level section: 'extra'"
+    # Only a missing or null optimizer section means "no settings".
+    yield "optimizer=null", ("section", "optimizer", None), None
+    for value in (0, False, "", []):
+        yield (f"optimizer={json.dumps(value)}", ("section", "optimizer", value),
+               "section optimizer must be an object")
+    for value in ([1, 2], "x", None):
+        yield (f"document={json.dumps(value)}", ("document", value),
+               "configuration document must be a JSON object")
 
 
 _SINGLE_FAULTS = [*_field_faults(), *_optimizer_faults(), *_section_faults()]
@@ -741,6 +749,8 @@ _SINGLE_FAULTS = [*_field_faults(), *_optimizer_faults(), *_section_faults()]
 
 def _apply_fault(doc, fault):
     action, section, *rest = fault
+    if action == "document":
+        return section
     if action == "drop":
         del doc[section]
     elif action == "section":

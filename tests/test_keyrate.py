@@ -112,8 +112,8 @@ def test_crossover_window_above_multicast_bound():
     from mfqcka.optimizer import SearchSpec, optimize_at_distance
 
     bundle = make_bundle(distance_km=300.0, data_size=1e14)
-    spec = SearchSpec(restarts=3, max_evals=600, presamples=192, seed=17)
-    config, _ = optimize_at_distance(spec, "asymptotic", bundle)
+    spec = SearchSpec(restarts=3, max_evals=600, seed=17)
+    config = optimize_at_distance(spec, "asymptotic", bundle).params_used
     for distance in (290.0, 300.0, 310.0, 320.0):
         channel = make_channel(distance)
         rep = asymptotic_rate(config, channel, "decoy", ec_efficiency=1.1)

@@ -18,9 +18,11 @@ from mfqcka.model import (
 )
 from mfqcka.optimizer import (
     MIN_VACUUM_PROB,
+    PRESAMPLES,
     SearchSpec,
-    _default_start,
+    _from_config,
     _ladders,
+    _presample_pool,
     _project,
     _sample_starts,
     _simplex_search,
@@ -55,6 +57,13 @@ def run_simplex(cost, x0, spec, n_users):
     return search(cost, x0, spec, n_users)[0][0]
 
 
+def ladder_start(n_users, spec):
+    """A fixed feasible point: a geometric intensity ladder and a signal-heavy split."""
+    ints = [0.45 * 0.3**i for i in range(n_users)]
+    probs = [0.5] + [0.4 / (n_users - 1)] * (n_users - 1)
+    return _project(np.asarray(ints + probs), n_users, spec)
+
+
 def test_spec_validation():
     with pytest.raises(ConfigError):
         SearchSpec(intensity_bounds=(0.0, 1.0))
@@ -64,7 +73,9 @@ def test_spec_validation():
         SearchSpec(restarts=0)
 
 
-@pytest.mark.parametrize("field,value", [("presamples", -1)])
+@pytest.mark.parametrize(
+    "field,value", [("max_evals", 0), ("tolerance", math.nan), ("tolerance", -1.0), ("seed", -1)]
+)
 def test_spec_rejects_unusable_search_settings(field, value):
     with pytest.raises(ConfigError):
         SearchSpec(**{field: value})
@@ -103,14 +114,14 @@ class TestNelderMead:
         def cost(x):
             return float(np.sum((x - target) ** 2))
 
-        best, value, evals, _ = run_simplex(cost, _default_start(3, spec), spec, 3)
+        best, value, evals, _ = run_simplex(cost, ladder_start(3, spec), spec, 3)
         assert value < 1e-8
         assert np.allclose(best, target, atol=1e-4)
         assert evals <= spec.max_evals + 7
 
     def test_constant_objective_returns_feasible_point(self):
         spec = SearchSpec(max_evals=100)
-        best, value, evals, stop = run_simplex(lambda x: 1.25, _default_start(3, spec), spec, 3)
+        best, value, evals, stop = run_simplex(lambda x: 1.25, ladder_start(3, spec), spec, 3)
         assert value == 1.25
         assert np.allclose(_project(best, 3, spec), best, atol=1e-12)
         assert (evals, stop) == (7, "tolerance")  # the first simplex already agrees
@@ -123,13 +134,13 @@ class TestNelderMead:
             calls.append(x)
             return float(np.sum(x**2))
 
-        [(_, _, evals, stop)], batches = search(cost, _default_start(3, spec), spec, 3)
+        [(_, _, evals, stop)], batches = search(cost, ladder_start(3, spec), spec, 3)
         assert stop == "budget"
         assert sum(batches) == len(calls)
         assert spec.max_evals <= evals <= spec.max_evals + 7
         # every point the sequential simplex asks for is counted, and only those
         calls.clear()
-        assert run_alone(cost, _default_start(3, spec), spec, 3)[2] == evals == len(calls)
+        assert run_alone(cost, ladder_start(3, spec), spec, 3)[2] == evals == len(calls)
 
 
     @pytest.mark.parametrize("n_users", [3, 8])
@@ -158,8 +169,9 @@ class TestNelderMead:
 class TestOptimizeAtDistance:
     def test_anchor_point_rate(self):
         bundle = make_bundle(distance_km=50.0, data_size=1e14)
-        spec = SearchSpec(restarts=4, max_evals=800, presamples=256)
-        config, report = optimize_at_distance(spec, "finite", bundle)
+        spec = SearchSpec(restarts=4, max_evals=800)
+        report = optimize_at_distance(spec, "finite", bundle)
+        config = report.params_used
         assert report.key_rate == pytest.approx(1.44e-4, rel=0.15)
         # result validates and respects every constraint
         validate(config, bundle.channel, bundle.security)
@@ -168,33 +180,37 @@ class TestOptimizeAtDistance:
 
     def test_deterministic_bit_for_bit(self):
         bundle = make_bundle(distance_km=80.0, data_size=1e13)
-        spec = SearchSpec(restarts=3, max_evals=400, presamples=128, seed=99)
+        spec = SearchSpec(restarts=3, max_evals=400, seed=99)
         first = optimize_at_distance(spec, "finite", bundle)
         second = optimize_at_distance(spec, "finite", bundle)
-        assert first[0] == second[0]
-        assert first[1].key_rate_raw == second[1].key_rate_raw
+        assert first.params_used == second.params_used
+        assert first.key_rate_raw == second.key_rate_raw
 
-    def test_beats_default_start(self):
+    def test_beats_its_best_start(self):
         bundle = make_bundle(distance_km=60.0, data_size=1e13)
-        spec = SearchSpec(restarts=3, max_evals=400, presamples=128)
-        start_cfg = _to_config(_default_start(3, spec), bundle.config)
+        spec = SearchSpec(restarts=3, max_evals=400)
+        pool = _presample_pool(spec, 3)
+        raw, cause = keyrate.rate_rows(
+            *_ladders(pool, 3), bundle.config, bundle.channel, bundle.security, "finite"
+        )
+        best_start = pool[np.argmax(np.where(cause == 0, raw, -math.inf))]
+        start_cfg = _to_config(best_start, bundle.config)
         start_rate = finite_rate(start_cfg, bundle.channel, bundle.security).key_rate_raw
-        _, report = optimize_at_distance(spec, "finite", bundle)
-        assert report.key_rate_raw >= start_rate
+        report = optimize_at_distance(spec, "finite", bundle)
+        assert report.key_rate_raw > start_rate > 0.0
 
     def test_objective_names(self):
         bundle = make_bundle(distance_km=40.0)
-        spec = SearchSpec(restarts=1, max_evals=60, presamples=16)
+        spec = SearchSpec(restarts=1, max_evals=60)
         for objective in ("finite", "asymptotic", "asymptotic-decoy", "asymptotic-exact"):
-            _, report = optimize_at_distance(spec, objective, bundle)
+            report = optimize_at_distance(spec, objective, bundle)
             assert report.key_rate >= 0.0
         with pytest.raises(ValueError):
             optimize_at_distance(spec, "simplex", bundle)
 
-    @pytest.mark.parametrize("presamples", [0, 512])
-    def test_unsupported_user_count_raises_before_any_search(self, presamples, caplog):
+    def test_unsupported_user_count_raises_before_any_search(self, caplog):
         bundle = make_bundle(num_users=4, distance_km=50.0)
-        spec = SearchSpec(presamples=presamples)
+        spec = SearchSpec()
         with caplog.at_level(logging.DEBUG, logger="mfqcka.optimizer"):
             with pytest.raises(ConfigError, match="3 users only"):
                 optimize_at_distance(spec, "finite", bundle)
@@ -204,11 +220,9 @@ class TestOptimizeAtDistance:
 
     def test_warm_start_used(self):
         bundle = make_bundle(distance_km=50.0, data_size=1e14)
-        spec = SearchSpec(restarts=1, max_evals=150, presamples=8)
-        seeded, _ = optimize_at_distance(
-            SearchSpec(restarts=4, max_evals=800, presamples=256), "finite", bundle
-        )
-        _, report = optimize_at_distance(spec, "finite", bundle, initial=seeded)
+        spec = SearchSpec(restarts=1, max_evals=150)
+        seeded = optimize_at_distance(SearchSpec(restarts=4, max_evals=800), "finite", bundle).params_used
+        report = optimize_at_distance(spec, "finite", bundle, initial=seeded)
         warm_rate = finite_rate(seeded, bundle.channel, bundle.security).key_rate_raw
         assert report.key_rate_raw >= warm_rate - 1e-18
 
@@ -216,23 +230,24 @@ class TestOptimizeAtDistance:
 class TestScanDistances:
     def test_single_distance_matches_point_optimization(self):
         bundle = make_bundle(distance_km=50.0, data_size=1e13)
-        spec = SearchSpec(restarts=2, max_evals=300, presamples=64)
-        records = scan_distances([70.0], spec, "finite", bundle)
+        spec = SearchSpec(restarts=2, max_evals=300)
+        reports = scan_distances([70.0], spec, "finite", bundle)
         shifted = type(bundle)(
             bundle.config, bundle.channel.with_distance(70.0), bundle.security
         )
-        config, report = optimize_at_distance(spec, "finite", shifted)
-        assert records[0].config == config
-        assert records[0].report.key_rate_raw == report.key_rate_raw
+        report = optimize_at_distance(spec, "finite", shifted)
+        assert reports[0].distance_km == 70.0
+        assert reports[0].params_used == report.params_used
+        assert reports[0].key_rate_raw == report.key_rate_raw
 
     def test_rates_track_distance(self):
         bundle = make_bundle(distance_km=50.0, data_size=1e14)
-        spec = SearchSpec(restarts=3, max_evals=500, presamples=128)
-        records = scan_distances([50.0, 100.0, 150.0], spec, "finite", bundle)
-        rates = [r.report.key_rate for r in records]
+        spec = SearchSpec(restarts=3, max_evals=500)
+        reports = scan_distances([50.0, 100.0, 150.0], spec, "finite", bundle)
+        rates = [r.key_rate for r in reports]
         # optimized rate non-increasing in distance up to 5% optimizer noise
         assert all(b <= a * 1.05 for a, b in zip(rates, rates[1:]))
-        assert all(r.config.num_users == 3 for r in records)
+        assert all(r.params_used.num_users == 3 for r in reports)
 
     def test_empty_distance_list_rejected(self):
         bundle = make_bundle()
@@ -261,30 +276,37 @@ def scalar_cost(rate_of):
 
 
 class TestLockStep:
-    def test_no_presamples(self, caplog):
-        bundle = make_bundle(distance_km=50.0, data_size=1e14)
-        spec = SearchSpec(restarts=3, max_evals=100, presamples=0)
-        with caplog.at_level(logging.DEBUG, logger="mfqcka.optimizer"):
-            config, report = optimize_at_distance(spec, "finite", bundle)
-        telemetry = search_telemetry(caplog)
-        assert telemetry["presamples"] == 0
-        assert len(telemetry["restarts"]) == 1
-        assert telemetry["evaluations"] == telemetry["restarts"][0]["evals"]
-        validate(config, bundle.channel, bundle.security)
-        assert report.key_rate_raw == -telemetry["restarts"][0]["best"]
-
     def test_more_restarts_than_starts(self, caplog):
+        # A budget the first simplex already spends: every restart stops
+        # after its initial vertices, all scored in one kernel call.
         bundle = make_bundle(distance_km=50.0, data_size=1e14)
-        spec = SearchSpec(restarts=6, max_evals=80, presamples=2)
-        with caplog.at_level(logging.DEBUG, logger="mfqcka.optimizer"):
-            optimize_at_distance(spec, "finite", bundle)
-        telemetry = search_telemetry(caplog)
-        assert len(telemetry["restarts"]) == 3  # the default start and both presamples
-        assert telemetry["evaluations"] == 2 + sum(r["evals"] for r in telemetry["restarts"])
+        spec = SearchSpec(restarts=PRESAMPLES + 10, max_evals=7)
+        for initial, warm_starts in [(None, 0), (bundle.config, 1)]:
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="mfqcka.optimizer"):
+                optimize_at_distance(spec, "finite", bundle, initial=initial)
+            telemetry = search_telemetry(caplog)
+            # the whole pool, after the warm start if there is one
+            assert len(telemetry["restarts"]) == warm_starts + PRESAMPLES
+            evals = sum(r["evals"] for r in telemetry["restarts"])
+            assert telemetry["evaluations"] == PRESAMPLES + evals
+            assert telemetry["rounds"] == 2
 
     def test_equals_restarts_run_one_at_a_time(self, caplog, monkeypatch):
+        self.check_restarts_run_alone(None, caplog, monkeypatch)
+
+    def test_warm_start_is_the_first_restart(self, caplog, monkeypatch):
+        self.check_restarts_run_alone(make_bundle().config, caplog, monkeypatch)
+
+    @staticmethod
+    def check_restarts_run_alone(initial, caplog, monkeypatch):
+        """The search from ``initial`` (or none) equals its restarts run one at a time.
+
+        The restarts start at ``initial`` and then the pool points in
+        order of their scalar cost, ties broken by pool index.
+        """
         bundle = make_bundle(distance_km=80.0, data_size=1e13)
-        spec = SearchSpec(restarts=4, max_evals=300, presamples=48, seed=5)
+        spec = SearchSpec(restarts=4, max_evals=300, seed=5)
         batches = []
         rate_rows = keyrate.rate_rows
 
@@ -294,15 +316,17 @@ class TestLockStep:
 
         monkeypatch.setattr(keyrate, "rate_rows", spy)
         with caplog.at_level(logging.DEBUG, logger="mfqcka.optimizer"):
-            config, report = optimize_at_distance(spec, "finite", bundle)
+            report = optimize_at_distance(spec, "finite", bundle, initial=initial)
         telemetry = search_telemetry(caplog)
 
         cost = scalar_cost(
             lambda x: finite_rate(_to_config(x, bundle.config), bundle.channel, bundle.security)
         )
-        pool = _sample_starts(np.random.default_rng(spec.seed), spec.presamples, 3, spec)
-        ranked = sorted(range(len(pool)), key=lambda i: (cost(pool[i]), i))
-        starts = [_default_start(3, spec)] + [pool[i] for i in ranked[: spec.restarts - 1]]
+        pool = _sample_starts(np.random.default_rng(spec.seed), PRESAMPLES, 3, spec)
+        costs = [cost(x) for x in pool]
+        ranked = sorted(range(len(pool)), key=lambda i: (costs[i], i))
+        warm = [] if initial is None else [_project(_from_config(initial), 3, spec)]
+        starts = warm + [pool[i] for i in ranked[: spec.restarts - len(warm)]]
         alone = [run_alone(cost, start, spec, 3) for start in starts]
 
         # with the default tolerance the restarts stop in different rounds
@@ -311,25 +335,49 @@ class TestLockStep:
         # two per iteration, far fewer than the evaluations of the longest restart
         assert telemetry["rounds"] == len(batches) < max(evals for _, _, evals, _ in alone)
         assert telemetry["scored"] == sum(batches) >= telemetry["evaluations"]
-        assert batches[:2] == [spec.presamples, 7 * spec.restarts]
-        assert telemetry["presample_best"] == min(cost(x) for x in pool)
+        assert batches[:2] == [PRESAMPLES, 7 * spec.restarts]
+        assert telemetry["presamples"] == PRESAMPLES
+        assert telemetry["presample_best"] == min(costs)
         assert [(r["evals"], r["stop"], r["best"]) for r in telemetry["restarts"]] == [
             (evals, stop, value) for _, value, evals, stop in alone
         ]
         best_x, best_value, _, _ = min(alone, key=lambda result: result[1])
-        assert config == _to_config(_project(best_x, 3, spec), bundle.config)
+        assert report.params_used == _to_config(_project(best_x, 3, spec), bundle.config)
         assert report.key_rate_raw == -best_value
 
     @pytest.mark.parametrize("objective", ["asymptotic-decoy", "asymptotic-exact"])
     def test_reported_rate_is_the_best_cost(self, objective, caplog):
         bundle = make_bundle(num_users=4, distance_km=150.0)
-        spec = SearchSpec(restarts=3, max_evals=120, presamples=32, seed=11)
+        spec = SearchSpec(restarts=3, max_evals=120, seed=11)
         with caplog.at_level(logging.DEBUG, logger="mfqcka.optimizer"):
-            _, report = optimize_at_distance(spec, objective, bundle)
+            report = optimize_at_distance(spec, objective, bundle)
         best = min(r["best"] for r in search_telemetry(caplog)["restarts"])
         assert report.key_rate_raw == -best
         mode = objective.split("-")[1]
         assert report.mode == f"asymptotic-{mode}"
+
+
+@pytest.mark.parametrize(
+    "bundle,objective",
+    [
+        (make_bundle(distance_km=50.0, data_size=1e14), "finite"),
+        (make_bundle(distance_km=80.0, data_size=1e13), "finite"),
+        (make_bundle(num_users=5, distance_km=280.0), "asymptotic-decoy"),
+        (make_bundle(num_users=4, distance_km=200.0), "asymptotic-exact"),
+    ],
+    ids=["n3-finite-50km", "n3-finite-80km", "n5-decoy-280km", "n4-exact-200km"],
+)
+def test_no_restart_starts_on_the_zero_rate_plateau(bundle, objective, caplog):
+    # Restarts begin at the best points of the presample pool, all of
+    # which have a positive rate here, so none ends at a cost >= 0.  A
+    # restart from the fixed ladder_start slides to the plateau in the
+    # N=3 and N=5 cases: its finite rate is negative at 50 and 80 km.
+    with caplog.at_level(logging.DEBUG, logger="mfqcka.optimizer"):
+        report = optimize_at_distance(SearchSpec(), objective, bundle)
+    telemetry = search_telemetry(caplog)
+    assert len(telemetry["restarts"]) == SearchSpec().restarts
+    assert [r["best"] for r in telemetry["restarts"] if r["best"] >= 0.0] == []
+    assert report.key_rate > 0.0
 
 
 def no_signal(num_users):
@@ -378,7 +426,7 @@ def test_array_search_matches_the_generator_oracle(case):
     n = bundle.config.num_users
     dim = 2 * n
     pool = _sample_starts(np.random.default_rng(spec.seed), spec.restarts - 1, n, spec)
-    starts = np.vstack([_default_start(n, spec), pool])
+    starts = np.vstack([ladder_start(n, spec), pool])
 
     batches = []
 
@@ -425,14 +473,14 @@ def test_telemetry_counts_infeasible_points_by_cause(caplog):
         detector_efficiency=1e-300, dark_count_rate=0.0, fiber_alpha=0.16, distance_km=50.0
     )
     bundle = validate(make_config(3), channel, SecurityParams(data_size=1e12))
-    spec = SearchSpec(restarts=2, max_evals=20, presamples=10)
+    spec = SearchSpec(restarts=2, max_evals=20)
     with pytest.raises(EstimationError):
-        finite_rate(_to_config(_default_start(3, spec), bundle.config), channel, bundle.security)
+        finite_rate(_to_config(ladder_start(3, spec), bundle.config), channel, bundle.security)
     with caplog.at_level(logging.DEBUG, logger="mfqcka.optimizer"):
         with pytest.raises(EstimationError):
             optimize_at_distance(spec, "finite", bundle)
     telemetry = search_telemetry(caplog)
-    assert telemetry["evaluations"] == 10 + sum(r["evals"] for r in telemetry["restarts"])
+    assert telemetry["evaluations"] == PRESAMPLES + sum(r["evals"] for r in telemetry["restarts"])
     assert telemetry["infeasible"] == {"EstimationError": telemetry["evaluations"]}
     assert all(r["best"] == math.inf for r in telemetry["restarts"])
     assert "EstimationError" in caplog.text
@@ -441,5 +489,5 @@ def test_telemetry_counts_infeasible_points_by_cause(caplog):
 def test_telemetry_is_silent_above_debug(caplog):
     bundle = make_bundle(distance_km=50.0, data_size=1e14)
     with caplog.at_level(logging.INFO, logger="mfqcka.optimizer"):
-        optimize_at_distance(SearchSpec(restarts=1, max_evals=20, presamples=4), "finite", bundle)
+        optimize_at_distance(SearchSpec(restarts=1, max_evals=20), "finite", bundle)
     assert not [r for r in caplog.records if r.name == "mfqcka.optimizer"]
