@@ -208,9 +208,10 @@ class TestOptimizeAtDistance:
         with pytest.raises(ValueError):
             optimize_at_distance(spec, "simplex", bundle)
 
-    def test_unsupported_user_count_raises_before_any_search(self, caplog):
+    @pytest.mark.parametrize("seed", [0, 512])
+    def test_unsupported_user_count_raises_before_any_search(self, seed, caplog):
         bundle = make_bundle(num_users=4, distance_km=50.0)
-        spec = SearchSpec()
+        spec = SearchSpec(seed=seed)
         with caplog.at_level(logging.DEBUG, logger="mfqcka.optimizer"):
             with pytest.raises(ConfigError, match="3 users only"):
                 optimize_at_distance(spec, "finite", bundle)
