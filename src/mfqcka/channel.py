@@ -15,11 +15,12 @@ probabilities ``(1 - p_d) exp(-I)`` per detector.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .model import ChannelParams, DegenerateChannelError
-from .special_math import _i0_rule, binomial
+from .special_math import _entropy, _i0_rule, binomial
 
 __all__ = [
     "arm_transmittance",
@@ -27,8 +28,10 @@ __all__ = [
     "gain_fixed_phase",
     "gain_phase_averaged",
     "pair_gains",
+    "ErrorRows",
+    "error_rows",
+    "error_terms",
     "adjacent_bit_error",
-    "adjacent_error_rows",
     "marginal_error",
     "marginal_errors",
 ]
@@ -99,40 +102,6 @@ def pair_gains(
     return _fixed_phase(y, x), _phase_averaged(y, x)
 
 
-def adjacent_error_rows(mu: np.ndarray, eta_t: float, p_d: float) -> tuple[np.ndarray, np.ndarray]:
-    """Adjacent bit error per signal intensity, and where it is undefined.
-
-    Returns ``(error, degenerate)``: ``degenerate`` marks the intensities
-    whose successful-click probability underflowed (``adjacent_bit_error``
-    raises there) and their ``error`` entries are meaningless.
-    """
-    y = _vacuum_yield(mu, mu, eta_t, p_d)
-    b = eta_t * mu
-    wrong = np.exp(-b)
-    denom = np.exp(b) + wrong - 2.0 * y
-    degenerate = ~((denom > 0.0) & np.isfinite(denom))
-    return (wrong - y) / np.where(degenerate, 1.0, denom), degenerate
-
-
-def adjacent_bit_error(mu: float, eta_t: float, p_d: float) -> float:
-    """Bit error rate between neighbouring users sending matched intensity mu.
-
-    Ratio of wrong-detector clicks to all successful clicks at zero phase
-    difference; with this detection model errors come from dark counts
-    only, so the rate vanishes at p_d = 0 and tends to 1/2 when dark
-    counts dominate.  One row of ``adjacent_error_rows``.
-    """
-    if mu <= 0.0:
-        raise ValueError("adjacent_bit_error requires a positive intensity")
-    error, degenerate = adjacent_error_rows(np.array([mu], dtype=float), eta_t, p_d)
-    if degenerate[0]:
-        raise DegenerateChannelError(
-            "successful-click probability underflowed; no-click regime "
-            f"(eta_t={eta_t!r}, mu={mu!r}, p_d={p_d!r})"
-        )
-    return float(error[0])
-
-
 @lru_cache(maxsize=None)
 def _flip_terms(num_users: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Terms C(j-1, 2i+1) E^(2i+1) (1-E)^(j-2i-2) of the odd-flip sums, indexed [j-2, i].
@@ -169,3 +138,65 @@ def marginal_error(adjacent, j: int):
     if j < 2:
         raise ValueError("marginal_error is defined for user index j >= 2")
     return _like_input(marginal_errors(arr, j)[..., -1], adjacent)
+
+
+class ErrorRows(NamedTuple):
+    """Bit error terms per signal intensity; ``degenerate`` rows have no adjacent error and get 0."""
+
+    adjacent: np.ndarray
+    marginals: np.ndarray  # [row, j - 2] for users j = 2..N
+    degenerate: np.ndarray
+
+
+def error_rows(mu: np.ndarray, num_users: int, eta_t: float, p_d: float) -> ErrorRows:
+    """Adjacent and marginal bit errors of ``num_users`` users, one row per signal intensity.
+
+    The adjacent error is the ratio of wrong-detector clicks to all
+    successful clicks at zero phase difference.  A row is degenerate where
+    the successful-click probability underflowed; its errors are 0.
+    """
+    y = _vacuum_yield(mu, mu, eta_t, p_d)
+    b = eta_t * mu
+    wrong = np.exp(-b)
+    denom = np.exp(b) + wrong - 2.0 * y
+    degenerate = ~((denom > 0.0) & np.isfinite(denom))
+    adjacent = np.where(degenerate, 0.0, (wrong - y) / np.where(degenerate, 1.0, denom))
+    return ErrorRows(adjacent, marginal_errors(adjacent, num_users), degenerate)
+
+
+def error_terms(
+    mu: float, num_users: int, eta_t: float, p_d: float
+) -> tuple[float, tuple[float, ...], float, float]:
+    """One row of ``error_rows``: (adjacent, marginals, worst marginal, its entropy).
+
+    The worst marginal is the one of largest binary entropy.  Raises
+    DegenerateChannelError on a degenerate row.
+    """
+    rows = error_rows(np.array([mu], dtype=float), num_users, eta_t, p_d)
+    if rows.degenerate[0]:
+        raise DegenerateChannelError(
+            "successful-click probability underflowed; no-click regime "
+            f"(eta_t={eta_t!r}, mu={mu!r}, p_d={p_d!r})"
+        )
+    marginals = rows.marginals[0]
+    entropies = _entropy(marginals)
+    worst = int(entropies.argmax())
+    return (
+        float(rows.adjacent[0]),
+        tuple(marginals.tolist()),
+        float(marginals[worst]),
+        float(entropies[worst]),
+    )
+
+
+def adjacent_bit_error(mu: float, eta_t: float, p_d: float) -> float:
+    """Bit error rate between neighbouring users sending matched intensity mu.
+
+    With this detection model errors come from dark counts only, so the
+    rate vanishes at p_d = 0 and tends to 1/2 when dark counts dominate.
+    One row of ``error_rows``; raises DegenerateChannelError where that
+    row is degenerate.
+    """
+    if mu <= 0.0:
+        raise ValueError("adjacent_bit_error requires a positive intensity")
+    return error_terms(mu, 2, eta_t, p_d)[0]

@@ -29,12 +29,11 @@ any layer runs.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
 from . import decoy, matching, photonstats
-from .channel import adjacent_error_rows, arm_transmittance, marginal_errors, total_efficiency
+from .channel import arm_transmittance, error_rows, error_terms, total_efficiency
 from .model import (
     INFEASIBLE,
     ChannelParams,
@@ -72,42 +71,6 @@ def _privacy_entropy(phase_error: np.ndarray) -> np.ndarray:
     return np.where(phase_error >= 0.5, 1.0, _entropy(phase_error))
 
 
-class ErrorRows(NamedTuple):
-    """Bit error terms per row; rows flagged ``degenerate`` have no adjacent error."""
-
-    adjacent: np.ndarray
-    marginals: np.ndarray  # [row, j - 2] for users j = 2..N
-    entropies: np.ndarray  # H2 of the marginals
-    degenerate: np.ndarray
-
-
-def _error_rows(mu: np.ndarray, num_users: int, channel: ChannelParams) -> ErrorRows:
-    """Adjacent and marginal bit errors, and the marginals' entropies, per signal intensity."""
-    adjacent, degenerate = adjacent_error_rows(
-        mu, total_efficiency(channel), channel.dark_count_rate
-    )
-    adjacent = np.where(degenerate, 0.0, adjacent)
-    marginals = marginal_errors(adjacent, num_users)
-    return ErrorRows(adjacent, marginals, _entropy(marginals), degenerate)
-
-
-def _error_terms(config: SourceConfig, channel: ChannelParams) -> tuple[float, tuple[float, ...], float, float]:
-    """One row of ``_error_rows``: (adjacent, marginals, worst marginal, its entropy)."""
-    rows = _error_rows(np.array([config.signal_intensity]), config.num_users, channel)
-    if rows.degenerate[0]:
-        raise DegenerateChannelError(
-            "successful-click probability underflowed; no-click regime "
-            f"(mu={config.signal_intensity!r}, distance_km={channel.distance_km!r})"
-        )
-    worst = int(rows.entropies[0].argmax())
-    return (
-        float(rows.adjacent[0]),
-        tuple(rows.marginals[0].tolist()),
-        float(rows.marginals[0, worst]),
-        float(rows.entropies[0, worst]),
-    )
-
-
 def _scale(num_users: int, sec: SecurityParams, mode: str) -> tuple[float, float]:
     """(n_bins, correction) of ``_assemble``: the data size and the error-correction
     and privacy-amplification cost per time bin for ``finite``, (1, 0) asymptotically."""
@@ -130,16 +93,6 @@ def _assemble(
     """(s_mu / n_bins) [1 - H(phi) - f H(E)] - correction; n_bins 1 and no correction asymptotically."""
     bracket = 1.0 - _privacy_entropy(phase_error) - ec_efficiency * worst_entropy
     return s_mu / n_bins * bracket - correction
-
-
-def _observed_from_expected(
-    config: SourceConfig, channel: ChannelParams, sec: SecurityParams
-) -> decoy.ObservedCounts:
-    sifted = {
-        k: matching.sifted_coincidences(k, config, channel, sec) for k in config.intensities
-    }
-    probs = dict(zip(config.intensities, config.send_probabilities))
-    return decoy.ObservedCounts(sifted=sifted, probabilities=probs, num_users=config.num_users)
 
 
 _DECOY_ASYMPTOTIC = {
@@ -232,10 +185,10 @@ def _rate_chunk(
         eps = sec.eps_chernoff if mode == "finite" else None
         bounds = decoy._decoy_rows(ks, probs, sifted, n, eps)
         phase, cause = bounds.phase_error, bounds.cause
-    errors = _error_rows(mu, n, channel)
+    errors = error_rows(mu, n, total_efficiency(channel), channel.dark_count_rate)
     degenerate = (cause == 0) & errors.degenerate
     cause[degenerate] = INFEASIBLE.index(DegenerateChannelError)
-    worst_entropy = errors.entropies.max(axis=1)
+    worst_entropy = _entropy(errors.marginals).max(axis=1)
     raw = _assemble(s_mu, phase, worst_entropy, sec.ec_efficiency, n_bins, correction)
     return raw, cause
 
@@ -243,20 +196,25 @@ def _rate_chunk(
 def _report(config: SourceConfig, channel: ChannelParams, sec: SecurityParams, mode: str) -> RateReport:
     """The rate report of one configuration: the body of ``finite_rate`` and ``asymptotic_rate``."""
     _check_mode(config.num_users, mode)
-    obs = _observed_from_expected(config, channel, sec)
-    s_mu = obs.sifted[config.signal_intensity]
+    counts = np.array([matching._count_matrix(config, channel, sec.data_size)])
+    sifted = dict(zip(config.intensities, matching._sifted_rows(counts, config.phase_slices)[0].tolist()))
+    s_mu = sifted[config.signal_intensity]
     bounds: dict[int, float] = {}
     applications = 0
     if mode == "asymptotic-exact":
         phase_err = photonstats.phase_error_exact(config, channel, sec)
     else:
+        probs = dict(zip(config.intensities, config.send_probabilities))
+        obs = decoy.ObservedCounts(sifted=sifted, probabilities=probs, num_users=config.num_users)
         if mode == "finite":
             db = decoy.bounds_3user_finite(obs, sec)
         else:
             db = _DECOY_ASYMPTOTIC[config.num_users](obs)
         phase_err, bounds = db.phase_error_upper, dict(db.s_mu_n_lower)
         applications = db.chernoff_applications
-    e_adj, marginals, worst, worst_h = _error_terms(config, channel)
+    e_adj, marginals, worst, worst_h = error_terms(
+        config.signal_intensity, config.num_users, total_efficiency(channel), channel.dark_count_rate
+    )
     n_bins, correction = _scale(config.num_users, sec, mode)
     raw = float(_assemble(
         np.array([s_mu]), np.array([phase_err]), np.array([worst_h]), sec.ec_efficiency, n_bins, correction
@@ -274,7 +232,7 @@ def _report(config: SourceConfig, channel: ChannelParams, sec: SecurityParams, m
         data_size=n_bins,
         mode=mode,
         marginal_errors=marginals,
-        sifted=dict(obs.sifted),
+        sifted=sifted,
         s_mu_n_lower=bounds,
         correction_bits=correction,
         chernoff_applications=applications,

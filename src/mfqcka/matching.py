@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import adjacent_bit_error, marginal_error, pair_gains, total_efficiency
+from .channel import error_terms, pair_gains, total_efficiency
 from .model import ChannelParams, CoincidenceStats, SecurityParams, SourceConfig
 
 __all__ = [
@@ -151,13 +151,6 @@ def _sifted_rows(counts: np.ndarray, phase_slices: int) -> np.ndarray:
     return np.where(n_min[:, None] > 0.0, sifted, 0.0)
 
 
-@lru_cache(maxsize=256)
-def _sifted_row(config: SourceConfig, channel: ChannelParams, data_size: float) -> tuple[float, ...]:
-    """Sifted coincidences of every setting of one configuration; one row of ``_sifted_rows``."""
-    counts = np.array([_count_matrix(config, channel, data_size)])
-    return tuple(_sifted_rows(counts, config.phase_slices)[0].tolist())
-
-
 def retained_clicks(
     k: float, j: int, config: SourceConfig, channel: ChannelParams, sec: SecurityParams
 ) -> float:
@@ -187,7 +180,8 @@ def sifted_coincidences(
     zero whenever some port's slice set is empty.  One row of ``_sifted_rows``.
     """
     k_idx = _setting_index(config, k)
-    return _sifted_row(config, channel, sec.data_size)[k_idx]
+    counts = np.array([_count_matrix(config, channel, sec.data_size)])
+    return float(_sifted_rows(counts, config.phase_slices)[0, k_idx])
 
 
 def expected_stats(
@@ -206,11 +200,10 @@ def expected_stats(
     slice_totals = {
         (j + 1, m): math.fsum(counts[j]) for j in range(config.num_ports) for m in range(half)
     }
-    sifted = dict(zip(settings, _sifted_row(config, channel, sec.data_size)))
-    e_adj = adjacent_bit_error(
-        config.signal_intensity, total_efficiency(channel), channel.dark_count_rate
+    sifted = dict(zip(settings, _sifted_rows(np.array([counts]), config.phase_slices)[0].tolist()))
+    e_adj, marginals, _, _ = error_terms(
+        config.signal_intensity, config.num_users, total_efficiency(channel), channel.dark_count_rate
     )
-    marginals = tuple(marginal_error(e_adj, j) for j in range(2, config.num_users + 1))
     return CoincidenceStats(
         retained_clicks=retained,
         slice_totals=slice_totals,

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import keyrate_oracles
-from mfqcka.channel import adjacent_bit_error
-from mfqcka.keyrate import MODES, _error_rows, asymptotic_rate, finite_rate, rate_report, rate_rows
+from mfqcka.channel import adjacent_bit_error, error_rows, total_efficiency
+from mfqcka.keyrate import MODES, asymptotic_rate, finite_rate, rate_report, rate_rows
 from mfqcka.model import (
     INFEASIBLE,
     ChannelParams,
@@ -202,10 +202,12 @@ def test_empty_batch():
 
 def test_degenerate_adjacent_error_is_flagged_per_row():
     channel = ChannelParams(detector_efficiency=0.0, dark_count_rate=0.0, fiber_alpha=0.16, distance_km=0.0)
-    rows = _error_rows(np.array([0.1, 1e-300]), 3, make_channel(50.0))
+    live = make_channel(50.0)
+    rows = error_rows(np.array([0.1, 1e-300]), 3, total_efficiency(live), live.dark_count_rate)
     assert not rows.degenerate.any()
-    rows = _error_rows(np.array([0.1, 1e-300]), 3, channel)
+    rows = error_rows(np.array([0.1, 1e-300]), 3, total_efficiency(channel), channel.dark_count_rate)
     assert rows.degenerate.all()
+    assert (rows.adjacent == 0.0).all() and (rows.marginals == 0.0).all()
     with pytest.raises(DegenerateChannelError):
         adjacent_bit_error(1e-300, 0.0, 0.0)
 
