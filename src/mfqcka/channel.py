@@ -10,6 +10,16 @@ the detector input means are
 and a "successful click" means exactly one of the two detectors fires.
 Every formula below follows from independent Poissonian no-click
 probabilities ``(1 - p_d) exp(-I)`` per detector.
+
+The adjacent bit error is the share of wrong-detector clicks among the
+successful clicks of two neighbours sending matched intensity mu at zero
+phase difference.  With b = eta_t mu and y = (1 - p_d) exp(-b) it is
+(exp(-b) - y) / (exp(b) + exp(-b) - 2y), which simplifies exactly to
+p_d / (expm1(2b) + 2 p_d); this form has no cancellation.  It is
+undefined only where no click is possible, 2b = 0 and p_d = 0.  That row
+alone is degenerate: ``error_rows`` flags it (with error 0) and
+``error_terms`` raises DegenerateChannelError.  Any positive 2b or p_d,
+however small, has an error, exactly 0 when p_d = 0.
 """
 
 from __future__ import annotations
@@ -151,16 +161,13 @@ class ErrorRows(NamedTuple):
 def error_rows(mu: np.ndarray, num_users: int, eta_t: float, p_d: float) -> ErrorRows:
     """Adjacent and marginal bit errors of ``num_users`` users, one row per signal intensity.
 
-    The adjacent error is the ratio of wrong-detector clicks to all
-    successful clicks at zero phase difference.  A row is degenerate where
-    the successful-click probability underflowed; its errors are 0.
+    The adjacent error is p_d / (expm1(2b) + 2 p_d) with b = eta_t mu (see
+    the module docstring).  A row is degenerate where no click is
+    possible (2b = 0 and p_d = 0); its errors are 0.
     """
-    y = _vacuum_yield(mu, mu, eta_t, p_d)
-    b = eta_t * mu
-    wrong = np.exp(-b)
-    denom = np.exp(b) + wrong - 2.0 * y
-    degenerate = ~((denom > 0.0) & np.isfinite(denom))
-    adjacent = np.where(degenerate, 0.0, (wrong - y) / np.where(degenerate, 1.0, denom))
+    denom = np.expm1(2.0 * eta_t * mu) + 2.0 * p_d
+    degenerate = denom == 0.0
+    adjacent = p_d / np.where(degenerate, 1.0, denom)
     return ErrorRows(adjacent, marginal_errors(adjacent, num_users), degenerate)
 
 
@@ -175,7 +182,7 @@ def error_terms(
     rows = error_rows(np.array([mu], dtype=float), num_users, eta_t, p_d)
     if rows.degenerate[0]:
         raise DegenerateChannelError(
-            "successful-click probability underflowed; no-click regime "
+            "no click is possible: 2 eta_t mu rounds to 0 and p_d = 0 "
             f"(eta_t={eta_t!r}, mu={mu!r}, p_d={p_d!r})"
         )
     marginals = rows.marginals[0]

@@ -44,12 +44,10 @@ def marginal(adjacent: float, j: int) -> float:
 def error_terms(config: SourceConfig, channel: ChannelParams) -> tuple[float, tuple[float, ...], float, float]:
     """(adjacent error, marginals, worst marginal, its entropy)."""
     eta_t, p_d, mu = total_efficiency(channel), channel.dark_count_rate, config.signal_intensity
-    y = (1.0 - p_d) * math.exp(-0.5 * eta_t * (mu + mu))
-    b = eta_t * mu
-    denom = math.exp(b) + math.exp(-b) - 2.0 * y
-    if denom <= 0.0 or not math.isfinite(denom):
-        raise DegenerateChannelError("successful-click probability underflowed")
-    e_adj = (math.exp(-b) - y) / denom
+    denom = math.expm1(2.0 * eta_t * mu) + 2.0 * p_d
+    if denom == 0.0:
+        raise DegenerateChannelError("no click is possible")
+    e_adj = p_d / denom
     marginals = tuple(marginal(e_adj, j) for j in range(2, config.num_users + 1))
     entropies = [entropy(min(e, 1.0)) for e in marginals]
     worst = max(range(len(entropies)), key=entropies.__getitem__)

@@ -1,6 +1,7 @@
 """Detection-layer formulas: trivial limits, quadrature and sampling oracles."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -35,6 +36,16 @@ def sample_click_counts(k_a, k_b, dtheta, eta_t, p_d, trials, seed):
         singles += int(single.sum())
         wrong += int((single & right).sum())
     return singles, wrong
+
+
+def adjacent_error_decimal(mu, eta_t, p_d):
+    """(e^-b - y) / (e^b + e^-b - 2y), y = (1 - p_d) e^-b, b = eta_t mu, in 50-digit decimal."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        b = Decimal(eta_t) * Decimal(mu)
+        wrong = (-b).exp()
+        y = (1 - Decimal(p_d)) * wrong
+        return (wrong - y) / (b.exp() + wrong - 2 * y)
 
 
 class TestEfficiency:
@@ -129,6 +140,21 @@ class TestAdjacentError:
     def test_degenerate_denominator_raises(self):
         with pytest.raises(DegenerateChannelError):
             adjacent_bit_error(1e-300, 0.0, 0.0)
+
+    def test_any_click_probability_has_an_error(self):
+        # exp(b) + exp(-b) - 2y rounds to 0 here, but 2b = 2e-17 is a click probability
+        assert adjacent_bit_error(1e-17, 1.0, 0.0) == 0.0
+
+    def test_matches_high_precision_oracle(self):
+        worst = 0.0
+        for d in range(0, 351, 10):
+            eta_t = total_efficiency(make_channel(float(d)))
+            for p_d in (3.03e-9, 1e-6, 1e-3):
+                for mu in (1e-3, 0.02, 0.05, 0.2, 0.4, 1.0):
+                    exact = adjacent_error_decimal(mu, eta_t, p_d)
+                    got = Decimal(adjacent_bit_error(mu, eta_t, p_d))
+                    worst = max(worst, float(abs(got - exact) / exact))
+        assert worst <= 1e-15
 
     def test_requires_positive_intensity(self):
         with pytest.raises(ValueError):
