@@ -214,7 +214,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
     spec = _search_spec(doc, args)
     if args.optimize:
-        reports = optimizer.scan_distances(distances, spec, objective, bundle)
+        reports = optimizer.scan_distances(steps, spec, objective)
     else:
         reports = (_evaluate(step, objective) for step in steps)
 

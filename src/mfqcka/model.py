@@ -66,9 +66,6 @@ class ChannelParams:
     fiber_alpha: float
     distance_km: float = 0.0
 
-    def with_distance(self, distance_km: float) -> "ChannelParams":
-        return dataclasses.replace(self, distance_km=float(distance_km))
-
 
 @dataclass(frozen=True)
 class SourceConfig:

@@ -403,22 +403,15 @@ def _log_search(
     )
 
 
-def scan_distances(
-    distances: list[float],
-    spec: SearchSpec,
-    objective: str,
-    bundle: Bundle,
-) -> list[RateReport]:
-    """Optimize the rate at each distance, warm-starting from the previous one's result."""
-    if not distances:
-        raise ValueError("distance list must not be empty")
+def scan_distances(bundles: list[Bundle], spec: SearchSpec, objective: str) -> list[RateReport]:
+    """Optimize each bundle in turn, warm-starting from the previous one's result.
+
+    ``bundles`` are validated (``model.validate``), typically one per distance.
+    """
+    if not bundles:
+        raise ValueError("bundle list must not be empty")
     reports: list[RateReport] = []
-    for distance in distances:
-        step_bundle = Bundle(
-            config=bundle.config,
-            channel=bundle.channel.with_distance(distance),
-            security=bundle.security,
-        )
+    for bundle in bundles:
         warm = reports[-1].params_used if reports else None
-        reports.append(optimize_at_distance(spec, objective, step_bundle, initial=warm))
+        reports.append(optimize_at_distance(spec, objective, bundle, initial=warm))
     return reports

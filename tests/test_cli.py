@@ -112,12 +112,13 @@ def test_validation_error_names_field(tmp_path, capsys):
     [
         ["rate", "{cfg}", "--distance", "-50"],
         ["scan", "{cfg}", "--from", "-20", "--to", "0", "--step", "10"],
+        ["scan", "{cfg}", "--optimize", "--from", "-20", "--to", "0", "--step", "10"],
         ["scan", "{cfg}", "--from", "0", "--to", "inf", "--step", "10"],
         ["simulate", "{cfg}", "--bins", "1000", "--dark-counts", "1.5"],
         ["simulate", "{cfg}", "--bins", "0"],
         ["simulate", "{cfg}", "--bins", "1000", "--seed", "-1"],
     ],
-    ids=["negative-distance", "negative-scan", "infinite-scan", "dark-counts", "zero-bins",
+    ids=["negative-distance", "negative-scan", "negative-optimized-scan", "infinite-scan", "dark-counts", "zero-bins",
          "negative-seed"],
 )
 def test_invalid_overrides_exit_config(config_path, capsys, argv):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import matching_oracles
-from mfqcka.channel import gain_fixed_phase, gain_phase_averaged, total_efficiency
+from mfqcka.channel import gain_fixed_phase, gain_phase_averaged, marginal_error, total_efficiency
 from mfqcka.matching import (
     _correction_factors,
     _count_matrix,
@@ -201,6 +201,8 @@ class TestExpectedStats:
         assert stats.adjacent_error == pytest.approx(
             stats.marginal_errors[0], rel=1e-15
         )
+        for j, e_j in enumerate(stats.marginal_errors, start=2):
+            assert e_j == marginal_error(stats.adjacent_error, j)
 
     def test_retained_independent_of_slice(self):
         bundle = make_bundle(distance_km=40.0)

@@ -216,7 +216,7 @@ class TestOptimizeAtDistance:
             with pytest.raises(ConfigError, match="3 users only"):
                 optimize_at_distance(spec, "finite", bundle)
             with pytest.raises(ConfigError, match="3 users only"):
-                scan_distances([50.0, 100.0], spec, "finite", bundle)
+                scan_distances([bundle, make_bundle(num_users=4, distance_km=100.0)], spec, "finite")
         assert not [r for r in caplog.records if r.name == "mfqcka.optimizer"]
 
     def test_warm_start_used(self):
@@ -230,30 +230,26 @@ class TestOptimizeAtDistance:
 
 class TestScanDistances:
     def test_single_distance_matches_point_optimization(self):
-        bundle = make_bundle(distance_km=50.0, data_size=1e13)
+        bundle = make_bundle(distance_km=70.0, data_size=1e13)
         spec = SearchSpec(restarts=2, max_evals=300)
-        reports = scan_distances([70.0], spec, "finite", bundle)
-        shifted = type(bundle)(
-            bundle.config, bundle.channel.with_distance(70.0), bundle.security
-        )
-        report = optimize_at_distance(spec, "finite", shifted)
+        reports = scan_distances([bundle], spec, "finite")
+        report = optimize_at_distance(spec, "finite", bundle)
         assert reports[0].distance_km == 70.0
         assert reports[0].params_used == report.params_used
         assert reports[0].key_rate_raw == report.key_rate_raw
 
     def test_rates_track_distance(self):
-        bundle = make_bundle(distance_km=50.0, data_size=1e14)
+        bundles = [make_bundle(distance_km=d, data_size=1e14) for d in (50.0, 100.0, 150.0)]
         spec = SearchSpec(restarts=3, max_evals=500)
-        reports = scan_distances([50.0, 100.0, 150.0], spec, "finite", bundle)
+        reports = scan_distances(bundles, spec, "finite")
         rates = [r.key_rate for r in reports]
         # optimized rate non-increasing in distance up to 5% optimizer noise
         assert all(b <= a * 1.05 for a, b in zip(rates, rates[1:]))
         assert all(r.params_used.num_users == 3 for r in reports)
 
     def test_empty_distance_list_rejected(self):
-        bundle = make_bundle()
         with pytest.raises(ValueError):
-            scan_distances([], SearchSpec(), "finite", bundle)
+            scan_distances([], SearchSpec(), "finite")
 
 
 def search_telemetry(caplog):
