@@ -151,7 +151,7 @@ def marginal_error(adjacent, j: int):
 
 
 class ErrorRows(NamedTuple):
-    """Bit error terms per signal intensity; ``degenerate`` rows have no adjacent error and get 0."""
+    """Bit error terms per signal intensity; ``degenerate`` rows (no click possible) get 0."""
 
     adjacent: np.ndarray
     marginals: np.ndarray  # [row, j - 2] for users j = 2..N
@@ -161,9 +161,7 @@ class ErrorRows(NamedTuple):
 def error_rows(mu: np.ndarray, num_users: int, eta_t: float, p_d: float) -> ErrorRows:
     """Adjacent and marginal bit errors of ``num_users`` users, one row per signal intensity.
 
-    The adjacent error is p_d / (expm1(2b) + 2 p_d) with b = eta_t mu (see
-    the module docstring).  A row is degenerate where no click is
-    possible (2b = 0 and p_d = 0); its errors are 0.
+    The adjacent error and the degenerate rows are those of the module docstring.
     """
     denom = np.expm1(2.0 * eta_t * mu) + 2.0 * p_d
     degenerate = denom == 0.0

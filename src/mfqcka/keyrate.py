@@ -17,13 +17,17 @@ optimizers keep a usable objective in the negative-rate region.
 (one ladder per row) and runs the matching, decoy or photon-number, error
 and assembly layers on the whole batch, returning ``key_rate_raw`` and an
 infeasibility cause per row.  ``finite_rate`` and ``asymptotic_rate`` are
-one report builder, ``_report``, that composes the layers' one-row entry
-points instead, so the report keeps every intermediate; ``rate_report``
-picks one of the two by mode.  Both paths take the data size and the
-finite correction from ``_scale``, so a row's value is the same either
-way.  ``_check_mode`` alone decides which modes exist for how many users:
-the kernel and the builder call it, and an unsupported pair raises before
-any layer runs.
+one report builder, ``_report``, that rates one configuration and keeps
+every intermediate.  It reads each layer once: the cached count matrix
+(``matching._count_matrix``), every setting's sifted count from one
+``matching._sifted_rows`` call, the mode's phase-error estimate, and last
+the bit errors (``channel.error_terms``, one row of the ``error_rows``
+that the kernel uses), so that a configuration raises the error its
+kernel cause names.  ``rate_report`` picks one of the two by mode.  Both
+paths take the data size and the finite correction from ``_scale``, so a
+row's value is the same either way.  ``_check_mode`` alone decides which
+modes exist for how many users: the kernel and the builder call it, and
+an unsupported pair raises before any layer runs.
 """
 
 from __future__ import annotations
@@ -197,7 +201,8 @@ def _report(config: SourceConfig, channel: ChannelParams, sec: SecurityParams, m
     """The rate report of one configuration: the body of ``finite_rate`` and ``asymptotic_rate``."""
     _check_mode(config.num_users, mode)
     counts = np.array([matching._count_matrix(config, channel, sec.data_size)])
-    sifted = dict(zip(config.intensities, matching._sifted_rows(counts, config.phase_slices)[0].tolist()))
+    sifted_row = matching._sifted_rows(counts, config.phase_slices)[0]
+    sifted = dict(zip(config.intensities, sifted_row.tolist()))
     s_mu = sifted[config.signal_intensity]
     bounds: dict[int, float] = {}
     applications = 0

@@ -18,9 +18,11 @@ degree N-2 in t, so an N//2-node Gauss-Legendre rule integrates it
 exactly.  Cost is polynomial in the number of users.
 
 The formulas carry a leading batch axis: ``_count_rows`` and
-``_sifted_rows`` evaluate a stack of ladders (one row each) in one pass,
-and the lru-cached scalar entry points are one-row calls of them.  A row's
-value never depends on the rows around it.
+``_sifted_rows`` evaluate a stack of ladders (one row each) in one pass.
+``_count_matrix``, the one cached entry point, is one row of
+``_count_rows``, and the scalar entry points read it and pass it through
+``_sifted_rows`` where they need sifted counts.  A row's value never
+depends on the rows around it.
 """
 
 from __future__ import annotations

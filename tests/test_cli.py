@@ -118,8 +118,8 @@ def test_validation_error_names_field(tmp_path, capsys):
         ["simulate", "{cfg}", "--bins", "0"],
         ["simulate", "{cfg}", "--bins", "1000", "--seed", "-1"],
     ],
-    ids=["negative-distance", "negative-scan", "negative-optimized-scan", "infinite-scan", "dark-counts", "zero-bins",
-         "negative-seed"],
+    ids=["negative-distance", "negative-scan", "negative-optimized-scan", "infinite-scan",
+         "dark-counts", "zero-bins", "negative-seed"],
 )
 def test_invalid_overrides_exit_config(config_path, capsys, argv):
     assert main([a.format(cfg=config_path) for a in argv]) == EXIT_CONFIG
