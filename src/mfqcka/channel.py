@@ -103,10 +103,12 @@ def gain_phase_averaged(k_a, k_b, eta_t: float, p_d: float):
     return _like_input(_phase_averaged(y, x), k_a, k_b)
 
 
-def pair_gains(
-    k_a: np.ndarray, k_b: np.ndarray, eta_t: float, p_d: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """``gain_fixed_phase`` at zero phase difference and ``gain_phase_averaged``, sharing y and b."""
+def pair_gains(k_a: np.ndarray, k_b: np.ndarray, eta_t, p_d) -> tuple[np.ndarray, np.ndarray]:
+    """``gain_fixed_phase`` at zero phase difference and ``gain_phase_averaged``, sharing y and b.
+
+    Every argument broadcasts: ``eta_t`` and ``p_d`` may be scalars or
+    hold one channel per row of the intensities.
+    """
     y = _vacuum_yield(k_a, k_b, eta_t, p_d)
     x = eta_t * np.sqrt(k_a * k_b)
     return _fixed_phase(y, x), _phase_averaged(y, x)
@@ -158,10 +160,12 @@ class ErrorRows(NamedTuple):
     degenerate: np.ndarray
 
 
-def error_rows(mu: np.ndarray, num_users: int, eta_t: float, p_d: float) -> ErrorRows:
+def error_rows(mu: np.ndarray, num_users: int, eta_t, p_d) -> ErrorRows:
     """Adjacent and marginal bit errors of ``num_users`` users, one row per signal intensity.
 
-    The adjacent error and the degenerate rows are those of the module docstring.
+    ``eta_t`` and ``p_d`` are scalars or one channel per row.  The
+    adjacent error and the degenerate rows are those of the module
+    docstring.
     """
     denom = np.expm1(2.0 * eta_t * mu) + 2.0 * p_d
     degenerate = denom == 0.0

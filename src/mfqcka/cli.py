@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -113,8 +114,21 @@ def _objective(args: argparse.Namespace) -> str:
     return f"asymptotic-{args.mode}"
 
 
-def _evaluate(bundle: Bundle, objective: str) -> RateReport:
-    return keyrate.rate_report(bundle.config, bundle.channel, bundle.security, objective)
+def _evaluate(bundles: list[Bundle], objective: str) -> list[RateReport]:
+    """The rate reports of ``bundles``, in order; the first call into the computation.
+
+    Consecutive bundles that share their source and security sections (the
+    steps of a scan) are rated in one kernel pass by ``keyrate.rate_reports``.
+    A lone bundle is rated by ``keyrate.rate_report``, whose one-row layer
+    calls are the boundaries that ``perfbench/spans.py`` traces.
+    """
+    if len(bundles) == 1:
+        (bundle,) = bundles
+        return [keyrate.rate_report(bundle.config, bundle.channel, bundle.security, objective)]
+    reports = []
+    for (config, sec), steps in itertools.groupby(bundles, key=lambda b: (b.config, b.security)):
+        reports.extend(keyrate.rate_reports(config, [step.channel for step in steps], sec, objective))
+    return reports
 
 
 def _print_report(report: RateReport) -> None:
@@ -186,24 +200,37 @@ def cmd_rate(args: argparse.Namespace) -> int:
     if args.bound_only:
         print(f"multicast_bound = {_fmt(keyrate.multicast_bound(bundle.channel))}")
         return EXIT_OK
-    report = _evaluate(bundle, objective)
+    (report,) = _evaluate([bundle], objective)
     _print_report(report)
     if args.out:
         _write_text(args.out, _csv_text([report], seed=0))
     return EXIT_OK
 
 
+# Scan distances are rounded to this grid (km); a smaller step would repeat them.
+_SCAN_GRID_KM = 1e-9
+_MAX_SCAN_POINTS = 1_000_000
+
+
 def _scan_distances(start: float, stop: float, step: float) -> list[float]:
-    """start + i*step up to stop; indexing keeps rounding from accumulating."""
+    """start + i*step up to stop; indexing keeps rounding from accumulating.
+
+    The slack that admits a stop reached up to rounding is a fraction of
+    a step, so small steps do not run past ``stop``.  The step and the
+    point count are checked before any distance is built.
+    """
     if not all(map(math.isfinite, (start, stop, step))):
         raise ConfigError("scan range and step must be finite")
     if step <= 0:
         raise ConfigError("scan step must be positive")
-    count = math.floor((stop - start + 1e-9) / step) + 1
-    distances = [round(start + i * step, 9) for i in range(count)]
-    if not distances:
+    if step < _SCAN_GRID_KM:
+        raise ConfigError(f"scan step must be at least {_SCAN_GRID_KM:g} km, the distance grid")
+    points = (stop - start) / step + 1e-9  # steps to the last point; +-inf where the span overflows
+    if points < 0.0:
         raise ConfigError("scan range is empty")
-    return distances
+    if points >= _MAX_SCAN_POINTS:
+        raise ConfigError(f"scan has more than {_MAX_SCAN_POINTS} points")
+    return [round(start + i * step, 9) for i in range(math.floor(points) + 1)]
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
@@ -216,7 +243,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     if args.optimize:
         reports = optimizer.scan_distances(steps, spec, objective)
     else:
-        reports = (_evaluate(step, objective) for step in steps)
+        reports = _evaluate(steps, objective)
 
     text = _csv_text(reports, spec.seed)
     if args.out:

@@ -13,26 +13,37 @@ coincidences per time bin rather than a gain or yield.
 Reported rates are clamped at zero but the raw value is retained so
 optimizers keep a usable objective in the negative-rate region.
 
-``rate_rows`` is the array kernel: it takes a batch of source settings
-(one ladder per row) and runs the matching, decoy or photon-number, error
-and assembly layers on the whole batch, returning ``key_rate_raw`` and an
-infeasibility cause per row.  ``finite_rate`` and ``asymptotic_rate`` are
-one report builder, ``_report``, that rates one configuration and keeps
-every intermediate.  It reads each layer once: the cached count matrix
-(``matching._count_matrix``), every setting's sifted count from one
-``matching._sifted_rows`` call, the mode's phase-error estimate, and last
-the bit errors (``channel.error_terms``, one row of the ``error_rows``
-that the kernel uses), so that a configuration raises the error its
-kernel cause names.  ``rate_report`` picks one of the two by mode.  Both
-paths take the data size and the finite correction from ``_scale``, so a
-row's value is the same either way.  ``_check_mode`` alone decides which
-modes exist for how many users: the kernel and the builder call it, and
+``_rate_chunk`` is the array kernel: it takes a batch of source settings
+(one ladder per row) over a channel that is one for all rows or one per
+row, runs the matching, decoy or photon-number, error and assembly
+layers on the whole batch, and returns every layer (``RateLayers``) with
+an infeasibility cause per row.  Two entry points read it in chunks of
+``_chunk_rows``: ``rate_rows``, the optimizer's, rates many ladders over
+one channel and keeps ``key_rate_raw`` and the cause; ``rate_reports``
+rates one configuration over many channels (a distance scan) and builds
+each ``RateReport`` from its kernel row.
+
+``finite_rate`` and ``asymptotic_rate`` are one report builder,
+``_report``, that rates one configuration and keeps every intermediate.
+It reads each layer once, through one-row entry points: the cached
+count matrix (``matching._count_matrix``), every setting's sifted count
+from one ``matching._sifted_rows`` call, the mode's phase-error estimate,
+and last the bit errors (``channel.error_terms``, one row of the
+``error_rows`` that the kernel uses), so that a configuration raises the
+error its kernel cause names.  ``rate_report`` picks one of the two by
+mode.  The benchmark's tracer (``perfbench/spans.py``) wraps those
+one-row entry points by name, so ``_report`` becomes ``rate_reports``
+with one row only once the tracer wraps the kernel instead.  All paths
+take the data size and the finite correction from ``_scale``, so a
+row's value is the same on each.  ``_check_mode`` alone decides which
+modes exist for how many users: the kernel and the builders call it, and
 an unsupported pair raises before any layer runs.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,7 +60,15 @@ from .model import (
 )
 from .special_math import I0_NODES, _entropy
 
-__all__ = ["asymptotic_rate", "finite_rate", "multicast_bound", "rate_report", "rate_rows", "MODES"]
+__all__ = [
+    "asymptotic_rate",
+    "finite_rate",
+    "multicast_bound",
+    "rate_report",
+    "rate_reports",
+    "rate_rows",
+    "MODES",
+]
 
 
 def multicast_bound(channel: ChannelParams) -> float:
@@ -134,6 +153,25 @@ def _chunk_rows(settings: int) -> int:
     return max(1, _CHUNK_BYTES // (pairs * I0_NODES * 8))
 
 
+class RateLayers(NamedTuple):
+    """Every layer of a batch of rate rows, indexed by row first (see ``_rate_chunk``).
+
+    In a row with a ``cause`` the other fields are meaningless.  The
+    exact mode has no decoy bounds: ``s_mu_n_lower`` and ``clamped`` have
+    no columns there, and ``chernoff_applications`` is 0.
+    """
+
+    sifted: np.ndarray  # [row, setting], signal first
+    phase_error: np.ndarray
+    s_mu_n_lower: np.ndarray  # [row, i] for photon number decoy._photon_numbers(N)[i]
+    clamped: np.ndarray  # [row, i]: the bound was clamped at zero
+    chernoff_applications: np.ndarray
+    adjacent_error: np.ndarray
+    marginal_errors: np.ndarray  # [row, j - 2] for users j = 2..N
+    key_rate_raw: np.ndarray
+    cause: np.ndarray
+
+
 def rate_rows(
     ints: np.ndarray,
     probs: np.ndarray,
@@ -142,7 +180,7 @@ def rate_rows(
     sec: SecurityParams,
     mode: str,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``key_rate_raw`` and an infeasibility cause for every row: the array rate kernel.
+    """``key_rate_raw`` and an infeasibility cause for every ladder over one channel.
 
     Row r is the intensity ladder ``ints[r]`` (signal first, vacuum last)
     sent with probabilities ``probs[r]``; ``config`` gives the number of
@@ -160,41 +198,110 @@ def rate_rows(
     rows, settings = ints.shape
     raw = np.full(rows, np.nan)
     cause = np.zeros(rows, dtype=np.int8)
+    eta_t, p_d = total_efficiency(channel), channel.dark_count_rate
     step = _chunk_rows(settings)
     for lo in range(0, rows, step):
         part = slice(lo, lo + step)
-        raw[part], cause[part] = _rate_chunk(ints[part], probs[part], config, channel, sec, mode)
+        layers = _rate_chunk(ints[part], probs[part], config, eta_t, p_d, sec, mode)
+        raw[part], cause[part] = layers.key_rate_raw, layers.cause
     return raw, cause
+
+
+def rate_reports(
+    config: SourceConfig, channels: Sequence[ChannelParams], sec: SecurityParams, mode: str
+) -> Iterator[RateReport]:
+    """The rate report of ``config`` over each of ``channels``, in order, from one kernel pass.
+
+    Row r of the kernel is ``config`` over ``channels[r]``, so a distance
+    scan is one batch (in chunks of ``_chunk_rows``).  Each report equals
+    ``rate_report(config, channels[r], sec, mode)`` field for field, bit
+    for bit.  A row with an infeasibility cause is handed to
+    ``rate_report`` alone, so the first such row raises the error, and
+    the message, that its channel raises alone; the reports before it
+    have been yielded by then.
+    """
+    _check_mode(config.num_users, mode)
+    channels = list(channels)
+    rows, settings = len(channels), len(config.intensities)
+    ks = np.tile(np.array(config.intensities), (rows, 1))
+    probs = np.tile(np.array(config.send_probabilities), (rows, 1))
+    eta_t = np.array([total_efficiency(channel) for channel in channels])
+    p_d = np.array([channel.dark_count_rate for channel in channels])
+    n_bins, correction = _scale(config.num_users, sec, mode)
+    orders = decoy._photon_numbers(config.num_users)  # the exact mode has no bound columns
+    step = _chunk_rows(settings)
+    for lo in range(0, rows, step):
+        part = slice(lo, lo + step)
+        layers = _rate_chunk(ks[part], probs[part], config, eta_t[part], p_d[part], sec, mode)
+        marginals = layers.marginal_errors
+        worst = np.take_along_axis(marginals, _entropy(marginals).argmax(axis=1)[:, None], axis=1)
+        for r, channel in enumerate(channels[part]):
+            if layers.cause[r]:
+                yield rate_report(config, channel, sec, mode)
+                continue
+            sifted = layers.sifted[r].tolist()
+            raw = float(layers.key_rate_raw[r])
+            applications = int(layers.chernoff_applications[r])
+            yield RateReport(
+                key_rate=max(raw, 0.0),
+                key_rate_raw=raw,
+                multicast_bound=multicast_bound(channel),
+                phase_error_upper=float(layers.phase_error[r]),
+                adjacent_error=float(layers.adjacent_error[r]),
+                worst_marginal_error=float(worst[r, 0]),
+                sifted_signal=sifted[0],
+                params_used=config,
+                distance_km=channel.distance_km,
+                data_size=n_bins,
+                mode=mode,
+                marginal_errors=tuple(marginals[r].tolist()),
+                sifted=dict(zip(config.intensities, sifted)),
+                s_mu_n_lower=dict(zip(orders, layers.s_mu_n_lower[r].tolist())),
+                correction_bits=correction,
+                chernoff_applications=applications,
+                failure_budget=applications * sec.eps_chernoff,
+            )
 
 
 def _rate_chunk(
     ks: np.ndarray,
     probs: np.ndarray,
     config: SourceConfig,
-    channel: ChannelParams,
+    eta_t,
+    p_d,
     sec: SecurityParams,
     mode: str,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> RateLayers:
+    """Every layer of rows ``ks``/``probs`` over total efficiency ``eta_t`` and dark-count rate ``p_d``.
+
+    ``eta_t`` and ``p_d`` are scalars (one channel for every row, as the
+    optimizer passes them) or one value per row (a distance scan).
+    """
     n, m_slices = config.num_users, config.phase_slices
     n_bins, correction = _scale(n, sec, mode)
     mu, p_mu = ks[:, 0].copy(), probs[:, 0].copy()
-    counts = matching._count_rows(ks, probs, n, m_slices, channel, n_bins)
+    counts = matching._count_rows(ks, probs, n, m_slices, eta_t, p_d, n_bins)
     sifted = matching._sifted_rows(counts, m_slices)
     s_mu = sifted[:, 0].copy()
     if mode == "asymptotic-exact":
         phase, cause = photonstats._phase_error_rows(
-            counts, mu, p_mu, s_mu, n, m_slices, channel, n_bins
+            counts, mu, p_mu, s_mu, n, m_slices, eta_t, p_d, n_bins
         )
+        bounds, clamped = np.empty((len(ks), 0)), np.empty((len(ks), 0), dtype=bool)
+        applications = np.zeros(len(ks), dtype=np.int64)
     else:
         eps = sec.eps_chernoff if mode == "finite" else None
-        bounds = decoy._decoy_rows(ks, probs, sifted, n, eps)
-        phase, cause = bounds.phase_error, bounds.cause
-    errors = error_rows(mu, n, total_efficiency(channel), channel.dark_count_rate)
+        rows = decoy._decoy_rows(ks, probs, sifted, n, eps)
+        phase, cause = rows.phase_error, rows.cause
+        bounds, clamped, applications = rows.bounds, rows.clamped, rows.chernoff_applications
+    errors = error_rows(mu, n, eta_t, p_d)
     degenerate = (cause == 0) & errors.degenerate
     cause[degenerate] = INFEASIBLE.index(DegenerateChannelError)
     worst_entropy = _entropy(errors.marginals).max(axis=1)
     raw = _assemble(s_mu, phase, worst_entropy, sec.ec_efficiency, n_bins, correction)
-    return raw, cause
+    return RateLayers(
+        sifted, phase, bounds, clamped, applications, errors.adjacent, errors.marginals, raw, cause
+    )
 
 
 def _report(config: SourceConfig, channel: ChannelParams, sec: SecurityParams, mode: str) -> RateReport:

@@ -18,7 +18,8 @@ degree N-2 in t, so an N//2-node Gauss-Legendre rule integrates it
 exactly.  Cost is polynomial in the number of users.
 
 The formulas carry a leading batch axis: ``_count_rows`` and
-``_sifted_rows`` evaluate a stack of ladders (one row each) in one pass.
+``_sifted_rows`` evaluate a stack of ladders (one row each) in one pass,
+over one channel or one channel per row.
 ``_count_matrix``, the one cached entry point, is one row of
 ``_count_rows``, and the scalar entry points read it and pass it through
 ``_sifted_rows`` where they need sifted counts.  A row's value never
@@ -52,16 +53,22 @@ def _setting_pairs(settings: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     return first, second, index, np.diagonal(index).copy()
 
 
-def _gain_rows(ks: np.ndarray, eta_t: float, p_d: float) -> tuple[np.ndarray, np.ndarray]:
+def _per_row(value):
+    """A scalar as it is; one value per row as a column against the row's settings."""
+    return value[:, None] if np.ndim(value) else value
+
+
+def _gain_rows(ks: np.ndarray, eta_t, p_d) -> tuple[np.ndarray, np.ndarray]:
     """The gains entering the matching sums, per ladder (row of ``ks``).
 
+    ``eta_t`` and ``p_d`` are scalars or one channel per row.
     ``q_avg[r, a, b]`` is the phase-averaged gain of settings a and b and
     ``q_zero[r, k]`` the zero-phase gain of matched setting k.  The gain
     formulas are symmetric bit for bit, so both are evaluated on the
     distinct pairs only.
     """
     first, second, index, matched = _setting_pairs(ks.shape[1])
-    q_fixed, q_pairs = pair_gains(ks[:, first], ks[:, second], eta_t, p_d)
+    q_fixed, q_pairs = pair_gains(ks[:, first], ks[:, second], _per_row(eta_t), _per_row(p_d))
     return q_pairs[:, index], q_fixed[:, matched]
 
 
@@ -107,15 +114,18 @@ def _count_rows(
     probs: np.ndarray,
     num_users: int,
     phase_slices: int,
-    channel: ChannelParams,
+    eta_t,
+    p_d,
     data_size: float,
 ) -> np.ndarray:
     """Expected per-slice retained clicks, indexed [row, port-1, setting].
 
-    Row r is the ladder ``ks[r]`` sent with probabilities ``probs[r]``;
-    every row is computed exactly as it would be alone.
+    Row r is the ladder ``ks[r]`` sent with probabilities ``probs[r]``
+    over a channel of total efficiency ``eta_t`` and dark-count rate
+    ``p_d``, scalars or one per row; every row is computed exactly as it
+    would be alone.
     """
-    q_avg, q_zero = _gain_rows(ks, total_efficiency(channel), channel.dark_count_rate)
+    q_avg, q_zero = _gain_rows(ks, eta_t, p_d)
     prefactor = 4.0 * data_size * probs * probs * q_zero / (phase_slices * phase_slices)
     return prefactor[:, None, :] * _correction_factors(probs, q_avg, num_users)
 
@@ -130,7 +140,8 @@ def _count_matrix(
         np.array([config.send_probabilities]),
         config.num_users,
         config.phase_slices,
-        channel,
+        total_efficiency(channel),
+        channel.dark_count_rate,
         data_size,
     )
     return tuple(tuple(row) for row in counts[0].tolist())

@@ -29,8 +29,9 @@ which costs O(n_max^2) per channel instead of the O(n_max^5) of the
 nested loops (see ``_port_weight_sequence``).
 
 ``_phase_error_rows`` evaluates the exact phase error for a batch of
-ladders (one row each) from their count matrices; the scalar entry
-points are one-row calls of it.
+ladders (one row each) from their count matrices, over one channel or
+one channel per row (whose composition sums are stacked from the
+per-channel cache); the scalar entry points are one-row calls of it.
 """
 
 from __future__ import annotations
@@ -88,22 +89,37 @@ def _port_weight_sequence(eta_t: float, p_d: float, n_max: int) -> tuple[float, 
 
 @lru_cache(maxsize=32)
 def _composition_sums(
-    num_ports: int, phase_slices: int, channel: ChannelParams, data_size: float, n_max: int
+    num_ports: int, phase_slices: int, eta_t: float, p_d: float, data_size: float, n_max: int
 ) -> np.ndarray:
-    """(N-1)-fold convolution of the per-port factor (4 N_bins / M^2) w[m].
+    """(N-1)-fold convolution of the per-port factor (4 N_bins / M^2) w[m] of one channel.
 
     It does not depend on the intensity ladder, so one read-only array
-    serves every row of a batch.
+    serves every row of a batch over that channel.
     """
-    eta_t = total_efficiency(channel)
     scale = 4.0 * data_size / phase_slices**2
-    g = scale * np.asarray(_port_weight_sequence(eta_t, channel.dark_count_rate, n_max))
+    g = scale * np.asarray(_port_weight_sequence(eta_t, p_d, n_max))
     conv = g.copy()
     for _ in range(num_ports - 1):
         conv = np.convolve(conv, g)
     conv = conv[: n_max + 1].copy()
     conv.flags.writeable = False
     return conv
+
+
+def _composition_rows(
+    num_ports: int, phase_slices: int, eta_t, p_d, data_size: float, n_max: int
+) -> np.ndarray:
+    """``_composition_sums`` of one channel (scalar ``eta_t`` and ``p_d``), or stacked [row, n] per row.
+
+    Each row comes from the per-channel cache, so a row equals its
+    channel's array bit for bit.
+    """
+    if not np.ndim(eta_t):
+        return _composition_sums(num_ports, phase_slices, eta_t, p_d, data_size, n_max)
+    return np.stack([
+        _composition_sums(num_ports, phase_slices, eta, dark, data_size, n_max)
+        for eta, dark in zip(eta_t.tolist(), p_d.tolist())
+    ])
 
 
 @lru_cache(maxsize=None)
@@ -119,14 +135,16 @@ def _nphoton_rows(
     p_mu: np.ndarray,
     num_users: int,
     phase_slices: int,
-    channel: ChannelParams,
+    eta_t,
+    p_d,
     data_size: float,
     n_max: int,
 ) -> np.ndarray:
     """s_n for n = 0..n_max, indexed [row, n]; all zero in a row whose count matrix has an empty port.
 
     Row r has the count matrix ``counts[r]``, signal intensity ``mu[r]``
-    and signal probability ``p_mu[r]``:
+    and signal probability ``p_mu[r]``; ``eta_t`` and ``p_d`` are the
+    channel's total efficiency and dark-count rate, scalars or one per row:
     s_n = M n_min e^(-2 P mu) p_mu^(2P) / (2 prod totals) mu^n w_P[n].
     """
     totals, n_min = _port_totals(counts)
@@ -136,7 +154,7 @@ def _nphoton_rows(
         phase_slices * n_min * np.exp(-2.0 * ports * mu) * p_mu ** (2 * ports)
         / np.where(filled, 2.0 * totals.prod(axis=-1), 1.0)
     )
-    comp = _composition_sums(ports, phase_slices, channel, data_size, n_max)
+    comp = _composition_rows(ports, phase_slices, eta_t, p_d, data_size, n_max)
     return np.where(filled, scale, 0.0)[:, None] * mu[:, None] ** _powers(n_max) * comp
 
 
@@ -147,20 +165,22 @@ def _phase_error_rows(
     s_mu: np.ndarray,
     num_users: int,
     phase_slices: int,
-    channel: ChannelParams,
+    eta_t,
+    p_d,
     data_size: float,
     n_max: int = 20,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact phase error per row, and its cause code (``model.INFEASIBLE``).
 
     ``s_mu`` is each row's sifted signal count; a row without one gets an
-    EstimationError cause and a meaningless phase error.
+    EstimationError cause and a meaningless phase error.  ``eta_t`` and
+    ``p_d`` are scalars or one channel per row.
     """
     if n_max < num_users:
         raise ValueError("n_max must be at least the number of users")
     no_signal = s_mu <= 0.0
     good_parity = 1 if num_users % 2 == 0 else 0
-    terms = _nphoton_rows(counts, mu, p_mu, num_users, phase_slices, channel, data_size, n_max)
+    terms = _nphoton_rows(counts, mu, p_mu, num_users, phase_slices, eta_t, p_d, data_size, n_max)
     acc = np.ascontiguousarray(terms[:, good_parity::2]).sum(axis=-1)
     phi = 1.0 - acc / np.where(no_signal, 1.0, s_mu)
     return np.minimum(np.maximum(phi, 0.0), 1.0), no_signal * np.int8(_ESTIMATION)
@@ -174,7 +194,8 @@ def _one_row(config: SourceConfig, channel: ChannelParams, data_size: float) -> 
         p_mu=np.array([config.send_probabilities[0]]),
         num_users=config.num_users,
         phase_slices=config.phase_slices,
-        channel=channel,
+        eta_t=total_efficiency(channel),
+        p_d=channel.dark_count_rate,
         data_size=data_size,
     )
 

@@ -5,6 +5,7 @@ import copy
 import csv
 import io
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -360,30 +361,61 @@ def test_simulate_seed_is_not_the_optimizer_seed(config_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv,calls",
+    "argv,distances,chunks",
     [
-        (["rate", "{cfg}"], 1),
-        (["rate", "{cfg}", "--objective", "asymptotic", "--mode", "exact"], 1),
-        (["scan", "{cfg}", "--from", "50", "--to", "70", "--step", "10"], 3),
+        (["rate", "{cfg}"], [[50.0]], 0),
+        (["rate", "{cfg}", "--objective", "asymptotic", "--mode", "exact"], [[50.0]], 0),
+        (["scan", "{cfg}", "--from", "50", "--to", "70", "--step", "10"], [[50.0, 60.0, 70.0]], 1),
     ],
     ids=["rate", "rate-exact", "scan"],
 )
-def test_commands_evaluate_through_the_evaluate_hook(config_path, capsys, monkeypatch, argv, calls):
-    # The benchmark marks the end of set-up by hooking cli._evaluate.
-    from mfqcka import cli
+def test_commands_evaluate_through_the_evaluate_hook(config_path, capsys, monkeypatch, argv, distances, chunks):
+    # The benchmark marks the end of set-up by hooking cli._evaluate.  A scan
+    # rates all its distances in one call, in ceil(rows / _chunk_rows) kernel
+    # chunks; rate takes the one-row path that the benchmark's tracer wraps.
+    from mfqcka import cli, keyrate
 
     seen = []
     evaluate = cli._evaluate
 
-    def spy(bundle, objective):
-        seen.append((bundle.channel.distance_km, objective))
-        return evaluate(bundle, objective)
+    def spy(bundles, objective):
+        seen.append([bundle.channel.distance_km for bundle in bundles])
+        return evaluate(bundles, objective)
+
+    chunk_calls = []
+    rate_chunk = keyrate._rate_chunk
+
+    def chunk_spy(ks, *args):
+        chunk_calls.append(len(ks))
+        return rate_chunk(ks, *args)
 
     monkeypatch.setattr(cli, "_evaluate", spy)
+    monkeypatch.setattr(keyrate, "_rate_chunk", chunk_spy)
     assert main([a.format(cfg=config_path) for a in argv]) == EXIT_OK
-    assert len(seen) == calls
+    assert seen == distances
+    assert len(chunk_calls) == chunks
     if argv[0] == "scan":
-        assert [d for d, _ in seen] == [50.0, 60.0, 70.0]
+        assert chunks == math.ceil(len(distances[0]) / keyrate._chunk_rows(4))
+        assert chunk_calls == [3]
+
+
+def test_exact_scan_rows_equal_one_rate_per_distance(tmp_path):
+    doc = make_bundle(num_users=4, data_size=1e14).to_dict()
+    doc["optimizer"] = {"seed": 0}  # the seed column of a rate CSV
+    path = tmp_path / "n4.json"
+    path.write_text(json.dumps(doc))
+    common = [str(path), "--objective", "asymptotic", "--mode", "exact"]
+    scan_csv = tmp_path / "scan.csv"
+    argv = ["scan", *common, "--from", "0", "--to", "330", "--step", "30", "--out", str(scan_csv)]
+    assert main(argv) == EXIT_OK
+    header, *rows = scan_csv.read_text().splitlines(keepends=True)
+    assert len(rows) == 12
+    for i, row in enumerate(rows):
+        rate_csv = tmp_path / f"rate{i}.csv"
+        argv = ["rate", *common, "--distance", str(30 * i), "--out", str(rate_csv)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == EXIT_OK
+        assert rate_csv.read_text() == header + row
 
 
 _VALID_DOC = make_bundle(distance_km=50.0, data_size=1e12).to_dict()
@@ -490,6 +522,37 @@ def test_scan_distances_do_not_accumulate_rounding():
     distances = _scan_distances(0.0, 330.0, 0.001)
     assert len(distances) == 330_001
     assert distances == [i / 1000 for i in range(330_001)]
+
+
+def test_scan_distances_stop_at_the_last_step_before_stop():
+    assert _scan_distances(0.0, 5e-9, 2e-9) == [0.0, 2e-9, 4e-9]
+    assert _scan_distances(0.0, 330.0, 2.0)[-1] == 330.0
+    assert _scan_distances(7.5, 7.5, 1.0) == [7.5]
+
+
+@pytest.mark.parametrize(
+    "start,stop,step,message",
+    [
+        (0.0, 5e-9, 1e-10, "at least 1e-09 km"),
+        (0.0, 1e6, 1e-9, "more than 1000000 points"),
+        (0.0, 1e6, 1.0, "more than 1000000 points"),
+        (-1e308, 1e308, 1.0, "more than 1000000 points"),
+        (1e308, -1e308, 1.0, "range is empty"),
+    ],
+)
+def test_scan_distances_reject_repeats_and_huge_scans(start, stop, step, message):
+    with pytest.raises(ConfigError, match=message):
+        _scan_distances(start, stop, step)
+
+
+def test_scan_distances_allow_a_million_points():
+    assert len(_scan_distances(0.0, 999_999.0, 1.0)) == 1_000_000
+
+
+@pytest.mark.parametrize("to,step", [("5e-9", "1e-10"), ("1e6", "1e-9")])
+def test_scan_rejects_tiny_steps_and_huge_scans(config_path, capsys, to, step):
+    assert main(["scan", config_path, "--from", "0", "--to", to, "--step", step]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: scan ")
 
 
 def test_scan_csv_columns_and_determinism(config_path, tmp_path):

@@ -1,5 +1,6 @@
 """The array rate kernel: batch independence, one-row entry points, scalar oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,17 +8,18 @@ import pytest
 
 import keyrate_oracles
 from mfqcka.channel import adjacent_bit_error, error_rows, total_efficiency
-from mfqcka.keyrate import MODES, asymptotic_rate, finite_rate, rate_report, rate_rows
+from mfqcka.keyrate import MODES, asymptotic_rate, finite_rate, rate_report, rate_reports, rate_rows
 from mfqcka.model import (
     INFEASIBLE,
     ChannelParams,
     ConfigError,
     DegenerateChannelError,
     EstimationError,
+    RateReport,
     SourceConfig,
 )
 from mfqcka.optimizer import ORDERING_GAP, SearchSpec, _ladders, _project, _sample_starts, _to_config
-from conftest import make_bundle, make_channel
+from conftest import make_bundle, make_channel, make_geometric_config
 
 CASES = [(3, "finite")] + [(n, mode) for mode in MODES[1:] for n in (3, 4, 5)]
 
@@ -222,3 +224,70 @@ def test_chunks_bound_the_gain_table():
         assert rows >= 1
         assert rows * row_bytes <= max(_CHUNK_BYTES, row_bytes)
         assert rows == 1 or (rows + 1) * row_bytes > _CHUNK_BYTES
+
+
+REPORT_CASES = [(3, "finite")] + [(n, "asymptotic-decoy") for n in (3, 4, 5)] + [
+    (n, "asymptotic-exact") for n in (4, 6)
+]
+
+
+def report_bundle(num_users):
+    """The standard ladder where there is one, the geometric ladder otherwise."""
+    if num_users <= 5:
+        return make_bundle(num_users=num_users, data_size=1e14)
+    return dataclasses.replace(make_bundle(data_size=1e14), config=make_geometric_config(num_users))
+
+
+def assert_same_report(got, expected):
+    for field in dataclasses.fields(RateReport):
+        value, want = getattr(got, field.name), getattr(expected, field.name)
+        assert value == want, field.name
+        assert type(value) is type(want), field.name
+
+
+@pytest.mark.parametrize("num_users,mode", REPORT_CASES)
+def test_rate_reports_equal_one_report_per_distance(num_users, mode):
+    bundle = report_bundle(num_users)
+    channels = [make_channel(d) for d in range(0, 351, 25)]
+    reports = list(rate_reports(bundle.config, channels, bundle.security, mode))
+    assert len(reports) == len(channels)
+    for report, channel in zip(reports, channels):
+        assert_same_report(report, rate_report(bundle.config, channel, bundle.security, mode))
+
+
+def no_signal(distance):
+    return ChannelParams(detector_efficiency=0.0, dark_count_rate=0.0, fiber_alpha=0.16, distance_km=distance)
+
+
+def dark_free(distance):
+    return make_channel(distance, dark_count_rate=0.0)
+
+
+# Every cause a validated bundle reaches (the kernel's causes over the corner
+# channels of the tests above are all EstimationErrors): no signal at all,
+# decoys too small to weigh, and a signal that fades out along the scan.
+INFEASIBLE_SCANS = [
+    (3, "finite", {}, [no_signal(0.0), no_signal(50.0)]),
+    (4, "asymptotic-exact", {}, [make_channel(0.0), no_signal(50.0)]),
+    (3, "finite", {"decoys": (1e-200, 1e-250, 0.0)}, [make_channel(0.0)]),
+    (4, "asymptotic-decoy", {"decoys": (1e-100, 1e-150, 1e-200, 0.0)}, [make_channel(0.0)]),
+    (3, "finite", {}, [dark_free(d) for d in range(0, 3001, 100)]),
+    (5, "asymptotic-decoy", {}, [dark_free(d) for d in range(0, 3001, 100)]),
+    (4, "asymptotic-exact", {}, [dark_free(d) for d in range(0, 3001, 100)]),
+]
+
+
+@pytest.mark.parametrize("num_users,mode,ladder,channels", INFEASIBLE_SCANS)
+def test_rate_reports_raise_the_error_of_the_first_infeasible_row(num_users, mode, ladder, channels):
+    bundle = make_bundle(num_users=num_users, data_size=1e14, **ladder)
+    reports = rate_reports(bundle.config, channels, bundle.security, mode)
+    for channel in channels:
+        try:
+            expected = rate_report(bundle.config, channel, bundle.security, mode)
+        except (ConfigError, EstimationError, DegenerateChannelError) as exc:
+            with pytest.raises(type(exc)) as raised:
+                next(reports)
+            assert str(raised.value) == str(exc)
+            return
+        assert_same_report(next(reports), expected)
+    pytest.fail("no channel of the scan is infeasible")
