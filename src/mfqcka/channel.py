@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import ChannelParams, DegenerateChannelError
-from .special_math import _entropy, _i0_rule, binomial
+from .special_math import _i0_rule, binomial
 
 __all__ = [
     "arm_transmittance",
@@ -173,13 +173,10 @@ def error_rows(mu: np.ndarray, num_users: int, eta_t, p_d) -> ErrorRows:
     return ErrorRows(adjacent, marginal_errors(adjacent, num_users), degenerate)
 
 
-def error_terms(
-    mu: float, num_users: int, eta_t: float, p_d: float
-) -> tuple[float, tuple[float, ...], float, float]:
-    """One row of ``error_rows``: (adjacent, marginals, worst marginal, its entropy).
+def error_terms(mu: float, num_users: int, eta_t: float, p_d: float) -> ErrorRows:
+    """The one row of ``error_rows`` at signal intensity ``mu``.
 
-    The worst marginal is the one of largest binary entropy.  Raises
-    DegenerateChannelError on a degenerate row.
+    Raises DegenerateChannelError where that row is degenerate.
     """
     rows = error_rows(np.array([mu], dtype=float), num_users, eta_t, p_d)
     if rows.degenerate[0]:
@@ -187,15 +184,7 @@ def error_terms(
             "no click is possible: 2 eta_t mu rounds to 0 and p_d = 0 "
             f"(eta_t={eta_t!r}, mu={mu!r}, p_d={p_d!r})"
         )
-    marginals = rows.marginals[0]
-    entropies = _entropy(marginals)
-    worst = int(entropies.argmax())
-    return (
-        float(rows.adjacent[0]),
-        tuple(marginals.tolist()),
-        float(marginals[worst]),
-        float(entropies[worst]),
-    )
+    return rows
 
 
 def adjacent_bit_error(mu: float, eta_t: float, p_d: float) -> float:
@@ -208,4 +197,4 @@ def adjacent_bit_error(mu: float, eta_t: float, p_d: float) -> float:
     """
     if mu <= 0.0:
         raise ValueError("adjacent_bit_error requires a positive intensity")
-    return error_terms(mu, 2, eta_t, p_d)[0]
+    return float(error_terms(mu, 2, eta_t, p_d).adjacent[0])

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import json
 import math
 import os
@@ -117,18 +116,16 @@ def _objective(args: argparse.Namespace) -> str:
 def _evaluate(bundles: list[Bundle], objective: str) -> list[RateReport]:
     """The rate reports of ``bundles``, in order; the first call into the computation.
 
-    Consecutive bundles that share their source and security sections (the
-    steps of a scan) are rated in one kernel pass by ``keyrate.rate_reports``.
+    The bundles are the steps of one scan, which differ in their channel
+    only, so they are rated in one kernel pass by ``keyrate.rate_reports``.
     A lone bundle is rated by ``keyrate.rate_report``, whose one-row layer
     calls are the boundaries that ``perfbench/spans.py`` traces.
     """
+    first = bundles[0]
     if len(bundles) == 1:
-        (bundle,) = bundles
-        return [keyrate.rate_report(bundle.config, bundle.channel, bundle.security, objective)]
-    reports = []
-    for (config, sec), steps in itertools.groupby(bundles, key=lambda b: (b.config, b.security)):
-        reports.extend(keyrate.rate_reports(config, [step.channel for step in steps], sec, objective))
-    return reports
+        return [keyrate.rate_report(first.config, first.channel, first.security, objective)]
+    channels = [bundle.channel for bundle in bundles]
+    return list(keyrate.rate_reports(first.config, channels, first.security, objective))
 
 
 def _print_report(report: RateReport) -> None:
@@ -217,7 +214,9 @@ def _scan_distances(start: float, stop: float, step: float) -> list[float]:
 
     The slack that admits a stop reached up to rounding is a fraction of
     a step, so small steps do not run past ``stop``.  The step and the
-    point count are checked before any distance is built.
+    point count are checked before any distance is built, and a step too
+    fine for the float spacing of the distances, which would repeat them,
+    after.
     """
     if not all(map(math.isfinite, (start, stop, step))):
         raise ConfigError("scan range and step must be finite")
@@ -230,7 +229,10 @@ def _scan_distances(start: float, stop: float, step: float) -> list[float]:
         raise ConfigError("scan range is empty")
     if points >= _MAX_SCAN_POINTS:
         raise ConfigError(f"scan has more than {_MAX_SCAN_POINTS} points")
-    return [round(start + i * step, 9) for i in range(math.floor(points) + 1)]
+    distances = [round(start + i * step, 9) for i in range(math.floor(points) + 1)]
+    if any(a == b for a, b in zip(distances, distances[1:])):  # they never decrease
+        raise ConfigError(f"scan distances repeat: a step of {step:g} km is below their float spacing")
+    return distances
 
 
 def cmd_scan(args: argparse.Namespace) -> int:

@@ -15,29 +15,25 @@ optimizers keep a usable objective in the negative-rate region.
 
 ``_rate_chunk`` is the array kernel: it takes a batch of source settings
 (one ladder per row) over a channel that is one for all rows or one per
-row, runs the matching, decoy or photon-number, error and assembly
-layers on the whole batch, and returns every layer (``RateLayers``) with
-an infeasibility cause per row.  Two entry points read it in chunks of
-``_chunk_rows``: ``rate_rows``, the optimizer's, rates many ladders over
-one channel and keeps ``key_rate_raw`` and the cause; ``rate_reports``
-rates one configuration over many channels (a distance scan) and builds
-each ``RateReport`` from its kernel row.
-
-``finite_rate`` and ``asymptotic_rate`` are one report builder,
-``_report``, that rates one configuration and keeps every intermediate.
-It reads each layer once, through one-row entry points: the cached
-count matrix (``matching._count_matrix``), every setting's sifted count
-from one ``matching._sifted_rows`` call, the mode's phase-error estimate,
-and last the bit errors (``channel.error_terms``, one row of the
-``error_rows`` that the kernel uses), so that a configuration raises the
-error its kernel cause names.  ``rate_report`` picks one of the two by
-mode.  The benchmark's tracer (``perfbench/spans.py``) wraps those
-one-row entry points by name, so ``_report`` becomes ``rate_reports``
-with one row only once the tracer wraps the kernel instead.  All paths
-take the data size and the finite correction from ``_scale``, so a
-row's value is the same on each.  ``_check_mode`` alone decides which
-modes exist for how many users: the kernel and the builders call it, and
-an unsupported pair raises before any layer runs.
+row, runs the matching, decoy or photon-number and error layers on the
+whole batch, and hands them to ``_rate_layers``, the one assembly of
+``key_rate_raw``, which returns every layer (``RateLayers``) with an
+infeasibility cause per row.  ``rate_rows``, the optimizer's entry
+point, rates many ladders over one channel and keeps ``key_rate_raw``
+and the cause.  Every ``RateReport`` is built by ``_row_report`` from one
+row of a ``RateLayers``: ``rate_reports`` rates one configuration over
+many channels (a distance scan) and builds each report from its kernel
+row, and ``rate_report`` (``finite_rate`` and ``asymptotic_rate``, one
+body ``_report``) builds the report of one configuration from a one-row
+``RateLayers``.  ``_report`` reads each layer through its one-row entry
+point, in the kernel's order: the cached count matrix
+(``matching._count_matrix``), the mode's phase-error estimate, then the
+bit errors (``channel.error_terms``), so a configuration raises the
+error its kernel cause names.  The benchmark's tracer
+(``perfbench/spans.py``) wraps those entry points by name, which is why
+``_report`` does not yet call the kernel.  ``_check_mode`` alone decides
+which modes exist for how many users: the kernel and the builders call
+it, and an unsupported pair raises before any layer runs.
 """
 
 from __future__ import annotations
@@ -48,7 +44,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import decoy, matching, photonstats
-from .channel import arm_transmittance, error_rows, error_terms, total_efficiency
+from .channel import ErrorRows, arm_transmittance, error_rows, error_terms, total_efficiency
 from .model import (
     INFEASIBLE,
     ChannelParams,
@@ -95,27 +91,14 @@ def _privacy_entropy(phase_error: np.ndarray) -> np.ndarray:
 
 
 def _scale(num_users: int, sec: SecurityParams, mode: str) -> tuple[float, float]:
-    """(n_bins, correction) of ``_assemble``: the data size and the error-correction
-    and privacy-amplification cost per time bin for ``finite``, (1, 0) asymptotically."""
+    """(n_bins, correction): the data size and the error-correction and
+    privacy-amplification cost per time bin for ``finite``, (1, 0) asymptotically."""
     if mode != "finite":
         return 1.0, 0.0
     correction = (
         math.log2(2.0 * (num_users - 1) / sec.eps_ec) + 2.0 * math.log2(1.0 / (2.0 * sec.eps_pa))
     ) / sec.data_size
     return sec.data_size, correction
-
-
-def _assemble(
-    s_mu: np.ndarray,
-    phase_error: np.ndarray,
-    worst_entropy: np.ndarray,
-    ec_efficiency: float,
-    n_bins: float,
-    correction: float,
-) -> np.ndarray:
-    """(s_mu / n_bins) [1 - H(phi) - f H(E)] - correction; n_bins 1 and no correction asymptotically."""
-    bracket = 1.0 - _privacy_entropy(phase_error) - ec_efficiency * worst_entropy
-    return s_mu / n_bins * bracket - correction
 
 
 _DECOY_ASYMPTOTIC = {
@@ -140,6 +123,8 @@ def _check_mode(num_users: int, mode: str) -> None:
         raise ConfigError("finite-size decoy bounds are available for 3 users only")
     if mode == "asymptotic-decoy" and num_users not in _DECOY_ASYMPTOTIC:
         raise ConfigError(f"decoy-state bounds are available for 3-5 users, not {num_users}")
+    if mode == "asymptotic-exact" and num_users > photonstats.N_MAX:
+        raise ConfigError(f"exact phase errors are available for 3-{photonstats.N_MAX} users, not {num_users}")
 
 
 # Rows per kernel pass are chosen so that the (rows, pairs, I0_NODES) temporary
@@ -227,40 +212,15 @@ def rate_reports(
     probs = np.tile(np.array(config.send_probabilities), (rows, 1))
     eta_t = np.array([total_efficiency(channel) for channel in channels])
     p_d = np.array([channel.dark_count_rate for channel in channels])
-    n_bins, correction = _scale(config.num_users, sec, mode)
-    orders = decoy._photon_numbers(config.num_users)  # the exact mode has no bound columns
     step = _chunk_rows(settings)
     for lo in range(0, rows, step):
         part = slice(lo, lo + step)
         layers = _rate_chunk(ks[part], probs[part], config, eta_t[part], p_d[part], sec, mode)
-        marginals = layers.marginal_errors
-        worst = np.take_along_axis(marginals, _entropy(marginals).argmax(axis=1)[:, None], axis=1)
         for r, channel in enumerate(channels[part]):
             if layers.cause[r]:
                 yield rate_report(config, channel, sec, mode)
-                continue
-            sifted = layers.sifted[r].tolist()
-            raw = float(layers.key_rate_raw[r])
-            applications = int(layers.chernoff_applications[r])
-            yield RateReport(
-                key_rate=max(raw, 0.0),
-                key_rate_raw=raw,
-                multicast_bound=multicast_bound(channel),
-                phase_error_upper=float(layers.phase_error[r]),
-                adjacent_error=float(layers.adjacent_error[r]),
-                worst_marginal_error=float(worst[r, 0]),
-                sifted_signal=sifted[0],
-                params_used=config,
-                distance_km=channel.distance_km,
-                data_size=n_bins,
-                mode=mode,
-                marginal_errors=tuple(marginals[r].tolist()),
-                sifted=dict(zip(config.intensities, sifted)),
-                s_mu_n_lower=dict(zip(orders, layers.s_mu_n_lower[r].tolist())),
-                correction_bits=correction,
-                chernoff_applications=applications,
-                failure_budget=applications * sec.eps_chernoff,
-            )
+            else:
+                yield _row_report(config, channel, sec, mode, layers, r)
 
 
 def _rate_chunk(
@@ -278,12 +238,12 @@ def _rate_chunk(
     optimizer passes them) or one value per row (a distance scan).
     """
     n, m_slices = config.num_users, config.phase_slices
-    n_bins, correction = _scale(n, sec, mode)
+    n_bins, _ = _scale(n, sec, mode)
     mu, p_mu = ks[:, 0].copy(), probs[:, 0].copy()
     counts = matching._count_rows(ks, probs, n, m_slices, eta_t, p_d, n_bins)
     sifted = matching._sifted_rows(counts, m_slices)
-    s_mu = sifted[:, 0].copy()
     if mode == "asymptotic-exact":
+        s_mu = sifted[:, 0].copy()
         phase, cause = photonstats._phase_error_rows(
             counts, mu, p_mu, s_mu, n, m_slices, eta_t, p_d, n_bins
         )
@@ -295,61 +255,90 @@ def _rate_chunk(
         phase, cause = rows.phase_error, rows.cause
         bounds, clamped, applications = rows.bounds, rows.clamped, rows.chernoff_applications
     errors = error_rows(mu, n, eta_t, p_d)
-    degenerate = (cause == 0) & errors.degenerate
-    cause[degenerate] = INFEASIBLE.index(DegenerateChannelError)
-    worst_entropy = _entropy(errors.marginals).max(axis=1)
-    raw = _assemble(s_mu, phase, worst_entropy, sec.ec_efficiency, n_bins, correction)
+    return _rate_layers(n, sec, mode, sifted, phase, bounds, clamped, applications, errors, cause)
+
+
+def _rate_layers(
+    num_users: int, sec: SecurityParams, mode: str, sifted, phase, bounds, clamped, applications,
+    errors: ErrorRows, cause: np.ndarray,
+) -> RateLayers:
+    """The layers of a batch with ``key_rate_raw`` assembled from them: the one rate formula.
+
+    key_rate_raw = (s_mu / n_bins) [1 - H(phi) - f max_j H(E_1j)] - correction,
+    with n_bins and the correction from ``_scale``.  A row without a
+    ``cause`` whose bit errors are degenerate gets a DegenerateChannelError
+    cause (``cause`` is updated in place).
+    """
+    n_bins, correction = _scale(num_users, sec, mode)
+    cause[(cause == 0) & errors.degenerate] = INFEASIBLE.index(DegenerateChannelError)
+    bracket = 1.0 - _privacy_entropy(phase) - sec.ec_efficiency * _entropy(errors.marginals).max(axis=1)
+    raw = sifted[:, 0] / n_bins * bracket - correction
     return RateLayers(
         sifted, phase, bounds, clamped, applications, errors.adjacent, errors.marginals, raw, cause
     )
 
 
-def _report(config: SourceConfig, channel: ChannelParams, sec: SecurityParams, mode: str) -> RateReport:
-    """The rate report of one configuration: the body of ``finite_rate`` and ``asymptotic_rate``."""
-    _check_mode(config.num_users, mode)
-    counts = np.array([matching._count_matrix(config, channel, sec.data_size)])
-    sifted_row = matching._sifted_rows(counts, config.phase_slices)[0]
-    sifted = dict(zip(config.intensities, sifted_row.tolist()))
-    s_mu = sifted[config.signal_intensity]
-    bounds: dict[int, float] = {}
-    applications = 0
-    if mode == "asymptotic-exact":
-        phase_err = photonstats.phase_error_exact(config, channel, sec)
-    else:
-        probs = dict(zip(config.intensities, config.send_probabilities))
-        obs = decoy.ObservedCounts(sifted=sifted, probabilities=probs, num_users=config.num_users)
-        if mode == "finite":
-            db = decoy.bounds_3user_finite(obs, sec)
-        else:
-            db = _DECOY_ASYMPTOTIC[config.num_users](obs)
-        phase_err, bounds = db.phase_error_upper, dict(db.s_mu_n_lower)
-        applications = db.chernoff_applications
-    e_adj, marginals, worst, worst_h = error_terms(
-        config.signal_intensity, config.num_users, total_efficiency(channel), channel.dark_count_rate
-    )
+def _row_report(
+    config: SourceConfig, channel: ChannelParams, sec: SecurityParams, mode: str, layers: RateLayers, r: int
+) -> RateReport:
+    """The ``RateReport`` of row ``r`` of ``layers``, ``config`` over ``channel``; the only builder.
+
+    The worst marginal is the first one of largest binary entropy, the one
+    whose entropy ``_rate_layers`` charged to error correction.
+    """
     n_bins, correction = _scale(config.num_users, sec, mode)
-    raw = float(_assemble(
-        np.array([s_mu]), np.array([phase_err]), np.array([worst_h]), sec.ec_efficiency, n_bins, correction
-    )[0])
+    orders = decoy._photon_numbers(config.num_users)  # the exact mode has no bound columns
+    sifted = layers.sifted[r].tolist()
+    marginals = layers.marginal_errors[r]
+    raw = float(layers.key_rate_raw[r])
+    applications = int(layers.chernoff_applications[r])
     return RateReport(
         key_rate=max(raw, 0.0),
         key_rate_raw=raw,
         multicast_bound=multicast_bound(channel),
-        phase_error_upper=phase_err,
-        adjacent_error=e_adj,
-        worst_marginal_error=worst,
-        sifted_signal=s_mu,
+        phase_error_upper=float(layers.phase_error[r]),
+        adjacent_error=float(layers.adjacent_error[r]),
+        worst_marginal_error=float(marginals[_entropy(marginals).argmax()]),
+        sifted_signal=sifted[0],
         params_used=config,
         distance_km=channel.distance_km,
         data_size=n_bins,
         mode=mode,
-        marginal_errors=marginals,
-        sifted=sifted,
-        s_mu_n_lower=bounds,
+        marginal_errors=tuple(marginals.tolist()),
+        sifted=dict(zip(config.intensities, sifted)),
+        s_mu_n_lower=dict(zip(orders, layers.s_mu_n_lower[r].tolist())),
         correction_bits=correction,
         chernoff_applications=applications,
         failure_budget=applications * sec.eps_chernoff,
     )
+
+
+def _report(config: SourceConfig, channel: ChannelParams, sec: SecurityParams, mode: str) -> RateReport:
+    """The rate report of one configuration: the body of ``finite_rate`` and ``asymptotic_rate``.
+
+    Reads each layer once, through its one-row entry point, and builds
+    the report from them as the one row of a ``RateLayers``.
+    """
+    _check_mode(config.num_users, mode)
+    n, ks = config.num_users, config.intensities
+    counts = np.array([matching._count_matrix(config, channel, sec.data_size)])
+    sifted = matching._sifted_rows(counts, config.phase_slices)
+    if mode == "asymptotic-exact":
+        phase, bounds, clamped, applications = photonstats.phase_error_exact(config, channel, sec), {}, (), 0
+    else:
+        probs = dict(zip(ks, config.send_probabilities))
+        obs = decoy.ObservedCounts(sifted=dict(zip(ks, sifted[0].tolist())), probabilities=probs, num_users=n)
+        db = decoy.bounds_3user_finite(obs, sec) if mode == "finite" else _DECOY_ASYMPTOTIC[n](obs)
+        phase, bounds, clamped, applications = (
+            db.phase_error_upper, db.s_mu_n_lower, db.clamped, db.chernoff_applications
+        )
+    errors = error_terms(config.signal_intensity, n, total_efficiency(channel), channel.dark_count_rate)
+    layers = _rate_layers(
+        n, sec, mode, sifted, np.array([phase]), np.array([list(bounds.values())]),
+        np.array([[m in clamped for m in bounds]], dtype=bool), np.array([applications]),
+        errors, np.zeros(1, dtype=np.int8),
+    )
+    return _row_report(config, channel, sec, mode, layers, 0)
 
 
 def asymptotic_rate(

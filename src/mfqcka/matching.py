@@ -214,13 +214,13 @@ def expected_stats(
         (j + 1, m): math.fsum(counts[j]) for j in range(config.num_ports) for m in range(half)
     }
     sifted = dict(zip(settings, _sifted_rows(np.array([counts]), config.phase_slices)[0].tolist()))
-    e_adj, marginals, _, _ = error_terms(
+    errors = error_terms(
         config.signal_intensity, config.num_users, total_efficiency(channel), channel.dark_count_rate
     )
     return CoincidenceStats(
         retained_clicks=retained,
         slice_totals=slice_totals,
         sifted=sifted,
-        adjacent_error=e_adj,
-        marginal_errors=marginals,
+        adjacent_error=float(errors.adjacent[0]),
+        marginal_errors=tuple(errors.marginals[0].tolist()),
     )

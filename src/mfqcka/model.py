@@ -327,6 +327,8 @@ def validate(config: SourceConfig, channel: ChannelParams, sec: SecurityParams) 
         raise ConfigError("fiber_alpha must be positive")
     if not channel.distance_km >= 0.0:
         raise ConfigError("distance_km must be nonnegative")
+    if not math.isfinite(channel.distance_km):
+        raise ConfigError("distance_km must be finite")
 
     # -- source -----------------------------------------------------------
     n = config.num_users

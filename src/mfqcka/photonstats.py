@@ -48,6 +48,10 @@ __all__ = ["signal_coincidences_nphoton", "phase_error_exact"]
 
 _ESTIMATION = INFEASIBLE.index(EstimationError)
 
+# The default photon-number cutoff: n = 0..N_MAX enter the exact phase
+# error, which needs a cutoff of at least the number of users.
+N_MAX = 20
+
 
 @lru_cache(maxsize=32)
 def _port_weight_sequence(eta_t: float, p_d: float, n_max: int) -> tuple[float, ...]:
@@ -168,7 +172,7 @@ def _phase_error_rows(
     eta_t,
     p_d,
     data_size: float,
-    n_max: int = 20,
+    n_max: int = N_MAX,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact phase error per row, and its cause code (``model.INFEASIBLE``).
 
@@ -201,7 +205,7 @@ def _one_row(config: SourceConfig, channel: ChannelParams, data_size: float) -> 
 
 
 def signal_coincidences_nphoton(
-    n: int, config: SourceConfig, channel: ChannelParams, sec: SecurityParams, n_max: int = 20
+    n: int, config: SourceConfig, channel: ChannelParams, sec: SecurityParams, n_max: int = N_MAX
 ) -> float:
     """Expected signal coincidences fed by exactly n emitted photons in total.
 
@@ -217,7 +221,7 @@ def signal_coincidences_nphoton(
 
 
 def phase_error_exact(
-    config: SourceConfig, channel: ChannelParams, sec: SecurityParams, n_max: int = 20
+    config: SourceConfig, channel: ChannelParams, sec: SecurityParams, n_max: int = N_MAX
 ) -> float:
     """Exact phase error rate from the photon-number decomposition.
 

@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from mfqcka.cli import EXIT_CONFIG, EXIT_CONSISTENCY, EXIT_OK, _scan_distances, main
 from mfqcka.model import ConfigError
-from conftest import make_bundle
+from conftest import make_bundle, make_geometric_config
 
 
 @pytest.fixture
@@ -118,9 +119,13 @@ def test_validation_error_names_field(tmp_path, capsys):
         ["simulate", "{cfg}", "--bins", "1000", "--dark-counts", "1.5"],
         ["simulate", "{cfg}", "--bins", "0"],
         ["simulate", "{cfg}", "--bins", "1000", "--seed", "-1"],
+        ["rate", "{cfg}", "--distance", "inf"],
+        ["optimize", "{cfg}", "--distance", "inf"],
+        ["simulate", "{cfg}", "--bins", "1000", "--distance", "inf"],
     ],
     ids=["negative-distance", "negative-scan", "negative-optimized-scan", "infinite-scan",
-         "dark-counts", "zero-bins", "negative-seed"],
+         "dark-counts", "zero-bins", "negative-seed", "infinite-distance-rate",
+         "infinite-distance-optimize", "infinite-distance-simulate"],
 )
 def test_invalid_overrides_exit_config(config_path, capsys, argv):
     assert main([a.format(cfg=config_path) for a in argv]) == EXIT_CONFIG
@@ -256,18 +261,33 @@ def test_optimizer_box_corners(tmp_path, capsys, key, bounds, expected):
         assert err.startswith("error:")
 
 
-def test_decoy_rate_beyond_five_users_exit_config(tmp_path, capsys):
-    bundle = make_bundle(
+def beyond_the_estimates(tmp_path):
+    """Documents past each asymptotic estimate's user counts, with the mode that rejects them.
+
+    Six users have no decoy-state bounds; 21 users exceed the exact phase
+    error's photon-number cutoff (``photonstats.N_MAX``).
+    """
+    six = make_bundle(
         num_users=6,
         decoys=(0.07, 0.03, 0.012, 0.005, 0.002, 0.0),
         probs=(0.3, 0.2, 0.15, 0.13, 0.1, 0.07, 0.05),
     )
-    path = tmp_path / "six.json"
-    path.write_text(json.dumps(bundle.to_dict()))
-    assert main(["rate", str(path), "--objective", "asymptotic"]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert "Traceback" not in err
+    many = dataclasses.replace(six, config=make_geometric_config(21))
+    cases = []
+    for bundle, mode, message in ((six, "decoy", "3-5 users, not 6"), (many, "exact", "3-20 users, not 21")):
+        path = tmp_path / f"users{bundle.config.num_users}.json"
+        path.write_text(json.dumps(bundle.to_dict()))
+        cases.append((path, ["--objective", "asymptotic", "--mode", mode], message))
+    return cases
+
+
+def test_decoy_rate_beyond_five_users_exit_config(tmp_path, capsys):
+    for path, objective, message in beyond_the_estimates(tmp_path):
+        for argv in (["rate", str(path)], ["scan", str(path), "--from", "0", "--to", "10", "--step", "5"]):
+            assert main(argv + objective) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and message in err
+            assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -278,18 +298,12 @@ def test_decoy_rate_beyond_five_users_exit_config(tmp_path, capsys):
 def test_decoy_optimize_beyond_five_users_fails_before_search(tmp_path, capsys, monkeypatch, argv):
     from mfqcka import optimizer
 
-    bundle = make_bundle(
-        num_users=6,
-        decoys=(0.07, 0.03, 0.012, 0.005, 0.002, 0.0),
-        probs=(0.3, 0.2, 0.15, 0.13, 0.1, 0.07, 0.05),
-    )
-    path = tmp_path / "six.json"
-    path.write_text(json.dumps(bundle.to_dict()))
     monkeypatch.setattr(optimizer, "_simplex_search", None)  # any search would fail on it
-    assert main([a.format(cfg=path) for a in argv] + ["--objective", "asymptotic"]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "3-5 users, not 6" in err
-    assert "Traceback" not in err
+    for path, objective, message in beyond_the_estimates(tmp_path):
+        assert main([a.format(cfg=path) for a in argv] + objective) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -538,6 +552,8 @@ def test_scan_distances_stop_at_the_last_step_before_stop():
         (0.0, 1e6, 1.0, "more than 1000000 points"),
         (-1e308, 1e308, 1.0, "more than 1000000 points"),
         (1e308, -1e308, 1.0, "range is empty"),
+        (1e8, 1e8 + 1e-6, 1e-9, "distances repeat"),
+        (1e7, 1e7 + 1e-6, 1e-9, "distances repeat"),
     ],
 )
 def test_scan_distances_reject_repeats_and_huge_scans(start, stop, step, message):

@@ -170,6 +170,15 @@ def test_unsupported_user_counts_are_config_errors():
             rate_rows(ints, probs, bundle.config, bundle.channel, bundle.security, mode)
         with pytest.raises(ValueError):
             rate_report(bundle.config, bundle.channel, bundle.security, mode)
+    many = make_geometric_config(21)  # past the exact phase error's photon-number cutoff
+    _, (ints, probs) = pool(21, 5, 1)
+    for run in (
+        lambda: rate_rows(ints, probs, many, bundle.channel, bundle.security, "asymptotic-exact"),
+        lambda: rate_report(many, bundle.channel, bundle.security, "asymptotic-exact"),
+        lambda: next(rate_reports(many, [bundle.channel] * 2, bundle.security, "asymptotic-exact")),
+    ):
+        with pytest.raises(ConfigError, match="3-20 users, not 21"):
+            run()
 
 
 @pytest.mark.parametrize("num_users,mode", CASES)
@@ -245,14 +254,34 @@ def assert_same_report(got, expected):
         assert type(value) is type(want), field.name
 
 
+def assert_reports_match(config, channels, sec, mode):
+    """``rate_reports`` against one ``rate_report`` per channel; True if a channel raised.
+
+    Up to the first infeasible channel every report is equal, and there
+    the scan raises that channel's error class and message.
+    """
+    reports = rate_reports(config, channels, sec, mode)
+    for channel in channels:
+        try:
+            expected = rate_report(config, channel, sec, mode)
+        except (ConfigError, EstimationError, DegenerateChannelError) as exc:
+            with pytest.raises(type(exc)) as raised:
+                next(reports)
+            assert str(raised.value) == str(exc)
+            return True
+        assert_same_report(next(reports), expected)
+    assert next(reports, None) is None
+    return False
+
+
 @pytest.mark.parametrize("num_users,mode", REPORT_CASES)
 def test_rate_reports_equal_one_report_per_distance(num_users, mode):
+    """On the case's standard or geometric ladder and on seeded ladders of the optimizer's law."""
     bundle = report_bundle(num_users)
+    points, _ = pool(num_users, 4, 1100 + num_users)
     channels = [make_channel(d) for d in range(0, 351, 25)]
-    reports = list(rate_reports(bundle.config, channels, bundle.security, mode))
-    assert len(reports) == len(channels)
-    for report, channel in zip(reports, channels):
-        assert_same_report(report, rate_report(bundle.config, channel, bundle.security, mode))
+    for config in [bundle.config] + [_to_config(point, bundle.config) for point in points]:
+        assert_reports_match(config, channels, bundle.security, mode)
 
 
 def no_signal(distance):
@@ -280,14 +309,5 @@ INFEASIBLE_SCANS = [
 @pytest.mark.parametrize("num_users,mode,ladder,channels", INFEASIBLE_SCANS)
 def test_rate_reports_raise_the_error_of_the_first_infeasible_row(num_users, mode, ladder, channels):
     bundle = make_bundle(num_users=num_users, data_size=1e14, **ladder)
-    reports = rate_reports(bundle.config, channels, bundle.security, mode)
-    for channel in channels:
-        try:
-            expected = rate_report(bundle.config, channel, bundle.security, mode)
-        except (ConfigError, EstimationError, DegenerateChannelError) as exc:
-            with pytest.raises(type(exc)) as raised:
-                next(reports)
-            assert str(raised.value) == str(exc)
-            return
-        assert_same_report(next(reports), expected)
-    pytest.fail("no channel of the scan is infeasible")
+    if not assert_reports_match(bundle.config, channels, bundle.security, mode):
+        pytest.fail("no channel of the scan is infeasible")
