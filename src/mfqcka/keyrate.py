@@ -124,7 +124,9 @@ def _check_mode(num_users: int, mode: str) -> None:
     if mode == "asymptotic-decoy" and num_users not in _DECOY_ASYMPTOTIC:
         raise ConfigError(f"decoy-state bounds are available for 3-5 users, not {num_users}")
     if mode == "asymptotic-exact" and num_users > photonstats.N_MAX:
-        raise ConfigError(f"exact phase errors are available for 3-{photonstats.N_MAX} users, not {num_users}")
+        raise ConfigError(
+            f"exact phase errors are available for 3-{photonstats.N_MAX} users, not {num_users}"
+        )
 
 
 # Rows per kernel pass are chosen so that the (rows, pairs, I0_NODES) temporary
@@ -142,14 +144,13 @@ class RateLayers(NamedTuple):
     """Every layer of a batch of rate rows, indexed by row first (see ``_rate_chunk``).
 
     In a row with a ``cause`` the other fields are meaningless.  The
-    exact mode has no decoy bounds: ``s_mu_n_lower`` and ``clamped`` have
-    no columns there, and ``chernoff_applications`` is 0.
+    exact mode has no decoy bounds: ``s_mu_n_lower`` has no columns
+    there, and ``chernoff_applications`` is 0.
     """
 
     sifted: np.ndarray  # [row, setting], signal first
     phase_error: np.ndarray
     s_mu_n_lower: np.ndarray  # [row, i] for photon number decoy._photon_numbers(N)[i]
-    clamped: np.ndarray  # [row, i]: the bound was clamped at zero
     chernoff_applications: np.ndarray
     adjacent_error: np.ndarray
     marginal_errors: np.ndarray  # [row, j - 2] for users j = 2..N
@@ -227,8 +228,8 @@ def _rate_chunk(
     ks: np.ndarray,
     probs: np.ndarray,
     config: SourceConfig,
-    eta_t,
-    p_d,
+    eta_t: float | np.ndarray,
+    p_d: float | np.ndarray,
     sec: SecurityParams,
     mode: str,
 ) -> RateLayers:
@@ -247,34 +248,46 @@ def _rate_chunk(
         phase, cause = photonstats._phase_error_rows(
             counts, mu, p_mu, s_mu, n, m_slices, eta_t, p_d, n_bins
         )
-        bounds, clamped = np.empty((len(ks), 0)), np.empty((len(ks), 0), dtype=bool)
-        applications = np.zeros(len(ks), dtype=np.int64)
+        bounds, applications = np.empty((len(ks), 0)), np.zeros(len(ks), dtype=np.int64)
     else:
         eps = sec.eps_chernoff if mode == "finite" else None
         rows = decoy._decoy_rows(ks, probs, sifted, n, eps)
         phase, cause = rows.phase_error, rows.cause
-        bounds, clamped, applications = rows.bounds, rows.clamped, rows.chernoff_applications
-    errors = error_rows(mu, n, eta_t, p_d)
-    return _rate_layers(n, sec, mode, sifted, phase, bounds, clamped, applications, errors, cause)
+        bounds, applications = rows.bounds, rows.chernoff_applications
+    return _rate_layers(
+        n, sec, mode, sifted=sifted, phase_error=phase, s_mu_n_lower=bounds,
+        chernoff_applications=applications, errors=error_rows(mu, n, eta_t, p_d), cause=cause,
+    )
 
 
 def _rate_layers(
-    num_users: int, sec: SecurityParams, mode: str, sifted, phase, bounds, clamped, applications,
-    errors: ErrorRows, cause: np.ndarray,
+    num_users: int,
+    sec: SecurityParams,
+    mode: str,
+    *,
+    sifted: np.ndarray,
+    phase_error: np.ndarray,
+    s_mu_n_lower: np.ndarray,
+    chernoff_applications: np.ndarray,
+    errors: ErrorRows,
+    cause: np.ndarray,
 ) -> RateLayers:
     """The layers of a batch with ``key_rate_raw`` assembled from them: the one rate formula.
 
     key_rate_raw = (s_mu / n_bins) [1 - H(phi) - f max_j H(E_1j)] - correction,
-    with n_bins and the correction from ``_scale``.  A row without a
-    ``cause`` whose bit errors are degenerate gets a DegenerateChannelError
-    cause (``cause`` is updated in place).
+    with n_bins and the correction from ``_scale``.  The returned cause
+    is ``cause`` with a DegenerateChannelError on every row that had none
+    and whose bit errors are degenerate.
     """
     n_bins, correction = _scale(num_users, sec, mode)
-    cause[(cause == 0) & errors.degenerate] = INFEASIBLE.index(DegenerateChannelError)
-    bracket = 1.0 - _privacy_entropy(phase) - sec.ec_efficiency * _entropy(errors.marginals).max(axis=1)
+    degenerate = (cause == 0) & errors.degenerate
+    cause = np.where(degenerate, np.int8(INFEASIBLE.index(DegenerateChannelError)), cause)
+    worst = _entropy(errors.marginals).max(axis=1)
+    bracket = 1.0 - _privacy_entropy(phase_error) - sec.ec_efficiency * worst
     raw = sifted[:, 0] / n_bins * bracket - correction
     return RateLayers(
-        sifted, phase, bounds, clamped, applications, errors.adjacent, errors.marginals, raw, cause
+        sifted, phase_error, s_mu_n_lower, chernoff_applications,
+        errors.adjacent, errors.marginals, raw, cause,
     )
 
 
@@ -324,19 +337,17 @@ def _report(config: SourceConfig, channel: ChannelParams, sec: SecurityParams, m
     counts = np.array([matching._count_matrix(config, channel, sec.data_size)])
     sifted = matching._sifted_rows(counts, config.phase_slices)
     if mode == "asymptotic-exact":
-        phase, bounds, clamped, applications = photonstats.phase_error_exact(config, channel, sec), {}, (), 0
+        phase, bounds, applications = photonstats.phase_error_exact(config, channel, sec), {}, 0
     else:
         probs = dict(zip(ks, config.send_probabilities))
         obs = decoy.ObservedCounts(sifted=dict(zip(ks, sifted[0].tolist())), probabilities=probs, num_users=n)
         db = decoy.bounds_3user_finite(obs, sec) if mode == "finite" else _DECOY_ASYMPTOTIC[n](obs)
-        phase, bounds, clamped, applications = (
-            db.phase_error_upper, db.s_mu_n_lower, db.clamped, db.chernoff_applications
-        )
+        phase, bounds, applications = db.phase_error_upper, db.s_mu_n_lower, db.chernoff_applications
     errors = error_terms(config.signal_intensity, n, total_efficiency(channel), channel.dark_count_rate)
     layers = _rate_layers(
-        n, sec, mode, sifted, np.array([phase]), np.array([list(bounds.values())]),
-        np.array([[m in clamped for m in bounds]], dtype=bool), np.array([applications]),
-        errors, np.zeros(1, dtype=np.int8),
+        n, sec, mode, sifted=sifted, phase_error=np.array([phase]),
+        s_mu_n_lower=np.array([list(bounds.values())]), chernoff_applications=np.array([applications]),
+        errors=errors, cause=np.zeros(1, dtype=np.int8),
     )
     return _row_report(config, channel, sec, mode, layers, 0)
 
