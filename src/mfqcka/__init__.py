@@ -47,6 +47,6 @@ from .montecarlo import (
     compare_to_analytic,
     run_protocol,
 )
-from .special_math import bessel_i0, binary_entropy, binomial
+from .special_math import bessel_i0, binary_entropy
 
 __version__ = "0.1.0"

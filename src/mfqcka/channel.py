@@ -24,13 +24,12 @@ however small, has an error, exactly 0 when p_d = 0.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .model import ChannelParams, DegenerateChannelError
-from .special_math import _i0_rule, binomial
+from .special_math import _i0_rule
 
 __all__ = [
     "arm_transmittance",
@@ -114,39 +113,29 @@ def pair_gains(k_a: np.ndarray, k_b: np.ndarray, eta_t, p_d) -> tuple[np.ndarray
     return _fixed_phase(y, x), _phase_averaged(y, x)
 
 
-@lru_cache(maxsize=None)
-def _flip_terms(num_users: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Terms C(j-1, 2i+1) E^(2i+1) (1-E)^(j-2i-2) of the odd-flip sums, indexed [j-2, i].
-
-    Returns the coefficients and the two exponents for j = 2..N; a term
-    with 2i+1 > j-1 gets coefficient 0 (and exponent 0 on 1-E).
-    """
-    js = np.arange(2, num_users + 1)[:, None]
-    odd = 2 * np.arange((num_users - 2) // 2 + 1)[None, :] + 1
-    coef = np.array([[binomial(j - 1, o) for o in odd[0]] for j in js[:, 0]], dtype=float)
-    terms = coef, np.broadcast_to(odd, coef.shape).astype(float), np.maximum(js - odd - 1, 0.0)
-    for table in terms:
-        table.flags.writeable = False
-    return terms
-
-
 def marginal_errors(adjacent: np.ndarray, num_users: int) -> np.ndarray:
-    """Bit-flip rates E_1j for j = 2..N along the last axis, one row per adjacent error."""
-    coef, odd, rest = _flip_terms(num_users)
-    e = adjacent[..., None, None]
-    return (coef * e**odd * (1.0 - e) ** rest).sum(axis=-1)
+    """Bit-flip rates E_1j for j = 2..N along the last axis, one row per adjacent error in [0, 1/2].
+
+    The piling-up lemma gives E_1j = [1 - (1 - 2E)^(j-1)] / 2, evaluated as
+    -expm1((j-1) log1p(-2E)) / 2 so that small E loses nothing to
+    cancellation.  At E = 1/2 the logarithm is -inf and every E_1j is
+    exactly 1/2.  E_1j grows with j, so E_1N is the largest.
+    """
+    links = np.arange(1, num_users)
+    with np.errstate(divide="ignore"):
+        return -0.5 * np.expm1(links * np.log1p(-2.0 * adjacent[..., None]))
 
 
 def marginal_error(adjacent, j: int):
     """Bit-flip rate between user 1 and user j along the port chain.
 
     Equals the probability that an odd number of the j-1 independent
-    adjacent links flipped: sum over i of C(j-1, 2i+1) E^(2i+1) (1-E)^(j-2i-2).
-    ``adjacent`` may be an array of error rates.
+    adjacent links flipped, [1 - (1 - 2E)^(j-1)] / 2 (``marginal_errors``).
+    ``adjacent`` may be an array of error rates, each in [0, 1/2].
     """
     arr = np.asarray(adjacent, dtype=float)
-    if not ((arr >= 0.0) & (arr <= 1.0)).all():
-        raise ValueError("adjacent error rate must lie in [0, 1]")
+    if not ((arr >= 0.0) & (arr <= 0.5)).all():
+        raise ValueError("adjacent error rate must lie in [0, 1/2]")
     if j < 2:
         raise ValueError("marginal_error is defined for user index j >= 2")
     return _like_input(marginal_errors(arr, j)[..., -1], adjacent)

@@ -283,6 +283,13 @@ def _check_writable(path: str) -> None:
         raise ConfigError(f"cannot write {path}: not a writable file")
 
 
+# The simulator's click tables hold (users + 1)^2 * phase_slices entries, and
+# its analytic comparison keeps a transfer chain of about users^3 / 2 doubles;
+# past these bounds they no longer fit in a few GB of memory.
+_MAX_SIMULATE_TABLE = 1 << 22
+_MAX_SIMULATE_USERS = 256
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     bundle, doc = _load_bundle(args.config, args.distance)
     # Validated although simulate never optimizes; its --seed seeds the
@@ -292,6 +299,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         bundle = _override(bundle, dark_count_rate=args.dark_counts)
     if args.bins < 1:
         raise ConfigError("--bins must be at least 1")
+    n, m_slices = bundle.config.num_users, bundle.config.phase_slices
+    if n > _MAX_SIMULATE_USERS or (n + 1) ** 2 * m_slices > _MAX_SIMULATE_TABLE:
+        raise ConfigError(
+            f"simulate handles at most {_MAX_SIMULATE_USERS} users and (users + 1)^2 * phase_slices "
+            f"<= {_MAX_SIMULATE_TABLE}, not {n} users with {m_slices} phase slices"
+        )
     if args.seed < 0:
         raise ConfigError("--seed must be non-negative")
     for path in (args.out, args.dump):

@@ -274,15 +274,15 @@ def _rate_layers(
 ) -> RateLayers:
     """The layers of a batch with ``key_rate_raw`` assembled from them: the one rate formula.
 
-    key_rate_raw = (s_mu / n_bins) [1 - H(phi) - f max_j H(E_1j)] - correction,
-    with n_bins and the correction from ``_scale``.  The returned cause
-    is ``cause`` with a DegenerateChannelError on every row that had none
-    and whose bit errors are degenerate.
+    key_rate_raw = (s_mu / n_bins) [1 - H(phi) - f H(E_1N)] - correction, with
+    n_bins and the correction from ``_scale``; E_1N is the largest E_1j.  The
+    returned cause is ``cause`` with a DegenerateChannelError on every row
+    that had none and whose bit errors are degenerate.
     """
     n_bins, correction = _scale(num_users, sec, mode)
     degenerate = (cause == 0) & errors.degenerate
     cause = np.where(degenerate, np.int8(INFEASIBLE.index(DegenerateChannelError)), cause)
-    worst = _entropy(errors.marginals).max(axis=1)
+    worst = _entropy(errors.marginals[:, -1])
     bracket = 1.0 - _privacy_entropy(phase_error) - sec.ec_efficiency * worst
     raw = sifted[:, 0] / n_bins * bracket - correction
     return RateLayers(
@@ -296,8 +296,9 @@ def _row_report(
 ) -> RateReport:
     """The ``RateReport`` of row ``r`` of ``layers``, ``config`` over ``channel``; the only builder.
 
-    The worst marginal is the first one of largest binary entropy, the one
-    whose entropy ``_rate_layers`` charged to error correction.
+    The worst marginal is E_1N, the last and largest one
+    (``channel.marginal_errors``), whose entropy ``_rate_layers`` charged
+    to error correction.
     """
     n_bins, correction = _scale(config.num_users, sec, mode)
     orders = decoy._photon_numbers(config.num_users)  # the exact mode has no bound columns
@@ -311,7 +312,7 @@ def _row_report(
         multicast_bound=multicast_bound(channel),
         phase_error_upper=float(layers.phase_error[r]),
         adjacent_error=float(layers.adjacent_error[r]),
-        worst_marginal_error=float(marginals[_entropy(marginals).argmax()]),
+        worst_marginal_error=float(marginals[-1]),
         sifted_signal=sifted[0],
         params_used=config,
         distance_km=channel.distance_km,

@@ -1,6 +1,6 @@
 """Special functions used by the analytic rate formulas.
 
-Nothing here depends on the protocol; the three functions are kept
+Nothing here depends on the protocol; both functions are kept
 dependency-free (numpy only) and accurate well beyond the needs of the
 key-rate formulas so that they never dominate an error budget.  The
 entropy and I0 accept scalars or arrays, and an element's value never
@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-__all__ = ["binary_entropy", "bessel_i0", "binomial"]
+__all__ = ["binary_entropy", "bessel_i0"]
 
 
 def binary_entropy(x):
@@ -74,11 +74,3 @@ def _i0_rule(x: np.ndarray) -> np.ndarray:
     """The quadrature of ``bessel_i0`` without the sign check (nan stays nan)."""
     return (np.exp(x[..., None] * _I0_COS) * (1.0 / I0_NODES)).sum(axis=-1)
 
-
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient C(n, k); zero outside the range 0 <= k <= n."""
-    if n < 0:
-        raise ValueError("binomial requires n >= 0")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)

@@ -1,0 +1,108 @@
+"""Write the output of a fixed list of seeded CLI commands, for byte-for-byte comparison.
+
+Usage: ``PYTHONPATH=src python tests/cli_corpus.py OUTDIR``
+
+Each command runs as ``python -m mfqcka.cli`` under the caller's
+``PYTHONPATH``, in its own directory ``OUTDIR/<name>``, which receives the
+command's ``stdout``, ``stderr``, ``exit_code`` and any file it wrote.
+The configuration documents go to ``OUTDIR/docs``.  Every path a command
+sees is relative, so two corpora from two versions of the package
+compare with ``diff -r``.  Pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
+from conftest import EC_EFFICIENCY, make_bundle, make_channel, make_geometric_config, make_many_users_bundle
+from mfqcka.model import SecurityParams, validate
+
+OPTIMIZER = {"restarts": 2, "max_evals": 300, "seed": 5}
+ASYMPTOTIC = {"decoy": ["--objective", "asymptotic"], "exact": ["--objective", "asymptotic", "--mode", "exact"]}
+# Each command runs under this address-space limit, so a document that would
+# need gigabytes fails in its own process and leaves the machine alone.
+MEMORY_LIMIT = 3_000_000 * 1024
+# The paper's distances, then the regime where dark counts dominate and the
+# marginal errors approach 1/2.
+PLAIN_SCAN = ["--from", "0", "--to", "330", "--step", "2"]
+DARK_SCAN = ["--from", "0", "--to", "3000", "--step", "5"]
+
+
+def documents() -> dict[str, dict]:
+    """The configuration documents by name: the standard 3-5 user sets and geometric ladders."""
+    docs = {f"n{n}": make_bundle(num_users=n, data_size=1e14).to_dict() for n in (3, 4, 5)}
+    sec = SecurityParams(data_size=1e14, ec_efficiency=EC_EFFICIENCY)
+    for n in (6, 8, 12):
+        docs[f"geo{n}"] = validate(make_geometric_config(n), make_channel(50.0), sec).to_dict()
+    # valid documents too large to simulate: large click tables, and many users
+    for n, m_slices in ((130, 32766), (3000, 16)):
+        docs[f"many{n}-m{m_slices}"] = make_many_users_bundle(n, m_slices).to_dict()
+    for doc in docs.values():
+        doc["optimizer"] = OPTIMIZER
+    return docs
+
+
+def commands() -> dict[str, list[str]]:
+    """Every command by name, with paths relative to its own directory."""
+    cmds: dict[str, list[str]] = {}
+    for n in (3, 4, 5):
+        doc = f"../docs/n{n}.json"
+        cmds[f"rate-n{n}-finite"] = ["rate", doc, "--distance", "100", "--out", "rate.csv"]
+        for mode, flags in ASYMPTOTIC.items():
+            cmds[f"rate-n{n}-{mode}"] = ["rate", doc, "--distance", "100", *flags, "--out", "rate.csv"]
+    scans = {"n3-finite": ("n3", [])}
+    scans.update({f"n{n}-{mode}": (f"n{n}", flags) for n in (3, 4, 5) for mode, flags in ASYMPTOTIC.items()})
+    scans.update({f"geo{n}-exact": (f"geo{n}", ASYMPTOTIC["exact"]) for n in (6, 8, 12)})
+    for name, (doc, flags) in scans.items():
+        for grid, span in (("plain", PLAIN_SCAN), ("dark", DARK_SCAN)):
+            cmds[f"scan-{grid}-{name}"] = ["scan", f"../docs/{doc}.json", *span, *flags, "--out", "scan.csv"]
+    cmds["scan-optimize-n3-finite"] = [
+        "scan", "../docs/n3.json", "--from", "50", "--to", "250", "--step", "100", "--optimize", "--out", "scan.csv",
+    ]
+    cmds["optimize-n5-decoy"] = [
+        "optimize", "../docs/n5.json", "--distance", "280", *ASYMPTOTIC["decoy"], "--save-config", "tuned.json",
+    ]
+    cmds["optimize-n4-exact"] = [
+        "optimize", "../docs/n4.json", "--distance", "100", *ASYMPTOTIC["exact"], "--save-config", "tuned.json",
+    ]
+    for doc, bins in (("n3", "200000"), ("geo8", "100000"), ("many130-m32766", "3000"), ("many3000-m16", "3000")):
+        cmds[f"simulate-{doc}"] = ["simulate", f"../docs/{doc}.json", "--bins", bins, "--seed", "3", "--out", "run.json"]
+    return cmds
+
+
+def _limit_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.splitlines()[2], file=sys.stderr)
+        return 2
+    out = Path(argv[0])
+    (out / "docs").mkdir(parents=True, exist_ok=True)
+    for name, doc in documents().items():
+        (out / "docs" / f"{name}.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    # the commands run in their own directories, so a relative PYTHONPATH is resolved here
+    path = os.pathsep.join(str(Path(p).resolve()) for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p)
+    env = {**os.environ, "PYTHONPATH": path}
+    for name, args in commands().items():
+        workdir = out / name
+        workdir.mkdir(exist_ok=True)
+        run = subprocess.run(
+            [sys.executable, "-m", "mfqcka.cli", *args], cwd=workdir, env=env, capture_output=True, text=True,
+            preexec_fn=_limit_memory,
+        )
+        (workdir / "stdout").write_text(run.stdout)
+        (workdir / "stderr").write_text(run.stderr)
+        (workdir / "exit_code").write_text(f"{run.returncode}\n")
+        print(f"{name}: exit {run.returncode}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

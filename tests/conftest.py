@@ -69,6 +69,16 @@ def make_bundle(
     )
 
 
+def make_many_users_bundle(num_users: int, phase_slices: int = PHASE_SLICES) -> Bundle:
+    """Any user count at 5 km and 1e6 pulses: decoys fall by 3% a step from 0.1, then the vacuum."""
+    decoys = tuple(0.1 * 0.97**i for i in range(num_users - 1)) + (0.0,)
+    probs = (0.5,) + (0.5 / num_users,) * num_users
+    return make_bundle(
+        num_users=num_users, distance_km=5.0, data_size=1e6, signal=0.2, decoys=decoys,
+        probs=probs, phase_slices=phase_slices,
+    )
+
+
 @pytest.fixture
 def paper_channel_50km() -> ChannelParams:
     return make_channel(50.0)

@@ -2,9 +2,11 @@
 
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mfqcka.channel import (
     adjacent_bit_error,
@@ -12,6 +14,7 @@ from mfqcka.channel import (
     gain_fixed_phase,
     gain_phase_averaged,
     marginal_error,
+    marginal_errors,
     total_efficiency,
 )
 from mfqcka.model import DegenerateChannelError
@@ -203,6 +206,25 @@ class TestMarginalError:
             marginal_error(0.1, 1)
         with pytest.raises(ValueError):
             marginal_error(1.5, 3)
+        with pytest.raises(ValueError):
+            marginal_error(0.6, 3)
+
+    @pytest.mark.parametrize(
+        "e", [0.0, 1e-15, 1e-12, 1e-9, 3e-8, 2.5e-7, 1e-5, 1e-3, 0.01, 0.137, 0.3, 0.49, 0.5]
+    )
+    def test_closed_form_matches_exact_odd_binomial_sum(self, e):
+        # the odd-flip sum of C(j-1, o) E^o (1-E)^(j-1-o) in exact rationals
+        q = Fraction(e)
+        for j, value in enumerate(marginal_errors(np.array(e), 20), start=2):
+            exact = sum(math.comb(j - 1, o) * q**o * (1 - q) ** (j - 1 - o) for o in range(1, j, 2))
+            assert abs(Fraction(value) - exact) <= Fraction(5e-16) * exact, (j, value)
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(e=st.floats(0.0, 0.5), num_users=st.integers(3, 20))
+    def test_marginals_do_not_decrease_along_the_chain(self, e, num_users):
+        marginals = marginal_errors(np.array(e), num_users)
+        assert (np.diff(marginals) >= 0.0).all()
+        assert 0.0 <= marginals[0] and marginals[-1] <= 0.5
 
     def test_exhaustive_parity_enumeration(self):
         # odd-parity mass of j-1 independent Bernoulli flips, enumerated

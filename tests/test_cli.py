@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from mfqcka.cli import EXIT_CONFIG, EXIT_CONSISTENCY, EXIT_OK, _scan_distances, main
 from mfqcka.model import ConfigError
-from conftest import make_bundle, make_geometric_config
+from conftest import make_bundle, make_geometric_config, make_many_users_bundle
 
 
 @pytest.fixture
@@ -711,8 +711,12 @@ def test_simulate_zero_darks_ghz(config_path, capsys):
         # the signal saturates the constructive detector: max s rounds to 1
         (lambda: make_bundle(signal=50.0, distance_km=0.0, dark_count_rate=0.0).to_dict(),
          EXIT_OK),
+        # valid documents whose click tables or transfer chain would take
+        # gigabytes; simulate rejects them before allocating anything
+        (lambda: make_many_users_bundle(130, phase_slices=32766).to_dict(), EXIT_CONFIG),
+        (lambda: make_many_users_bundle(3000).to_dict(), EXIT_CONFIG),
     ],
-    ids=["no-clicks", "saturated"],
+    ids=["no-clicks", "saturated", "click-tables-too-large", "too-many-users"],
 )
 def test_simulate_degenerate_channels(tmp_path, capsys, document, expected):
     path = tmp_path / "degenerate.json"
@@ -728,14 +732,8 @@ def test_simulate_degenerate_channels(tmp_path, capsys, document, expected):
 
 def test_simulate_many_users_exits_cleanly(tmp_path, capfd):
     # setting and port indices past the int8 range (131 settings, 129 ports)
-    n = 130
-    decoys = tuple(0.1 * 0.97**i for i in range(n - 1)) + (0.0,)
-    probs = (0.5,) + (0.5 / n,) * n
-    doc = make_bundle(
-        num_users=n, distance_km=5.0, data_size=1e6, signal=0.2, decoys=decoys, probs=probs
-    ).to_dict()
     path = tmp_path / "many.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(make_many_users_bundle(130).to_dict()))
     assert main(["simulate", str(path), "--bins", "3000", "--seed", "1"]) in (EXIT_OK, EXIT_CONFIG)
     assert "Traceback" not in capfd.readouterr().err
 

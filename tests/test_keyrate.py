@@ -166,3 +166,4 @@ class TestFiniteRate:
         assert report.params_used == bundle.config
         assert len(report.marginal_errors) == 2
         assert report.worst_marginal_error == max(report.marginal_errors)
+        assert report.worst_marginal_error == report.marginal_errors[-1]

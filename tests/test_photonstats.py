@@ -9,7 +9,7 @@ from mfqcka.model import EstimationError, SecurityParams
 from mfqcka import photonstats
 from mfqcka.keyrate import asymptotic_rate
 from mfqcka.photonstats import _port_weight_sequence, phase_error_exact, signal_coincidences_nphoton
-from conftest import make_bundle, make_channel, make_geometric_config
+from conftest import make_bundle, make_channel, make_config, make_geometric_config
 from photonstats_oracles import pair_yield, port_weight_sequence, threshold_click_prob
 
 
@@ -185,6 +185,15 @@ class TestSignalCoincidences:
         assert all(terms[2] > terms[n] for n in terms if n != 2)
 
 
+# The photon-number sum stops at photonstats.N_MAX = 20 whatever the number of
+# users, so past five users the exact phase error is a truncated upper bound.
+_CUTOFF_NOT_CONVERGED = pytest.mark.xfail(
+    strict=True,
+    reason="the photon-number cutoff N_MAX = 20 does not converge past 5 users: at 200 km "
+    "|phi(20) - phi(40)| is 4.3e-10 at N=6, 1.1e-2 at N=12 and 0.50 at N=20",
+)
+
+
 class TestPhaseErrorExact:
     def test_monotone_in_truncation(self):
         bundle = make_bundle(distance_km=150.0)
@@ -200,12 +209,23 @@ class TestPhaseErrorExact:
         phi24 = phase_error_exact(bundle.config, bundle.channel, bundle.security, n_max=24)
         assert abs(phi20 - phi24) <= 1e-10
 
-    @pytest.mark.parametrize("num_users", [4, 5])
-    @pytest.mark.parametrize("distance", [50.0, 200.0])
-    def test_converged_at_default_truncation_more_users(self, num_users, distance):
-        bundle = make_bundle(num_users=num_users, distance_km=distance)
-        phi20 = phase_error_exact(bundle.config, bundle.channel, bundle.security, n_max=20)
-        phi40 = phase_error_exact(bundle.config, bundle.channel, bundle.security, n_max=40)
+    @pytest.mark.parametrize(
+        "config, distance",
+        [
+            *(pytest.param(make_config(n), d, id=f"{d}-{n}") for d in (50.0, 200.0) for n in (4, 5)),
+            *(
+                pytest.param(
+                    make_geometric_config(n), 200.0, id=f"geometric-{n}",
+                    marks=[_CUTOFF_NOT_CONVERGED] if n >= 6 else [],
+                )
+                for n in range(3, 21)
+            ),
+        ],
+    )
+    def test_converged_at_default_truncation_more_users(self, config, distance):
+        channel, sec = make_channel(distance), SecurityParams(data_size=1e12, ec_efficiency=1.1)
+        phi20 = phase_error_exact(config, channel, sec, n_max=20)
+        phi40 = phase_error_exact(config, channel, sec, n_max=40)
         assert abs(phi20 - phi40) <= 1e-10
 
     def test_requires_room_for_all_users(self):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mfqcka.special_math import bessel_i0, binary_entropy, binomial
+from mfqcka.special_math import bessel_i0, binary_entropy
 
 
 def i0_series(x: float, terms: int = 80) -> float:
@@ -68,24 +68,3 @@ class TestBesselI0:
         assert bessel_i0(xs).shape == (2, 2)
         assert isinstance(bessel_i0(1.0), float)
 
-
-class TestBinomial:
-    @pytest.mark.parametrize(
-        "n,k,expected",
-        [(5, 2, 10), (3, 1, 3), (30, 15, 155117520), (0, 0, 1)],
-    )
-    def test_values(self, n, k, expected):
-        assert binomial(n, k) == expected
-
-    @pytest.mark.parametrize("n,k", [(4, -1), (4, 5)])
-    def test_out_of_range_is_zero(self, n, k):
-        assert binomial(n, k) == 0
-
-    def test_negative_n_rejected(self):
-        with pytest.raises(ValueError):
-            binomial(-1, 0)
-
-    def test_pascals_rule(self):
-        for n in range(1, 41):
-            for k in range(n + 1):
-                assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
