@@ -20,15 +20,8 @@ from .model import (
     bundle_from_dict,
     validate,
 )
-from .channel import (
-    adjacent_bit_error,
-    arm_transmittance,
-    gain_fixed_phase,
-    gain_phase_averaged,
-    marginal_error,
-    total_efficiency,
-)
-from .matching import expected_stats, retained_clicks, sifted_coincidences, slice_total
+from .channel import arm_transmittance, total_efficiency
+from .matching import expected_stats, sifted_coincidences
 from .photonstats import phase_error_exact, signal_coincidences_nphoton
 from .decoy import (
     ObservedCounts,

@@ -34,14 +34,10 @@ from .special_math import _i0_rule
 __all__ = [
     "arm_transmittance",
     "total_efficiency",
-    "gain_fixed_phase",
-    "gain_phase_averaged",
     "pair_gains",
     "ErrorRows",
     "error_rows",
     "error_terms",
-    "adjacent_bit_error",
-    "marginal_error",
     "marginal_errors",
 ]
 
@@ -60,57 +56,21 @@ def total_efficiency(channel: ChannelParams) -> float:
     return 0.5 * channel.detector_efficiency * arm_transmittance(channel)
 
 
-def _vacuum_yield(k_a, k_b, eta_t: float, p_d: float):
-    return (1.0 - p_d) * np.exp(-0.5 * eta_t * (k_a + k_b))
-
-
-def _like_input(value, *inputs):
-    """``value`` as a float when every input was a scalar, else the array."""
-    if any(np.ndim(x) for x in inputs):
-        return value
-    return float(value)
-
-
-def _fixed_phase(y, b):
-    return y * (np.exp(b) + np.exp(-b) - 2.0 * y)
-
-
-def _phase_averaged(y, x):
-    return 2.0 * y * _i0_rule(x) - 2.0 * y * y
-
-
-def gain_fixed_phase(k_a, k_b, delta_theta, eta_t: float, p_d: float):
-    """Probability of a successful click at phase difference ``delta_theta``.
-
-    q = y [exp(b) + exp(-b) - 2y] with b = eta_t sqrt(k_a k_b) cos(dtheta)
-    and y = (1 - p_d) exp(-eta_t (k_a + k_b) / 2).  The arguments broadcast.
-    """
-    y = _vacuum_yield(k_a, k_b, eta_t, p_d)
-    b = eta_t * np.sqrt(k_a * k_b) * np.cos(delta_theta)
-    return _like_input(_fixed_phase(y, b), k_a, k_b, delta_theta)
-
-
-def gain_phase_averaged(k_a, k_b, eta_t: float, p_d: float):
-    """Successful-click probability averaged over a uniform phase difference.
-
-    Integrating the fixed-phase gain over dtheta in [0, 2pi) turns the
-    cosh into a zero-order modified Bessel function:
-    q = 2 y I0(eta_t sqrt(k_a k_b)) - 2 y^2.  The intensities broadcast.
-    """
-    y = _vacuum_yield(k_a, k_b, eta_t, p_d)
-    x = eta_t * np.sqrt(np.asarray(k_a * k_b, dtype=float))
-    return _like_input(_phase_averaged(y, x), k_a, k_b)
-
-
 def pair_gains(k_a: np.ndarray, k_b: np.ndarray, eta_t, p_d) -> tuple[np.ndarray, np.ndarray]:
-    """``gain_fixed_phase`` at zero phase difference and ``gain_phase_averaged``, sharing y and b.
+    """Successful-click probabilities of a port at zero phase difference and averaged over the phase.
 
-    Every argument broadcasts: ``eta_t`` and ``p_d`` may be scalars or
-    hold one channel per row of the intensities.
+    With y = (1 - p_d) exp(-eta_t (k_a + k_b) / 2) and x = eta_t
+    sqrt(k_a k_b), the gain at phase difference dtheta is
+    q = y [exp(b) + exp(-b) - 2y] with b = x cos(dtheta); the first value
+    returned is q at dtheta = 0.  Integrating q over a uniform dtheta in
+    [0, 2pi) turns the cosh into a zero-order modified Bessel function,
+    q_avg = 2 y I0(x) - 2 y^2, the second value.  These are the only two
+    gains the model evaluates.  Every argument broadcasts: ``eta_t`` and
+    ``p_d`` may be scalars or hold one channel per row of the intensities.
     """
-    y = _vacuum_yield(k_a, k_b, eta_t, p_d)
+    y = (1.0 - p_d) * np.exp(-0.5 * eta_t * (k_a + k_b))
     x = eta_t * np.sqrt(k_a * k_b)
-    return _fixed_phase(y, x), _phase_averaged(y, x)
+    return y * (np.exp(x) + np.exp(-x) - 2.0 * y), 2.0 * y * _i0_rule(x) - 2.0 * y * y
 
 
 def marginal_errors(adjacent: np.ndarray, num_users: int) -> np.ndarray:
@@ -124,21 +84,6 @@ def marginal_errors(adjacent: np.ndarray, num_users: int) -> np.ndarray:
     links = np.arange(1, num_users)
     with np.errstate(divide="ignore"):
         return -0.5 * np.expm1(links * np.log1p(-2.0 * adjacent[..., None]))
-
-
-def marginal_error(adjacent, j: int):
-    """Bit-flip rate between user 1 and user j along the port chain.
-
-    Equals the probability that an odd number of the j-1 independent
-    adjacent links flipped, [1 - (1 - 2E)^(j-1)] / 2 (``marginal_errors``).
-    ``adjacent`` may be an array of error rates, each in [0, 1/2].
-    """
-    arr = np.asarray(adjacent, dtype=float)
-    if not ((arr >= 0.0) & (arr <= 0.5)).all():
-        raise ValueError("adjacent error rate must lie in [0, 1/2]")
-    if j < 2:
-        raise ValueError("marginal_error is defined for user index j >= 2")
-    return _like_input(marginal_errors(arr, j)[..., -1], adjacent)
 
 
 class ErrorRows(NamedTuple):
@@ -174,16 +119,3 @@ def error_terms(mu: float, num_users: int, eta_t: float, p_d: float) -> ErrorRow
             f"(eta_t={eta_t!r}, mu={mu!r}, p_d={p_d!r})"
         )
     return rows
-
-
-def adjacent_bit_error(mu: float, eta_t: float, p_d: float) -> float:
-    """Bit error rate between neighbouring users sending matched intensity mu.
-
-    With this detection model errors come from dark counts only, so the
-    rate vanishes at p_d = 0 and tends to 1/2 when dark counts dominate.
-    One row of ``error_rows``; raises DegenerateChannelError where that
-    row is degenerate.
-    """
-    if mu <= 0.0:
-        raise ValueError("adjacent_bit_error requires a positive intensity")
-    return float(error_terms(mu, 2, eta_t, p_d).adjacent[0])

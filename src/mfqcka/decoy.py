@@ -151,6 +151,7 @@ def _eye(n: int) -> np.ndarray:
     return eye
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _decoy_rows(
     ks: np.ndarray,
     probs: np.ndarray,
@@ -167,8 +168,11 @@ def _decoy_rows(
     distinct (count, side) pairs used plus one per conversion.  Rows that
     are not a strictly decreasing ladder ending in the vacuum, with
     nonnegative counts and positive probabilities, get a ConfigError cause;
-    a weight whose nodes underflow and a zero signal count an
-    EstimationError cause.
+    a weight whose nodes underflow, a zero signal count and a bound or
+    phase error that overflows (a send probability p_k far below p_mu
+    overflows (p_mu / p_k)^c, and a decoy intensity far below mu the
+    weights) an EstimationError cause.  Such an overflow emits no
+    warning, and its row's phase error is nan.
 
     The normalized counts t_k = s_k exp(c (k - mu)) (p_mu / p_k)^c are
     formed in log space.  The bound on s_mu^m weighs the m+1 smallest
@@ -231,6 +235,10 @@ def _decoy_rows(
     no_signal = s_mu <= 0.0
     cause[no_signal & (cause == 0)] = _ESTIMATION
     phi = 1.0 - bounds.sum(axis=1) / np.where(no_signal, 1.0, s_mu)
+    if not math.isfinite(raw.sum() + phi.sum()):  # some row overflowed; the sum keeps the usual case cheap
+        lost = ~np.isfinite(phi + raw.sum(axis=1))
+        phi[lost] = np.nan
+        cause[lost & (cause == 0)] = _ESTIMATION
     return DecoyRows(bounds, clamped, np.minimum(np.maximum(phi, 0.0), 1.0), applications, cause)
 
 
@@ -250,6 +258,11 @@ def _decoy_bounds(observed: ObservedCounts, num_users: int, eps: float | None = 
     if rows.cause[0]:
         if observed.sifted[ks[0]] <= 0.0:
             raise EstimationError("no sifted signal coincidences; phase error undefined")
+        if np.isnan(rows.phase_error[0]):
+            raise EstimationError(
+                "decoy bound overflows: a send probability or a decoy intensity is too small "
+                "relative to the signal's"
+            )
         raise EstimationError("decoy intensities too small relative to the signal to weigh")
     ms = _photon_numbers(num_users)
     return DecoyBounds(

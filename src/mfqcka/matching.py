@@ -37,8 +37,6 @@ from .channel import error_terms, pair_gains, total_efficiency
 from .model import ChannelParams, CoincidenceStats, SecurityParams, SourceConfig
 
 __all__ = [
-    "retained_clicks",
-    "slice_total",
     "sifted_coincidences",
     "expected_stats",
 ]
@@ -162,26 +160,6 @@ def _sifted_rows(counts: np.ndarray, phase_slices: int) -> np.ndarray:
     fractions = counts / np.where(totals > 0.0, totals, 1.0)[:, :, None]
     sifted = 0.5 * phase_slices * n_min[:, None] * fractions.prod(axis=1)
     return np.where(n_min[:, None] > 0.0, sifted, 0.0)
-
-
-def retained_clicks(
-    k: float, j: int, config: SourceConfig, channel: ChannelParams, sec: SecurityParams
-) -> float:
-    """Expected retained successful bins for click (k|k) at port j, per slice.
-
-    The value is independent of the slice index m, so no m argument is
-    taken; multiply by phase_slices/2 for the total over slices.
-    """
-    if not 1 <= j <= config.num_ports:
-        raise ValueError(f"port index {j} outside 1..{config.num_ports}")
-    return _count_matrix(config, channel, sec.data_size)[j - 1][_setting_index(config, k)]
-
-
-def slice_total(j: int, config: SourceConfig, channel: ChannelParams, sec: SecurityParams) -> float:
-    """Expected size of one slice set at port j: sum of retained clicks over k."""
-    if not 1 <= j <= config.num_ports:
-        raise ValueError(f"port index {j} outside 1..{config.num_ports}")
-    return math.fsum(_count_matrix(config, channel, sec.data_size)[j - 1])
 
 
 def sifted_coincidences(

@@ -309,6 +309,9 @@ _PROB_SUM_TOL = 1e-9
 _MAX_INTENSITY = 100.0
 # Largest even slice count whose index arithmetic fits the simulator's int16.
 _MAX_PHASE_SLICES = 2**15 - 2
+# Data size cap: below it the count matrix (4 N p^2 q / M^2) and the Chernoff
+# terms (2 ln(1/eps) s, with ln(1/eps) < 709) of a finite-size rate stay finite.
+_MAX_DATA_SIZE = 1e300
 
 
 def validate(config: SourceConfig, channel: ChannelParams, sec: SecurityParams) -> Bundle:
@@ -365,6 +368,8 @@ def validate(config: SourceConfig, channel: ChannelParams, sec: SecurityParams) 
     # -- security ---------------------------------------------------------
     if not sec.data_size >= 1.0:
         raise ConfigError("data_size must be at least 1")
+    if not sec.data_size <= _MAX_DATA_SIZE:
+        raise ConfigError(f"data_size must be at most {_MAX_DATA_SIZE:g}")
     for name in ("eps_ec", "eps_pa", "eps_chernoff"):
         eps = getattr(sec, name)
         # ln(1/eps) must stay finite: subnormal eps would overflow 1/eps

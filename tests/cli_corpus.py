@@ -42,6 +42,19 @@ def documents() -> dict[str, dict]:
     # valid documents too large to simulate: large click tables, and many users
     for n, m_slices in ((130, 32766), (3000, 16)):
         docs[f"many{n}-m{m_slices}"] = make_many_users_bundle(n, m_slices).to_dict()
+    # valid documents at the edge of the numbers: a data size whose counts would
+    # overflow, send probabilities that overflow the decoy rule, and a decoy
+    # intensity small enough to break its bound
+    for name, section, key, value in (
+        ("overflowing-data-size", "security", "data_size", 1e308),
+        ("vanishing-vacuum", "source", "send_probabilities", [0.6, 0.3, 0.1, 1e-80]),
+        ("vanishing-decoy", "source", "send_probabilities", [0.6, 0.3, 1e-80, 0.1]),
+    ):
+        docs[name] = make_bundle(data_size=1e14).to_dict()
+        docs[name][section][key] = value
+    docs["tiny-decoy"] = make_bundle(
+        data_size=1e14, signal=1.0, decoys=(1e-4, 1e-300, 0.0), probs=(0.99, 0.001, 0.001, 0.008)
+    ).to_dict()
     for doc in docs.values():
         doc["optimizer"] = OPTIMIZER
     return docs
@@ -50,11 +63,13 @@ def documents() -> dict[str, dict]:
 def commands() -> dict[str, list[str]]:
     """Every command by name, with paths relative to its own directory."""
     cmds: dict[str, list[str]] = {}
-    for n in (3, 4, 5):
-        doc = f"../docs/n{n}.json"
-        cmds[f"rate-n{n}-finite"] = ["rate", doc, "--distance", "100", "--out", "rate.csv"]
+    edge = ("overflowing-data-size", "vanishing-vacuum", "vanishing-decoy", "tiny-decoy")
+    rated = {"n3": "100", "n4": "100", "n5": "100", **{doc: "200" for doc in edge}}
+    for doc, distance in rated.items():
+        args = ["rate", f"../docs/{doc}.json", "--distance", distance]
+        cmds[f"rate-{doc}-finite"] = [*args, "--out", "rate.csv"]
         for mode, flags in ASYMPTOTIC.items():
-            cmds[f"rate-n{n}-{mode}"] = ["rate", doc, "--distance", "100", *flags, "--out", "rate.csv"]
+            cmds[f"rate-{doc}-{mode}"] = [*args, *flags, "--out", "rate.csv"]
     scans = {"n3-finite": ("n3", [])}
     scans.update({f"n{n}-{mode}": (f"n{n}", flags) for n in (3, 4, 5) for mode, flags in ASYMPTOTIC.items()})
     scans.update({f"geo{n}-exact": (f"geo{n}", ASYMPTOTIC["exact"]) for n in (6, 8, 12)})

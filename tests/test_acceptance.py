@@ -22,7 +22,7 @@ from mfqcka.montecarlo import compare_to_analytic, run_protocol
 from mfqcka.optimizer import SearchSpec, optimize_at_distance
 from mfqcka.photonstats import signal_coincidences_nphoton
 from mfqcka.special_math import bessel_i0, binary_entropy
-from mfqcka.channel import marginal_error
+from mfqcka.channel import marginal_errors
 from mfqcka.model import SecurityParams, validate
 from conftest import EC_EFFICIENCY, make_bundle, make_channel, make_geometric_config
 
@@ -291,7 +291,7 @@ def test_criterion_8_numeric_kernels():
                 for pat in range(2**links)
                 if bin(pat).count("1") % 2 == 1
             )
-            if not math.isclose(marginal_error(e, j), mass, rel_tol=0, abs_tol=1e-14):
+            if not math.isclose(marginal_errors(np.array(e), j)[-1], mass, rel_tol=0, abs_tol=1e-14):
                 parity_ok = False
     report(
         "8 (numeric kernels)",

@@ -188,12 +188,13 @@ def _no_clicks(doc):
         lambda d: _set(d, "source", "phase_slices", 40000),
         lambda d: _set(d, "source", "decoy_intensities", [1e-200, 1e-250, 0.0]),
         _no_clicks,
+        lambda d: _set(d, "security", "data_size", 1e308),
     ],
     ids=[
         "fractional-phase-slices", "string-users", "bool-users", "infinite-data-size",
         "nan-alpha", "string-efficiency", "bool-decoy", "scalar-probabilities",
         "null-eps", "list-distance", "list-section", "huge-signal", "subnormal-eps",
-        "huge-phase-slices", "underflowing-decoys", "no-clicks",
+        "huge-phase-slices", "underflowing-decoys", "no-clicks", "overflowing-data-size",
     ],
 )
 def test_bad_config_types_exit_config(tmp_path, capsys, edit):
@@ -203,6 +204,21 @@ def test_bad_config_types_exit_config(tmp_path, capsys, edit):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "probs", [[0.6, 0.3, 0.1, 1e-80], [0.6, 0.3, 1e-80, 0.1]], ids=["vanishing-vacuum", "vanishing-decoy"]
+)
+def test_vanishing_send_probability_exits_config_under_decoy_bounds(tmp_path, capsys, probs):
+    path = tmp_path / "vanishing.json"
+    path.write_text(json.dumps(_set(make_bundle().to_dict(), "source", "send_probabilities", probs)))
+    for objective in ([], ["--objective", "asymptotic"]):
+        assert main(["rate", str(path), "--distance", "200", *objective]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert "key_rate" not in out
+        assert err.startswith("error:") and "overflows" in err
+    assert main(["rate", str(path), "--distance", "200", "--objective", "asymptotic", "--mode", "exact"]) == EXIT_OK
+    assert "key_rate = " in capsys.readouterr().out
 
 
 def _set_optimizer(key, value):

@@ -15,6 +15,7 @@ from mfqcka.decoy import (
     chernoff_expected_bounds,
     chernoff_observed_lower,
 )
+from mfqcka.keyrate import asymptotic_rate
 from mfqcka.matching import sifted_coincidences
 from mfqcka.model import ConfigError, EstimationError, SecurityParams
 from mfqcka.photonstats import signal_coincidences_nphoton
@@ -232,6 +233,22 @@ class TestModelSoundness:
         )
         with pytest.raises(EstimationError):
             bounds_3user_asymptotic(obs)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the m = 2 weighted sum cancels terms of about 1.7e288 to 1.3e-15 relative, and the "
+        "underflow guard on prod x_k misses it: s_mu_2_lower is 4.6e273 at a second decoy of 1e-300",
+    )
+    @pytest.mark.parametrize("tiny", [1e-300, 1e-200])
+    def test_tiny_decoy_stays_below_the_exact_rate(self, tiny):
+        # a valid document, and the point optimize picks with intensity_bounds [1e-300, 1]
+        bundle = make_bundle(
+            distance_km=200.0, signal=1.0, decoys=(1e-4, tiny, 0.0), probs=(0.99, 0.001, 0.001, 0.008)
+        )
+        decoy = asymptotic_rate(bundle.config, bundle.channel, "decoy")
+        exact = asymptotic_rate(bundle.config, bundle.channel, "exact")
+        assert decoy.key_rate_raw <= exact.key_rate_raw
+        assert all(bound <= decoy.sifted_signal for bound in decoy.s_mu_n_lower.values())
 
 
 class TestFiniteSize:

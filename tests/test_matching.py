@@ -6,16 +6,8 @@ import numpy as np
 import pytest
 
 import matching_oracles
-from mfqcka.channel import gain_fixed_phase, gain_phase_averaged, marginal_error, total_efficiency
-from mfqcka.matching import (
-    _correction_factors,
-    _count_matrix,
-    _gain_rows,
-    expected_stats,
-    retained_clicks,
-    sifted_coincidences,
-    slice_total,
-)
+from mfqcka.channel import marginal_errors, pair_gains, total_efficiency
+from mfqcka.matching import _correction_factors, _count_matrix, _gain_rows, expected_stats, sifted_coincidences
 from mfqcka.model import SecurityParams
 from conftest import (
     DARK_COUNT_RATE,
@@ -37,53 +29,55 @@ def three_user_retained_oracle(k, j, config, channel, data_size):
     p_d = channel.dark_count_rate
     idx = config.intensities.index(k)
     p_k = config.send_probabilities[idx]
-    q0 = gain_fixed_phase(k, k, 0.0, eta_t, p_d)
+    q0 = pair_gains(k, k, eta_t, p_d)[0]
     mixture = 0.0
     for k_w, p_w in zip(config.intensities, config.send_probabilities):
         pair = (k, k_w) if j == 1 else (k_w, k)
-        mixture += p_w * (1.0 - 0.5 * gain_phase_averaged(*pair, eta_t, p_d))
+        mixture += p_w * (1.0 - 0.5 * pair_gains(*pair, eta_t, p_d)[1])
     m = config.phase_slices
     return 4.0 * data_size * p_k**2 * q0 / m**2 * mixture
+
+
+def retained(bundle, sec=None):
+    """Expected retained clicks per slice by (intensity, port), read from ``expected_stats`` at slice 0."""
+    stats = expected_stats(bundle.config, bundle.channel, sec or bundle.security)
+    return {(k, j): n for (k, j, m), n in stats.retained_clicks.items() if m == 0}
+
+
+def slice_totals(bundle):
+    """Expected size of one slice set by port, read from ``expected_stats`` at slice 0."""
+    stats = expected_stats(bundle.config, bundle.channel, bundle.security)
+    return {j: n for (j, m), n in stats.slice_totals.items() if m == 0}
 
 
 class TestRetainedClicks:
     def test_matches_three_user_expansion(self):
         bundle = make_bundle(distance_km=50.0, data_size=1e12)
-        sec = bundle.security
+        got = retained(bundle)
         for k in bundle.config.intensities:
             for j in (1, 2):
                 expected = three_user_retained_oracle(
-                    k, j, bundle.config, bundle.channel, sec.data_size
+                    k, j, bundle.config, bundle.channel, bundle.security.data_size
                 )
-                got = retained_clicks(k, j, bundle.config, bundle.channel, sec)
-                assert got == pytest.approx(expected, rel=1e-12)
+                assert got[(k, j)] == pytest.approx(expected, rel=1e-12)
 
     def test_zero_probability_never_sent(self):
         # vacuum retained clicks vanish when dark counts are off
         bundle = make_bundle(distance_km=50.0, dark_count_rate=0.0)
-        assert retained_clicks(0.0, 1, bundle.config, bundle.channel, bundle.security) == 0.0
+        assert retained(bundle)[(0.0, 1)] == 0.0
 
     def test_port_symmetry(self):
         bundle = make_bundle(distance_km=75.0)
+        got = retained(bundle)
         for k in bundle.config.intensities:
-            n1 = retained_clicks(k, 1, bundle.config, bundle.channel, bundle.security)
-            n2 = retained_clicks(k, 2, bundle.config, bundle.channel, bundle.security)
-            assert n1 == pytest.approx(n2, rel=1e-12)
-
-    def test_port_index_validated(self):
-        bundle = make_bundle()
-        with pytest.raises(ValueError):
-            retained_clicks(0.1, 3, bundle.config, bundle.channel, bundle.security)
-        with pytest.raises(ValueError):
-            retained_clicks(0.123, 1, bundle.config, bundle.channel, bundle.security)
+            assert got[(k, 1)] == pytest.approx(got[(k, 2)], rel=1e-12)
 
     def test_linearity_in_data_size(self):
         bundle = make_bundle(distance_km=120.0, data_size=2.5e11)
-        sec4 = SecurityParams(data_size=4 * bundle.security.data_size)
+        base = retained(bundle)
+        scaled = retained(bundle, SecurityParams(data_size=4 * bundle.security.data_size))
         for k in bundle.config.intensities:
-            base = retained_clicks(k, 1, bundle.config, bundle.channel, bundle.security)
-            scaled = retained_clicks(k, 1, bundle.config, bundle.channel, sec4)
-            assert scaled == 4.0 * base  # power-of-two scale: bit exact
+            assert scaled[(k, 1)] == 4.0 * base[(k, 1)]  # power-of-two scale: bit exact
 
     def test_correction_factor_in_unit_interval(self):
         for num_users in (3, 4, 5):
@@ -138,20 +132,15 @@ def test_transfer_matrix_matches_enumeration(num_users):
 class TestSliceTotal:
     def test_sum_over_intensities(self):
         bundle = make_bundle(num_users=4, distance_km=60.0)
-        total = slice_total(2, bundle.config, bundle.channel, bundle.security)
-        parts = [
-            retained_clicks(k, 2, bundle.config, bundle.channel, bundle.security)
-            for k in bundle.config.intensities
-        ]
-        assert total == pytest.approx(math.fsum(parts), rel=1e-15)
+        got = retained(bundle)
+        parts = [got[(k, 2)] for k in bundle.config.intensities]
+        assert slice_totals(bundle)[2] == pytest.approx(math.fsum(parts), rel=1e-15)
 
     def test_degenerate_mixture(self):
         # push nearly all probability onto the signal: the slice total is
         # then dominated by that intensity's retained clicks
         bundle = make_bundle(probs=(0.997, 0.001, 0.001, 0.001))
-        total = slice_total(1, bundle.config, bundle.channel, bundle.security)
-        signal = retained_clicks(0.1, 1, bundle.config, bundle.channel, bundle.security)
-        assert signal / total > 0.99
+        assert retained(bundle)[(0.1, 1)] / slice_totals(bundle)[1] > 0.99
 
 
 class TestSifted:
@@ -159,9 +148,10 @@ class TestSifted:
         bundle = make_bundle(distance_km=50.0)
         config, channel, sec = bundle.config, bundle.channel, bundle.security
         m = config.phase_slices
-        n0 = slice_total(1, config, channel, sec)
+        n0 = slice_totals(bundle)[1]
+        got = retained(bundle)
         for k in config.intensities:
-            n_k = retained_clicks(k, 1, config, channel, sec)
+            n_k = got[(k, 1)]
             expected = 0.5 * m * n0 * (n_k / n0) ** (config.num_users - 1)
             assert sifted_coincidences(k, config, channel, sec) == pytest.approx(
                 expected, rel=1e-12
@@ -174,7 +164,7 @@ class TestSifted:
     def test_bounded_by_min_slice_count(self):
         bundle = make_bundle(num_users=4, distance_km=100.0)
         config, channel, sec = bundle.config, bundle.channel, bundle.security
-        n_min = min(slice_total(j, config, channel, sec) for j in range(1, config.num_users))
+        n_min = min(slice_totals(bundle).values())
         cap = 0.5 * config.phase_slices * n_min
         total = 0.0
         for k in config.intensities:
@@ -201,8 +191,8 @@ class TestExpectedStats:
         assert stats.adjacent_error == pytest.approx(
             stats.marginal_errors[0], rel=1e-15
         )
-        for j, e_j in enumerate(stats.marginal_errors, start=2):
-            assert e_j == marginal_error(stats.adjacent_error, j)
+        chain = marginal_errors(np.array(stats.adjacent_error), config.num_users)
+        assert stats.marginal_errors == tuple(chain.tolist())
 
     def test_retained_independent_of_slice(self):
         bundle = make_bundle(distance_km=40.0)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import keyrate_oracles
-from mfqcka.channel import adjacent_bit_error, error_rows, total_efficiency
+from mfqcka.channel import error_rows, error_terms, total_efficiency
 from mfqcka.keyrate import MODES, asymptotic_rate, finite_rate, rate_report, rate_reports, rate_rows
 from mfqcka.model import (
     INFEASIBLE,
@@ -220,7 +220,7 @@ def test_degenerate_adjacent_error_is_flagged_per_row():
     assert rows.degenerate.all()
     assert (rows.adjacent == 0.0).all() and (rows.marginals == 0.0).all()
     with pytest.raises(DegenerateChannelError):
-        adjacent_bit_error(1e-300, 0.0, 0.0)
+        error_terms(1e-300, 3, 0.0, 0.0)
 
 
 def test_chunks_bound_the_gain_table():
@@ -312,6 +312,22 @@ INFEASIBLE_SCANS = [
     (5, "asymptotic-decoy", {}, [dark_free(d) for d in range(0, 3001, 100)]),
     (4, "asymptotic-exact", {}, [dark_free(d) for d in range(0, 3001, 100)]),
 ]
+
+
+# (p_mu / p_k)^4 overflows for these valid send probabilities at N = 3
+VANISHING_PROBABILITIES = {"vacuum": (0.6, 0.3, 0.1, 1e-80), "decoy": (0.6, 0.3, 1e-80, 0.1)}
+
+
+@pytest.mark.parametrize("mode", ["finite", "asymptotic-decoy"])
+@pytest.mark.parametrize("probs", VANISHING_PROBABILITIES.values(), ids=VANISHING_PROBABILITIES)
+def test_vanishing_send_probability_is_an_estimation_error(probs, mode):
+    bundle = make_bundle(distance_km=200.0, data_size=1e14, probs=probs)
+    config, channel, sec = bundle.config, bundle.channel, bundle.security
+    _, cause = rate_rows(np.array([config.intensities]), np.array([probs]), config, channel, sec, mode)
+    assert cause.tolist() == [INFEASIBLE.index(EstimationError)]
+    with pytest.raises(EstimationError, match="overflows"):
+        rate_report(config, channel, sec, mode)
+    assert math.isfinite(rate_report(config, channel, sec, "asymptotic-exact").key_rate_raw)
 
 
 @pytest.mark.parametrize("num_users,mode,ladder,channels", INFEASIBLE_SCANS)
