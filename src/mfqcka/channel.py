@@ -70,7 +70,8 @@ def pair_gains(k_a: np.ndarray, k_b: np.ndarray, eta_t, p_d) -> tuple[np.ndarray
     """
     y = (1.0 - p_d) * np.exp(-0.5 * eta_t * (k_a + k_b))
     x = eta_t * np.sqrt(k_a * k_b)
-    return y * (np.exp(x) + np.exp(-x) - 2.0 * y), 2.0 * y * _i0_rule(x) - 2.0 * y * y
+    two_y = 2.0 * y
+    return y * (np.exp(x) + np.exp(-x) - two_y), two_y * _i0_rule(x) - two_y * y
 
 
 def marginal_errors(adjacent: np.ndarray, num_users: int) -> np.ndarray:

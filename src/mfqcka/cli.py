@@ -21,7 +21,8 @@ Configuration is a JSON document with four top-level sections::
 The ``optimizer`` section is optional; an unknown section or field is an
 error, not a default.  Exit codes: 0 success, 2 parse or validation
 failure, an output file that cannot be written or a working point with
-no signal to evaluate, 3 simulation-consistency failure.
+no signal to evaluate, 3 simulation-consistency failure.  A plain scan
+that reaches a distance without a rate first writes the rows before it.
 
 CSV output uses a fixed column set, scientific notation with 10
 significant digits, and no locale-dependent formatting, so files from
@@ -37,7 +38,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from . import keyrate, montecarlo, optimizer
 from .model import (
@@ -113,19 +114,21 @@ def _objective(args: argparse.Namespace) -> str:
     return f"asymptotic-{args.mode}"
 
 
-def _evaluate(bundles: list[Bundle], objective: str) -> list[RateReport]:
+def _evaluate(bundles: list[Bundle], objective: str) -> Iterator[RateReport]:
     """The rate reports of ``bundles``, in order; the first call into the computation.
 
     The bundles are the steps of one scan, which differ in their channel
-    only, so they are rated in one kernel pass by ``keyrate.rate_reports``.
-    A lone bundle is rated by ``keyrate.rate_report``, whose one-row layer
-    calls are the boundaries that ``perfbench/spans.py`` traces.
+    only, so they are rated in one kernel pass by ``keyrate.rate_reports``,
+    whose reports arrive one by one: those before the first bundle without
+    a rate, then that bundle's error.  A lone bundle is rated by
+    ``keyrate.rate_report``, whose one-row layer calls are the boundaries
+    that ``perfbench/spans.py`` traces.
     """
     first = bundles[0]
     if len(bundles) == 1:
-        return [keyrate.rate_report(first.config, first.channel, first.security, objective)]
+        return iter([keyrate.rate_report(first.config, first.channel, first.security, objective)])
     channels = [bundle.channel for bundle in bundles]
-    return list(keyrate.rate_reports(first.config, channels, first.security, objective))
+    return keyrate.rate_reports(first.config, channels, first.security, objective)
 
 
 def _print_report(report: RateReport) -> None:
@@ -243,16 +246,29 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
     spec = _search_spec(doc, args)
     if args.optimize:
-        reports = optimizer.scan_distances(steps, spec, objective)
-    else:
-        reports = _evaluate(steps, objective)
+        _write_scan(args.out, optimizer.scan_distances(steps, spec, objective), spec.seed)
+        return EXIT_OK
+    reports: list[RateReport] = []
+    try:
+        for report in _evaluate(steps, objective):
+            reports.append(report)
+    except (ConfigError, DegenerateChannelError, EstimationError):
+        # The rows before the first distance without a rate are kept; the
+        # command then fails with that distance's error.
+        if reports:
+            _write_scan(args.out, reports, spec.seed)
+        raise
+    _write_scan(args.out, reports, spec.seed)
+    return EXIT_OK
 
-    text = _csv_text(reports, spec.seed)
-    if args.out:
-        _write_text(args.out, text)
+
+def _write_scan(out: str | None, reports: list[RateReport], seed: int) -> None:
+    """The scan's CSV to ``out``, or to stdout without one."""
+    text = _csv_text(reports, seed)
+    if out:
+        _write_text(out, text)
     else:
         sys.stdout.write(text)
-    return EXIT_OK
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:

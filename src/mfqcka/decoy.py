@@ -40,6 +40,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .model import INFEASIBLE, ConfigError, DecoyBounds, EstimationError
+from .special_math import _sum_along
 
 __all__ = [
     "ObservedCounts",
@@ -176,70 +177,84 @@ def _decoy_rows(
 
     The normalized counts t_k = s_k exp(c (k - mu)) (p_mu / p_k)^c are
     formed in log space.  The bound on s_mu^m weighs the m+1 smallest
-    nonzero settings and the vacuum, a contiguous block of columns: with
+    nonzero settings and the vacuum, a contiguous block of settings: with
     x_j = k_j / mu and S = sum_j x_j, w_j = -(S - x_j) / (x_j prod_{i != j}
     (x_j - x_i)) and the vacuum weight is (-1)^m S / prod_j x_j.
     """
     rows, settings = ks.shape
-    # ladder gaps and probabilities positive, vacuum last, counts nonnegative
-    margins = np.concatenate([ks[:, :-1] - ks[:, 1:], probs], axis=1)
-    valid = (margins.min(axis=1) > 0.0) & (ks[:, -1] == 0.0) & (sifted.min(axis=1) >= 0.0)
-    cause = (~valid) * np.int8(_CONFIG)
+    # One row per setting: the rule's operations then run along contiguous rows.
+    ks, probs, sifted = ks.T.copy(), probs.T.copy(), sifted.T.copy()
+    # ladder gaps and probabilities positive, counts nonnegative (s + 5e-324 > 0
+    # is s >= 0: no double lies strictly between -5e-324 and 0), vacuum last
+    margins = np.concatenate([ks[:-1] - ks[1:], probs, sifted + 5e-324])
+    valid = (np.minimum.reduce(margins) > 0.0) & (ks[-1] == 0.0)
     c = 2.0 * (num_users - 1)
-    mu = np.where(valid, ks[:, 0], 1.0)[:, None]
-    log_p = np.log(np.where(valid[:, None], probs, 1.0))
-    factors = np.exp(c * (ks - mu) + c * (log_p[:, :1] - log_p))
-    counts = np.where(valid[:, None], sifted, 0.0)
+    mu = np.where(valid, ks[0], 1.0)
+    log_p = np.log(np.where(valid, probs, 1.0))
+    factors = np.exp(c * (ks - mu) + c * (log_p[0] - log_p))
+    counts = np.where(valid, sifted, 0.0)
     if eps is None:
         lower = upper = counts
     else:
         beta = math.log(1.0 / eps)
         lower, upper = _chernoff_sides(counts, beta)
-        used = np.zeros((rows, settings, 2), dtype=bool)
+        # (settings, lower side?) of every bound before the last one
+        sides = []
 
     ms = _photon_numbers(num_users)
-    raw = np.empty((rows, len(ms)))
+    raw = np.empty((len(ms), rows))
+    underflows = []  # the rows whose weights underflow, per bound
     for i, m in enumerate(ms):
         if m == 0:  # s_mu^0 = t_0: the vacuum count alone, with weight 1
-            raw[:, i] = lower[:, -1] * factors[:, -1]
+            raw[i] = lower[-1] * factors[-1]
             if eps is not None:
-                used[:, -1, 0] = True
+                sides.append((slice(settings - 1, settings), True))
             continue
-        cols = slice(settings - m - 2, settings)
-        xs = ks[:, settings - m - 2 : -1] / mu
-        total = xs.sum(axis=1)
-        scale = xs.prod(axis=1)
+        block = slice(settings - m - 2, settings)
+        xs = ks[settings - m - 2 : -1] / mu
+        total = _sum_along(xs, 0)
+        scale = np.multiply.reduce(xs)
         underflow = scale == 0.0
-        cause[underflow & (cause == 0)] = _ESTIMATION
-        gaps = xs[:, :, None] - xs[:, None, :] + _eye(m + 1)  # x_j - x_i, 1 on the diagonal
-        denom = xs * gaps.prod(axis=2)
-        nodes = (xs - total[:, None]) / (denom + (denom == 0.0))
+        underflows.append(underflow)
+        gaps = xs[:, None] - xs + _eye(m + 1)[:, :, None]  # x_j - x_i, 1 on the diagonal
+        denom = xs * np.multiply.reduce(gaps, axis=1)
+        nodes = (xs - total) / (denom + (denom == 0.0))
         vacuum = (-1) ** m * total / (scale + underflow)
-        weights = np.concatenate([nodes, vacuum[:, None]], axis=1)
+        weights = np.concatenate([nodes, vacuum[None]])
         if eps is None:
-            sides = lower[:, cols]
+            chosen = lower[block]
         else:
             positive = weights > 0.0
-            sides = np.where(positive, lower[:, cols], upper[:, cols])
-            used[:, cols, 0] |= positive
-            used[:, cols, 1] |= ~positive
-        raw[:, i] = (weights * sides * factors[:, cols]).sum(axis=1)
+            chosen = np.where(positive, lower[block], upper[block])
+            sides.append((block, positive))
+        raw[i] = _sum_along(weights * chosen * factors[block], 0)
 
     clamped = raw < 0.0
     bounds = np.maximum(raw, 0.0)
-    applications = np.zeros(rows, dtype=np.int64)
-    if eps is not None:
+    if eps is None:
+        applications = np.zeros(rows, dtype=np.int64)
+    else:
         bounds = _observed_lower(bounds, beta)
-        applications = used.sum(axis=(1, 2)) + len(ms)
-    s_mu = sifted[:, 0]
+        # The last bound weighs every count, on one side each; an earlier one
+        # adds the other side of a count wherever its side differs.
+        _, last = sides.pop()
+        other = np.zeros((settings, rows), dtype=bool)
+        for block, lower_side in sides:
+            other[block] |= last[block] != lower_side
+        applications = np.add.reduce(other) + (settings + len(ms))
+    s_mu = sifted[0]
     no_signal = s_mu <= 0.0
-    cause[no_signal & (cause == 0)] = _ESTIMATION
-    phi = 1.0 - bounds.sum(axis=1) / np.where(no_signal, 1.0, s_mu)
-    if not math.isfinite(raw.sum() + phi.sum()):  # some row overflowed; the sum keeps the usual case cheap
-        lost = ~np.isfinite(phi + raw.sum(axis=1))
+    estimation = no_signal  # the rows with an EstimationError cause
+    for underflow in underflows:
+        estimation = estimation | underflow
+    phi = 1.0 - _sum_along(bounds, 0) / np.where(no_signal, 1.0, s_mu)
+    check = phi + np.add.reduce(raw)
+    if not math.isfinite(np.add.reduce(check)):  # some row overflowed; one sum keeps the usual case cheap
+        lost = ~np.isfinite(check)
         phi[lost] = np.nan
-        cause[lost & (cause == 0)] = _ESTIMATION
-    return DecoyRows(bounds, clamped, np.minimum(np.maximum(phi, 0.0), 1.0), applications, cause)
+        estimation = estimation | lost
+    cause = np.where(valid, estimation * np.int8(_ESTIMATION), np.int8(_CONFIG))
+    return DecoyRows(bounds.T, clamped.T, np.minimum(np.maximum(phi, 0.0), 1.0), applications, cause)
 
 
 def _decoy_bounds(observed: ObservedCounts, num_users: int, eps: float | None = None) -> DecoyBounds:

@@ -80,16 +80,6 @@ def multicast_bound(channel: ChannelParams) -> float:
     return -math.log1p(-eta * eta) / math.log(2.0)
 
 
-def _privacy_entropy(phase_error: np.ndarray) -> np.ndarray:
-    """Entropy sacrificed to privacy amplification; saturates at phi >= 1/2.
-
-    Beyond 1/2 the adversary's information is maximal, so the full bit is
-    consumed; without saturation the symmetry of H2 would spuriously
-    revive the rate as phi approaches 1.  A nan phase error stays nan.
-    """
-    return np.where(phase_error >= 0.5, 1.0, _entropy(phase_error))
-
-
 def _scale(num_users: int, sec: SecurityParams, mode: str) -> tuple[float, float]:
     """(n_bins, correction): the data size and the error-correction and
     privacy-amplification cost per time bin for ``finite``, (1, 0) asymptotically."""
@@ -182,10 +172,13 @@ def rate_rows(
     """
     _check_mode(config.num_users, mode)
     rows, settings = ints.shape
-    raw = np.full(rows, np.nan)
-    cause = np.zeros(rows, dtype=np.int8)
     eta_t, p_d = total_efficiency(channel), channel.dark_count_rate
     step = _chunk_rows(settings)
+    if 0 < rows <= step:  # one chunk: its arrays are the result
+        layers = _rate_chunk(ints, probs, config, eta_t, p_d, sec, mode)
+        return layers.key_rate_raw, layers.cause
+    raw = np.full(rows, np.nan)
+    cause = np.zeros(rows, dtype=np.int8)
     for lo in range(0, rows, step):
         part = slice(lo, lo + step)
         layers = _rate_chunk(ints[part], probs[part], config, eta_t, p_d, sec, mode)
@@ -240,13 +233,12 @@ def _rate_chunk(
     """
     n, m_slices = config.num_users, config.phase_slices
     n_bins, _ = _scale(n, sec, mode)
-    mu, p_mu = ks[:, 0].copy(), probs[:, 0].copy()
+    mu = ks[:, 0].copy()  # contiguous: cheaper to operate on
     counts = matching._count_rows(ks, probs, n, m_slices, eta_t, p_d, n_bins)
     sifted = matching._sifted_rows(counts, m_slices)
     if mode == "asymptotic-exact":
-        s_mu = sifted[:, 0].copy()
         phase, cause = photonstats._phase_error_rows(
-            counts, mu, p_mu, s_mu, n, m_slices, eta_t, p_d, n_bins
+            counts, mu, probs[:, 0], sifted[:, 0], n, m_slices, eta_t, p_d, n_bins
         )
         bounds, applications = np.empty((len(ks), 0)), np.zeros(len(ks), dtype=np.int64)
     else:
@@ -282,8 +274,15 @@ def _rate_layers(
     n_bins, correction = _scale(num_users, sec, mode)
     degenerate = (cause == 0) & errors.degenerate
     cause = np.where(degenerate, np.int8(INFEASIBLE.index(DegenerateChannelError)), cause)
-    worst = _entropy(errors.marginals[:, -1])
-    bracket = 1.0 - _privacy_entropy(phase_error) - sec.ec_efficiency * worst
+    # H(phi) and H(E_1N) in one pass.  The entropy sacrificed to privacy
+    # amplification saturates at phi >= 1/2: beyond it the adversary's
+    # information is maximal, so the full bit is consumed, and without
+    # saturation the symmetry of H2 would spuriously revive the rate as phi
+    # approaches 1.  A nan phase error stays nan.
+    both = np.empty((2, len(phase_error)))
+    both[0], both[1] = phase_error, errors.marginals[:, -1]
+    privacy, worst = _entropy(both)
+    bracket = 1.0 - np.where(phase_error >= 0.5, 1.0, privacy) - sec.ec_efficiency * worst
     raw = sifted[:, 0] / n_bins * bracket - correction
     return RateLayers(
         sifted, phase_error, s_mu_n_lower, chernoff_applications,

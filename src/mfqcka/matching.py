@@ -35,6 +35,7 @@ import numpy as np
 
 from .channel import error_terms, pair_gains, total_efficiency
 from .model import ChannelParams, CoincidenceStats, SecurityParams, SourceConfig
+from .special_math import _sum_along
 
 __all__ = [
     "sifted_coincidences",
@@ -44,8 +45,14 @@ __all__ = [
 
 @lru_cache(maxsize=None)
 def _setting_pairs(settings: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct setting pairs (a <= b), the index of every (a, b) among them, and of every (k, k)."""
+    """Distinct setting pairs (a <= b), the index of every (a, b) among them, and of every (k, k).
+
+    The pairs with the vacuum (the last setting) come last, where the
+    Bessel rule skips them (``special_math._i0_rule``).
+    """
     first, second = np.triu_indices(settings)
+    last = np.argsort(second == settings - 1, kind="stable")
+    first, second = first[last], second[last]
     index = np.empty((settings, settings), dtype=np.intp)
     index[first, second] = index[second, first] = np.arange(len(first))
     return first, second, index, np.diagonal(index).copy()
@@ -53,7 +60,7 @@ def _setting_pairs(settings: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
 
 def _per_row(value):
     """A scalar as it is; one value per row as a column against the row's settings."""
-    return value[:, None] if np.ndim(value) else value
+    return value[:, None] if isinstance(value, np.ndarray) and value.ndim else value
 
 
 def _gain_rows(ks: np.ndarray, eta_t, p_d) -> tuple[np.ndarray, np.ndarray]:
@@ -80,6 +87,8 @@ def _setting_index(config: SourceConfig, k: float) -> int:
 @lru_cache(maxsize=None)
 def _unit_gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [0, 1], exact to degree 2n-1."""
+    if n_nodes == 1:  # the midpoint rule, leggauss's own values, without importing numpy.polynomial
+        return np.array([0.5]), np.array([1.0])
     nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
     return 0.5 * (nodes + 1.0), 0.5 * weights
 
@@ -94,17 +103,19 @@ def _correction_factors(probs: np.ndarray, q_avg: np.ndarray, num_users: int) ->
     the ports left of j form a chain of length j-1 and, since q_avg is
     symmetric, those right of j one of length N-1-j.  Every sum runs
     along an axis of the row's own block, in an order that does not
-    depend on the number of rows.
+    depend on the number of rows.  The arrays keep the row last, so every
+    operation runs along contiguous rows.
     """
     t, w = _unit_gauss_legendre(num_users // 2)
     rows, settings = probs.shape
-    # transfer[r, n, b, a] = p_a (1 - t_n q_avg[a, b]); the chain step sums over a, the last axis
-    transfer = probs[:, None, None, :] * (1.0 - t[:, None, None] * q_avg[:, None, :, :])
-    chains = np.empty((rows, num_users - 1, len(t), settings))  # [row, chain length, node, setting]
-    chains[:, 0] = 1.0
+    # transfer[n, b, a, r] = p_a (1 - t_n q_avg[a, b]) of row r; the chain step sums over a
+    transfer = np.ascontiguousarray(probs.T) * (1.0 - t[:, None, None, None] * np.ascontiguousarray(q_avg.T))
+    chains = np.empty((num_users - 1, len(t), settings, rows))  # [chain length, node, setting, row]
+    chains[0] = 1.0
     for n in range(1, num_users - 1):
-        chains[:, n] = (chains[:, n - 1, :, None, :] * transfer).sum(axis=-1)
-    return (chains * chains[:, ::-1] * w[:, None]).sum(axis=2)
+        chains[n] = _sum_along(chains[n - 1, :, None] * transfer, 2)
+    factors = np.add.reduce(chains * chains[::-1] * w[:, None, None], axis=1)
+    return np.ascontiguousarray(factors.transpose(2, 0, 1))
 
 
 def _count_rows(
@@ -147,8 +158,8 @@ def _count_matrix(
 
 def _port_totals(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Slice-set size per port, and its minimum per row (positive where every port has one)."""
-    totals = counts.sum(axis=-1)
-    return totals, totals.min(axis=-1)
+    totals = np.add.reduce(counts, axis=-1)
+    return totals, np.minimum.reduce(totals, axis=-1)
 
 
 def _sifted_rows(counts: np.ndarray, phase_slices: int) -> np.ndarray:
@@ -158,7 +169,7 @@ def _sifted_rows(counts: np.ndarray, phase_slices: int) -> np.ndarray:
     """
     totals, n_min = _port_totals(counts)
     fractions = counts / np.where(totals > 0.0, totals, 1.0)[:, :, None]
-    sifted = 0.5 * phase_slices * n_min[:, None] * fractions.prod(axis=1)
+    sifted = 0.5 * phase_slices * n_min[:, None] * np.multiply.reduce(fractions, axis=1)
     return np.where(n_min[:, None] > 0.0, sifted, 0.0)
 
 

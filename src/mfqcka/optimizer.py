@@ -19,13 +19,13 @@ The pool is scored in one kernel call and ranked by cost; it is the only
 source of starting points.  Without a warm start the restarts begin at
 the ``restarts`` best points of the pool; with one, at the warm start and
 the ``restarts - 1`` best points.  The simplices of all restarts are then
-held in one array (``_simplex_search``).  Each round advances every
-running restart by one full Nelder-Mead iteration: the reflected,
-expanded and contracted points of all of them are scored speculatively
-in one kernel call, and the restarts that shrink score their new
-vertices in a second one.  A restart uses only the points a sequential
-simplex would have asked for, and a row's value never depends on the
-other rows of its batch, so each restart moves, counts and stops
+held in one array (``_simplex_search``), and every round is one kernel
+call.  It scores, speculatively, the reflected, expanded and contracted
+points of every restart that begins a Nelder-Mead iteration, and the new
+vertices of every restart that shrank in the round before, which waits
+for them and proposes nothing.  A restart uses only the points a
+sequential simplex would have asked for, and a row's value never depends
+on the other rows of its batch, so each restart moves, counts and stops
 exactly as it would alone; a fixed seed reproduces the result bit for
 bit.
 
@@ -35,7 +35,8 @@ count and best presample cost, the number of kernel calls ("rounds",
 the presample pool's included) and of rows they scored, each restart's
 evaluations, stop reason and best cost, and the evaluations used, with
 the infeasible ones counted by the exception that evaluating the point
-alone raises.
+alone raises.  A process that has not imported ``logging`` has nothing
+that could receive the record, so the search skips it and the import.
 """
 
 from __future__ import annotations
@@ -125,34 +126,49 @@ def _project(x: np.ndarray, n_users: int, spec: SearchSpec) -> np.ndarray:
 
     ``x`` is one point or a stack of points (one per row); every row is
     projected on its own, by the same operations as a single point.
+    ``np.minimum(np.maximum(...))`` is ``np.clip`` bit for bit.
     """
-    points = np.atleast_2d(np.asarray(x, dtype=float))
     n = n_users  # intensities: signal + (n-1) nonzero decoys
-    lo, hi = spec.intensity_bounds
-    ints = np.sort(np.clip(points[:, :n], lo, hi), axis=1)[:, ::-1].copy()
+    lows, highs = _box(n, spec)
+    points = np.minimum(np.maximum(np.asarray(x, dtype=float), lows), highs)
+    ints = points.reshape(-1, 2 * n)[:, :n]
+    ints.sort(axis=1)
+    ints = ints[:, ::-1].T.copy()  # one row per intensity, signal first
+    ladder = list(ints)  # views of the rows, updated in place
     for i in range(1, n):
-        ints[:, i] = np.minimum(ints[:, i], ints[:, i - 1] - ORDERING_GAP)
-    ints[:, n - 1] = np.maximum(ints[:, n - 1], lo)
+        np.minimum(ladder[i], ladder[i - 1] - ORDERING_GAP, out=ladder[i])
+    np.maximum(ladder[-1], lows[0], out=ladder[-1])
     for i in range(n - 2, -1, -1):
-        ints[:, i] = np.maximum(ints[:, i], ints[:, i + 1] + ORDERING_GAP)
+        np.maximum(ladder[i], ladder[i + 1] + ORDERING_GAP, out=ladder[i])
 
-    plo, phi = spec.prob_bounds
-    probs = np.clip(points[:, n:], plo, phi)
-    excess = probs.sum(axis=1) - (1.0 - MIN_VACUUM_PROB)
+    plo = spec.prob_bounds[0]
+    probs = points.reshape(-1, 2 * n)[:, n:].copy()  # contiguous: cheaper to operate on
+    excess = np.add.reduce(probs, axis=1) - (1.0 - MIN_VACUUM_PROB)
     over = excess > 0.0
     slack = probs - plo
-    share = np.where(over, slack.sum(axis=1), 1.0)
+    share = np.where(over, np.add.reduce(slack, axis=1), 1.0)
     probs = np.where(over[:, None], probs - excess[:, None] * slack / share[:, None], probs)
-    out = np.concatenate([ints, probs], axis=1)
-    return out if np.ndim(x) == 2 else out[0]
+    out = np.concatenate([ints.T, probs], axis=1)
+    return out if points.ndim == 2 else out[0]
+
+
+@lru_cache(maxsize=8)
+def _box(n_users: int, spec: SearchSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds of every coordinate of a point (read-only)."""
+    bounds = np.repeat([spec.intensity_bounds, spec.prob_bounds], n_users, axis=0).T.copy()
+    bounds.flags.writeable = False
+    return bounds[0], bounds[1]
 
 
 def _ladders(points: np.ndarray, n_users: int) -> tuple[np.ndarray, np.ndarray]:
     """Kernel rows of projected points: each ladder with the vacuum appended, and its probabilities."""
     rows = len(points)
-    ints = np.concatenate([points[:, :n_users], np.zeros((rows, 1))], axis=1)
-    probs = points[:, n_users:]
-    return ints, np.concatenate([probs, (1.0 - probs.sum(axis=1))[:, None]], axis=1)
+    ints = np.zeros((rows, n_users + 1))
+    ints[:, :n_users] = points[:, :n_users]
+    probs = np.empty((rows, n_users + 1))
+    probs[:, :n_users] = points[:, n_users:]
+    probs[:, n_users] = 1.0 - np.add.reduce(points[:, n_users:], axis=1)
+    return ints, probs
 
 
 def _to_config(x: np.ndarray, base: SourceConfig) -> SourceConfig:
@@ -178,18 +194,23 @@ def _sample_starts(
     lo, hi = spec.intensity_bounds
     log_hi = math.log(min(hi, 0.6))
     log_lo = min(math.log(max(2.0 * lo, 5e-3)), log_hi)
+    alpha = np.full(n_users + 1, 1.6)
+    log_signal, ratios = np.empty(count), np.empty((count, n_users - 1))
     raw = np.empty((count, 2 * n_users))
-    for row in raw:
-        ints = [math.exp(rng.uniform(log_lo, log_hi))]
-        for ratio in np.sort(rng.uniform(0.03, 0.85, n_users - 1))[::-1]:
-            ints.append(ints[-1] * ratio)
-        row[:n_users] = ints
-        row[n_users:] = rng.dirichlet(np.full(n_users + 1, 1.6))[:n_users]
+    for r in range(count):  # each row's draws in turn: one stream for any count
+        log_signal[r] = rng.uniform(log_lo, log_hi)
+        ratios[r] = rng.uniform(0.03, 0.85, n_users - 1)
+        raw[r, n_users:] = rng.dirichlet(alpha)[:n_users]
+    # each intensity is the one before it times the next largest ratio
+    ratios.sort(axis=1)
+    raw[:, 0] = [math.exp(v) for v in log_signal.tolist()]
+    for i in range(1, n_users):
+        raw[:, i] = raw[:, i - 1] * ratios[:, -i]
     return _project(raw, n_users, spec)
 
 
-# Nelder-Mead coefficients: reflection, expansion, contraction, shrink.
-_ALPHA, _GAMMA, _RHO, _SIGMA = 1.0, 2.0, 0.5, 0.5
+# Nelder-Mead coefficients: expansion, contraction, shrink (the reflection's is 1).
+_GAMMA, _RHO, _SIGMA = 2.0, 0.5, 0.5
 
 # A restart's result: best point (unprojected), its cost, evaluations, stop reason.
 _Result = tuple[np.ndarray, float, int, str]
@@ -202,18 +223,20 @@ def _simplex_search(
 ) -> tuple[list[_Result], np.ndarray]:
     """Budgeted Nelder-Mead descent (minimization) from every row of ``starts`` at once.
 
-    The simplices of all R restarts are one (R, d+1, d) array and their
-    values one (R, d+1) array.  ``score`` maps a stack of unprojected
-    points to their costs and infeasibility causes.  The initial
-    vertices are scored in one call; then each round advances every
-    running restart by one full iteration.  Its reflected, expanded and
-    contracted points are scored together in one call, and the restarts
-    that shrink score their d new vertices in a second one.  A restart
-    uses 1, 2 or 2+d of those points per iteration, exactly those a
-    sequential simplex would have asked for, so it moves, counts and
-    stops as it would alone: at ``spec.tolerance`` agreement of its
-    values ("tolerance") or once its evaluations reach ``spec.max_evals``
-    ("budget"; the last iteration may run past it by up to d+1).
+    The simplices of the running restarts are one (R, d+1, d) array and
+    their values one (R, d+1) array; a restart leaves both when it stops.
+    ``score`` maps a stack of unprojected points to their costs and
+    infeasibility causes, and every round is one ``score`` call: the
+    initial vertices in the first, then the reflected, expanded and
+    contracted points of the restarts that begin an iteration together
+    with the d new vertices of the restarts that shrank in the round
+    before, which propose nothing in this one.  A restart uses 1, 2 or
+    2+d of its points per iteration, exactly those a sequential simplex
+    would have asked for, so it moves, counts and stops as it would alone:
+    at ``spec.tolerance`` agreement of its values ("tolerance") or once its
+    evaluations reach ``spec.max_evals`` ("budget"; the last iteration may
+    run past it by up to d+1, and a restart whose shrink ends past it
+    stops once those vertices are scored).
 
     Returns each restart's result and the causes of the evaluations the
     restarts used (speculative points they did not use are left out),
@@ -223,65 +246,112 @@ def _simplex_search(
     simplex = np.repeat(starts[:, None, :], dim + 1, axis=1)
     axis = np.arange(dim)
     simplex[:, axis + 1, axis] += 0.25 * starts + 0.02
-    tally = np.zeros(len(INFEASIBLE), dtype=np.int64)
     cost, cause = score(simplex.reshape(-1, dim))
     values = cost.reshape(count, dim + 1)
-    tally += np.bincount(cause, minlength=len(INFEASIBLE))
-    evals = np.full(count, dim + 1)
-    stop = ["budget"] * count
-    live = np.flatnonzero(evals < spec.max_evals)
-    while live.size:
-        order = np.argsort(values[live], axis=1)
-        sim, val = simplex[live[:, None], order], values[live[:, None], order]
-        simplex[live], values[live] = sim, val
-        best, worst = val[:, 0], val[:, -1]
-        # The spread is only taken where the best value is finite: inf - inf is nan.
-        done = np.isfinite(best)
-        done[done] = np.abs(worst[done] - best[done]) <= spec.tolerance * (np.abs(best[done]) + 1e-300)
-        for r in live[done].tolist():
-            stop[r] = "tolerance"
-        go = ~done
-        live, sim, val = live[go], sim[go], val[go]
-        if not live.size:
+    tally = np.bincount(cause, minlength=len(INFEASIBLE)).tolist()
+    results: list[Any] = [None] * count
+    # Per running restart: its index in ``starts``, its evaluations, and
+    # whether the vertices of its last shrink are scored this round.
+    ids, evals, waiting = list(range(count)), [dim + 1] * count, [False] * count
+    # A waiting simplex is sorted by this key, which keeps its order.
+    ramp = np.arange(dim + 1.0)
+    # offsets of each simplex's vertices in the flattened (R * (d+1), d) stack
+    offsets = np.arange(0, count * (dim + 1), dim + 1)[:, None]
+    limit, tolerance, isfinite = spec.max_evals, spec.tolerance, math.isfinite
+
+    def retire(stopped: list[bool], reason: str) -> list[bool]:
+        """Record the results of the stopped running restarts and drop them; the kept ones' flags."""
+        nonlocal simplex, values, ids, evals, waiting, offsets
+        rows = [row for row, s in enumerate(stopped) if s]
+        best = values[rows].argsort(axis=1)[:, 0].tolist()
+        for row, vertex in zip(rows, best):
+            results[ids[row]] = (simplex[row, vertex], float(values[row, vertex]), evals[row], reason)
+        keep = [not s for s in stopped]
+        simplex, values = simplex[keep], values[keep]
+        ids, evals, waiting = ([x for x, k in zip(seq, keep) if k] for seq in (ids, evals, waiting))
+        offsets = offsets[: len(ids)]
+        return keep
+
+    over = [e >= limit for e in evals]
+    while True:
+        if any(over):
+            retire(over, "budget")
+        if not ids:
             break
+        # Begin an iteration: sort each simplex as the sequential one keeps
+        # it, and stop those whose values agree.
+        waits = any(waiting)
+        key = np.where(np.array(waiting)[:, None], ramp, values) if waits else values
+        order = key.argsort(axis=1) + offsets
+        simplex, values = simplex.reshape(-1, dim).take(order, axis=0), values.take(order)
+        ends = values.tolist()
+        agree = [
+            not w and isfinite(v[0]) and abs(v[-1] - v[0]) <= tolerance * (abs(v[0]) + 1e-300)
+            for w, v in zip(waiting, ends)
+        ]
+        if any(agree):
+            ends = [v for v, k in zip(ends, retire(agree, "tolerance")) if k]
+            if not ids:
+                break
+            waits = any(waiting)
 
-        worst_pt = sim[:, -1]
-        centroid = sim[:, :-1].mean(axis=1)
-        reflected = centroid + _ALPHA * (centroid - worst_pt)
-        expanded = centroid + _GAMMA * (reflected - centroid)
-        contracted = centroid + _RHO * (worst_pt - centroid)
-        cost, cause = score(np.concatenate([reflected, expanded, contracted]))
-        f_r, f_e, f_c = cost.reshape(3, len(live))
-        c_r, c_e, c_c = cause.reshape(3, len(live))
-        expand = f_r < val[:, 0]
-        reflect = ~expand & (f_r < val[:, -2])
-        contract = ~expand & ~reflect
-        used = np.concatenate([c_r, c_e[expand], c_c[contract]])
-        tally += np.bincount(used, minlength=len(INFEASIBLE))
-        evals[live] += np.where(reflect, 1, 2)
+        size = len(ids)
+        worst_pt = simplex[:, -1]
+        centroid = np.add.reduce(simplex[:, :-1], axis=1) / dim  # np.mean bit for bit
+        trial = np.empty((3, size, dim))  # reflected (coefficient 1), expanded, contracted
+        np.add(centroid, centroid - worst_pt, out=trial[0])
+        np.add(centroid, _GAMMA * (trial[0] - centroid), out=trial[1])
+        np.add(centroid, _RHO * (worst_pt - centroid), out=trial[2])
+        if waits:
+            prop = [row for row, w in enumerate(waiting) if not w]
+            shrunk = [row for row, w in enumerate(waiting) if w]
+            batch = np.concatenate([trial[:, prop].reshape(-1, dim), simplex[shrunk, 1:].reshape(-1, dim)])
+        else:
+            prop, shrunk, batch = range(size), [], trial.reshape(-1, dim)
+        cost, cause = score(batch)
+        costs, causes = cost.tolist(), cause.tolist()
 
-        take_e = expand & (f_e < f_r)
-        take_c = contract & (f_c < val[:, -1])
-        shrink = contract & ~take_c
-        moved = ~shrink
-        point = np.where(take_e[:, None], expanded, np.where(take_c[:, None], contracted, reflected))
-        sim[moved, -1] = point[moved]
-        val[moved, -1] = np.where(take_e, f_e, np.where(take_c, f_c, f_r))[moved]
-        if shrink.any():
-            first = sim[shrink, :1]
-            sim[shrink, 1:] = first + _SIGMA * (sim[shrink, 1:] - first)
-            cost, cause = score(sim[shrink, 1:].reshape(-1, dim))
-            val[shrink, 1:] = cost.reshape(-1, dim)
-            tally += np.bincount(cause, minlength=len(INFEASIBLE))
-            evals[live[shrink]] += dim
-        simplex[live], values[live] = sim, val
-        live = live[evals[live] < spec.max_evals]
-
-    pick = np.argsort(values, axis=1)[:, 0]
-    results = [
-        (simplex[r, pick[r]], float(values[r, pick[r]]), int(evals[r]), stop[r]) for r in range(count)
-    ]
-    return results, tally
+        n_prop = len(prop)
+        moved, picks, shrinks = [], [], []
+        for j, row in enumerate(prop):
+            best, second, worst = ends[row][0], ends[row][-2], ends[row][-1]
+            f_r = costs[j]
+            tally[causes[j]] += 1
+            if f_r < best:
+                tally[causes[n_prop + j]] += 1
+                evals[row] += 2
+                pick = n_prop + j if costs[n_prop + j] < f_r else j
+            elif f_r < second:
+                evals[row] += 1
+                pick = j
+            else:
+                tally[causes[2 * n_prop + j]] += 1
+                evals[row] += 2
+                if not costs[2 * n_prop + j] < worst:
+                    shrinks.append(row)
+                    continue
+                pick = 2 * n_prop + j
+            moved.append(row)
+            picks.append(pick)
+        if shrunk:
+            values[shrunk, 1:] = cost[3 * n_prop :].reshape(-1, dim)
+            for code in causes[3 * n_prop :]:
+                tally[code] += 1
+            for row in shrunk:
+                waiting[row] = False
+        if shrinks:
+            first = simplex[shrinks, :1]
+            simplex[shrinks, 1:] = first + _SIGMA * (simplex[shrinks, 1:] - first)
+            for row in shrinks:
+                evals[row] += dim
+                waiting[row] = True
+        if moved:
+            target = slice(None) if len(moved) == size else moved
+            picks = np.array(picks)
+            simplex[target, -1] = batch[picks]
+            values[target, -1] = cost[picks]
+        over = [not w and e >= limit for w, e in zip(waiting, evals)] if max(evals) >= limit else ()
+    return results, np.array(tally)
 
 
 def optimize_at_distance(
@@ -368,8 +438,12 @@ def _log_search(
     kernel calls ("rounds") and the rows they rated ("scored"); ``tally``
     counts the evaluations used by cause.
     """
-    # Imported here rather than with the module, so that the commands that
-    # never optimize (rate, scan without --optimize, simulate) skip it.
+    # Until something imports logging, no level or handler can be set, so
+    # the record would go nowhere; an optimize run then never imports it.
+    import sys
+
+    if "logging" not in sys.modules:
+        return
     import logging
 
     logger = logging.getLogger(__name__)

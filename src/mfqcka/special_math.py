@@ -11,10 +11,22 @@ each row bit for bit the value it gets alone.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
 __all__ = ["binary_entropy", "bessel_i0"]
+
+
+def _sum_along(terms: np.ndarray, axis: int) -> np.ndarray:
+    """The sum of ``terms`` over ``axis``, added in the order numpy adds a contiguous last axis.
+
+    numpy adds a contiguous last axis pairwise from 8 terms on, and any
+    other axis in sequence.  A batch laid out with its rows last, for
+    speed, keeps the sums of its row-major form bit for bit this way.
+    """
+    last = [*range(axis), *range(axis + 1, terms.ndim), axis]
+    return np.add.reduce(terms.transpose(last).copy(), axis=-1)
 
 
 def binary_entropy(x):
@@ -35,11 +47,13 @@ def binary_entropy(x):
 def _entropy(x: np.ndarray) -> np.ndarray:
     """H2 of an array in [0, 1] (nan stays nan), without the range check.
 
-    At an endpoint the logarithm is taken of 1 instead of 0, which gives
-    the 0 log 0 = 0 convention; adding 0.0 turns the -0.0 there into 0.0.
+    At an endpoint the logarithm is taken of the smallest positive double
+    (5e-324) instead of 0, which gives the 0 log 0 = 0 convention; adding
+    0.0 turns the -0.0 there into 0.0.  Every other x in [0, 1] is at
+    least that large, so its logarithm is its own.
     """
     y = 1.0 - x
-    return -x * np.log2(x + (x == 0.0)) - y * np.log2(y + (y == 0.0)) + 0.0
+    return -x * np.log2(np.maximum(x, 5e-324)) - y * np.log2(np.maximum(y, 5e-324)) + 0.0
 
 
 # Midpoint (periodic trapezoid) rule for I0(x) = (1/pi) * integral_0^pi exp(x cos t) dt:
@@ -71,6 +85,33 @@ def bessel_i0(x):
 
 
 def _i0_rule(x: np.ndarray) -> np.ndarray:
-    """The quadrature of ``bessel_i0`` without the sign check (nan stays nan)."""
-    return (np.exp(x[..., None] * _I0_COS) * (1.0 / I0_NODES)).sum(axis=-1)
+    """The quadrature of ``bessel_i0`` without the sign check (nan stays nan).
+
+    The trailing columns of a 2-D ``x`` that are 0 in every row take the
+    rule's value at 0 without evaluating it; ``matching`` puts the setting
+    pairs with the vacuum, whose argument is 0, last.
+    """
+    if x.ndim == 2:
+        nonzero = np.logical_or.reduce(x != 0.0, axis=0).tolist()
+        width = len(nonzero)
+        while width and not nonzero[width - 1]:
+            width -= 1
+        if width < len(nonzero):
+            out = np.empty(x.shape)
+            out[:, :width] = _midpoint_sum(x[:, :width])
+            out[:, width:] = _i0_at_zero()
+            return out
+    return _midpoint_sum(x)
+
+
+def _midpoint_sum(x: np.ndarray) -> np.ndarray:
+    terms = x[..., None] * _I0_COS
+    np.exp(terms, out=terms)
+    terms *= 1.0 / I0_NODES
+    return np.add.reduce(terms, axis=-1)
+
+
+@lru_cache(maxsize=None)
+def _i0_at_zero() -> float:
+    return float(_midpoint_sum(np.zeros(1))[0])
 

@@ -7,7 +7,10 @@ Each command runs as ``python -m mfqcka.cli`` under the caller's
 command's ``stdout``, ``stderr``, ``exit_code`` and any file it wrote.
 The configuration documents go to ``OUTDIR/docs``.  Every path a command
 sees is relative, so two corpora from two versions of the package
-compare with ``diff -r``.  Pytest does not collect this file.
+compare with ``diff -r``.  The commands include every benchmark workload
+(``perfbench/workloads.py``) with the documents and arguments its
+processes get at run seed 1 (process seeds 1001 and 1002).  Pytest does
+not collect this file.
 """
 
 from __future__ import annotations
@@ -22,6 +25,9 @@ from pathlib import Path
 from conftest import EC_EFFICIENCY, make_bundle, make_channel, make_geometric_config, make_many_users_bundle
 from mfqcka.model import SecurityParams, validate
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import WORKLOADS  # noqa: E402
+
 OPTIMIZER = {"restarts": 2, "max_evals": 300, "seed": 5}
 ASYMPTOTIC = {"decoy": ["--objective", "asymptotic"], "exact": ["--objective", "asymptotic", "--mode", "exact"]}
 # Each command runs under this address-space limit, so a document that would
@@ -31,6 +37,8 @@ MEMORY_LIMIT = 3_000_000 * 1024
 # marginal errors approach 1/2.
 PLAIN_SCAN = ["--from", "0", "--to", "330", "--step", "2"]
 DARK_SCAN = ["--from", "0", "--to", "3000", "--step", "5"]
+# The benchmark's process seeds: 1000 * run seed + process index.
+BENCHMARK_SEEDS = (1001, 1002)
 
 
 def documents() -> dict[str, dict]:
@@ -55,8 +63,14 @@ def documents() -> dict[str, dict]:
     docs["tiny-decoy"] = make_bundle(
         data_size=1e14, signal=1.0, decoys=(1e-4, 1e-300, 0.0), probs=(0.99, 0.001, 0.001, 0.008)
     ).to_dict()
+    # no dark counts: the signal of a plain scan dies out with distance
+    docs["n4-no-dark-counts"] = make_bundle(num_users=4, data_size=1e14).to_dict()
+    docs["n4-no-dark-counts"]["channel"]["dark_count_rate"] = 0.0
     for doc in docs.values():
         doc["optimizer"] = OPTIMIZER
+    for name, workload in WORKLOADS.items():
+        for seed in BENCHMARK_SEEDS:
+            docs[f"bench-{name}-{seed}"] = workload.document(seed)
     return docs
 
 
@@ -87,6 +101,13 @@ def commands() -> dict[str, list[str]]:
     ]
     for doc, bins in (("n3", "200000"), ("geo8", "100000"), ("many130-m32766", "3000"), ("many3000-m16", "3000")):
         cmds[f"simulate-{doc}"] = ["simulate", f"../docs/{doc}.json", "--bins", bins, "--seed", "3", "--out", "run.json"]
+    cmds["scan-n4-exact-until-no-signal"] = [
+        "scan", "../docs/n4-no-dark-counts.json", *ASYMPTOTIC["exact"],
+        "--from", "0", "--to", "3000", "--step", "100", "--out", "scan.csv",
+    ]
+    for name, workload in WORKLOADS.items():
+        for seed in BENCHMARK_SEEDS:
+            cmds[f"bench-{name}-{seed}"] = workload.argv(f"../docs/bench-{name}-{seed}.json", seed)
     return cmds
 
 

@@ -20,7 +20,7 @@ from mfqcka.optimizer import SearchSpec, _project
 Simplex = Generator[np.ndarray, float, "tuple[np.ndarray, float, int, str]"]
 
 
-def nelder_mead(x0: np.ndarray, spec: SearchSpec) -> Simplex:
+def nelder_mead(x0: np.ndarray, spec: SearchSpec, steps: list[str] | None = None) -> Simplex:
     """Budgeted simplex descent (minimization) as a generator.
 
     Yields every point it needs scored, unprojected (the caller projects
@@ -28,6 +28,8 @@ def nelder_mead(x0: np.ndarray, spec: SearchSpec) -> Simplex:
     when the simplex values agree to ``spec.tolerance`` ("tolerance") or
     the evaluations reach ``spec.max_evals`` ("budget"; a shrink may run
     up to dim evaluations past it).  The returned best point is unprojected.
+    ``steps``, if given, receives "iteration" as each iteration begins and
+    "shrink" as each shrink begins.
     """
     dim = x0.size
     simplex = [x0.copy()]
@@ -51,6 +53,8 @@ def nelder_mead(x0: np.ndarray, spec: SearchSpec) -> Simplex:
         if math.isfinite(best) and abs(worst - best) <= spec.tolerance * (abs(best) + 1e-300):
             stop = "tolerance"
             break
+        if steps is not None:
+            steps.append("iteration")
         centroid = np.mean(simplex[:-1], axis=0)
         reflected = centroid + alpha * (centroid - simplex[-1])
         f_r = yield reflected
@@ -72,6 +76,8 @@ def nelder_mead(x0: np.ndarray, spec: SearchSpec) -> Simplex:
             if f_c < values[-1]:
                 simplex[-1], values[-1] = contracted, f_c
             else:
+                if steps is not None:
+                    steps.append("shrink")
                 for i in range(1, len(simplex)):
                     simplex[i] = simplex[0] + sigma * (simplex[i] - simplex[0])
                     values[i] = yield simplex[i]
@@ -105,16 +111,31 @@ def lock_step(
 
 
 def run_alone(
-    cost: Callable[[np.ndarray], float], x0: np.ndarray, spec: SearchSpec, n_users: int
+    cost: Callable[[np.ndarray], float],
+    x0: np.ndarray,
+    spec: SearchSpec,
+    n_users: int,
+    steps: list[str] | None = None,
 ) -> tuple[np.ndarray, float, int, str]:
     """Drive one simplex generator alone, scoring each projected point with ``cost``.
 
-    Returns the generator's result with its best point left unprojected.
+    Returns the generator's result with its best point left unprojected;
+    ``steps`` receives the generator's iterations and shrinks.
     """
-    simplex = nelder_mead(x0, spec)
+    simplex = nelder_mead(x0, spec, steps)
     point = next(simplex)
     try:
         while True:
             point = simplex.send(cost(_project(point, n_users, spec)))
     except StopIteration as done:
         return done.value
+
+
+def kernel_calls(steps: list[str]) -> int:
+    """The kernel calls that a restart with these ``steps`` needs alone, one call a round.
+
+    The initial vertices take one call, each iteration one for its
+    reflected, expanded and contracted points, and each shrink one for its
+    new vertices.
+    """
+    return 1 + len(steps)

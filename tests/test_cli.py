@@ -429,6 +429,30 @@ def test_commands_evaluate_through_the_evaluate_hook(config_path, capsys, monkey
         assert chunk_calls == [3]
 
 
+def test_plain_scan_keeps_the_rows_before_a_distance_without_signal(tmp_path, capsys):
+    # Without dark counts the signal dies out with distance.  The scan writes
+    # every row rated before the first distance without signal, to --out or
+    # to stdout, then exits 2 with that distance's error.
+    doc = make_bundle(num_users=4, data_size=1e14).to_dict()
+    doc["channel"]["dark_count_rate"] = 0.0
+    path = tmp_path / "dark.json"
+    path.write_text(json.dumps(doc))
+    common = ["scan", str(path), "--objective", "asymptotic", "--mode", "exact", "--step", "100"]
+    rated, cut = tmp_path / "rated.csv", tmp_path / "cut.csv"
+    assert main([*common, "--from", "0", "--to", "900", "--out", str(rated)]) == EXIT_OK
+    assert len(rated.read_text().splitlines()) == 11
+    capsys.readouterr()
+    assert main([*common, "--from", "0", "--to", "3000", "--out", str(cut)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: no sifted signal coincidences; phase error undefined\n"
+    assert cut.read_text() == rated.read_text()
+    assert main([*common, "--from", "0", "--to", "3000"]) == EXIT_CONFIG
+    assert capsys.readouterr().out == rated.read_text()
+    # no row before the first distance without signal: no file
+    none = tmp_path / "none.csv"
+    assert main([*common, "--from", "1000", "--to", "3000", "--out", str(none)]) == EXIT_CONFIG
+    assert not none.exists()
+
+
 def test_exact_scan_rows_equal_one_rate_per_distance(tmp_path):
     doc = make_bundle(num_users=4, data_size=1e14).to_dict()
     doc["optimizer"] = {"seed": 0}  # the seed column of a rate CSV

@@ -10,8 +10,10 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "mfqcka").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
 ALLOWED_SRC = frozenset(sys.stdlib_module_names) | {"numpy", "mfqcka"}
-# The tests may also use their runner, hypothesis, and each other (the oracles).
-ALLOWED_TESTS = ALLOWED_SRC | {"pytest", "hypothesis"} | {path.stem for path in TESTS}
+# The tests may also use their runner, hypothesis, each other (the oracles),
+# and the benchmark's workload definitions (perfbench/workloads.py, standard
+# library only), whose jobs the CLI corpus runs.
+ALLOWED_TESTS = ALLOWED_SRC | {"pytest", "hypothesis", "workloads"} | {path.stem for path in TESTS}
 
 
 def top_level_imports(source: str):

@@ -1,7 +1,12 @@
 """Search-engine behaviour: recovery, feasibility, determinism, lock-step rounds."""
 
+import json
 import logging
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +36,7 @@ from mfqcka.optimizer import (
     scan_distances,
 )
 from conftest import make_bundle, make_channel, make_config, make_geometric_config
-from optimizer_oracles import lock_step, nelder_mead, run_alone
+from optimizer_oracles import kernel_calls, lock_step, nelder_mead, run_alone
 
 
 def search(cost, starts, spec, n_users):
@@ -324,13 +329,17 @@ class TestLockStep:
         ranked = sorted(range(len(pool)), key=lambda i: (costs[i], i))
         warm = [] if initial is None else [_project(_from_config(initial), 3, spec)]
         starts = warm + [pool[i] for i in ranked[: spec.restarts - len(warm)]]
-        alone = [run_alone(cost, start, spec, 3) for start in starts]
+        steps = [[] for _ in starts]
+        alone = [run_alone(cost, start, spec, 3, s) for start, s in zip(starts, steps)]
 
         # with the default tolerance the restarts stop in different rounds
         assert len({evals for _, _, evals, _ in alone}) > 1
-        # rounds are kernel calls: the pool's, the initial vertices', and one or
-        # two per iteration, far fewer than the evaluations of the longest restart
-        assert telemetry["rounds"] == len(batches) < max(evals for _, _, evals, _ in alone)
+        # rounds are kernel calls: the pool's, then one per round of the search,
+        # as many as the restart that needs the most calls alone, far fewer
+        # than the evaluations of the longest restart
+        calls = max(kernel_calls(s) for s in steps)
+        assert telemetry["rounds"] == len(batches) == 1 + calls
+        assert calls < max(evals for _, _, evals, _ in alone)
         assert telemetry["scored"] == sum(batches) >= telemetry["evaluations"]
         assert batches[:2] == [PRESAMPLES, 7 * spec.restarts]
         assert telemetry["presamples"] == PRESAMPLES
@@ -437,12 +446,17 @@ def test_array_search_matches_the_generator_oracle(case):
     cost = scalar_cost(
         lambda x: rate_report(_to_config(x, bundle.config), bundle.channel, bundle.security, mode)
     )
-    alone = [run_alone(cost, start, spec, n) for start in starts]
+    steps = [[] for _ in starts]
+    alone = [run_alone(cost, start, spec, n, s) for start, s in zip(starts, steps)]
     for (x, value, evals, stop), (x_alone, *rest) in zip(results, alone):
         assert (value, evals, stop) == tuple(rest)
         assert x.tobytes() == x_alone.tobytes()
     assert tally.sum() == sum(evals for _, _, evals, _ in results) <= sum(batches)
     calls = len(batches)
+    # every round is one kernel call, and the search runs as many rounds as
+    # the restart that needs the most calls alone: one per iteration and one
+    # per shrink, after the initial vertices'
+    assert calls == max(kernel_calls(s) for s in steps)
     # the generators in lock-step, one evaluation per restart and kernel call
     locked, rounds = lock_step([nelder_mead(start, spec) for start in starts], lambda p: score(p)[0])
     assert [(v, e, st) for _, v, e, st in locked] == [(v, e, st) for _, v, e, st in alone]
@@ -451,7 +465,8 @@ def test_array_search_matches_the_generator_oracle(case):
     stops = {stop for _, _, _, stop in results}
     if case.startswith("plateau"):
         # Every iteration on an inf plateau rejects the reflected and the
-        # contracted point and shrinks: 2 + dim evaluations.
+        # contracted point and shrinks: 2 + dim evaluations, two kernel calls.
+        assert all(s == ["iteration", "shrink"] * (len(s) // 2) for s in steps)
         assert all(value == math.inf for _, value, _, _ in results)
         assert all((evals - dim - 1) % (dim + 2) == 0 and evals > dim + 1 for _, _, evals, _ in results)
         assert tally[0] == 0
@@ -481,6 +496,20 @@ def test_telemetry_counts_infeasible_points_by_cause(caplog):
     assert telemetry["infeasible"] == {"EstimationError": telemetry["evaluations"]}
     assert all(r["best"] == math.inf for r in telemetry["restarts"])
     assert "EstimationError" in caplog.text
+
+
+def test_an_optimize_run_does_not_import_logging(tmp_path):
+    # Until logging is imported no level or handler can be set, so the
+    # search's DEBUG record would go nowhere, and the search skips the import.
+    import mfqcka
+
+    path = tmp_path / "n3.json"
+    path.write_text(json.dumps(make_bundle(distance_km=50.0, data_size=1e14).to_dict()))
+    code = "import sys; from mfqcka import cli; print(cli.main(sys.argv[1:]), 'logging' in sys.modules)"
+    argv = ["optimize", str(path), "--restarts", "2", "--max-evals", "30"]
+    env = {**os.environ, "PYTHONPATH": str(Path(mfqcka.__file__).resolve().parents[1])}
+    run = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env)
+    assert run.stdout.splitlines()[-1] == "0 False", run.stderr
 
 
 def test_telemetry_is_silent_above_debug(caplog):
