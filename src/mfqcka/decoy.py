@@ -44,8 +44,6 @@ from .special_math import _sum_along
 
 __all__ = [
     "ObservedCounts",
-    "chernoff_expected_bounds",
-    "chernoff_observed_lower",
     "bounds_3user_asymptotic",
     "bounds_3user_finite",
     "bounds_4user_asymptotic",
@@ -86,6 +84,11 @@ class ObservedCounts:
 
 
 def _chernoff_sides(s: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Two-sided interval (lower, upper) for the expected values behind nonnegative counts ``s``.
+
+    upper = s + beta + sqrt(2 beta s + beta^2),
+    lower = max(s - beta/2 - sqrt(2 beta s + beta^2/4), 0),  beta = ln(1/eps).
+    """
     root = 2.0 * beta * s
     upper = s + beta + np.sqrt(root + beta * beta)
     lower = np.maximum(s - 0.5 * beta - np.sqrt(root + 0.25 * beta * beta), 0.0)
@@ -93,32 +96,8 @@ def _chernoff_sides(s: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]
 
 
 def _observed_lower(v: np.ndarray, beta: float) -> np.ndarray:
+    """Pessimistic observed values implied by nonnegative lower-bounded expectations ``v``."""
     return np.maximum(v - np.sqrt(2.0 * beta * v), 0.0)
-
-
-def chernoff_expected_bounds(observed, eps: float):
-    """Two-sided interval for the expected value behind an observed count.
-
-    upper = s + beta + sqrt(2 beta s + beta^2),
-    lower = max(s - beta/2 - sqrt(2 beta s + beta^2/4), 0),  beta = ln(1/eps).
-    ``observed`` may be an array of counts.
-    """
-    s = np.asarray(observed, dtype=float)
-    if (s < 0.0).any():
-        raise ValueError("observed count must be nonnegative")
-    lower, upper = _chernoff_sides(s, math.log(1.0 / eps))
-    if np.ndim(observed) == 0:
-        return float(lower), float(upper)
-    return lower, upper
-
-
-def chernoff_observed_lower(expected_lower, eps: float):
-    """Pessimistic observed value implied by a lower-bounded expectation."""
-    v = np.asarray(expected_lower, dtype=float)
-    if (v < 0.0).any():
-        raise ValueError("expected value must be nonnegative")
-    lower = _observed_lower(v, math.log(1.0 / eps))
-    return float(lower) if np.ndim(expected_lower) == 0 else lower
 
 
 def _photon_numbers(num_users: int) -> range:

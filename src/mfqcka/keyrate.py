@@ -120,13 +120,16 @@ def _check_mode(num_users: int, mode: str) -> None:
 
 
 # Rows per kernel pass are chosen so that the (rows, pairs, I0_NODES) temporary
-# of the Bessel quadrature in the gain table, one I0 argument per distinct
-# setting pair, stays within this size.
+# of the Bessel quadrature in the gain table stays within this size.  The rule
+# evaluates one I0 argument per distinct pair of nonzero settings: it skips the
+# S pairs with the vacuum, which every ladder of the package ends in.  A chunk
+# whose last setting is nonzero (rows that are ConfigErrors, which only tests
+# pass) evaluates all S(S+1)/2 pairs, up to (S+1)/(S-1) times this size.
 _CHUNK_BYTES = 1 << 18
 
 
 def _chunk_rows(settings: int) -> int:
-    pairs = settings * (settings + 1) // 2
+    pairs = settings * (settings - 1) // 2
     return max(1, _CHUNK_BYTES // (pairs * I0_NODES * 8))
 
 

@@ -211,5 +211,4 @@ def expected_stats(
         slice_totals=slice_totals,
         sifted=sifted,
         adjacent_error=float(errors.adjacent[0]),
-        marginal_errors=tuple(errors.marginals[0].tolist()),
     )

@@ -395,7 +395,6 @@ class CoincidenceStats:
     slice_totals: Mapping[tuple[int, int], float]
     sifted: Mapping[float, float]
     adjacent_error: float
-    marginal_errors: tuple[float, ...]
 
 
 @dataclass(frozen=True)

@@ -363,7 +363,7 @@ def optimize_at_distance(
     """Maximize the selected key rate over intensities and probabilities.
 
     ``objective`` is one of ``keyrate.MODES`` ("finite", "asymptotic-decoy",
-    "asymptotic-exact"), or "asymptotic", an alias of "asymptotic-decoy".
+    "asymptotic-exact").
     ``initial``, if given, is the first restart's starting point.  Returns
     the ``keyrate.rate_report`` of the best feasible point found over all
     restarts (its ``params_used`` is the tuned configuration); a fixed
@@ -374,9 +374,8 @@ def optimize_at_distance(
     Bounds that hold no feasible point raise ConfigError; a box in which
     no point has a rate raises EstimationError.
     """
-    mode = "asymptotic-decoy" if objective == "asymptotic" else objective
     n_users = bundle.config.num_users
-    keyrate._check_mode(n_users, mode)
+    keyrate._check_mode(n_users, objective)
     _check_box(n_users, spec)
 
     kernel = {"rounds": 0, "scored": 0}  # kernel calls and the rows they rated
@@ -387,7 +386,7 @@ def optimize_at_distance(
         kernel["scored"] += len(points)
         ints, probs = _ladders(points, n_users)
         raw, cause = keyrate.rate_rows(
-            ints, probs, bundle.config, bundle.channel, bundle.security, mode
+            ints, probs, bundle.config, bundle.channel, bundle.security, objective
         )
         return np.where((cause == 0) & np.isfinite(raw), -raw, math.inf), cause
 
@@ -414,7 +413,7 @@ def optimize_at_distance(
     if best_x is None:
         raise EstimationError("no point in the search box has a rate to optimize")
     best_config = _to_config(_project(best_x, n_users, spec), bundle.config)
-    return keyrate.rate_report(best_config, bundle.channel, bundle.security, mode)
+    return keyrate.rate_report(best_config, bundle.channel, bundle.security, objective)
 
 
 @lru_cache(maxsize=8)

@@ -31,7 +31,7 @@ nested loops (see ``_port_weight_sequence``).
 ``_phase_error_rows`` evaluates the exact phase error for a batch of
 ladders (one row each) from their count matrices, over one channel or
 one channel per row (whose composition sums are stacked from the
-per-channel cache); the scalar entry points are one-row calls of it.
+per-channel cache); ``phase_error_exact`` is a one-row call of it.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .matching import _count_matrix, _port_totals, sifted_coincidences
 from .model import INFEASIBLE, ChannelParams, EstimationError, SecurityParams, SourceConfig
 from .channel import total_efficiency
 
-__all__ = ["signal_coincidences_nphoton", "phase_error_exact"]
+__all__ = ["phase_error_exact"]
 
 _ESTIMATION = INFEASIBLE.index(EstimationError)
 
@@ -202,22 +202,6 @@ def _one_row(config: SourceConfig, channel: ChannelParams, data_size: float) -> 
         p_d=channel.dark_count_rate,
         data_size=data_size,
     )
-
-
-def signal_coincidences_nphoton(
-    n: int, config: SourceConfig, channel: ChannelParams, sec: SecurityParams, n_max: int = N_MAX
-) -> float:
-    """Expected signal coincidences fed by exactly n emitted photons in total.
-
-    Sums over all ways of distributing the n photons across the N-1
-    matched port pairs, each pair weighted by its Poissonian emission
-    probability and first-order click yield, then rescales by the same
-    matcher ratio as the sifted-count formula.
-    """
-    if n < 0:
-        raise ValueError("photon number must be nonnegative")
-    row = _one_row(config, channel, sec.data_size)
-    return float(_nphoton_rows(**row, n_max=max(n_max, n))[0, n])
 
 
 def phase_error_exact(

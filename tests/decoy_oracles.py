@@ -5,13 +5,32 @@
 and exactly rounded sums.  The ``bounds_*user_*`` functions are the
 hand-expanded three-, four- and five-user expressions that came before
 that rule.  The tests compare the package's array rule against both.
+The Chernoff sides are stated here with the math module too, so no
+oracle calls the code it checks.
 """
 
 import math
 from typing import Mapping
 
-from mfqcka.decoy import ObservedCounts, chernoff_expected_bounds, chernoff_observed_lower
+from mfqcka.decoy import ObservedCounts
 from mfqcka.model import DecoyBounds, EstimationError
+
+
+def chernoff_expected_bounds(s: float, eps: float) -> tuple[float, float]:
+    """(lower, upper) expected value behind the observed count s >= 0, beta = ln(1/eps).
+
+    upper = s + beta + sqrt(2 beta s + beta^2),
+    lower = max(s - beta/2 - sqrt(2 beta s + beta^2/4), 0).
+    """
+    beta = math.log(1.0 / eps)
+    upper = s + beta + math.sqrt(2.0 * beta * s + beta * beta)
+    lower = max(s - 0.5 * beta - math.sqrt(2.0 * beta * s + 0.25 * beta * beta), 0.0)
+    return lower, upper
+
+
+def chernoff_observed_lower(v: float, eps: float) -> float:
+    """Pessimistic observed value max(v - sqrt(2 beta v), 0) of the expectation v >= 0."""
+    return max(v - math.sqrt(2.0 * math.log(1.0 / eps) * v), 0.0)
 
 
 def _normalization_factors(obs: ObservedCounts, ks: tuple[float, ...]) -> dict[float, float]:

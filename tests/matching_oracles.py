@@ -6,8 +6,9 @@ times every subset of their ports, exponential in the number of users.
 It takes its gains from the package, so it checks the sums alone.
 ``transfer_count_matrix`` and ``sifted_from_matrix`` are the one-ladder
 transfer-matrix chain and matcher mean that the package evaluated before
-it took a batch axis, with their math-module gains and exactly rounded
-sums.  The tests compare the package's array kernel with both.
+it took a batch axis, with their math-module gains (I0 from its power
+series, not the package's quadrature) and exactly rounded sums.  The
+tests compare the package's array kernel with both, within tolerances.
 """
 
 import itertools
@@ -20,7 +21,7 @@ import numpy as np
 from mfqcka.channel import total_efficiency
 from mfqcka.matching import _gain_rows
 from mfqcka.model import ChannelParams, SourceConfig
-from mfqcka.special_math import bessel_i0
+from test_special_math import i0_series
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,7 +43,7 @@ def gain_table(config: SourceConfig, channel: ChannelParams) -> GainTable:
         return (1.0 - p_d) * math.exp(-0.5 * eta_t * (a + b))
 
     q_avg = [
-        [2.0 * vacuum(a, b) * bessel_i0(eta_t * math.sqrt(a * b)) - 2.0 * vacuum(a, b) ** 2 for b in ks]
+        [2.0 * vacuum(a, b) * i0_series(eta_t * math.sqrt(a * b)) - 2.0 * vacuum(a, b) ** 2 for b in ks]
         for a in ks
     ]
     q_zero = []

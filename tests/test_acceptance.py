@@ -14,19 +14,19 @@ from mfqcka.decoy import (
     bounds_3user_asymptotic,
     bounds_4user_asymptotic,
     bounds_5user_asymptotic,
-    chernoff_expected_bounds,
+    _chernoff_sides,
 )
 from mfqcka.keyrate import asymptotic_rate
 from mfqcka.matching import sifted_coincidences
 from mfqcka.montecarlo import compare_to_analytic, run_protocol
 from mfqcka.optimizer import SearchSpec, optimize_at_distance
-from mfqcka.photonstats import signal_coincidences_nphoton
-from mfqcka.special_math import bessel_i0, binary_entropy
+from mfqcka.special_math import _entropy, _i0_rule
 from mfqcka.channel import marginal_errors
 from mfqcka.model import SecurityParams, validate
 from conftest import EC_EFFICIENCY, make_bundle, make_channel, make_geometric_config
 
 from test_montecarlo import ideal_columns, kernel_bits
+from test_photonstats import nphoton_terms
 from test_special_math import i0_series
 
 
@@ -94,7 +94,7 @@ def test_criterion_3_asymptotic_capacity_crossing(num_users, distance):
     """Asymptotic rates for 3-5 users each exceed the bound somewhere."""
     bundle = make_bundle(num_users=num_users, distance_km=distance, data_size=1e14)
     spec = SearchSpec(restarts=4, max_evals=1000, seed=2024)
-    rep = optimize_at_distance(spec, "asymptotic", bundle)
+    rep = optimize_at_distance(spec, "asymptotic-decoy", bundle)
     report(
         f"3 (asymptotic N={num_users})",
         rep.key_rate > rep.multicast_bound,
@@ -145,8 +145,9 @@ def test_criterion_4_decoy_soundness_grid():
                 )
                 db = estimator(obs)
                 points += 1
+                exact_terms = nphoton_terms(config, channel, sec)
                 for n in terms:
-                    exact = signal_coincidences_nphoton(n, config, channel, sec)
+                    exact = exact_terms[n]
                     if db.s_mu_n_lower[n] > exact * (1 + 1e-9):
                         violations += 1
     report(
@@ -162,7 +163,7 @@ def test_criterion_4_finite_decoy_tracks_infinite():
     spec = SearchSpec(restarts=4, max_evals=1000, seed=2024)
     for distance in (280.0, 300.0):
         bundle = make_bundle(num_users=3, distance_km=distance, data_size=1e14)
-        rep = optimize_at_distance(spec, "asymptotic", bundle)
+        rep = optimize_at_distance(spec, "asymptotic-decoy", bundle)
         exact = asymptotic_rate(rep.params_used, bundle.channel, "exact", ec_efficiency=1.1)
         assert rep.key_rate <= exact.key_rate * (1 + 1e-9)
         worst = min(worst, rep.key_rate / exact.key_rate)
@@ -252,8 +253,9 @@ def test_criterion_7_chernoff_coverage():
     true_mean = n * p
     draws = rng.binomial(n, p, size=resamples)
     misses_low = misses_high = 0
-    for value, count in zip(*np.unique(draws, return_counts=True)):
-        lower, upper = chernoff_expected_bounds(float(value), eps)
+    values, counts = np.unique(draws, return_counts=True)
+    lowers, uppers = _chernoff_sides(values.astype(float), math.log(1.0 / eps))
+    for lower, upper, count in zip(lowers.tolist(), uppers.tolist(), counts.tolist()):
         if true_mean < lower:
             misses_low += int(count)
         if true_mean > upper:
@@ -269,18 +271,17 @@ def test_criterion_7_chernoff_coverage():
 def test_criterion_8_numeric_kernels():
     """I0 vs series oracle, entropy conventions, marginal-error parity."""
     xs = np.linspace(0.0, 20.0, 1000)
-    i0_vals = bessel_i0(xs)
+    # also in the gain table's layout: the vacuum pairs (argument 0) last, which the rule skips
+    table = np.hstack([xs.reshape(100, 10), np.zeros((100, 3))])
+    args = np.concatenate([xs, table.ravel()])
+    i0_vals = np.concatenate([_i0_rule(xs), _i0_rule(table).ravel()])
     worst_rel = max(
-        abs(v - i0_series(x)) / i0_series(x) for x, v in zip(xs, i0_vals)
+        abs(v - i0_series(x)) / i0_series(x) for x, v in zip(args.tolist(), i0_vals.tolist())
     )
+    grid = np.linspace(0.0, 1.0, 101)
     entropy_ok = (
-        binary_entropy(0.0) == 0.0
-        and binary_entropy(1.0) == 0.0
-        and binary_entropy(0.5) == 1.0
-        and all(
-            abs(binary_entropy(x) - binary_entropy(1 - x)) < 1e-12
-            for x in np.linspace(0.0, 1.0, 101)
-        )
+        _entropy(np.array([0.0, 1.0, 0.5])).tolist() == [0.0, 0.0, 1.0]
+        and bool((abs(_entropy(grid) - _entropy(1 - grid)) < 1e-12).all())
     )
     parity_ok = True
     for j in range(2, 9):

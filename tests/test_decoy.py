@@ -12,16 +12,16 @@ from mfqcka.decoy import (
     bounds_3user_finite,
     bounds_4user_asymptotic,
     bounds_5user_asymptotic,
-    chernoff_expected_bounds,
-    chernoff_observed_lower,
+    _chernoff_sides,
+    _observed_lower,
 )
 from mfqcka.keyrate import asymptotic_rate
 from mfqcka.matching import sifted_coincidences
 from mfqcka.model import ConfigError, EstimationError, SecurityParams
-from mfqcka.photonstats import signal_coincidences_nphoton
 from conftest import PROBS, make_bundle
 import decoy_oracles
 from test_acceptance import GRID_SIGNALS
+from test_photonstats import nphoton_terms
 
 BETA_1E10 = math.log(1e10)
 
@@ -76,38 +76,40 @@ def model_observed(bundle):
 
 class TestChernoff:
     def test_zero_count_collapse(self):
-        lower, upper = chernoff_expected_bounds(0.0, 1e-10)
+        lower, upper = _chernoff_sides(np.asarray(0.0), BETA_1E10)
         assert lower == 0.0
         assert upper == pytest.approx(2 * BETA_1E10, rel=1e-12)
 
     def test_frozen_example(self):
-        lower, upper = chernoff_expected_bounds(100.0, 1e-10)
+        lower, upper = _chernoff_sides(np.asarray(100.0), BETA_1E10)
         assert lower == pytest.approx(19.655994064430956, rel=1e-12)
         assert upper == pytest.approx(194.68727707424722, rel=1e-12)
 
     @given(st.floats(min_value=0.0, max_value=1e15, allow_nan=False))
     def test_bound_ordering(self, s):
-        lower, upper = chernoff_expected_bounds(s, 1e-10)
+        lower, upper = _chernoff_sides(np.asarray(s), BETA_1E10)
         assert lower <= s <= upper
 
     def test_intervals_nest_in_epsilon(self):
-        for s in (0.0, 10.0, 1e4, 1e9):
-            tight = chernoff_expected_bounds(s, 1e-3)
-            wide = chernoff_expected_bounds(s, 1e-12)
-            assert wide[0] <= tight[0] and tight[1] <= wide[1]
+        s = np.array([0.0, 10.0, 1e4, 1e9])
+        tight = _chernoff_sides(s, math.log(1.0 / 1e-3))
+        wide = _chernoff_sides(s, math.log(1.0 / 1e-12))
+        assert (wide[0] <= tight[0]).all() and (tight[1] <= wide[1]).all()
 
     def test_observed_lower_examples(self):
-        assert chernoff_observed_lower(0.0, 1e-10) == 0.0
-        assert chernoff_observed_lower(2 * BETA_1E10, 1e-10) == 0.0
-        assert chernoff_observed_lower(1e6, 1e-10) == pytest.approx(
+        assert _observed_lower(np.asarray(0.0), BETA_1E10) == 0.0
+        assert _observed_lower(np.asarray(2 * BETA_1E10), BETA_1E10) == 0.0
+        assert _observed_lower(np.asarray(1e6), BETA_1E10) == pytest.approx(
             993213.8595755849, rel=1e-12
         )
 
-    def test_negative_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            chernoff_expected_bounds(-1.0, 1e-10)
-        with pytest.raises(ValueError):
-            chernoff_observed_lower(-1.0, 1e-10)
+    def test_math_module_oracle(self):
+        counts = np.array([0.0, 2 * BETA_1E10, 100.0, 1e6, 1e15])
+        lower, upper = _chernoff_sides(counts, BETA_1E10)
+        observed = _observed_lower(counts, BETA_1E10)
+        for i, s in enumerate(counts.tolist()):
+            assert (lower[i], upper[i]) == decoy_oracles.chernoff_expected_bounds(s, 1e-10)
+            assert observed[i] == decoy_oracles.chernoff_observed_lower(s, 1e-10)
 
 
 def paper_3user_s2_oracle(obs):
@@ -182,7 +184,7 @@ class TestModelSoundness:
     def test_3user_ratio_at_200km(self):
         bundle = make_bundle(distance_km=200.0)
         db = bounds_3user_asymptotic(model_observed(bundle))
-        exact = signal_coincidences_nphoton(2, bundle.config, bundle.channel, bundle.security)
+        exact = nphoton_terms(bundle.config, bundle.channel, bundle.security)[2]
         assert db.s_mu_n_lower[2] <= exact * (1 + 1e-9)
         assert db.s_mu_n_lower[2] / exact >= 0.9
 
@@ -191,10 +193,9 @@ class TestModelSoundness:
         bundle = make_bundle(num_users=num_users, distance_km=distance)
         estimator, terms = ESTIMATORS[num_users]
         db = estimator(model_observed(bundle))
+        exact_terms = nphoton_terms(bundle.config, bundle.channel, bundle.security)
         for n in terms:
-            exact = signal_coincidences_nphoton(
-                n, bundle.config, bundle.channel, bundle.security
-            )
+            exact = exact_terms[n]
             assert db.s_mu_n_lower[n] <= exact * (1 + 1e-9)
 
     def test_perturbing_omega_count_downweights_bound(self):

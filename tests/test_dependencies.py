@@ -1,6 +1,10 @@
-"""The dependency rule: the package needs numpy and the standard library only."""
+"""The dependency rule: the package needs numpy and the standard library only.
+
+And the surface rule: every name a module exports has a caller in the package.
+"""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -41,3 +45,43 @@ def test_imports_follow_the_dependency_rule(paths, allowed):
         if name not in allowed
     ]
     assert foreign == []
+
+
+def exported_names(source: str) -> list[str]:
+    """The names in a module's top-level ``__all__`` list, if it has one."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def referenced_names(source: str) -> set[str]:
+    """Every name the code loads or reads as an attribute; definitions and strings are not references."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+    return names
+
+
+def test_reference_forms_are_found():
+    source = '__all__ = ["f", "g"]\ndef f():\n    return g\nclass C:\n    h = m.k\nm.j = 1\n'
+    assert exported_names(source) == ["f", "g"]
+    assert referenced_names(source) == {"g", "m", "k"}
+
+
+@pytest.mark.parametrize("path", SRC, ids=[path.stem for path in SRC])
+def test_every_export_has_a_caller_in_the_package(path):
+    """A name that only the tests call is not part of the package: a test calls the function the package runs.
+
+    The package's ``__init__`` re-exports are not callers.
+    """
+    module = importlib.import_module(f"mfqcka.{path.stem}")
+    callers = set().union(*(referenced_names(p.read_text()) for p in SRC if p.name != "__init__.py"))
+    names = exported_names(path.read_text())
+    assert [name for name in names if not hasattr(module, name)] == []
+    assert [name for name in names if name not in callers] == []

@@ -6,10 +6,10 @@ import math
 import pytest
 
 import matching_oracles
+from keyrate_oracles import entropy
 from mfqcka.keyrate import asymptotic_rate, finite_rate, multicast_bound
 from mfqcka.matching import _count_matrix
 from mfqcka.model import ConfigError
-from mfqcka.special_math import binary_entropy
 from conftest import make_bundle, make_channel, make_geometric_config
 
 
@@ -51,8 +51,8 @@ class TestAsymptoticRate:
     def test_report_recomputes_from_components(self):
         bundle = make_bundle(distance_km=80.0)
         report = asymptotic_rate(bundle.config, bundle.channel, "decoy")
-        worst_h = max(binary_entropy(e) for e in report.marginal_errors)
-        bracket = 1.0 - binary_entropy(report.phase_error_upper) - 1.1 * worst_h
+        worst_h = max(entropy(e) for e in report.marginal_errors)
+        bracket = 1.0 - entropy(report.phase_error_upper) - 1.1 * worst_h
         assert report.key_rate_raw == pytest.approx(report.sifted_signal * bracket, rel=1e-12)
 
     def test_rate_decreases_when_phase_error_grows(self):
@@ -61,9 +61,9 @@ class TestAsymptoticRate:
         bundle = make_bundle(distance_km=80.0)
         report = asymptotic_rate(bundle.config, bundle.channel, "decoy")
         phi = report.phase_error_upper
-        worst_h = max(binary_entropy(e) for e in report.marginal_errors)
+        worst_h = max(entropy(e) for e in report.marginal_errors)
         for delta in (0.02, 0.1, 0.2):
-            shifted = 1.0 - binary_entropy(min(phi + delta, 0.5)) - 1.1 * worst_h
+            shifted = 1.0 - entropy(min(phi + delta, 0.5)) - 1.1 * worst_h
             assert report.sifted_signal * shifted <= report.key_rate_raw + 1e-15
 
     def test_saturated_phase_error_clamps_rate(self):
@@ -113,7 +113,7 @@ def test_crossover_window_above_multicast_bound():
 
     bundle = make_bundle(distance_km=300.0, data_size=1e14)
     spec = SearchSpec(restarts=3, max_evals=600, seed=17)
-    config = optimize_at_distance(spec, "asymptotic", bundle).params_used
+    config = optimize_at_distance(spec, "asymptotic-decoy", bundle).params_used
     for distance in (290.0, 300.0, 310.0, 320.0):
         channel = make_channel(distance)
         rep = asymptotic_rate(config, channel, "decoy", ec_efficiency=1.1)

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+import keyrate_oracles
 import matching_oracles
-from mfqcka.channel import marginal_errors, pair_gains, total_efficiency
+from mfqcka.channel import pair_gains, total_efficiency
 from mfqcka.matching import _correction_factors, _count_matrix, _gain_rows, expected_stats, sifted_coincidences
 from mfqcka.model import SecurityParams
 from conftest import (
@@ -187,12 +188,8 @@ class TestExpectedStats:
         for (j, m), total in stats.slice_totals.items():
             parts = [stats.retained_clicks[(k, j, m)] for k in config.intensities]
             assert total == pytest.approx(math.fsum(parts), rel=1e-15)
-        assert len(stats.marginal_errors) == config.num_users - 1
-        assert stats.adjacent_error == pytest.approx(
-            stats.marginal_errors[0], rel=1e-15
-        )
-        chain = marginal_errors(np.array(stats.adjacent_error), config.num_users)
-        assert stats.marginal_errors == tuple(chain.tolist())
+        adjacent = keyrate_oracles.error_terms(config, bundle.channel)[0]
+        assert stats.adjacent_error == pytest.approx(adjacent, rel=1e-12)
 
     def test_retained_independent_of_slice(self):
         bundle = make_bundle(distance_km=40.0)

@@ -8,9 +8,18 @@ from mfqcka.matching import sifted_coincidences
 from mfqcka.model import EstimationError, SecurityParams
 from mfqcka import photonstats
 from mfqcka.keyrate import asymptotic_rate
-from mfqcka.photonstats import _port_weight_sequence, phase_error_exact, signal_coincidences_nphoton
+from mfqcka.photonstats import N_MAX, _nphoton_rows, _one_row, _port_weight_sequence, phase_error_exact
 from conftest import make_bundle, make_channel, make_config, make_geometric_config
 from photonstats_oracles import pair_yield, port_weight_sequence, threshold_click_prob
+
+
+def nphoton_terms(config, channel, sec, n_max=N_MAX):
+    """The expected signal coincidences s_n fed by exactly n emitted photons, n = 0..n_max.
+
+    One row of the package's photon-number terms, which the exact phase
+    error sums by parity.
+    """
+    return _nphoton_rows(**_one_row(config, channel, sec.data_size), n_max=n_max)[0].tolist()
 
 
 def splitter_output_distribution(f, g):
@@ -146,17 +155,12 @@ def test_exact_rate_matches_oracle_weights(num_users, monkeypatch):
 class TestSignalCoincidences:
     def test_vacuum_contribution_needs_dark_counts(self):
         bundle = make_bundle(distance_km=100.0, dark_count_rate=0.0)
-        assert signal_coincidences_nphoton(
-            0, bundle.config, bundle.channel, bundle.security
-        ) == 0.0
+        assert nphoton_terms(bundle.config, bundle.channel, bundle.security)[0] == 0.0
 
     @pytest.mark.parametrize("distance,tol", [(100.0, 0.01), (200.0, 0.01)])
     def test_sum_converges_to_sifted_signal(self, distance, tol):
         bundle = make_bundle(distance_km=distance)
-        total = math.fsum(
-            signal_coincidences_nphoton(n, bundle.config, bundle.channel, bundle.security)
-            for n in range(21)
-        )
+        total = math.fsum(nphoton_terms(bundle.config, bundle.channel, bundle.security))
         s_mu = sifted_coincidences(
             bundle.config.signal_intensity, bundle.config, bundle.channel, bundle.security
         )
@@ -170,19 +174,15 @@ class TestSignalCoincidences:
     def test_sum_matches_sifted_signal_six_users(self):
         config, channel = make_geometric_config(6), make_channel(50.0)
         sec = SecurityParams(data_size=1e12, ec_efficiency=1.1)
-        total = math.fsum(
-            signal_coincidences_nphoton(n, config, channel, sec, n_max=40) for n in range(41)
-        )
+        total = math.fsum(nphoton_terms(config, channel, sec, n_max=40))
         s_mu = sifted_coincidences(config.signal_intensity, config, channel, sec)
         assert 0.99 <= total / s_mu <= 1.01
 
     def test_two_photon_term_dominates_even_terms(self):
         bundle = make_bundle(distance_km=50.0)
-        terms = {
-            n: signal_coincidences_nphoton(n, bundle.config, bundle.channel, bundle.security)
-            for n in range(0, 13, 2)
-        }
-        assert all(terms[2] > terms[n] for n in terms if n != 2)
+        terms = nphoton_terms(bundle.config, bundle.channel, bundle.security)
+        even = range(0, 13, 2)
+        assert all(terms[2] > terms[n] for n in even if n != 2)
 
 
 # The photon-number sum stops at photonstats.N_MAX = 20 whatever the number of
@@ -245,9 +245,6 @@ class TestPhaseErrorExact:
         s_mu = sifted_coincidences(
             bundle.config.signal_intensity, bundle.config, bundle.channel, sec
         )
-        even = math.fsum(
-            signal_coincidences_nphoton(n, bundle.config, bundle.channel, sec, n_max=20)
-            for n in range(0, 21, 2)
-        )
+        even = math.fsum(nphoton_terms(bundle.config, bundle.channel, sec, n_max=20)[0:21:2])
         phi = phase_error_exact(bundle.config, bundle.channel, sec, n_max=20)
         assert phi == pytest.approx(1.0 - even / s_mu, abs=1e-12)

@@ -229,7 +229,8 @@ def test_chunks_bound_the_gain_table():
 
     for settings in range(4, 10):
         rows = _chunk_rows(settings)
-        row_bytes = settings * (settings + 1) // 2 * I0_NODES * 8  # one I0 argument per distinct pair
+        # one I0 argument per distinct pair of nonzero settings: the rule skips the vacuum pairs
+        row_bytes = settings * (settings - 1) // 2 * I0_NODES * 8
         assert rows >= 1
         assert rows * row_bytes <= max(_CHUNK_BYTES, row_bytes)
         assert rows == 1 or (rows + 1) * row_bytes > _CHUNK_BYTES
