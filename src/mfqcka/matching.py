@@ -84,13 +84,43 @@ def _setting_index(config: SourceConfig, k: float) -> int:
         raise ValueError(f"intensity {k!r} is not one of the configured settings") from None
 
 
+def _legendre_series(x: np.ndarray, coefs: list[float]) -> np.ndarray:
+    """sum_k coefs[k] P_k(x) by Clenshaw's recursion, in the operations of numpy's ``legval``.
+
+    Starting from zeros, the two top steps copy the top two coefficients,
+    which is where ``legval`` starts.
+    """
+    b0, b1 = 0.0, 0.0
+    for nd, coef in zip(range(len(coefs) + 1, 1, -1), reversed(coefs)):
+        b0, b1 = coef - b1 * ((nd - 1) / nd), b0 + b1 * x * ((2 * nd - 1) / nd)
+    return b0 + b1 * x
+
+
 @lru_cache(maxsize=None)
 def _unit_gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [0, 1], exact to degree 2n-1."""
-    if n_nodes == 1:  # the midpoint rule, leggauss's own values, without importing numpy.polynomial
-        return np.array([0.5]), np.array([1.0])
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
-    return 0.5 * (nodes + 1.0), 0.5 * weights
+    """Gauss-Legendre nodes and weights on [0, 1], exact to degree 2n-1.
+
+    The steps of numpy's ``leggauss``, without importing
+    ``numpy.polynomial``: the eigenvalues of the symmetric companion
+    matrix of P_n, one Newton step, weights 1 / (P_{n-1} P_n') scaled to
+    sum to 2, and both halves symmetrized.  P_n' is the Legendre series
+    of 2k + 1 at k = n-1, n-3, ...
+    """
+    n = n_nodes
+    scale = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+    off = np.arange(1, n) * scale[:-1] * scale[1:]
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    p_n = [0.0] * n + [1.0]
+    df = _legendre_series(x, [(2 * k + 1.0) * ((n - k) % 2) for k in range(n)])
+    x -= _legendre_series(x, p_n) / df
+    fm = _legendre_series(x, p_n[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    return 0.5 * (x + 1.0), 0.5 * w
 
 
 def _correction_factors(probs: np.ndarray, q_avg: np.ndarray, num_users: int) -> np.ndarray:

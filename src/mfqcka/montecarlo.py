@@ -328,14 +328,16 @@ def run_protocol(
     cos_table = np.cos(2.0 * np.pi * np.arange(m_slices) / m_slices)
 
     n_shards = (num_bins + _SHARD_BINS - 1) // _SHARD_BINS
-    streams = np.random.SeedSequence(seed).spawn(n_shards + 1)
+    # Each stream is spawned when it is needed: successive spawn(1) calls
+    # give the children one spawn(n_shards + 1) would, without holding them all.
+    master = np.random.SeedSequence(seed)
     columns: list[dict[str, np.ndarray]] = []
     candidate_bins = 0
     remaining = num_bins
     for i in range(n_shards):
         size = min(_SHARD_BINS, remaining)
         remaining -= size
-        rng = np.random.default_rng(streams[i])
+        rng = np.random.default_rng(master.spawn(1)[0])
         shard, n_cand = _generate_shard(config, channel, size, rng, cos_table)
         columns.append(shard)
         candidate_bins += n_cand
@@ -360,7 +362,7 @@ def run_protocol(
         merged["port"][signal_mask], weights=wrong[signal_mask], minlength=ports
     ).astype(np.int64)
 
-    match_rng = np.random.default_rng(streams[-1])
+    match_rng = np.random.default_rng(master.spawn(1)[0])
     sifted = np.zeros(n_settings, dtype=np.int64)
     conf_errors = np.zeros(ports, dtype=np.int64)  # user j = 2..N at index j-2
     conf_errors_all = 0

@@ -12,9 +12,13 @@ sorted into a strictly decreasing ladder inside their bounds and
 probabilities are clipped and rescaled to leave room for the vacuum.
 
 Every evaluation goes through the array rate kernel
-(``keyrate.rate_rows``).  A seeded generator draws a pool of
-``PRESAMPLES`` random feasible points, which depends only on the spec
-and the number of users, so a scan draws it once for all its distances.
+(``keyrate.rate_rows``).  The standard library's ``random.Random``,
+seeded with the spec's seed, draws a pool of ``PRESAMPLES`` random
+feasible points, which depends only on the spec and the number of users,
+so a scan draws it once for all its distances.  A seeded result thus
+depends on Python's Mersenne Twister and its ``uniform`` and
+``gammavariate``, not on numpy's generator algorithms, and an optimizing
+process never imports ``numpy.random``.
 The pool is scored in one kernel call and ranked by cost; it is the only
 source of starting points.  Without a warm start the restarts begin at
 the ``restarts`` best points of the pool; with one, at the warm start and
@@ -42,6 +46,7 @@ that could receive the record, so the search skips it and the import.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Any, Callable
@@ -69,11 +74,13 @@ PRESAMPLES = 512
 class SearchSpec:
     """Bounds, budget and seed of one optimization run.
 
-    ``seed`` draws the ``PRESAMPLES`` random feasible points whose best
-    ones start the ``restarts`` simplex descents; the feasible basin can
-    be narrow at long distances (tiny decoy counts blow up the
-    concentration bounds), so blind restarts tend to strand on the
-    zero-rate plateau.  ``max_evals`` budgets each restart's evaluations.
+    ``seed`` seeds the ``random.Random`` that draws the ``PRESAMPLES``
+    random feasible points whose best ones start the ``restarts`` simplex
+    descents; the feasible basin can be narrow at long distances (tiny
+    decoy counts blow up the concentration bounds), so blind restarts
+    tend to strand on the zero-rate plateau.  A seed gives the same pool
+    on every Python, whatever numpy is installed.  ``max_evals`` budgets
+    each restart's evaluations.
     """
 
     intensity_bounds: tuple[float, float] = (1e-4, 1.0)
@@ -187,25 +194,27 @@ def _from_config(config: SourceConfig) -> np.ndarray:
     return np.asarray(ints + probs, dtype=float)
 
 
-def _sample_starts(
-    rng: np.random.Generator, count: int, n_users: int, spec: SearchSpec
-) -> np.ndarray:
-    """``count`` random feasible candidates, one per row: log-uniform ladder, Dirichlet split."""
+def _sample_starts(rng: random.Random, count: int, n_users: int, spec: SearchSpec) -> np.ndarray:
+    """``count`` random feasible candidates, one per row: log-uniform ladder, Dirichlet split.
+
+    Each row draws its log signal, its n_users - 1 intensity ratios
+    (uniform on [0.03, 0.85]) and the n_users + 1 gamma(1.6) variates
+    whose normalized sum is a Dirichlet(1.6) split of the send
+    probabilities (the vacuum's share is dropped), in that order, so a
+    pool's first rows do not depend on its size.
+    """
     lo, hi = spec.intensity_bounds
     log_hi = math.log(min(hi, 0.6))
     log_lo = min(math.log(max(2.0 * lo, 5e-3)), log_hi)
-    alpha = np.full(n_users + 1, 1.6)
-    log_signal, ratios = np.empty(count), np.empty((count, n_users - 1))
     raw = np.empty((count, 2 * n_users))
-    for r in range(count):  # each row's draws in turn: one stream for any count
-        log_signal[r] = rng.uniform(log_lo, log_hi)
-        ratios[r] = rng.uniform(0.03, 0.85, n_users - 1)
-        raw[r, n_users:] = rng.dirichlet(alpha)[:n_users]
-    # each intensity is the one before it times the next largest ratio
-    ratios.sort(axis=1)
-    raw[:, 0] = [math.exp(v) for v in log_signal.tolist()]
-    for i in range(1, n_users):
-        raw[:, i] = raw[:, i - 1] * ratios[:, -i]
+    for r in range(count):
+        ladder = [math.exp(rng.uniform(log_lo, log_hi))]
+        ratios = sorted(rng.uniform(0.03, 0.85) for _ in range(n_users - 1))
+        for ratio in reversed(ratios):  # each intensity: the one before it times the next largest ratio
+            ladder.append(ladder[-1] * ratio)
+        split = [rng.gammavariate(1.6, 1.0) for _ in range(n_users + 1)]
+        total = sum(split)
+        raw[r] = ladder + [share / total for share in split[:n_users]]
     return _project(raw, n_users, spec)
 
 
@@ -419,7 +428,7 @@ def optimize_at_distance(
 @lru_cache(maxsize=8)
 def _presample_pool(spec: SearchSpec, n_users: int) -> np.ndarray:
     """The seeded presample pool (read-only); drawn once for all distances of a scan."""
-    pool = _sample_starts(np.random.default_rng(spec.seed), PRESAMPLES, n_users, spec)
+    pool = _sample_starts(random.Random(spec.seed), PRESAMPLES, n_users, spec)
     pool.flags.writeable = False
     return pool
 

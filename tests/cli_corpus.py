@@ -101,6 +101,8 @@ def commands() -> dict[str, list[str]]:
     ]
     for doc, bins in (("n3", "200000"), ("geo8", "100000"), ("many130-m32766", "3000"), ("many3000-m16", "3000")):
         cmds[f"simulate-{doc}"] = ["simulate", f"../docs/{doc}.json", "--bins", bins, "--seed", "3", "--out", "run.json"]
+    # one bin past simulate's bound: rejected before any shard runs
+    cmds["simulate-n3-too-many-bins"] = ["simulate", "../docs/n3.json", "--bins", "1000000000001"]
     cmds["scan-n4-exact-until-no-signal"] = [
         "scan", "../docs/n4-no-dark-counts.json", *ASYMPTOTIC["exact"],
         "--from", "0", "--to", "3000", "--step", "100", "--out", "scan.csv",

@@ -778,6 +778,22 @@ def test_simulate_many_users_exits_cleanly(tmp_path, capfd):
     assert "Traceback" not in capfd.readouterr().err
 
 
+def test_simulate_bounds_its_bins_before_any_shard_runs(config_path, capsys, monkeypatch):
+    from mfqcka import cli as cli_module
+
+    def never(*args, **kwargs):
+        raise AssertionError("a shard ran")
+
+    monkeypatch.setattr(cli_module.montecarlo, "_generate_shard", never)
+    bound = cli_module._MAX_SIMULATE_BINS
+    assert bound >= 10**9  # the many-user runs of 1e9 bins stay possible
+    assert main(["simulate", config_path, "--bins", str(bound + 1)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"error: --bins must be between 1 and {bound}")
+    # the bound itself passes validation and reaches the run
+    with pytest.raises(AssertionError, match="a shard ran"):
+        main(["simulate", config_path, "--bins", str(bound)])
+
+
 def test_simulate_flags_mismatch(config_path, capsys, monkeypatch):
     # the --dark-counts override feeds both the simulation and the
     # comparison, so a real CLI run cannot disagree with itself; stub a

@@ -8,7 +8,14 @@ import pytest
 import keyrate_oracles
 import matching_oracles
 from mfqcka.channel import pair_gains, total_efficiency
-from mfqcka.matching import _correction_factors, _count_matrix, _gain_rows, expected_stats, sifted_coincidences
+from mfqcka.matching import (
+    _correction_factors,
+    _count_matrix,
+    _gain_rows,
+    _unit_gauss_legendre,
+    expected_stats,
+    sifted_coincidences,
+)
 from mfqcka.model import SecurityParams
 from conftest import (
     DARK_COUNT_RATE,
@@ -128,6 +135,16 @@ def test_transfer_matrix_matches_enumeration(num_users):
         dark = 0.0 if trial % 2 else DARK_COUNT_RATE
         channel = make_channel(float(rng.uniform(0.0, 350.0)), dark_count_rate=dark)
         _assert_matches_enumeration(_random_config(num_users, rng), channel)
+
+
+def test_gauss_legendre_rule_matches_leggauss():
+    # n = 1..128 nodes cover every simulated N (up to 256 users).  numpy 1.x
+    # groups legval's terms differently, so allow a few ulp, not bit identity.
+    for n in range(1, 129):
+        nodes, weights = np.polynomial.legendre.leggauss(n)
+        t, w = _unit_gauss_legendre(n)
+        np.testing.assert_array_max_ulp(t, 0.5 * (nodes + 1.0), maxulp=4)
+        np.testing.assert_array_max_ulp(w, 0.5 * weights, maxulp=4)
 
 
 class TestSliceTotal:

@@ -4,6 +4,7 @@ import json
 import logging
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -109,6 +110,27 @@ class TestProjection:
         assert x[3:].sum() <= 1.0 - MIN_VACUUM_PROB + 1e-12
 
 
+class TestPresamplePool:
+    def test_default_pool_starts_with_its_golden_rows(self):
+        # The stream of random.Random(2024) (uniform, then gammavariate) is
+        # the same on every supported Python, so these values are exact.
+        pool = _presample_pool(SearchSpec(), 3)
+        assert pool[:2].tolist() == [
+            [0.047465035501344656, 0.02976896523138695, 0.008307807131031488,
+             0.35443549173438643, 0.08884328341713298, 0.18875889398414267],
+            [0.022005808859878316, 0.013364766358349768, 0.006092563868791045,
+             0.5309440538674488, 0.10900131847559388, 0.24825355854262987],
+        ]
+
+    @pytest.mark.parametrize("n_users", [3, 5])
+    def test_a_short_pool_is_a_prefix_of_a_long_one(self, n_users):
+        spec = SearchSpec(seed=11)
+        short = _sample_starts(random.Random(spec.seed), 7, n_users, spec)
+        long = _sample_starts(random.Random(spec.seed), PRESAMPLES, n_users, spec)
+        assert short.tobytes() == long[:7].tobytes()
+        assert _presample_pool(spec, n_users).tobytes() == long.tobytes()
+
+
 class TestNelderMead:
     def test_recovers_quadratic_maximum(self):
         spec = SearchSpec(max_evals=4000, tolerance=1e-14)
@@ -161,7 +183,7 @@ class TestNelderMead:
         def cost(x):
             return math.inf if (x > walls).any() else float(np.sum((x - 0.5 * walls) ** 2))
 
-        pool = _sample_starts(np.random.default_rng(31), 3, n_users, spec)
+        pool = _sample_starts(random.Random(31), 3, n_users, spec)
         starts = np.vstack([_project(0.97 * walls, n_users, spec), pool])
         results, _ = search(cost, starts, spec, n_users)
         alone = [run_alone(cost, start, spec, n_users) for start in starts]
@@ -329,7 +351,7 @@ class TestLockStep:
         cost = scalar_cost(
             lambda x: finite_rate(_to_config(x, bundle.config), bundle.channel, bundle.security)
         )
-        pool = _sample_starts(np.random.default_rng(spec.seed), PRESAMPLES, 3, spec)
+        pool = _sample_starts(random.Random(spec.seed), PRESAMPLES, 3, spec)
         costs = [cost(x) for x in pool]
         ranked = sorted(range(len(pool)), key=lambda i: (costs[i], i))
         warm = [] if initial is None else [_project(_from_config(initial), 3, spec)]
@@ -436,7 +458,7 @@ def test_array_search_matches_the_generator_oracle(case):
     bundle, mode, spec = ORACLE_CASES[case]
     n = bundle.config.num_users
     dim = 2 * n
-    pool = _sample_starts(np.random.default_rng(spec.seed), spec.restarts - 1, n, spec)
+    pool = _sample_starts(random.Random(spec.seed), spec.restarts - 1, n, spec)
     starts = np.vstack([ladder_start(n, spec), pool])
 
     batches = []
@@ -506,15 +528,40 @@ def test_telemetry_counts_infeasible_points_by_cause(caplog):
 def test_an_optimize_run_does_not_import_logging(tmp_path):
     # Until logging is imported no level or handler can be set, so the
     # search's DEBUG record would go nowhere, and the search skips the import.
+    # Nor does a rating command import numpy.random (the presample pool draws
+    # from the standard library) or numpy.polynomial (the Gauss-Legendre rule
+    # of the matching sums is computed in matching).  The commands run in turn
+    # in one process, so the first that imports a module shows it.
     import mfqcka
 
-    path = tmp_path / "n3.json"
-    path.write_text(json.dumps(make_bundle(distance_km=50.0, data_size=1e14).to_dict()))
-    code = "import sys; from mfqcka import cli; print(cli.main(sys.argv[1:]), 'logging' in sys.modules)"
-    argv = ["optimize", str(path), "--restarts", "2", "--max-evals", "30"]
+    for n in (3, 4, 5):
+        doc = make_bundle(num_users=n, distance_km=50.0, data_size=1e14).to_dict()
+        (tmp_path / f"n{n}.json").write_text(json.dumps(doc))
+    budget = ["--restarts", "2", "--max-evals", "30"]
+    commands = {
+        "optimize-n3-finite": ["optimize", "n3.json", *budget],
+        "optimize-n5-asymptotic": ["optimize", "n5.json", "--objective", "asymptotic", "--distance", "280", *budget],
+        "scan-optimize-n3": ["scan", "n3.json", "--optimize", "--from", "50", "--to", "150", "--step", "100", *budget],
+        "rate-n3": ["rate", "n3.json"],
+        "scan-n4-exact": ["scan", "n4.json", "--objective", "asymptotic", "--mode", "exact",
+                          "--from", "0", "--to", "100", "--step", "50"],
+    }
+    code = (
+        "import json, sys\n"
+        "from mfqcka import cli\n"
+        "loaded = {}\n"
+        "for name, argv in json.loads(sys.argv[1]).items():\n"
+        "    code = cli.main(argv)\n"
+        "    loaded[name] = [code] + [m in sys.modules for m in ('logging', 'numpy.random', 'numpy.polynomial')]\n"
+        "print(json.dumps(loaded))\n"
+    )
     env = {**os.environ, "PYTHONPATH": str(Path(mfqcka.__file__).resolve().parents[1])}
-    run = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env)
-    assert run.stdout.splitlines()[-1] == "0 False", run.stderr
+    run = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(commands)], capture_output=True, text=True, env=env, cwd=tmp_path
+    )
+    assert run.returncode == 0, run.stderr
+    loaded = json.loads(run.stdout.splitlines()[-1])
+    assert loaded == {name: [0, False, False, False] for name in commands}, loaded
 
 
 def test_telemetry_is_silent_above_debug(caplog):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ CASES = [(3, "finite")] + [(n, mode) for mode in MODES[1:] for n in (3, 4, 5)]
 
 def pool(num_users, size, seed):
     """Projected points of the optimizer's presample law, and their configurations."""
-    points = _sample_starts(np.random.default_rng(seed), size, num_users, SearchSpec())
+    points = _sample_starts(random.Random(seed), size, num_users, SearchSpec())
     return points, _ladders(points, num_users)
 
 
