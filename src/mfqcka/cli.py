@@ -71,13 +71,17 @@ def _fmt(value: Any) -> str:
 
 def _load_bundle(path: str, distance: float | None) -> tuple[Bundle, dict[str, Any]]:
     try:
-        raw = Path(path).read_text()
+        raw = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file is not UTF-8: byte {exc.start} is {exc.object[exc.start]:#04x}") from None
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise ConfigError("malformed JSON: nested too deeply") from None
     bundle = bundle_from_dict(doc)
     if distance is not None:
         bundle = _override(bundle, distance_km=distance)

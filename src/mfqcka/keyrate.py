@@ -113,10 +113,8 @@ def _check_mode(num_users: int, mode: str) -> None:
         raise ConfigError("finite-size decoy bounds are available for 3 users only")
     if mode == "asymptotic-decoy" and num_users not in _DECOY_ASYMPTOTIC:
         raise ConfigError(f"decoy-state bounds are available for 3-5 users, not {num_users}")
-    if mode == "asymptotic-exact" and num_users > photonstats.N_MAX:
-        raise ConfigError(
-            f"exact phase errors are available for 3-{photonstats.N_MAX} users, not {num_users}"
-        )
+    if mode == "asymptotic-exact" and num_users > 20:
+        raise ConfigError(f"exact phase errors are available for 3-20 users, not {num_users}")
 
 
 # Rows per kernel pass are chosen so that the (rows, pairs, I0_NODES) temporary

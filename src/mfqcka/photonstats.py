@@ -13,25 +13,22 @@ user's photons reaching both neighbouring ports) are dropped, following
 the first-order treatment that is tight in high-loss regimes; results
 below roughly 10 km of fiber are approximation-limited.
 
-The per-port photon-number weights are the Taylor coefficients of a
-generating function.  Binomial thinning of the Poisson-weighted photon
-numbers,
+The per-port photon-number weights w[m] (``_port_weight_sequence``) are
+the Taylor coefficients of a generating function, which
+sum_n C(2n, n) z^n / n! = e^(2z) I0(2z) puts in closed form:
 
-    sum_l C(l, f) eta^f (1-eta)^(l-f) x^l / l! = (eta x)^f / f! e^((1-eta) x),
+    W(x) = sum_m w[m] x^m = 2 (1-p_d) e^(2 (1-eta) x) [p_d + e^(eta x) I0(eta x) - 1].
 
-and sum_f C(n, f)^2 = C(2n, n) reduce the sums over emitted and
-surviving photons of both users to one convolution,
-
-    w[m] = sum_{n+k=m} h[n] eta^n (2 (1-eta))^k / k!,
-    h[0] = 2 p_d (1-p_d),  h[n] = 2 (1-p_d) C(2n, n) / (2^n n!)  (n >= 1),
-
-which costs O(n_max^2) per channel instead of the O(n_max^5) of the
-nested loops (see ``_port_weight_sequence``).
+With P = N-1 ports, the signal coincidences fed by n emitted photons are
+s_n = c mu^n [x^n] (g_M W(x))^P, g_M = 4 N_bins / M^2, for a prefactor c
+of the row.  So the sum of s_n over every n is c F(mu) and the
+alternating sum is c F(-mu), F(x) = (g_M W(x))^P, and the phase error,
+which needs only the sum over one parity, [c F(mu) +- c F(-mu)] / 2,
+takes no photon-number cutoff.
 
 ``_phase_error_rows`` evaluates the exact phase error for a batch of
 ladders (one row each) from their count matrices, over one channel or
-one channel per row (whose composition sums are stacked from the
-per-channel cache); ``phase_error_exact`` is a one-row call of it.
+one channel per row; ``phase_error_exact`` is a one-row call of it.
 """
 
 from __future__ import annotations
@@ -43,19 +40,21 @@ import numpy as np
 from .matching import _count_matrix, _port_totals, sifted_coincidences
 from .model import INFEASIBLE, ChannelParams, EstimationError, SecurityParams, SourceConfig
 from .channel import total_efficiency
+from .special_math import _i0_minus_one_rule
 
 __all__ = ["phase_error_exact"]
 
 _ESTIMATION = INFEASIBLE.index(EstimationError)
 
-# The default photon-number cutoff: n = 0..N_MAX enter the exact phase
-# error, which needs a cutoff of at least the number of users.
-N_MAX = 20
-
 
 @lru_cache(maxsize=32)
-def _port_weight_sequence(eta_t: float, p_d: float, n_max: int) -> tuple[float, ...]:
-    """w[m] = sum_l Y(l, m-l) / (l! (m-l)!), the per-port photon-number weight.
+def _port_weight_sequence(eta_t: float, p_d: float, m_max: int) -> tuple[float, ...]:
+    """w[m] = sum_l Y(l, m-l) / (l! (m-l)!), the per-port photon-number weight, for m = 0..m_max.
+
+    The package sums these weights in closed form (``_parity_sums``) and
+    never calls this function.  It stays, with its cache, because the test
+    oracles build their per-n terms from it and ``perfbench/child.py``
+    reads its ``cache_info()`` in every traced process.
 
     Y(l, r) is the probability of exactly one click when the two users of
     the port emit l and r photons: each photon survives with probability
@@ -76,7 +75,7 @@ def _port_weight_sequence(eta_t: float, p_d: float, n_max: int) -> tuple[float, 
         h[0] = 2 p_d (1-p_d),  h[n] = 2 (1-p_d) C(2n, n) / (2^n n!).
 
     So w is the convolution of h[n] eta^n with (2 (1-eta))^k / k!, which
-    costs O(n_max^2) per channel.  h and (2 (1-eta))^k / k! are built by
+    costs O(m_max^2) per channel.  h and (2 (1-eta))^k / k! are built by
     their term ratios (h[n+1] / h[n] = (2n+1) / (n+1)^2 for n >= 1), so no
     factorial is converted to a float.
     """
@@ -84,82 +83,54 @@ def _port_weight_sequence(eta_t: float, p_d: float, n_max: int) -> tuple[float, 
     spread = [1.0]
     h = 2.0 * (1.0 - p_d)
     loss = 2.0 * (1.0 - eta_t)
-    for n in range(1, n_max + 1):
+    for n in range(1, m_max + 1):
         survivors.append(h * eta_t**n)
         h *= (2 * n + 1) / (n + 1) ** 2
         spread.append(spread[-1] * loss / n)
-    return tuple(np.convolve(survivors, spread)[: n_max + 1].tolist())
+    return tuple(np.convolve(survivors, spread)[: m_max + 1].tolist())
 
 
-@lru_cache(maxsize=32)
-def _composition_sums(
-    num_ports: int, phase_slices: int, eta_t: float, p_d: float, data_size: float, n_max: int
-) -> np.ndarray:
-    """(N-1)-fold convolution of the per-port factor (4 N_bins / M^2) w[m] of one channel.
-
-    It does not depend on the intensity ladder, so one read-only array
-    serves every row of a batch over that channel.
-    """
-    scale = 4.0 * data_size / phase_slices**2
-    g = scale * np.asarray(_port_weight_sequence(eta_t, p_d, n_max))
-    conv = g.copy()
-    for _ in range(num_ports - 1):
-        conv = np.convolve(conv, g)
-    conv = conv[: n_max + 1].copy()
-    conv.flags.writeable = False
-    return conv
-
-
-def _composition_rows(
-    num_ports: int, phase_slices: int, eta_t, p_d, data_size: float, n_max: int
-) -> np.ndarray:
-    """``_composition_sums`` of one channel (scalar ``eta_t`` and ``p_d``), or stacked [row, n] per row.
-
-    Each row comes from the per-channel cache, so a row equals its
-    channel's array bit for bit.
-    """
-    if not np.ndim(eta_t):
-        return _composition_sums(num_ports, phase_slices, eta_t, p_d, data_size, n_max)
-    return np.stack([
-        _composition_sums(num_ports, phase_slices, eta, dark, data_size, n_max)
-        for eta, dark in zip(eta_t.tolist(), p_d.tolist())
-    ])
-
-
-@lru_cache(maxsize=None)
-def _powers(n_max: int) -> np.ndarray:
-    n = np.arange(n_max + 1, dtype=float)
-    n.flags.writeable = False
-    return n
-
-
-def _nphoton_rows(
+def _parity_sums(
     counts: np.ndarray,
     mu: np.ndarray,
     p_mu: np.ndarray,
-    num_users: int,
     phase_slices: int,
     eta_t,
     p_d,
     data_size: float,
-    n_max: int,
-) -> np.ndarray:
-    """s_n for n = 0..n_max, indexed [row, n]; all zero in a row whose count matrix has an empty port.
+) -> tuple[np.ndarray, np.ndarray]:
+    """sum_n s_n and sum_n (-1)^n s_n per row; both zero in a row whose count matrix has an empty port.
 
     Row r has the count matrix ``counts[r]``, signal intensity ``mu[r]``
     and signal probability ``p_mu[r]``; ``eta_t`` and ``p_d`` are the
-    channel's total efficiency and dark-count rate, scalars or one per row:
-    s_n = M n_min e^(-2 P mu) p_mu^(2P) / (2 prod totals) mu^n w_P[n].
+    channel's total efficiency and dark-count rate, scalars or one per row.
+    The photon-number terms are
+
+        s_n = M n_min / 2 * mu^n [x^n] prod_j (e^(-2 mu) p_mu^2 g_M W(x) / total_j),
+
+    so the sums are the product at x = mu and x = -mu.  With u = eta_t mu,
+
+        e^(-2 mu) W(mu) = 2 (1-p_d) e^(-2u) A,        A = p_d + expm1(u) + e^u (I0(u) - 1),
+        e^(-2 mu) W(-mu) = 2 (1-p_d) e^(2u - 4 mu) B,  B = p_d + expm1(-u) + e^-u (I0(u) - 1),
+
+    which keep the digits that e^(+-u) I0(u) - 1, written as it reads,
+    loses where u is small.  Each port's factor is divided by its slice-set
+    total before the product over ports, so neither N_bins^P nor the
+    product of the totals overflows.
     """
     totals, n_min = _port_totals(counts)
-    ports = num_users - 1
     filled = n_min > 0.0
-    scale = (
-        phase_slices * n_min * np.exp(-2.0 * ports * mu) * p_mu ** (2 * ports)
-        / np.where(filled, 2.0 * totals.prod(axis=-1), 1.0)
+    u = eta_t * mu
+    i0_minus_one = _i0_minus_one_rule(u)
+    port = (8.0 * data_size / phase_slices**2) * (1.0 - p_d) * p_mu * p_mu
+    plus = port * np.exp(-2.0 * u) * (p_d + np.expm1(u) + np.exp(u) * i0_minus_one)
+    minus = port * np.exp(2.0 * u - 4.0 * mu) * (p_d + np.expm1(-u) + np.exp(-u) * i0_minus_one)
+    per_port = 1.0 / np.where(filled[:, None], totals, 1.0)
+    lead = np.where(filled, 0.5 * phase_slices * n_min, 0.0)
+    return (
+        lead * np.multiply.reduce(plus[:, None] * per_port, axis=-1),
+        lead * np.multiply.reduce(minus[:, None] * per_port, axis=-1),
     )
-    comp = _composition_rows(ports, phase_slices, eta_t, p_d, data_size, n_max)
-    return np.where(filled, scale, 0.0)[:, None] * mu[:, None] ** _powers(n_max) * comp
 
 
 def _phase_error_rows(
@@ -172,21 +143,20 @@ def _phase_error_rows(
     eta_t,
     p_d,
     data_size: float,
-    n_max: int = N_MAX,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact phase error per row, and its cause code (``model.INFEASIBLE``).
 
-    ``s_mu`` is each row's sifted signal count; a row without one gets an
-    EstimationError cause and a meaningless phase error.  ``eta_t`` and
-    ``p_d`` are scalars or one channel per row.
+    The complement of the "good parity" share of the signal coincidences
+    (even total photon number for odd N, odd for even N),
+    [sum_n s_n +- sum_n (-1)^n s_n] / 2.  ``s_mu`` is each row's sifted
+    signal count; a row without one gets an EstimationError cause and a
+    meaningless phase error.  ``eta_t`` and ``p_d`` are scalars or one
+    channel per row.
     """
-    if n_max < num_users:
-        raise ValueError("n_max must be at least the number of users")
     no_signal = s_mu <= 0.0
-    good_parity = 1 if num_users % 2 == 0 else 0
-    terms = _nphoton_rows(counts, mu, p_mu, num_users, phase_slices, eta_t, p_d, data_size, n_max)
-    acc = np.ascontiguousarray(terms[:, good_parity::2]).sum(axis=-1)
-    phi = 1.0 - acc / np.where(no_signal, 1.0, s_mu)
+    total, alternating = _parity_sums(counts, mu, p_mu, phase_slices, eta_t, p_d, data_size)
+    good = 0.5 * (total - alternating if num_users % 2 == 0 else total + alternating)
+    phi = 1.0 - good / np.where(no_signal, 1.0, s_mu)
     return np.minimum(np.maximum(phi, 0.0), 1.0), no_signal * np.int8(_ESTIMATION)
 
 
@@ -204,19 +174,11 @@ def _one_row(config: SourceConfig, channel: ChannelParams, data_size: float) -> 
     )
 
 
-def phase_error_exact(
-    config: SourceConfig, channel: ChannelParams, sec: SecurityParams, n_max: int = N_MAX
-) -> float:
-    """Exact phase error rate from the photon-number decomposition.
-
-    Complements the partial sum of the "good parity" contributions (even
-    total photon number for odd N, odd for even N), so truncating the sum
-    at n_max can only increase the returned value and the upper-bound
-    property survives truncation.  One row of ``_phase_error_rows``.
-    """
+def phase_error_exact(config: SourceConfig, channel: ChannelParams, sec: SecurityParams) -> float:
+    """Exact phase error rate from the photon-number decomposition; one row of ``_phase_error_rows``."""
     s_mu = sifted_coincidences(config.signal_intensity, config, channel, sec)
     if s_mu <= 0.0:
         raise EstimationError("no sifted signal coincidences; phase error undefined")
     row = _one_row(config, channel, sec.data_size)
-    phi, _ = _phase_error_rows(**row, s_mu=np.array([s_mu]), n_max=n_max)
+    phi, _ = _phase_error_rows(**row, s_mu=np.array([s_mu]))
     return float(phi[0])

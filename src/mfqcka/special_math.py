@@ -1,9 +1,10 @@
 """Special functions used by the analytic rate formulas.
 
 Nothing here depends on the protocol; the binary entropy (``_entropy``)
-and the Bessel function I0 (``_i0_rule``) are kept dependency-free (numpy
-only) and accurate well beyond the needs of the key-rate formulas so that
-they never dominate an error budget.  Both take arrays, and an element's
+and the Bessel function I0 (``_i0_rule``, and I0 - 1 by
+``_i0_minus_one_rule``) are kept dependency-free (numpy only) and
+accurate well beyond the needs of the key-rate formulas so that they
+never dominate an error budget.  All take arrays, and an element's
 value never depends on the array around it, so a batch of rate
 evaluations gives each row bit for bit the value it gets alone.
 """
@@ -87,3 +88,16 @@ def _midpoint_sum(x: np.ndarray) -> np.ndarray:
 def _i0_at_zero() -> float:
     return float(_midpoint_sum(np.zeros(1))[0])
 
+
+def _i0_minus_one_rule(x: np.ndarray) -> np.ndarray:
+    """I0(x) - 1 of an array, by the midpoint rule of ``_i0_rule`` with its symmetric nodes paired.
+
+    The nodes come in pairs +-cos t_j, and e^y + e^-y - 2 = 4 sinh^2(y/2),
+    so the rule is (1/n) sum_{j < n/2} 4 sinh^2(x cos t_j / 2): a sum of
+    nonnegative terms, accurate to round-off also where I0(x) - 1 is far
+    below 1.
+    """
+    terms = np.sinh(x[..., None] * (0.5 * _I0_COS[: I0_NODES // 2]))
+    terms *= terms
+    terms *= 4.0 / I0_NODES
+    return np.add.reduce(terms, axis=-1)

@@ -45,7 +45,7 @@ def documents() -> dict[str, dict]:
     """The configuration documents by name: the standard 3-5 user sets and geometric ladders."""
     docs = {f"n{n}": make_bundle(num_users=n, data_size=1e14).to_dict() for n in (3, 4, 5)}
     sec = SecurityParams(data_size=1e14, ec_efficiency=EC_EFFICIENCY)
-    for n in (6, 8, 12):
+    for n in (6, 8, 12, 20):
         docs[f"geo{n}"] = validate(make_geometric_config(n), make_channel(50.0), sec).to_dict()
     # valid documents too large to simulate: large click tables, and many users
     for n, m_slices in ((130, 32766), (3000, 16)):
@@ -60,6 +60,8 @@ def documents() -> dict[str, dict]:
     ):
         docs[name] = make_bundle(data_size=1e14).to_dict()
         docs[name][section][key] = value
+    # a signal whose photon-number terms reach past 60 photons
+    docs["large-signal"] = make_bundle(data_size=1e14, signal=5.0).to_dict()
     docs["tiny-decoy"] = make_bundle(
         data_size=1e14, signal=1.0, decoys=(1e-4, 1e-300, 0.0), probs=(0.99, 0.001, 0.001, 0.008)
     ).to_dict()
@@ -74,6 +76,10 @@ def documents() -> dict[str, dict]:
     return docs
 
 
+# Configuration files that are not JSON documents the parser can return.
+BAD_FILES = {"not-utf8": b'{"channel": "\xe9"}', "deep-nesting": b"[" * 200000}
+
+
 def commands() -> dict[str, list[str]]:
     """Every command by name, with paths relative to its own directory."""
     cmds: dict[str, list[str]] = {}
@@ -84,6 +90,10 @@ def commands() -> dict[str, list[str]]:
         cmds[f"rate-{doc}-finite"] = [*args, "--out", "rate.csv"]
         for mode, flags in ASYMPTOTIC.items():
             cmds[f"rate-{doc}-{mode}"] = [*args, *flags, "--out", "rate.csv"]
+    for doc, distance in (("geo20", "200"), ("large-signal", "50")):
+        cmds[f"rate-{doc}-exact"] = ["rate", f"../docs/{doc}.json", "--distance", distance, *ASYMPTOTIC["exact"]]
+    for name in BAD_FILES:
+        cmds[f"rate-{name}"] = ["rate", f"../docs/{name}.json"]
     scans = {"n3-finite": ("n3", [])}
     scans.update({f"n{n}-{mode}": (f"n{n}", flags) for n in (3, 4, 5) for mode, flags in ASYMPTOTIC.items()})
     scans.update({f"geo{n}-exact": (f"geo{n}", ASYMPTOTIC["exact"]) for n in (6, 8, 12)})
@@ -125,6 +135,8 @@ def main(argv: list[str]) -> int:
     (out / "docs").mkdir(parents=True, exist_ok=True)
     for name, doc in documents().items():
         (out / "docs" / f"{name}.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    for name, content in BAD_FILES.items():
+        (out / "docs" / f"{name}.json").write_bytes(content)
     # the commands run in their own directories, so a relative PYTHONPATH is resolved here
     path = os.pathsep.join(str(Path(p).resolve()) for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p)
     env = {**os.environ, "PYTHONPATH": path}

@@ -4,11 +4,13 @@
 ``mfqcka.photonstats`` once evaluated directly: for every split of m
 photons between the two users of a port, the binomial survival of each
 user's photons times the click probability of the survivors, roughly
-O(n_max^5) per channel.  The package now evaluates the same weights from
-their generating-function closed form.  ``nphoton_terms`` and
-``phase_error_exact`` are the one-ladder photon-number decomposition
-that the package evaluated before it took a batch axis, on the scalar
-count matrix of ``matching_oracles``.  The tests compare the two.
+O(n_max^5) per channel.  The package evaluates the same weights from
+their generating-function closed form (``_port_weight_sequence``).
+``nphoton_terms`` and ``phase_error_exact`` are the photon-number
+decomposition that the package once summed term by term up to a
+photon-number cutoff, on the scalar count matrix of ``matching_oracles``;
+the package now sums each parity in closed form.  The tests compare the
+two.
 """
 
 import math
@@ -20,6 +22,11 @@ from matching_oracles import sifted_from_matrix, transfer_count_matrix
 from mfqcka.channel import total_efficiency
 from mfqcka.model import ChannelParams, EstimationError, SecurityParams, SourceConfig
 from mfqcka.photonstats import _port_weight_sequence
+
+# The default photon-number cutoff.  On the standard and geometric ladders
+# (signal 0.2 at most) at 0-350 km the terms past it are below 1e-17 of the
+# sum for every N up to 20; a cutoff of 20 leaves 3e-9 of s_mu at N=4.
+CUTOFF = 60
 
 
 def threshold_click_prob(f: int, g: int, p_d: float) -> float:
@@ -82,10 +89,16 @@ def composition_sums(
 
 
 def nphoton_terms(
-    config: SourceConfig, channel: ChannelParams, sec: SecurityParams, n_max: int
+    config: SourceConfig, channel: ChannelParams, sec: SecurityParams, n_max: int = CUTOFF, counts=None
 ) -> list[float]:
-    """s_n for n = 0..n_max; all zero when a row of the count matrix is empty."""
-    counts = transfer_count_matrix(config, channel, sec.data_size)
+    """s_n for n = 0..n_max; all zero when a row of the count matrix is empty.
+
+    ``counts`` is the count matrix [port][setting], by default the
+    transfer chain's; a test passes the package's to compare the
+    photon-number sums alone.
+    """
+    if counts is None:
+        counts = transfer_count_matrix(config, channel, sec.data_size)
     totals = [math.fsum(row) for row in counts]
     if any(t <= 0.0 for t in totals):
         return [0.0] * (n_max + 1)
@@ -99,7 +112,7 @@ def nphoton_terms(
 
 
 def phase_error_exact(
-    config: SourceConfig, channel: ChannelParams, sec: SecurityParams, n_max: int = 20
+    config: SourceConfig, channel: ChannelParams, sec: SecurityParams, n_max: int = CUTOFF
 ) -> float:
     """Complement of the good-parity share of the signal coincidences."""
     if n_max < config.num_users:

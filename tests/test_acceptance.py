@@ -24,9 +24,9 @@ from mfqcka.special_math import _entropy, _i0_rule
 from mfqcka.channel import marginal_errors
 from mfqcka.model import SecurityParams, validate
 from conftest import EC_EFFICIENCY, make_bundle, make_channel, make_geometric_config
+from photonstats_oracles import nphoton_terms
 
 from test_montecarlo import ideal_columns, kernel_bits
-from test_photonstats import nphoton_terms
 from test_special_math import i0_series
 
 

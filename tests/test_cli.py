@@ -100,6 +100,19 @@ def test_malformed_json_exit_code(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [(b'{"channel": "\xe9"}', "not UTF-8: byte 13 is 0xe9"), (b"[" * 200000, "nested too deeply")],
+    ids=["latin-1", "deep-nesting"],
+)
+def test_unreadable_config_exit_code(tmp_path, capsys, content, message):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert main(["rate", str(bad)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 def test_validation_error_names_field(tmp_path, capsys):
     doc = make_bundle().to_dict()
     doc["source"]["send_probabilities"] = [0.4, 0.3, 0.1, 0.1]
@@ -280,8 +293,8 @@ def test_optimizer_box_corners(tmp_path, capsys, key, bounds, expected):
 def beyond_the_estimates(tmp_path):
     """Documents past each asymptotic estimate's user counts, with the mode that rejects them.
 
-    Six users have no decoy-state bounds; 21 users exceed the exact phase
-    error's photon-number cutoff (``photonstats.N_MAX``).
+    Six users have no decoy-state bounds; 21 users are past the 3-20
+    users the exact phase error is offered for (``keyrate._check_mode``).
     """
     six = make_bundle(
         num_users=6,

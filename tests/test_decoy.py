@@ -20,8 +20,8 @@ from mfqcka.matching import sifted_coincidences
 from mfqcka.model import ConfigError, EstimationError, SecurityParams
 from conftest import PROBS, make_bundle
 import decoy_oracles
+from photonstats_oracles import nphoton_terms
 from test_acceptance import GRID_SIGNALS
-from test_photonstats import nphoton_terms
 
 BETA_1E10 = math.log(1e10)
 

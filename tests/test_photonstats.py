@@ -1,25 +1,19 @@
 """Photon-number statistics against an amplitude-level enumeration oracle."""
 
+import functools
 import math
+import warnings
 
 import pytest
 
 from mfqcka.matching import sifted_coincidences
 from mfqcka.model import EstimationError, SecurityParams
-from mfqcka import photonstats
 from mfqcka.keyrate import asymptotic_rate
-from mfqcka.photonstats import N_MAX, _nphoton_rows, _one_row, _port_weight_sequence, phase_error_exact
+from mfqcka.photonstats import _one_row, _parity_sums, _port_weight_sequence, phase_error_exact
 from conftest import make_bundle, make_channel, make_config, make_geometric_config
-from photonstats_oracles import pair_yield, port_weight_sequence, threshold_click_prob
-
-
-def nphoton_terms(config, channel, sec, n_max=N_MAX):
-    """The expected signal coincidences s_n fed by exactly n emitted photons, n = 0..n_max.
-
-    One row of the package's photon-number terms, which the exact phase
-    error sums by parity.
-    """
-    return _nphoton_rows(**_one_row(config, channel, sec.data_size), n_max=n_max)[0].tolist()
+import keyrate_oracles
+import photonstats_oracles
+from photonstats_oracles import nphoton_terms, pair_yield, port_weight_sequence, threshold_click_prob
 
 
 def splitter_output_distribution(f, g):
@@ -132,24 +126,27 @@ class TestPortWeights:
                         assert w == pytest.approx(ref, rel=1e-12)
 
 
+# The loops cost about 0.4 s per channel at the oracle's cutoff; every user count shares them.
+_loop_weights = functools.lru_cache(port_weight_sequence)
+
+
 @pytest.mark.parametrize("num_users", [3, 4, 5, 6])
 def test_exact_rate_matches_oracle_weights(num_users, monkeypatch):
-    config = make_geometric_config(num_users)
+    """The closed-form exact rate against the scalar rate oracle on the loop weights, summed to convergence."""
+    config, sec = make_geometric_config(num_users), SecurityParams(data_size=1.0, ec_efficiency=1.1)
     channels = [make_channel(d) for d in (0.0, 50.0, 200.0, 350.0)]
-    photonstats._composition_sums.cache_clear()
-    closed = [asymptotic_rate(config, channel, "exact") for channel in channels]
-    # the same rates assembled from the loop weights; the caches must not keep them
-    photonstats._composition_sums.cache_clear()
-    monkeypatch.setattr(
-        photonstats, "_port_weight_sequence", port_weight_sequence
-    )
+    # the oracle's per-n terms from the loops; its cache must not keep them
+    photonstats_oracles.composition_sums.cache_clear()
+    monkeypatch.setattr(photonstats_oracles, "_port_weight_sequence", _loop_weights)
     try:
-        looped = [asymptotic_rate(config, channel, "exact") for channel in channels]
+        for channel in channels:
+            got = asymptotic_rate(config, channel, "exact")
+            phi = photonstats_oracles.phase_error_exact(config, channel, sec)
+            assert got.phase_error_upper == pytest.approx(phi, rel=1e-12)
+            expected = keyrate_oracles.asymptotic_rate_raw(config, channel, "exact")
+            assert got.key_rate_raw == pytest.approx(expected, rel=1e-12)
     finally:
-        photonstats._composition_sums.cache_clear()
-    for got, expected in zip(closed, looped):
-        assert got.phase_error_upper == pytest.approx(expected.phase_error_upper, rel=1e-12)
-        assert got.key_rate_raw == pytest.approx(expected.key_rate_raw, rel=1e-12)
+        photonstats_oracles.composition_sums.cache_clear()
 
 
 class TestSignalCoincidences:
@@ -185,53 +182,91 @@ class TestSignalCoincidences:
         assert all(terms[2] > terms[n] for n in even if n != 2)
 
 
-# The photon-number sum stops at photonstats.N_MAX = 20 whatever the number of
-# users, so past five users the exact phase error is a truncated upper bound.
-_CUTOFF_NOT_CONVERGED = pytest.mark.xfail(
-    strict=True,
-    reason="the photon-number cutoff N_MAX = 20 does not converge past 5 users: at 200 km "
-    "|phi(20) - phi(40)| is 4.3e-10 at N=6, 1.1e-2 at N=12 and 0.50 at N=20",
-)
+def oracle_sums(config, channel, data_size):
+    """(sum_n s_n, good-parity sum) of the oracle's converged per-n terms, and the package's two closed-form sums.
+
+    The oracle takes the package's count matrix, so only the
+    photon-number sums are compared.
+    """
+    row = _one_row(config, channel, data_size)
+    del row["num_users"]
+    terms = nphoton_terms(
+        config, channel, SecurityParams(data_size=data_size, ec_efficiency=1.1), counts=row["counts"][0].tolist()
+    )
+    good = 1 if config.num_users % 2 == 0 else 0
+    total, alternating = _parity_sums(**row)
+    closed_good = 0.5 * (total[0] - alternating[0] if good else total[0] + alternating[0])
+    return (math.fsum(terms), math.fsum(terms[good::2])), (float(total[0]), float(closed_good))
+
+
+@pytest.mark.parametrize("num_users", range(3, 21))
+def test_closed_form_sums_match_the_per_n_terms(num_users):
+    """Every parity and the good parity, against the per-n terms summed to convergence.
+
+    Measured: at most 4.6e-15 relative, at N = 19, 200 km.
+    """
+    config = make_geometric_config(num_users)
+    for distance in (0.0, 10.0, 50.0, 200.0, 350.0):
+        (total, good), (closed_total, closed_good) = oracle_sums(config, make_channel(distance), 1e12)
+        assert closed_total == pytest.approx(total, rel=1e-14, abs=0.0)
+        assert closed_good == pytest.approx(good, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("num_users", [4, 6])
+@pytest.mark.parametrize("signal", [1e-4, 3e-4, 1e-3, 3e-3, 1e-2])
+def test_closed_form_at_small_signals_and_high_loss(num_users, signal):
+    """At 350 km the argument eta_t mu falls to 1e-10, below the dark-count rate.
+
+    There e^(eta_t mu) I0(eta_t mu) - 1 written as it reads loses most of
+    its digits.  Measured: at most 1.7e-15 relative.
+    """
+    config = make_config(
+        num_users, signal=signal, decoys=tuple(signal * 0.5 ** (i + 1) for i in range(num_users - 1)) + (0.0,),
+        probs=(0.5,) + (0.5 / num_users,) * num_users,
+    )
+    (total, good), (closed_total, closed_good) = oracle_sums(config, make_channel(350.0), 1e12)
+    assert closed_total == pytest.approx(total, rel=1e-14, abs=0.0)
+    assert closed_good == pytest.approx(good, rel=1e-14, abs=0.0)
 
 
 class TestPhaseErrorExact:
-    def test_monotone_in_truncation(self):
-        bundle = make_bundle(distance_km=150.0)
-        phis = [
-            phase_error_exact(bundle.config, bundle.channel, bundle.security, n_max=n)
-            for n in (6, 8, 12, 16, 20)
-        ]
-        assert all(a >= b - 1e-15 for a, b in zip(phis, phis[1:]))
-
-    def test_converged_at_default_truncation(self):
-        bundle = make_bundle(distance_km=200.0)
-        phi20 = phase_error_exact(bundle.config, bundle.channel, bundle.security, n_max=20)
-        phi24 = phase_error_exact(bundle.config, bundle.channel, bundle.security, n_max=24)
-        assert abs(phi20 - phi24) <= 1e-10
-
     @pytest.mark.parametrize(
         "config, distance",
         [
             *(pytest.param(make_config(n), d, id=f"{d}-{n}") for d in (50.0, 200.0) for n in (4, 5)),
-            *(
-                pytest.param(
-                    make_geometric_config(n), 200.0, id=f"geometric-{n}",
-                    marks=[_CUTOFF_NOT_CONVERGED] if n >= 6 else [],
-                )
-                for n in range(3, 21)
-            ),
+            *(pytest.param(make_geometric_config(n), 200.0, id=f"geometric-{n}") for n in range(3, 21)),
         ],
     )
     def test_converged_at_default_truncation_more_users(self, config, distance):
+        # the closed form has no cutoff: it is the oracle's sum at a cutoff that has converged
         channel, sec = make_channel(distance), SecurityParams(data_size=1e12, ec_efficiency=1.1)
-        phi20 = phase_error_exact(config, channel, sec, n_max=20)
-        phi40 = phase_error_exact(config, channel, sec, n_max=40)
-        assert abs(phi20 - phi40) <= 1e-10
+        phi = phase_error_exact(config, channel, sec)
+        assert abs(phi - photonstats_oracles.phase_error_exact(config, channel, sec)) <= 1e-10
 
-    def test_requires_room_for_all_users(self):
-        bundle = make_bundle(num_users=5)
-        with pytest.raises(ValueError):
-            phase_error_exact(bundle.config, bundle.channel, bundle.security, n_max=4)
+    def test_large_signal(self):
+        # the per-n sum needs a cutoff past 60 photons here, and overflows at signal 20
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bundle = make_bundle(signal=5.0)
+            phi = phase_error_exact(bundle.config, bundle.channel, bundle.security)
+            assert phi == pytest.approx(0.398100583, abs=5e-10)
+            assert phi == pytest.approx(
+                photonstats_oracles.phase_error_exact(bundle.config, bundle.channel, bundle.security, n_max=120),
+                abs=1e-12,
+            )
+            bundle = make_bundle(signal=20.0)
+            assert 0.0 <= phase_error_exact(bundle.config, bundle.channel, bundle.security) <= 1.0
+
+    @pytest.mark.parametrize("num_users", [4, 20])
+    def test_does_not_depend_on_the_data_size(self, num_users):
+        # N_bins^P and the product of the slice-set totals would overflow
+        config, channel = make_geometric_config(num_users), make_channel(50.0)
+        phis = [
+            phase_error_exact(config, channel, SecurityParams(data_size=n_bins, ec_efficiency=1.1))
+            for n_bins in (1e12, 1e200, 1e300)
+        ]
+        assert all(math.isfinite(phi) for phi in phis)
+        assert phis == pytest.approx([phis[0]] * 3, abs=1e-14)
 
     def test_no_coincidences_raises(self):
         bundle = make_bundle(distance_km=0.0, dark_count_rate=0.0)
@@ -245,6 +280,6 @@ class TestPhaseErrorExact:
         s_mu = sifted_coincidences(
             bundle.config.signal_intensity, bundle.config, bundle.channel, sec
         )
-        even = math.fsum(nphoton_terms(bundle.config, bundle.channel, sec, n_max=20)[0:21:2])
-        phi = phase_error_exact(bundle.config, bundle.channel, sec, n_max=20)
+        even = math.fsum(nphoton_terms(bundle.config, bundle.channel, sec)[0::2])
+        phi = phase_error_exact(bundle.config, bundle.channel, sec)
         assert phi == pytest.approx(1.0 - even / s_mu, abs=1e-12)
