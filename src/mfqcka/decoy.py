@@ -53,34 +53,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ObservedCounts:
-    """Sifted coincidence counts per intensity with their send probabilities."""
+    """Sifted coincidence counts per intensity with their send probabilities.
+
+    ``sifted`` holds the ladder in order, signal first and vacuum last; the bounds never re-sort it.
+    """
 
     sifted: Mapping[float, float]
     probabilities: Mapping[float, float]
     num_users: int
-
-    @property
-    def ordered_intensities(self) -> tuple[float, ...]:
-        return tuple(sorted(self.sifted, reverse=True))
-
-    def _check(self, expected_settings: int) -> tuple[float, ...]:
-        ks = self.ordered_intensities
-        if len(ks) != expected_settings:
-            raise ConfigError(
-                f"{self.num_users}-user bounds need {expected_settings} intensity settings, "
-                f"got {len(ks)}"
-            )
-        if ks[-1] != 0.0:
-            raise ConfigError("the intensity set must include the vacuum (0)")
-        for a, b in zip(ks, ks[1:]):
-            if not a > b:
-                raise ConfigError("intensities must be strictly decreasing")
-        for k in ks:
-            if self.sifted[k] < 0.0:
-                raise ConfigError("sifted counts must be nonnegative")
-            if not self.probabilities[k] > 0.0:
-                raise ConfigError("send probabilities must be positive for every setting")
-        return ks
 
 
 def _chernoff_sides(s: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -239,16 +219,21 @@ def _decoy_rows(
 def _decoy_bounds(observed: ObservedCounts, num_users: int, eps: float | None = None) -> DecoyBounds:
     """The shared rule on one set of counts; ``eps`` switches on the finite-size treatment.
 
-    One row of ``_decoy_rows``; raises where that row has a cause.
+    One row of ``_decoy_rows`` on the ladder ``observed.sifted`` in its
+    order; raises where that row has a cause.
     """
-    ks = observed._check(num_users + 1)
+    ks = tuple(observed.sifted)
+    if len(ks) != num_users + 1:
+        raise ConfigError(f"{num_users}-user bounds need {num_users + 1} intensity settings, got {len(ks)}")
     rows = _decoy_rows(
         np.array([ks]),
         np.array([[observed.probabilities[k] for k in ks]]),
-        np.array([[observed.sifted[k] for k in ks]]),
+        np.array([list(observed.sifted.values())]),
         num_users,
         eps,
     )
+    if rows.cause[0] == _CONFIG:
+        raise ConfigError("intensities must be strictly decreasing to the vacuum, counts >= 0, probs > 0")
     if rows.cause[0]:
         if observed.sifted[ks[0]] <= 0.0:
             raise EstimationError("no sifted signal coincidences; phase error undefined")

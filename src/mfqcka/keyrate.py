@@ -32,8 +32,9 @@ bit errors (``channel.error_terms``), so a configuration raises the
 error its kernel cause names.  The benchmark's tracer
 (``perfbench/spans.py``) wraps those entry points by name, which is why
 ``_report`` does not yet call the kernel.  ``_check_mode`` alone decides
-which modes exist for how many users: the kernel and the builders call
-it, and an unsupported pair raises before any layer runs.
+which modes exist for how many users on how many settings: the kernel
+and the builders call it, and an unsupported triple raises before any
+layer runs.
 """
 
 from __future__ import annotations
@@ -100,12 +101,12 @@ _DECOY_ASYMPTOTIC = {
 MODES = ("finite", "asymptotic-decoy", "asymptotic-exact")
 
 
-def _check_mode(num_users: int, mode: str) -> None:
-    """Raise unless ``mode`` has a phase-error estimate for ``num_users`` users.
+def _check_mode(num_users: int, mode: str, settings: int) -> None:
+    """Raise unless ``mode`` has a phase-error estimate for ``num_users`` users on ``settings`` settings.
 
     The one place that knows which (users, mode) pairs are rated: a mode
     outside MODES is a ValueError, a user count the mode has no estimate
-    for a ConfigError.
+    for, or a ladder of other than N+1 settings, a ConfigError.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -115,6 +116,8 @@ def _check_mode(num_users: int, mode: str) -> None:
         raise ConfigError(f"decoy-state bounds are available for 3-5 users, not {num_users}")
     if mode == "asymptotic-exact" and num_users > 20:
         raise ConfigError(f"exact phase errors are available for 3-20 users, not {num_users}")
+    if settings != num_users + 1:
+        raise ConfigError(f"{num_users} users need {num_users + 1} intensity settings, got {settings}")
 
 
 # Rows per kernel pass are chosen so that the (rows, pairs, I0_NODES) temporary
@@ -161,18 +164,19 @@ def rate_rows(
 
     Row r is the intensity ladder ``ints[r]`` (signal first, vacuum last)
     sent with probabilities ``probs[r]``; ``config`` gives the number of
-    users and phase slices, and ``mode`` is one of MODES; a mode without
-    an estimate for that many users raises (``_check_mode``) before any
-    row is rated.  The asymptotic modes take only ``ec_efficiency`` from
-    ``sec``.  ``cause[r]`` is the
-    code (``model.INFEASIBLE``) of the error that ``finite_rate`` or
-    ``asymptotic_rate`` raises for row r alone, 0 where they return; then
-    ``key_rate_raw[r]`` is their value bit for bit, whatever the other
-    rows are.  Rows are evaluated in chunks of ``_chunk_rows`` to bound
-    the memory of the gain table.
+    users and phase slices, and ``mode`` is one of MODES.  A mode without
+    an estimate for that many users, or ladders of other than N+1
+    settings, raise (``_check_mode``) before any row is rated.  The
+    asymptotic modes take only ``ec_efficiency`` from ``sec``.
+    ``cause[r]`` is the code (``model.INFEASIBLE``) of the error that
+    ``rate_report`` raises for row r alone, 0 where it returns; then
+    ``key_rate_raw[r]`` is its value bit for bit, whatever the other
+    rows are.  Each row is read in the order given, never re-sorted.
+    Rows are evaluated in chunks of ``_chunk_rows`` to bound the memory
+    of the gain table.
     """
-    _check_mode(config.num_users, mode)
     rows, settings = ints.shape
+    _check_mode(config.num_users, mode, settings)
     eta_t, p_d = total_efficiency(channel), channel.dark_count_rate
     step = _chunk_rows(settings)
     if 0 < rows <= step:  # one chunk: its arrays are the result
@@ -200,9 +204,9 @@ def rate_reports(
     the message, that its channel raises alone; the reports before it
     have been yielded by then.
     """
-    _check_mode(config.num_users, mode)
     channels = list(channels)
     rows, settings = len(channels), len(config.intensities)
+    _check_mode(config.num_users, mode, settings)
     ks = np.tile(np.array(config.intensities), (rows, 1))
     probs = np.tile(np.array(config.send_probabilities), (rows, 1))
     eta_t = np.array([total_efficiency(channel) for channel in channels])
@@ -333,8 +337,8 @@ def _report(config: SourceConfig, channel: ChannelParams, sec: SecurityParams, m
     Reads each layer once, through its one-row entry point, and builds
     the report from them as the one row of a ``RateLayers``.
     """
-    _check_mode(config.num_users, mode)
     n, ks = config.num_users, config.intensities
+    _check_mode(n, mode, len(ks))
     counts = np.array([matching._count_matrix(config, channel, sec.data_size)])
     sifted = matching._sifted_rows(counts, config.phase_slices)
     if mode == "asymptotic-exact":
@@ -389,9 +393,10 @@ def rate_report(
     ``finite`` is ``finite_rate``; the asymptotic modes are
     ``asymptotic_rate`` with their estimator and ``sec.ec_efficiency``.
     A mode outside MODES raises ValueError, and a user count that the
-    mode has no phase-error estimate for raises ConfigError.
+    mode has no phase-error estimate for, or a ladder of other than N+1
+    settings, raises ConfigError.
     """
-    _check_mode(config.num_users, mode)
+    _check_mode(config.num_users, mode, len(config.intensities))
     if mode == "finite":
         return finite_rate(config, channel, sec)
     return asymptotic_rate(

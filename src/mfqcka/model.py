@@ -129,6 +129,11 @@ class Bundle:
         }
 
 
+def _shown(text: str) -> str:
+    """``text`` cut to 40 characters: an error message shows no more of an offending value."""
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
 def _number(value: Any, name: str) -> float:
     """A finite float from a JSON number or numeric string; bools are rejected."""
     if isinstance(value, (int, float, str)) and not isinstance(value, bool):
@@ -139,19 +144,19 @@ def _number(value: Any, name: str) -> float:
         else:
             if math.isfinite(number):
                 return number
-    raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    raise ConfigError(f"{name} must be a finite number, got {_shown(repr(value))}")
 
 
 def _integer(value: Any, name: str) -> int:
     number = _number(value, name)
     if not number.is_integer():
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
+        raise ConfigError(f"{name} must be an integer, got {_shown(repr(value))}")
     return int(number)
 
 
 def _numbers(value: Any, name: str) -> tuple[float, ...]:
     if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
+        raise ConfigError(f"{name} must be a list of numbers, got {_shown(repr(value))}")
     return tuple(_number(x, f"{name}[{i}]") for i, x in enumerate(value))
 
 
@@ -167,7 +172,7 @@ def _write_text(path: str, text: str) -> None:
 def _bounds(value: Any, name: str) -> tuple[float, float]:
     bounds = _numbers(value, name)
     if len(bounds) != 2:
-        raise ConfigError(f"{name} must list exactly two numbers (lower, upper), got {value!r}")
+        raise ConfigError(f"{name} must list exactly two numbers (lower, upper), got {_shown(repr(value))}")
     return bounds
 
 
@@ -239,7 +244,7 @@ def read_section(
     listed = {key for key, _, _ in fields}
     for key in section:
         if key not in listed:
-            raise ConfigError(f"unknown field {name}.{key}")
+            raise ConfigError(f"unknown field {name}.{_shown(key)}")
     return values
 
 
@@ -290,7 +295,7 @@ def bundle_from_dict(doc: Mapping[str, Any]) -> Bundle:
         sections[name] = section
     for name in doc:
         if name not in SCHEMA:
-            raise ConfigError(f"unknown top-level section: {name!r}")
+            raise ConfigError(f"unknown top-level section: {_shown(repr(name))}")
     channel, config, security = (
         cls(**read_section(name, sections[name], SCHEMA[name], _required(cls)))
         for name, cls in _PARAMETER_SECTIONS.items()

@@ -100,7 +100,8 @@ def _click_tables(
     users' setting indices, their slice difference mod M and the XOR of
     their raw bits.  Each entry is the per-bin expression evaluated with
     the same floating-point operations in the same order, so it equals
-    the formula bit for bit.
+    the formula bit for bit.  Flipping the XOR negates the beat exactly,
+    so the right table, mean - beat, is the left one mirrored on that axis.
     A table has 2 S^2 M entries (512 for N=3, M=16), about four times
     the (S, ports, M/2) retained-click counts that ``run_protocol``
     already builds.
@@ -112,10 +113,8 @@ def _click_tables(
     k_b = settings[None, :, None, None]
     sign = 1.0 - 2.0 * np.arange(2)
     beat = eta_t * np.sqrt(k_a * k_b) * cos_table[None, None, :, None] * sign
-    mean = 0.5 * eta_t * (k_a + k_b)
-    i_left = np.maximum(mean + beat, 0.0)
-    i_right = np.maximum(mean - beat, 0.0)
-    return 1.0 - (1.0 - p_d) * np.exp(-i_left), 1.0 - (1.0 - p_d) * np.exp(-i_right)
+    p_left = 1.0 - (1.0 - p_d) * np.exp(-np.maximum(0.5 * eta_t * (k_a + k_b) + beat, 0.0))
+    return p_left, p_left[..., ::-1]
 
 
 def _port_tables(

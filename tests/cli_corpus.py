@@ -68,8 +68,13 @@ def documents() -> dict[str, dict]:
     # no dark counts: the signal of a plain scan dies out with distance
     docs["n4-no-dark-counts"] = make_bundle(num_users=4, data_size=1e14).to_dict()
     docs["n4-no-dark-counts"]["channel"]["dark_count_rate"] = 0.0
+    # values that a validation error must not echo in full
+    docs["long-string"] = make_bundle(data_size=1e14).to_dict()
+    docs["long-string"]["channel"]["dark_count_rate"] = "9" * 100_000
     for doc in docs.values():
         doc["optimizer"] = OPTIMIZER
+    docs["long-bounds"] = make_bundle(data_size=1e14).to_dict()
+    docs["long-bounds"]["optimizer"] = dict(OPTIMIZER, intensity_bounds=[0.1] * 100_000)
     for name, workload in WORKLOADS.items():
         for seed in BENCHMARK_SEEDS:
             docs[f"bench-{name}-{seed}"] = workload.document(seed)
@@ -92,7 +97,7 @@ def commands() -> dict[str, list[str]]:
             cmds[f"rate-{doc}-{mode}"] = [*args, *flags, "--out", "rate.csv"]
     for doc, distance in (("geo20", "200"), ("large-signal", "50")):
         cmds[f"rate-{doc}-exact"] = ["rate", f"../docs/{doc}.json", "--distance", distance, *ASYMPTOTIC["exact"]]
-    for name in BAD_FILES:
+    for name in (*BAD_FILES, "long-string", "long-bounds"):
         cmds[f"rate-{name}"] = ["rate", f"../docs/{name}.json"]
     scans = {"n3-finite": ("n3", [])}
     scans.update({f"n{n}-{mode}": (f"n{n}", flags) for n in (3, 4, 5) for mode, flags in ASYMPTOTIC.items()})

@@ -5,15 +5,15 @@
 and exactly rounded sums.  The ``bounds_*user_*`` functions are the
 hand-expanded three-, four- and five-user expressions that came before
 that rule.  The tests compare the package's array rule against both.
-The Chernoff sides are stated here with the math module too, so no
-oracle calls the code it checks.
+The Chernoff sides are stated here with the math module too, and the
+ladder checks (``_ladder``), so no oracle calls the code it checks.
 """
 
 import math
 from typing import Mapping
 
 from mfqcka.decoy import ObservedCounts
-from mfqcka.model import DecoyBounds, EstimationError
+from mfqcka.model import ConfigError, DecoyBounds, EstimationError
 
 
 def chernoff_expected_bounds(s: float, eps: float) -> tuple[float, float]:
@@ -31,6 +31,22 @@ def chernoff_expected_bounds(s: float, eps: float) -> tuple[float, float]:
 def chernoff_observed_lower(v: float, eps: float) -> float:
     """Pessimistic observed value max(v - sqrt(2 beta v), 0) of the expectation v >= 0."""
     return max(v - math.sqrt(2.0 * math.log(1.0 / eps) * v), 0.0)
+
+
+def _ladder(obs: ObservedCounts, settings: int) -> tuple[float, ...]:
+    """The intensities of ``obs`` in the order given, after the checks every rule needs.
+
+    ``settings`` of them, strictly decreasing down to the vacuum, with
+    nonnegative counts and positive send probabilities.
+    """
+    ks = tuple(obs.sifted)
+    if len(ks) != settings:
+        raise ConfigError(f"the ladder needs {settings} settings, got {len(ks)}")
+    if ks[-1] != 0.0 or not all(a > b for a, b in zip(ks, ks[1:])):
+        raise ConfigError("the ladder must be strictly decreasing down to the vacuum")
+    if not all(obs.sifted[k] >= 0.0 and obs.probabilities[k] > 0.0 for k in ks):
+        raise ConfigError("counts must be nonnegative and send probabilities positive")
+    return ks
 
 
 def _normalization_factors(obs: ObservedCounts, ks: tuple[float, ...]) -> dict[float, float]:
@@ -84,7 +100,7 @@ def _photon_weights(ks: tuple[float, ...], num_users: int) -> dict[int, dict[flo
 
 def decoy_bounds(observed: ObservedCounts, num_users: int, eps: float | None = None) -> DecoyBounds:
     """The general rule on one set of counts; ``eps`` switches on the finite-size treatment."""
-    ks = observed._check(num_users + 1)
+    ks = _ladder(observed, num_users + 1)
     factors = _normalization_factors(observed, ks)
     sides = {
         k: (s, s) if eps is None else chernoff_expected_bounds(s, eps)
@@ -123,7 +139,7 @@ def bounds_3user_asymptotic(observed: ObservedCounts) -> DecoyBounds:
     (mu, nu, omega) cancels the 1- and 3-photon terms and drops the
     positive n >= 4 tail to bound s_mu^2 from below.
     """
-    ks = observed._check(4)
+    ks = _ladder(observed, 4)
     mu, nu, om = ks[0], ks[1], ks[2]
     factors = _normalization_factors(observed, ks)
     t = {k: observed.sifted[k] * factors[k] for k in ks}
@@ -152,7 +168,7 @@ def bounds_3user_finite(observed: ObservedCounts, sec) -> DecoyBounds:
     pessimistic observed values.  Six concentration-bound applications
     are consumed per call (four expected-value sides, two conversions).
     """
-    ks = observed._check(4)
+    ks = _ladder(observed, 4)
     mu, nu, om = ks[0], ks[1], ks[2]
     eps = sec.eps_chernoff
     factors = _normalization_factors(observed, ks)
@@ -182,7 +198,7 @@ def bounds_3user_finite(observed: ObservedCounts, sec) -> DecoyBounds:
 
 def bounds_4user_asymptotic(observed: ObservedCounts) -> DecoyBounds:
     """Lower bounds on the 1- and 3-photon signal contributions, four users."""
-    ks = observed._check(5)
+    ks = _ladder(observed, 5)
     mu, nu, om, xi = ks[0], ks[1], ks[2], ks[3]
     factors = _normalization_factors(observed, ks)
     t = {k: observed.sifted[k] * factors[k] for k in ks}
@@ -216,7 +232,7 @@ def bounds_4user_asymptotic(observed: ObservedCounts) -> DecoyBounds:
 
 def bounds_5user_asymptotic(observed: ObservedCounts) -> DecoyBounds:
     """Lower bounds on the 0-, 2- and 4-photon signal contributions, five users."""
-    ks = observed._check(6)
+    ks = _ladder(observed, 6)
     mu, nu, om, xi, ta = ks[0], ks[1], ks[2], ks[3], ks[4]
     factors = _normalization_factors(observed, ks)
     t = {k: observed.sifted[k] * factors[k] for k in ks}

@@ -122,6 +122,26 @@ def test_validation_error_names_field(tmp_path, capsys):
     assert "sum to 1" in capsys.readouterr().err
 
 
+# Values that a validation error echoes; "NESTED" stands for a list nested 900 deep.
+_LONG_VALUES = {
+    "long-string": ("channel", "dark_count_rate", "9" * 100_000),
+    "long-bounds": ("optimizer", "intensity_bounds", [0.1] * 100_000),
+    "deep-nesting": ("source", "signal_intensity", "NESTED"),
+    "long-key": ("source", "x" * 100_000, 1),
+}
+
+
+@pytest.mark.parametrize("section,key,value", _LONG_VALUES.values(), ids=_LONG_VALUES)
+def test_validation_error_cuts_a_long_value(tmp_path, capsys, section, key, value):
+    doc = dict(make_bundle().to_dict(), optimizer={})
+    doc[section][key] = value
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc).replace('"NESTED"', "[" * 900 + "]" * 900))
+    assert main(["rate", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) <= 200
+
+
 @pytest.mark.parametrize(
     "argv",
     [

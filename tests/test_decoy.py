@@ -114,7 +114,7 @@ class TestChernoff:
 
 def paper_3user_s2_oracle(obs):
     """Explicit coefficient form of the three-user 2-photon bound."""
-    mu, nu, om, _ = obs.ordered_intensities
+    mu, nu, om, _ = tuple(obs.sifted)
     p = obs.probabilities
     s = obs.sifted
     diff = (mu - nu) * (nu - om) * (mu - om)
@@ -202,7 +202,7 @@ class TestModelSoundness:
         bundle = make_bundle(distance_km=200.0)
         obs = model_observed(bundle)
         base = bounds_3user_asymptotic(obs).s_mu_n_lower[2]
-        omega = obs.ordered_intensities[2]
+        omega = tuple(obs.sifted)[2]
         bumped = dict(obs.sifted)
         bumped[omega] *= 1.05
         perturbed = bounds_3user_asymptotic(
@@ -213,7 +213,7 @@ class TestModelSoundness:
     def test_degenerate_intensities_rejected(self):
         bundle = make_bundle()
         obs = model_observed(bundle)
-        nu, om = obs.ordered_intensities[1], obs.ordered_intensities[2]
+        nu, om = tuple(obs.sifted)[1:3]
         collided = dict(obs.sifted)
         collided[nu] = collided.pop(nu) + collided.pop(om)  # drops a setting
         with pytest.raises(ConfigError):
@@ -224,6 +224,16 @@ class TestModelSoundness:
                     num_users=3,
                 )
             )
+
+    def test_ladder_is_read_in_order(self):
+        obs = model_observed(make_bundle())
+        for order in ((1, 0, 2, 3), (0, 1, 3, 2), (3, 2, 1, 0)):
+            ks = [tuple(obs.sifted)[i] for i in order]
+            reordered = {k: obs.sifted[k] for k in ks}
+            with pytest.raises(ConfigError, match="strictly decreasing"):
+                bounds_3user_asymptotic(
+                    ObservedCounts(sifted=reordered, probabilities=obs.probabilities, num_users=3)
+                )
 
     def test_all_zero_counts_raise(self):
         ks = INTENSITIES[3]

@@ -6,6 +6,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import keyrate_oracles
 from mfqcka.channel import error_rows, error_terms, total_efficiency
@@ -151,6 +152,86 @@ def test_malformed_ladders_are_config_errors(mode):
     for row_ints, row_probs in zip(ints, probs):
         config = SourceConfig(3, row_ints[0], tuple(row_ints[1:]), tuple(row_probs), 16)
         assert oracle_rate(config, bundle.channel, bundle.security, mode)[1] == 1
+
+
+# A row mutation: (kind, position, value).  "permute" reorders the settings
+# with their probabilities, "vacuum" moves the vacuum to ``position``, and
+# "intensity" and "probability" put ``value`` at that setting.  A negative
+# value goes to a probability only: a negative intensity makes the gain table
+# take the square root of a negative product, which numpy warns about in both
+# paths before any rule sees the ladder.
+_ROW_MUTATIONS = st.one_of(
+    st.tuples(st.just("none"), st.just(0), st.just(0.0)),
+    st.tuples(st.just("permute"), st.permutations(range(6)), st.just(0.0)),
+    st.tuples(st.just("vacuum"), st.integers(0, 4), st.just(0.0)),
+    st.tuples(st.just("intensity"), st.integers(0, 5), st.sampled_from([0.0, math.nan])),
+    st.tuples(st.just("probability"), st.integers(0, 5), st.sampled_from([0.0, -0.03, math.nan])),
+)
+
+
+def mutate(ints, probs, mutation):
+    """One row's ladder and probabilities after ``mutation`` (see ``_ROW_MUTATIONS``)."""
+    kind, where, value = mutation
+    ints, probs = ints.tolist(), probs.tolist()
+    settings = len(ints)
+    if kind == "permute":
+        order = [i for i in where if i < settings]
+        ints, probs = [ints[i] for i in order], [probs[i] for i in order]
+    elif kind == "vacuum":
+        at = where % settings
+        ints.insert(at, ints.pop())
+        probs.insert(at, probs.pop())
+    elif kind != "none":
+        (ints if kind == "intensity" else probs)[where % settings] = value
+    return ints, probs
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(
+    case=st.sampled_from(CASES),
+    distance=st.sampled_from([0.0, 50.0, 200.0]),
+    seed=st.integers(0, 2**32 - 1),
+    width=st.sampled_from([0, 0, 0, -1, 1]),
+    mutations=st.lists(_ROW_MUTATIONS, min_size=1, max_size=4),
+)
+def test_a_row_raises_alone_what_its_kernel_cause_names(case, distance, seed, width, mutations):
+    """On ladders of the optimizer's law, reordered, with a bad entry or of the wrong width.
+
+    ``rate_rows`` reads each row in the order given, as ``rate_report``
+    does, so the kernel's cause is the class the row raises alone and a
+    rated row has the same rate bit for bit; a batch of N or N+2 settings
+    raises the ConfigError that each of its rows raises alone and in a scan.
+    """
+    num_users, mode = case
+    bundle = make_bundle(num_users=num_users, distance_km=distance, data_size=1e14)
+    _, (ints, probs) = pool(num_users, len(mutations), seed)
+    rows = [mutate(k, p, mutation) for k, p, mutation in zip(ints, probs, mutations)]
+    if width < 0:  # drop the last decoy
+        rows = [(k[:-2] + k[-1:], p[:-2] + p[-1:]) for k, p in rows]
+    elif width > 0:  # a second signal above the first
+        rows = [([2.0 * k[0]] + k, [p[0]] + p) for k, p in rows]
+    ints, probs = np.array([k for k, _ in rows]), np.array([p for _, p in rows])
+    configs = [SourceConfig(num_users, k[0], tuple(k[1:]), tuple(p), 16) for k, p in rows]
+    if width:
+        with pytest.raises(ConfigError) as raised:
+            rate_rows(ints, probs, bundle.config, bundle.channel, bundle.security, mode)
+        for config in configs:
+            for run in (
+                lambda: rate_report(config, bundle.channel, bundle.security, mode),
+                lambda: next(rate_reports(config, [bundle.channel], bundle.security, mode)),
+            ):
+                with pytest.raises(ConfigError) as alone:
+                    run()
+                assert str(alone.value) == str(raised.value)
+        return
+    raw, cause = rate_rows(ints, probs, bundle.config, bundle.channel, bundle.security, mode)
+    for i, config in enumerate(configs):
+        if cause[i]:
+            with pytest.raises(INFEASIBLE[cause[i]]):
+                rate_report(config, bundle.channel, bundle.security, mode)
+        else:
+            got = rate_report(config, bundle.channel, bundle.security, mode).key_rate_raw
+            assert np.float64(got).tobytes() == raw[i].tobytes()
 
 
 def test_unsupported_user_counts_are_config_errors():
