@@ -60,8 +60,6 @@ EXIT_CONSISTENCY = 3
 
 
 def _fmt(value: Any) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):

@@ -103,6 +103,18 @@ class DecoyRows(NamedTuple):
 _CONFIG = INFEASIBLE.index(ConfigError)
 _ESTIMATION = INFEASIBLE.index(EstimationError)
 
+# What a row that fails the ladder rule (``_ladder_rows``) or has a negative count raises.
+_LADDER_ERROR = "intensities must be strictly decreasing to the vacuum, counts >= 0, probs > 0"
+
+
+def _ladder_rows(ks: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Per row r: is ``ks[r]`` strictly decreasing down to the vacuum, with every ``probs[r]`` > 0?
+
+    The ladder rule of every rate mode; a nan anywhere fails it.
+    """
+    margins = np.concatenate([ks[:, :-1] - ks[:, 1:], probs], axis=1)
+    return (np.minimum.reduce(margins, axis=1) > 0.0) & (ks[:, -1] == 0.0)
+
 
 @lru_cache(maxsize=None)
 def _eye(n: int) -> np.ndarray:
@@ -126,12 +138,11 @@ def _decoy_rows(
     and at its upper side otherwise, and every bound is converted back to a
     pessimistic observed value.  ``chernoff_applications`` counts the
     distinct (count, side) pairs used plus one per conversion.  Rows that
-    are not a strictly decreasing ladder ending in the vacuum, with
-    nonnegative counts and positive probabilities, get a ConfigError cause;
-    a weight whose nodes underflow, a zero signal count and a bound or
-    phase error that overflows (a send probability p_k far below p_mu
-    overflows (p_mu / p_k)^c, and a decoy intensity far below mu the
-    weights) an EstimationError cause.  Such an overflow emits no
+    fail the ladder rule (``_ladder_rows``) or have a negative count get a
+    ConfigError cause; a weight whose nodes underflow, a zero signal count
+    and a bound or phase error that overflows (a send probability p_k far
+    below p_mu overflows (p_mu / p_k)^c, and a decoy intensity far below
+    mu the weights) an EstimationError cause.  Such an overflow emits no
     warning, and its row's phase error is nan.
 
     The normalized counts t_k = s_k exp(c (k - mu)) (p_mu / p_k)^c are
@@ -141,12 +152,11 @@ def _decoy_rows(
     (x_j - x_i)) and the vacuum weight is (-1)^m S / prod_j x_j.
     """
     rows, settings = ks.shape
+    # counts nonnegative: s + 5e-324 > 0 is s >= 0, as no double lies
+    # strictly between -5e-324 and 0
+    valid = _ladder_rows(ks, probs) & (np.minimum.reduce(sifted, axis=1) + 5e-324 > 0.0)
     # One row per setting: the rule's operations then run along contiguous rows.
     ks, probs, sifted = ks.T.copy(), probs.T.copy(), sifted.T.copy()
-    # ladder gaps and probabilities positive, counts nonnegative (s + 5e-324 > 0
-    # is s >= 0: no double lies strictly between -5e-324 and 0), vacuum last
-    margins = np.concatenate([ks[:-1] - ks[1:], probs, sifted + 5e-324])
-    valid = (np.minimum.reduce(margins) > 0.0) & (ks[-1] == 0.0)
     c = 2.0 * (num_users - 1)
     mu = np.where(valid, ks[0], 1.0)
     log_p = np.log(np.where(valid, probs, 1.0))
@@ -233,7 +243,7 @@ def _decoy_bounds(observed: ObservedCounts, num_users: int, eps: float | None = 
         eps,
     )
     if rows.cause[0] == _CONFIG:
-        raise ConfigError("intensities must be strictly decreasing to the vacuum, counts >= 0, probs > 0")
+        raise ConfigError(_LADDER_ERROR)
     if rows.cause[0]:
         if observed.sifted[ks[0]] <= 0.0:
             raise EstimationError("no sifted signal coincidences; phase error undefined")

@@ -245,6 +245,7 @@ def _rate_chunk(
         phase, cause = photonstats._phase_error_rows(
             counts, mu, probs[:, 0], sifted[:, 0], n, m_slices, eta_t, p_d, n_bins
         )
+        cause = np.where(decoy._ladder_rows(ks, probs), cause, np.int8(INFEASIBLE.index(ConfigError)))
         bounds, applications = np.empty((len(ks), 0)), np.zeros(len(ks), dtype=np.int64)
     else:
         eps = sec.eps_chernoff if mode == "finite" else None
@@ -342,6 +343,8 @@ def _report(config: SourceConfig, channel: ChannelParams, sec: SecurityParams, m
     counts = np.array([matching._count_matrix(config, channel, sec.data_size)])
     sifted = matching._sifted_rows(counts, config.phase_slices)
     if mode == "asymptotic-exact":
+        if not decoy._ladder_rows(np.array([ks]), np.array([config.send_probabilities]))[0]:
+            raise ConfigError(decoy._LADDER_ERROR)
         phase, bounds, applications = photonstats.phase_error_exact(config, channel, sec), {}, 0
     else:
         probs = dict(zip(ks, config.send_probabilities))

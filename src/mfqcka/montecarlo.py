@@ -341,10 +341,7 @@ def run_protocol(
         columns.append(shard)
         candidate_bins += n_cand
 
-    merged = {
-        key: np.concatenate([c[key] for c in columns]) if columns else np.empty(0, dtype=np.int8)
-        for key in columns[0]
-    }
+    merged = {key: np.concatenate([c[key] for c in columns]) for key in columns[0]}
 
     combo = (merged["k_idx"].astype(np.int64) * ports + merged["port"]) * half + merged["m"]
     retained_counts = np.bincount(combo, minlength=n_settings * ports * half).reshape(

@@ -232,8 +232,8 @@ def _simplex_search(
 ) -> tuple[list[_Result], np.ndarray]:
     """Budgeted Nelder-Mead descent (minimization) from every row of ``starts`` at once.
 
-    The simplices of the running restarts are one (R, d+1, d) array and
-    their values one (R, d+1) array; a restart leaves both when it stops.
+    The simplices of the restarts are one (R, d+1, d) array and their
+    values one (R, d+1) array, row r restart r for the whole search.
     ``score`` maps a stack of unprojected points to their costs and
     infeasibility causes, and every round is one ``score`` call: the
     initial vertices in the first, then the reflected, expanded and
@@ -245,7 +245,9 @@ def _simplex_search(
     at ``spec.tolerance`` agreement of its values ("tolerance") or once its
     evaluations reach ``spec.max_evals`` ("budget"; the last iteration may
     run past it by up to d+1, and a restart whose shrink ends past it
-    stops once those vertices are scored).
+    stops once those vertices are scored).  A stop marks the row with its
+    reason; the row proposes nothing more and is never written again, and
+    each result is read from its row once no row proposes or waits.
 
     Returns each restart's result and the causes of the evaluations the
     restarts used (speculative points they did not use are left out),
@@ -258,65 +260,48 @@ def _simplex_search(
     cost, cause = score(simplex.reshape(-1, dim))
     values = cost.reshape(count, dim + 1)
     tally = np.bincount(cause, minlength=len(INFEASIBLE)).tolist()
-    results: list[Any] = [None] * count
-    # Per running restart: its index in ``starts``, its evaluations, and
-    # whether the vertices of its last shrink are scored this round.
-    ids, evals, waiting = list(range(count)), [dim + 1] * count, [False] * count
-    # A waiting simplex is sorted by this key, which keeps its order.
+    # Per restart: its evaluations, whether the vertices of its last shrink
+    # are scored this round, and why it stopped (None while it runs).
+    evals, waiting = [dim + 1] * count, [False] * count
+    stops: list[str | None] = [None] * count
+    # A waiting or stopped simplex is sorted by this key, which keeps its
+    # order: argsort is not stable, so sorting a stopped row by its values
+    # again could swap tied vertices and change the point it returns.
     ramp = np.arange(dim + 1.0)
     # offsets of each simplex's vertices in the flattened (R * (d+1), d) stack
     offsets = np.arange(0, count * (dim + 1), dim + 1)[:, None]
     limit, tolerance, isfinite = spec.max_evals, spec.tolerance, math.isfinite
-
-    def retire(stopped: list[bool], reason: str) -> list[bool]:
-        """Record the results of the stopped running restarts and drop them; the kept ones' flags."""
-        nonlocal simplex, values, ids, evals, waiting, offsets
-        rows = [row for row, s in enumerate(stopped) if s]
-        best = values[rows].argsort(axis=1)[:, 0].tolist()
-        for row, vertex in zip(rows, best):
-            results[ids[row]] = (simplex[row, vertex], float(values[row, vertex]), evals[row], reason)
-        keep = [not s for s in stopped]
-        simplex, values = simplex[keep], values[keep]
-        ids, evals, waiting = ([x for x, k in zip(seq, keep) if k] for seq in (ids, evals, waiting))
-        offsets = offsets[: len(ids)]
-        return keep
-
-    over = [e >= limit for e in evals]
+    rows = range(count)
     while True:
-        if any(over):
-            retire(over, "budget")
-        if not ids:
-            break
-        # Begin an iteration: sort each simplex as the sequential one keeps
-        # it, and stop those whose values agree.
-        waits = any(waiting)
-        key = np.where(np.array(waiting)[:, None], ramp, values) if waits else values
+        # Begin an iteration: stop the restarts whose budget is spent, sort
+        # each running simplex as the sequential one keeps it, and stop
+        # those whose values agree.
+        for r in rows:
+            if stops[r] is None and not waiting[r] and evals[r] >= limit:
+                stops[r] = "budget"
+        held = [w or s is not None for w, s in zip(waiting, stops)]
+        key = np.where(np.array(held)[:, None], ramp, values) if any(held) else values
         order = key.argsort(axis=1) + offsets
         simplex, values = simplex.reshape(-1, dim).take(order, axis=0), values.take(order)
         ends = values.tolist()
-        agree = [
-            not w and isfinite(v[0]) and abs(v[-1] - v[0]) <= tolerance * (abs(v[0]) + 1e-300)
-            for w, v in zip(waiting, ends)
-        ]
-        if any(agree):
-            ends = [v for v, k in zip(ends, retire(agree, "tolerance")) if k]
-            if not ids:
-                break
-            waits = any(waiting)
+        for r, v in enumerate(ends):
+            if not held[r] and isfinite(v[0]) and abs(v[-1] - v[0]) <= tolerance * (abs(v[0]) + 1e-300):
+                stops[r] = "tolerance"
+        prop = [r for r in rows if stops[r] is None and not waiting[r]]
+        shrunk = [r for r in rows if waiting[r]]
+        if not (prop or shrunk):
+            break
 
-        size = len(ids)
         worst_pt = simplex[:, -1]
         centroid = np.add.reduce(simplex[:, :-1], axis=1) / dim  # np.mean bit for bit
-        trial = np.empty((3, size, dim))  # reflected (coefficient 1), expanded, contracted
+        trial = np.empty((3, count, dim))  # reflected (coefficient 1), expanded, contracted
         np.add(centroid, centroid - worst_pt, out=trial[0])
         np.add(centroid, _GAMMA * (trial[0] - centroid), out=trial[1])
         np.add(centroid, _RHO * (worst_pt - centroid), out=trial[2])
-        if waits:
-            prop = [row for row, w in enumerate(waiting) if not w]
-            shrunk = [row for row, w in enumerate(waiting) if w]
-            batch = np.concatenate([trial[:, prop].reshape(-1, dim), simplex[shrunk, 1:].reshape(-1, dim)])
+        if len(prop) == count:
+            batch = trial.reshape(-1, dim)
         else:
-            prop, shrunk, batch = range(size), [], trial.reshape(-1, dim)
+            batch = np.concatenate([trial[:, prop].reshape(-1, dim), simplex[shrunk, 1:].reshape(-1, dim)])
         cost, cause = score(batch)
         costs, causes = cost.tolist(), cause.tolist()
 
@@ -355,11 +340,12 @@ def _simplex_search(
                 evals[row] += dim
                 waiting[row] = True
         if moved:
-            target = slice(None) if len(moved) == size else moved
+            target = slice(None) if len(moved) == count else moved
             picks = np.array(picks)
             simplex[target, -1] = batch[picks]
             values[target, -1] = cost[picks]
-        over = [not w and e >= limit for w, e in zip(waiting, evals)] if max(evals) >= limit else ()
+    best = values.argsort(axis=1)[:, 0].tolist()
+    results = [(simplex[r, b], float(values[r, b]), evals[r], stops[r]) for r, b in zip(rows, best)]
     return results, np.array(tally)
 
 

@@ -450,6 +450,13 @@ ORACLE_CASES = {
         "finite",
         SearchSpec(restarts=3, max_evals=2000, tolerance=1e-6, seed=29),
     ),
+    # 21 vertices per simplex; two restarts stop at tolerance while the
+    # third runs on to its budget
+    "n10-mixed": (
+        validate(make_geometric_config(10), make_channel(50.0), SecurityParams(data_size=1e12)),
+        "asymptotic-exact",
+        SearchSpec(restarts=3, max_evals=200, tolerance=0.3, seed=31),
+    ),
 }
 
 
@@ -501,6 +508,8 @@ def test_array_search_matches_the_generator_oracle(case):
         assert stops == {"budget"}
     if case == "tolerance":
         assert "tolerance" in stops
+    if case == "n10-mixed":
+        assert stops == {"tolerance", "budget"}
 
 
 def test_telemetry_counts_infeasible_points_by_cause(caplog):

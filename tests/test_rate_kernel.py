@@ -169,6 +169,11 @@ _ROW_MUTATIONS = st.one_of(
 )
 
 
+def keeps_ladder_rule(ints, probs):
+    """Strictly decreasing down to the vacuum, every send probability > 0; a nan breaks it."""
+    return all(a > b for a, b in zip(ints, ints[1:])) and ints[-1] == 0.0 and all(p > 0.0 for p in probs)
+
+
 def mutate(ints, probs, mutation):
     """One row's ladder and probabilities after ``mutation`` (see ``_ROW_MUTATIONS``)."""
     kind, where, value = mutation
@@ -199,8 +204,10 @@ def test_a_row_raises_alone_what_its_kernel_cause_names(case, distance, seed, wi
 
     ``rate_rows`` reads each row in the order given, as ``rate_report``
     does, so the kernel's cause is the class the row raises alone and a
-    rated row has the same rate bit for bit; a batch of N or N+2 settings
-    raises the ConfigError that each of its rows raises alone and in a scan.
+    rated row has the same rate bit for bit; a row that breaks the ladder
+    rule has a ConfigError cause in every mode; a batch of N or N+2
+    settings raises the ConfigError that each of its rows raises alone and
+    in a scan.
     """
     num_users, mode = case
     bundle = make_bundle(num_users=num_users, distance_km=distance, data_size=1e14)
@@ -226,6 +233,8 @@ def test_a_row_raises_alone_what_its_kernel_cause_names(case, distance, seed, wi
         return
     raw, cause = rate_rows(ints, probs, bundle.config, bundle.channel, bundle.security, mode)
     for i, config in enumerate(configs):
+        if not keeps_ladder_rule(*rows[i]):
+            assert INFEASIBLE[cause[i]] is ConfigError
         if cause[i]:
             with pytest.raises(INFEASIBLE[cause[i]]):
                 rate_report(config, bundle.channel, bundle.security, mode)
