@@ -60,8 +60,6 @@ EXIT_CONSISTENCY = 3
 
 
 def _fmt(value: Any) -> str:
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
         return format(value, ".9e")
     return str(value)
@@ -363,13 +361,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, objective_default: str = "finite") -> None:
+    def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("config", help="path to the JSON configuration document")
         p.add_argument("--distance", type=float, default=None, help="override distance_km")
         p.add_argument(
             "--objective",
             choices=["finite", "asymptotic"],
-            default=objective_default,
+            default="finite",
             help="rate to evaluate or optimize",
         )
         p.add_argument(

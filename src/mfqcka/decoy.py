@@ -60,7 +60,6 @@ class ObservedCounts:
 
     sifted: Mapping[float, float]
     probabilities: Mapping[float, float]
-    num_users: int
 
 
 def _chernoff_sides(s: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -123,35 +122,57 @@ def _eye(n: int) -> np.ndarray:
     return eye
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _decoy_rows(
-    ks: np.ndarray,
-    probs: np.ndarray,
-    sifted: np.ndarray,
-    num_users: int,
-    eps: float | None = None,
-) -> DecoyRows:
-    """The shared rule on a batch: row r is the ladder ``ks[r]`` (signal first).
+def _lagrange_weights(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The weights of the bound on s_mu^m over the m+1 nodes ``xs[j]`` = k_j / mu, m = len(xs) - 1.
 
-    ``probs`` and ``sifted`` are aligned with ``ks``.  With ``eps`` each
-    count enters at its Chernoff lower side where its weight is positive
-    and at its upper side otherwise, and every bound is converted back to a
-    pessimistic observed value.  ``chernoff_applications`` counts the
-    distinct (count, side) pairs used plus one per conversion.  Rows that
-    fail the ladder rule (``_ladder_rows``) or have a negative count get a
-    ConfigError cause; a weight whose nodes underflow, a zero signal count
-    and a bound or phase error that overflows (a send probability p_k far
-    below p_mu overflows (p_mu / p_k)^c, and a decoy intensity far below
-    mu the weights) an EstimationError cause.  Such an overflow emits no
-    warning, and its row's phase error is nan.
+    ``xs`` holds one row per node, largest first, and one column per
+    ladder.  With S = sum_j x_j, w_j = -(S - x_j) / (x_j prod_{i != j}
+    (x_j - x_i)) and the vacuum weight is (-1)^m S / prod_j x_j.  Returns
+    the node weights followed by the vacuum weight, and the ladders whose
+    nodes underflow (prod_j x_j = 0), where the weights are meaningless.
+    """
+    m = len(xs) - 1
+    total = _sum_along(xs, 0)
+    scale = np.multiply.reduce(xs)
+    underflow = scale == 0.0
+    gaps = xs[:, None] - xs + _eye(m + 1)[:, :, None]  # x_j - x_i, 1 on the diagonal
+    denom = xs * np.multiply.reduce(gaps, axis=1)
+    nodes = (xs - total) / (denom + (denom == 0.0))
+    vacuum = (-1) ** m * total / (scale + underflow)
+    return np.concatenate([nodes, vacuum[None]]), underflow
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _decoy_rows(ks: np.ndarray, probs: np.ndarray, sifted: np.ndarray, eps: float | None = None) -> DecoyRows:
+    """The shared rule on a batch: row r is the ladder ``ks[r]`` (signal first) of N+1 settings.
+
+    ``probs`` and ``sifted`` are aligned with ``ks``, and N is read from
+    their width.  With ``eps`` each count enters at its Chernoff lower
+    side where its weight is positive and at its upper side otherwise,
+    and every bound is converted back to a pessimistic observed value.
+    Rows that fail the ladder rule (``_ladder_rows``) or have a negative
+    count get a ConfigError cause; a weight whose nodes underflow, a zero
+    signal count and a bound or phase error that overflows (a send
+    probability p_k far below p_mu overflows (p_mu / p_k)^c, and a decoy
+    intensity far below mu the weights) an EstimationError cause.  Such
+    an overflow emits no warning, and its row's phase error is nan.
 
     The normalized counts t_k = s_k exp(c (k - mu)) (p_mu / p_k)^c are
     formed in log space.  The bound on s_mu^m weighs the m+1 smallest
-    nonzero settings and the vacuum, a contiguous block of settings: with
-    x_j = k_j / mu and S = sum_j x_j, w_j = -(S - x_j) / (x_j prod_{i != j}
-    (x_j - x_i)) and the vacuum weight is (-1)^m S / prod_j x_j.
+    nonzero settings and the vacuum, a contiguous block of settings, with
+    the weights of ``_lagrange_weights``.
+
+    ``chernoff_applications`` is (N+1) + ceil(N/2) with ``eps`` and 0
+    without: each of the N+1 counts enters at one side in every bound, plus
+    one conversion per bound.  On a strictly decreasing ladder node j of
+    a bound, counted from the largest, has a weight of sign (-1)^(j+1),
+    and the block of s_mu^(m+2) starts two settings before the block of
+    s_mu^m, so a setting keeps the sign of its weight from bound to
+    bound.  The vacuum weight has sign (-1)^m, every m of one N has the
+    same parity, and the weight of s_mu^0 is 1.
     """
     rows, settings = ks.shape
+    num_users = settings - 1
     # counts nonnegative: s + 5e-324 > 0 is s >= 0, as no double lies
     # strictly between -5e-324 and 0
     valid = _ladder_rows(ks, probs) & (np.minimum.reduce(sifted, axis=1) + 5e-324 > 0.0)
@@ -167,55 +188,27 @@ def _decoy_rows(
     else:
         beta = math.log(1.0 / eps)
         lower, upper = _chernoff_sides(counts, beta)
-        # (settings, lower side?) of every bound before the last one
-        sides = []
 
+    s_mu = sifted[0]
+    no_signal = s_mu <= 0.0
+    estimation = no_signal  # the rows with an EstimationError cause
     ms = _photon_numbers(num_users)
     raw = np.empty((len(ms), rows))
-    underflows = []  # the rows whose weights underflow, per bound
     for i, m in enumerate(ms):
         if m == 0:  # s_mu^0 = t_0: the vacuum count alone, with weight 1
             raw[i] = lower[-1] * factors[-1]
-            if eps is not None:
-                sides.append((slice(settings - 1, settings), True))
             continue
         block = slice(settings - m - 2, settings)
-        xs = ks[settings - m - 2 : -1] / mu
-        total = _sum_along(xs, 0)
-        scale = np.multiply.reduce(xs)
-        underflow = scale == 0.0
-        underflows.append(underflow)
-        gaps = xs[:, None] - xs + _eye(m + 1)[:, :, None]  # x_j - x_i, 1 on the diagonal
-        denom = xs * np.multiply.reduce(gaps, axis=1)
-        nodes = (xs - total) / (denom + (denom == 0.0))
-        vacuum = (-1) ** m * total / (scale + underflow)
-        weights = np.concatenate([nodes, vacuum[None]])
-        if eps is None:
-            chosen = lower[block]
-        else:
-            positive = weights > 0.0
-            chosen = np.where(positive, lower[block], upper[block])
-            sides.append((block, positive))
+        weights, underflow = _lagrange_weights(ks[settings - m - 2 : -1] / mu)
+        estimation = estimation | underflow
+        chosen = lower[block] if eps is None else np.where(weights > 0.0, lower[block], upper[block])
         raw[i] = _sum_along(weights * chosen * factors[block], 0)
 
     clamped = raw < 0.0
     bounds = np.maximum(raw, 0.0)
-    if eps is None:
-        applications = np.zeros(rows, dtype=np.int64)
-    else:
+    if eps is not None:
         bounds = _observed_lower(bounds, beta)
-        # The last bound weighs every count, on one side each; an earlier one
-        # adds the other side of a count wherever its side differs.
-        _, last = sides.pop()
-        other = np.zeros((settings, rows), dtype=bool)
-        for block, lower_side in sides:
-            other[block] |= last[block] != lower_side
-        applications = np.add.reduce(other) + (settings + len(ms))
-    s_mu = sifted[0]
-    no_signal = s_mu <= 0.0
-    estimation = no_signal  # the rows with an EstimationError cause
-    for underflow in underflows:
-        estimation = estimation | underflow
+    applications = np.full(rows, 0 if eps is None else settings + len(ms), dtype=np.int64)
     phi = 1.0 - _sum_along(bounds, 0) / np.where(no_signal, 1.0, s_mu)
     check = phi + np.add.reduce(raw)
     if not math.isfinite(np.add.reduce(check)):  # some row overflowed; one sum keeps the usual case cheap
@@ -239,7 +232,6 @@ def _decoy_bounds(observed: ObservedCounts, num_users: int, eps: float | None = 
         np.array([ks]),
         np.array([[observed.probabilities[k] for k in ks]]),
         np.array([list(observed.sifted.values())]),
-        num_users,
         eps,
     )
     if rows.cause[0] == _CONFIG:

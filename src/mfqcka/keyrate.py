@@ -249,7 +249,7 @@ def _rate_chunk(
         bounds, applications = np.empty((len(ks), 0)), np.zeros(len(ks), dtype=np.int64)
     else:
         eps = sec.eps_chernoff if mode == "finite" else None
-        rows = decoy._decoy_rows(ks, probs, sifted, n, eps)
+        rows = decoy._decoy_rows(ks, probs, sifted, eps)
         phase, cause = rows.phase_error, rows.cause
         bounds, applications = rows.bounds, rows.chernoff_applications
     return _rate_layers(
@@ -348,7 +348,7 @@ def _report(config: SourceConfig, channel: ChannelParams, sec: SecurityParams, m
         phase, bounds, applications = photonstats.phase_error_exact(config, channel, sec), {}, 0
     else:
         probs = dict(zip(ks, config.send_probabilities))
-        obs = decoy.ObservedCounts(sifted=dict(zip(ks, sifted[0].tolist())), probabilities=probs, num_users=n)
+        obs = decoy.ObservedCounts(sifted=dict(zip(ks, sifted[0].tolist())), probabilities=probs)
         db = decoy.bounds_3user_finite(obs, sec) if mode == "finite" else _DECOY_ASYMPTOTIC[n](obs)
         phase, bounds, applications = db.phase_error_upper, db.s_mu_n_lower, db.chernoff_applications
     errors = error_terms(config.signal_intensity, n, total_efficiency(channel), channel.dark_count_rate)

@@ -65,6 +65,19 @@ def documents() -> dict[str, dict]:
     docs["tiny-decoy"] = make_bundle(
         data_size=1e14, signal=1.0, decoys=(1e-4, 1e-300, 0.0), probs=(0.99, 0.001, 0.001, 0.008)
     ).to_dict()
+    # raised dark counts at 345 km: the decoy phase error falls below the exact one
+    docs["n5-inverted"] = make_bundle(
+        num_users=5,
+        distance_km=345.0,
+        data_size=1e14,
+        dark_count_rate=1e-6,
+        signal=0.05639308926294897,
+        decoys=(0.010503871008998255, 0.0017141080555584127, 0.00023310553293294192, 0.0001, 0.0),
+        probs=(
+            0.056623796934883786, 0.2495281479793791, 0.176733444770661,
+            0.033162672466919445, 0.351906255555783, 0.13204568229237368,
+        ),
+    ).to_dict()
     # no dark counts: the signal of a plain scan dies out with distance
     docs["n4-no-dark-counts"] = make_bundle(num_users=4, data_size=1e14).to_dict()
     docs["n4-no-dark-counts"]["channel"]["dark_count_rate"] = 0.0
@@ -95,6 +108,8 @@ def commands() -> dict[str, list[str]]:
         cmds[f"rate-{doc}-finite"] = [*args, "--out", "rate.csv"]
         for mode, flags in ASYMPTOTIC.items():
             cmds[f"rate-{doc}-{mode}"] = [*args, *flags, "--out", "rate.csv"]
+    for mode, flags in ASYMPTOTIC.items():
+        cmds[f"rate-n5-inverted-{mode}"] = ["rate", "../docs/n5-inverted.json", *flags]
     for doc, distance in (("geo20", "200"), ("large-signal", "50")):
         cmds[f"rate-{doc}-exact"] = ["rate", f"../docs/{doc}.json", "--distance", distance, *ASYMPTOTIC["exact"]]
     for name in (*BAD_FILES, "long-string", "long-bounds"):

@@ -51,7 +51,8 @@ def _ladder(obs: ObservedCounts, settings: int) -> tuple[float, ...]:
 
 def _normalization_factors(obs: ObservedCounts, ks: tuple[float, ...]) -> dict[float, float]:
     """exp(c (k - mu) + c (ln p_mu - ln p_k)), evaluated in log space."""
-    c = 2.0 * (obs.num_users - 1)
+    num_users = len(obs.sifted) - 1
+    c = 2.0 * (num_users - 1)
     mu = ks[0]
     log_p_mu = math.log(obs.probabilities[mu])
     return {

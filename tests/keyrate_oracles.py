@@ -61,7 +61,7 @@ def observed(config: SourceConfig, channel: ChannelParams, data_size: float) -> 
         for i, k in enumerate(config.intensities)
     }
     probs = dict(zip(config.intensities, config.send_probabilities))
-    return ObservedCounts(sifted=sifted, probabilities=probs, num_users=config.num_users)
+    return ObservedCounts(sifted=sifted, probabilities=probs)
 
 
 def finite_rate_raw(config: SourceConfig, channel: ChannelParams, sec: SecurityParams) -> float:

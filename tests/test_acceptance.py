@@ -141,7 +141,6 @@ def test_criterion_4_decoy_soundness_grid():
                 obs = ObservedCounts(
                     sifted=sifted,
                     probabilities=dict(zip(config.intensities, config.send_probabilities)),
-                    num_users=num_users,
                 )
                 db = estimator(obs)
                 points += 1
