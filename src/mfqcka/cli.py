@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -418,6 +419,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand on ``argv`` (default ``sys.argv[1:]``) and return its exit code.
+
+    Before anything else ``main`` calls ``gc.freeze()``: every object
+    alive at that point (numpy, the stdlib and this package as imported)
+    moves to the collector's permanent generation.  In a CLI process all
+    of them live until exit, so neither the run's own collections nor
+    those at interpreter shutdown walk them again (README gives the
+    measured shutdown times).  A caller that runs ``main`` inside a
+    longer-lived process keeps its objects freed by reference counting
+    as before, and the collector still reclaims every cycle made after
+    the call; only cyclic garbage that already existed at the call stays
+    alive, until ``gc.unfreeze()``.
+    """
+    gc.freeze()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -129,17 +129,18 @@ def _lagrange_weights(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ladder.  With S = sum_j x_j, w_j = -(S - x_j) / (x_j prod_{i != j}
     (x_j - x_i)) and the vacuum weight is (-1)^m S / prod_j x_j.  Returns
     the node weights followed by the vacuum weight, and the ladders whose
-    nodes underflow (prod_j x_j = 0), where the weights are meaningless.
+    nodes underflow (prod_j x_j = 0 or some x_j prod_{i != j} (x_j - x_i)
+    = 0), where the weights are meaningless.
     """
     m = len(xs) - 1
     total = _sum_along(xs, 0)
     scale = np.multiply.reduce(xs)
-    underflow = scale == 0.0
     gaps = xs[:, None] - xs + _eye(m + 1)[:, :, None]  # x_j - x_i, 1 on the diagonal
     denom = xs * np.multiply.reduce(gaps, axis=1)
-    nodes = (xs - total) / (denom + (denom == 0.0))
-    vacuum = (-1) ** m * total / (scale + underflow)
-    return np.concatenate([nodes, vacuum[None]]), underflow
+    lost, tiny = denom == 0.0, scale == 0.0
+    nodes = (xs - total) / (denom + lost)
+    vacuum = (-1) ** m * total / (scale + tiny)
+    return np.concatenate([nodes, vacuum[None]]), tiny | np.logical_or.reduce(lost)
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -25,7 +25,11 @@ def _sum_along(terms: np.ndarray, axis: int) -> np.ndarray:
     numpy adds a contiguous last axis pairwise from 8 terms on, and any
     other axis in sequence.  A batch laid out with its rows last, for
     speed, keeps the sums of its row-major form bit for bit this way.
+    Fewer than 8 terms are added in sequence along any axis, so they are
+    summed in place.
     """
+    if terms.shape[axis] < 8:
+        return np.add.reduce(terms, axis=axis)
     last = [*range(axis), *range(axis + 1, terms.ndim), axis]
     return np.add.reduce(terms.transpose(last).copy(), axis=-1)
 

@@ -93,8 +93,10 @@ def _photon_weights(ks: tuple[float, ...], num_users: int) -> dict[int, dict[flo
             raise EstimationError("decoy intensities too small relative to the signal to weigh")
         w = {0.0: (-1) ** m * total / scale}
         for j, (k, x) in enumerate(zip(nodes, xs)):
-            others = math.prod(x - y for i, y in enumerate(xs) if i != j)
-            w[k] = -(total - x) / (x * others)
+            denom = x * math.prod(x - y for i, y in enumerate(xs) if i != j)
+            if denom == 0.0:
+                raise EstimationError("decoy intensities too small relative to the signal to weigh")
+            w[k] = -(total - x) / denom
         weights[m] = w
     return weights
 

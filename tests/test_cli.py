@@ -4,9 +4,11 @@ import contextlib
 import copy
 import csv
 import dataclasses
+import gc
 import io
 import json
 import math
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,6 +39,23 @@ def test_rate_prints_intermediates(config_path, capsys):
         "s_mu_0_lower =",
     ):
         assert key in out
+
+
+class Node:
+    """A tracked object that can refer to itself."""
+
+
+def test_main_freezes_only_the_heap_it_starts_with(config_path, capsys):
+    enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    assert main(["rate", config_path, "--bound-only"]) == EXIT_OK  # its argv list, at least, is frozen
+    assert gc.isenabled() is enabled
+    assert gc.get_freeze_count() > frozen
+    cycle = Node()
+    cycle.self = cycle
+    collected = weakref.ref(cycle)
+    del cycle
+    gc.collect()
+    assert collected() is None
 
 
 def test_rate_asymptotic_modes(config_path, capsys):

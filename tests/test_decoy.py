@@ -427,15 +427,13 @@ def test_count_and_cause_on_extreme_ladders(num_users, kind):
         assert math.isfinite(want.phase_error_upper)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the node weight's denominator x_j prod (x_j - x_i) underflows to 0 while prod x_j does not; "
-    "the kernel substitutes 1 for it and rates the row with meaningless weights and cause 0",
-)
 def test_underflowing_node_gaps_are_an_estimation_error():
     ks = np.array([[0.5] + [1e-30 * (1.0 - i * 1e-14) for i in range(9)] + [0.0]])
-    got = _decoy_rows(ks, np.full((1, 11), 1.0 / 11), np.full((1, 11), 1e6), 1e-10)
+    probs, sifted = np.full((1, 11), 1.0 / 11), np.full((1, 11), 1e6)
+    got = _decoy_rows(ks, probs, sifted, 1e-10)
     assert got.cause[0] == INFEASIBLE.index(EstimationError)
+    with pytest.raises(EstimationError):
+        decoy_oracles.decoy_bounds(observed_row(ks, probs, sifted, 0), 10, 1e-10)
 
 
 @pytest.mark.parametrize("num_users", [3, 4, 5])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mfqcka.special_math import _entropy, _i0_minus_one_rule, _i0_rule
+from mfqcka.special_math import _entropy, _i0_minus_one_rule, _i0_rule, _sum_along
 
 
 def i0_series(x: float, terms: int = 80, start: int = 0) -> float:
@@ -85,3 +85,22 @@ class TestBesselI0MinusOne:
         values = _i0_minus_one_rule(xs)
         for x, v in zip(xs, values):
             assert abs(v - i0_series(x, start=1)) <= 1e-14 * i0_series(x, start=1)
+
+
+# (shape with n in place of the summed axis, summed axis): rows first, rows
+# last, and the transfer-chain step's (node, setting, setting, row) block
+LAYOUTS = [(("rows", "n"), 1), (("n", "rows"), 0), ((3, 4, "n", "rows"), 2)]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("layout, axis", LAYOUTS, ids=["rows-first", "rows-last", "chain"])
+def test_sum_along_adds_in_the_order_of_a_contiguous_last_axis(layout, axis, n):
+    """Bit for bit the transposed-and-copied sum, also where fewer than 8 terms are summed in place."""
+    rng = np.random.default_rng(n)
+    shape = tuple({"rows": 37, "n": n}.get(d, d) for d in layout)
+    # signed terms over 16 decades, so the order of the additions shows in the bits
+    terms = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape)
+    want = np.add.reduce(np.moveaxis(terms, axis, -1).copy(), axis=-1)
+    got = _sum_along(terms, axis)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
