@@ -11,7 +11,7 @@ oracle for the closed-form statistics.
 
 A port's click probabilities depend only on the two users' setting
 indices, their slice difference mod M and the XOR of their raw bits, so
-each shard evaluates them once into small tables (``_click_tables``).
+each run evaluates them once into small tables (``_click_tables``).
 Only a single click is kept, so they reduce to two per-key tables
 (``_port_tables``): the single-click probability s and the probability
 that a single click is on the right detector (d = 1).
@@ -32,7 +32,10 @@ are i.i.d. too, and no other user's variables reach any output.
 Generation is sharded into fixed-size blocks of bins with independent
 RNG substreams spawned from the master seed, so results are bit-for-bit
 reproducible regardless of how the shards are executed; matching is a
-global pass over the retained bins and runs after all shards.
+global pass over the retained bins and runs after all shards.  Within a
+shard the uniforms are drawn in blocks of ``_BLOCK`` and indices held as
+int32, so its working set is a few bytes per candidate port; the blocks
+continue one stream and leave every draw where one call would put it.
 
 Bit extraction is one array kernel, ``_conference_bits``, called once
 per matched slice on all of that slice's sifted coincidences.
@@ -99,12 +102,11 @@ def _click_tables(
     Both tables have the shape (S, S, M, 2) and are indexed by the two
     users' setting indices, their slice difference mod M and the XOR of
     their raw bits.  Each entry is the per-bin expression evaluated with
-    the same floating-point operations in the same order, so it equals
+    the same floating-point operations on the same operands, so it equals
     the formula bit for bit.  Flipping the XOR negates the beat exactly,
-    so the right table, mean - beat, is the left one mirrored on that axis.
-    A table has 2 S^2 M entries (512 for N=3, M=16), about four times
-    the (S, ports, M/2) retained-click counts that ``run_protocol``
-    already builds.
+    so the right table, mean - beat, is the left one mirrored on that axis
+    (a view).  The left table is built in place, in one array of
+    2 S^2 M doubles (512 for N=3, M=16; 65 MB for N=256, M=62).
     """
     eta_t = total_efficiency(channel)
     p_d = channel.dark_count_rate
@@ -112,8 +114,13 @@ def _click_tables(
     k_a = settings[:, None, None, None]
     k_b = settings[None, :, None, None]
     sign = 1.0 - 2.0 * np.arange(2)
-    beat = eta_t * np.sqrt(k_a * k_b) * cos_table[None, None, :, None] * sign
-    p_left = 1.0 - (1.0 - p_d) * np.exp(-np.maximum(0.5 * eta_t * (k_a + k_b) + beat, 0.0))
+    p_left = eta_t * np.sqrt(k_a * k_b) * cos_table[None, None, :, None] * sign
+    p_left += 0.5 * eta_t * (k_a + k_b)
+    np.maximum(p_left, 0.0, out=p_left)
+    np.negative(p_left, out=p_left)
+    np.exp(p_left, out=p_left)
+    p_left *= 1.0 - p_d
+    np.subtract(1.0, p_left, out=p_left)
     return p_left, p_left[..., ::-1]
 
 
@@ -124,67 +131,196 @@ def _port_tables(
 
     Both tables have the shape of ``_click_tables``.  The first holds
     s = pL (1 - pR) + pR (1 - pL), the second P(d = 1 | single click) =
-    pR (1 - pL) / s (0 where s is 0).
+    pR (1 - pL) / s (0 where s is 0).  The left-only term pL (1 - pR) is
+    the right-only term mirrored on the XOR axis, so two tables of the
+    click tables' size are all the memory the build takes.
     """
     p_left, p_right = _click_tables(config, channel, cos_table)
-    right_only = p_right * (1.0 - p_left)
-    single = p_left * (1.0 - p_right) + right_only
-    right_given_single = np.divide(
-        right_only, single, out=np.zeros_like(single), where=single > 0.0
-    )
+    right_given_single = 1.0 - p_left
+    right_given_single *= p_right
+    del p_left, p_right
+    single = right_given_single[..., ::-1] + right_given_single
+    # where s is 0 both of its nonnegative terms are, so pR (1 - pL) is the 0 kept there
+    np.divide(right_given_single, single, out=right_given_single, where=single > 0.0)
     return single, right_given_single
 
 
+# Uniforms are drawn and thresholded this many at a time, so that no
+# float array of a shard's size is held; a block of 2^14 doubles is 128 KB.
+_BLOCK = 1 << 14
+
+
+def _uniform_blocks(rng: np.random.Generator, rows: int, width: int = 1):
+    """Yield (start, stop, u): the uniforms of rows start .. stop-1, row-major.
+
+    ``u`` holds (stop - start) * width numbers, about ``_BLOCK`` of them.
+    Successive ``Generator.random`` calls continue one stream, so the
+    blocks together hold exactly what one ``rng.random((rows, width))``
+    call returns.
+    """
+    step = max(1, _BLOCK // width)
+    for start in range(0, rows, step):
+        stop = min(start + step, rows)
+        yield start, stop, rng.random((stop - start) * width)
+
+
+def _candidate_ports(
+    rng: np.random.Generator, n_cand: int, reach: np.ndarray, q: float, index: np.dtype
+) -> np.ndarray:
+    """One entry, bin * ports + port, per candidate port of ``n_cand`` candidate bins.
+
+    ``reach[j]`` is the chance that one of ports 0 .. j is a candidate.
+    The first candidate port of a bin follows by inversion of that
+    truncated geometric law, the later ones are Bernoulli(q).  Entries are
+    ordered by bin and then port.
+    """
+    ports = reach.size
+    # first = number of thresholds reach[:-1] that u reach[-1] reaches, which
+    # is searchsorted(reach, u reach[-1], side="right") capped at the last
+    # port, where u reach[-1] may round up to reach[-1]
+    first = np.zeros(n_cand, dtype=_index_type(ports))
+    for start, stop, u in _uniform_blocks(rng, n_cand):
+        u *= reach[-1]
+        for edge in reach[:-1]:
+            first[start:stop] += u >= edge
+    # the port of each flag of a block, flat: broadcasting the (rows, ports)
+    # comparison instead is slow for few ports
+    port_of = np.tile(np.arange(ports, dtype=first.dtype), max(1, _BLOCK // ports))
+    parts = [np.zeros(0, dtype=index)]
+    for start, stop, u in _uniform_blocks(rng, n_cand, ports):
+        head = np.repeat(first[start:stop], ports)
+        port = port_of[: u.size]
+        flags = u < q
+        flags &= port > head
+        flags |= port == head
+        parts.append((np.flatnonzero(flags) + start * ports).astype(index))
+    return np.concatenate(parts)
+
+
+def _right_users(entry: np.ndarray, ports: int) -> np.ndarray:
+    """Index of each candidate port's right user; its left user is one before.
+
+    Port j reads users j and j+1.  Only the users of candidate ports are
+    drawn, each once: an entry's left user sits just before its right
+    user, and the next port of the same bin shares that right user.
+    """
+    step = np.full(entry.size, 2, dtype=np.int8)
+    step[1:] -= (np.diff(entry) == 1) & (entry[1:] % ports != 0)
+    right = np.cumsum(step, dtype=entry.dtype)
+    right -= 1
+    return right
+
+
+def _draw_users(
+    rng: np.random.Generator, n_users: int, config: SourceConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Setting index, slice and raw bit of ``n_users`` users."""
+    # setting index = number of thresholds cum[:-1] that u reaches; u < 1
+    # never reaches cum[-1], so this is searchsorted(cum, u, side="right")
+    cum = np.cumsum(np.asarray(config.send_probabilities))
+    setting = np.zeros(n_users, dtype=_index_type(cum.size))
+    for start, stop, u in _uniform_blocks(rng, n_users):
+        for edge in cum[:-1]:
+            setting[start:stop] += u >= edge
+    slices = rng.integers(0, config.phase_slices, size=n_users, dtype=np.int16)
+    bits = rng.integers(0, 2, size=n_users, dtype=np.int8)
+    return setting, slices, bits
+
+
+def _table_keys(
+    users: tuple[np.ndarray, ...], right: np.ndarray, shape: tuple[int, ...]
+) -> np.ndarray:
+    """Flat index of each port into the (S, S, M, 2) port tables.
+
+    ``users`` holds the setting indices, slices and raw bits of the users,
+    and ``right`` each port's right user; the key is that of (left
+    setting, right setting, slice difference mod M, bit XOR).
+    """
+    setting, slices, bits = users
+    n_settings, _, m_slices, _ = shape
+    key_type = np.promote_types(right.dtype, _index_type(math.prod(shape)))
+    right = right.astype(np.intp)  # numpy gathers with intp indices
+    left = right - 1
+    key = setting[left].astype(key_type)
+    key *= n_settings
+    key += setting[right]
+    key *= m_slices
+    delta = slices[left] - slices[right]
+    key += delta
+    key += (delta < 0) * key.dtype.type(m_slices)  # the difference mod M
+    key *= 2
+    key += bits[left] ^ bits[right]
+    return key
+
+
 def _detect_ports(
-    k_pair: np.ndarray,
-    slice_pair: np.ndarray,
-    bit_pair: np.ndarray,
+    users: tuple[np.ndarray, ...],
+    right: np.ndarray,
     single: np.ndarray,
     right_given_single: np.ndarray,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Thin candidate ports down to single clicks.
 
-    Each ``*_pair`` holds the left user's values in row 0 and the right
-    user's in row 1, one column per candidate port.  A candidate succeeds
-    with probability single[key] / max(single) and then announces d = 1
-    with probability right_given_single[key].  Returns the success mask
-    and the announcements (0 where there is no success).
+    ``users`` and ``right`` are as in ``_table_keys``, one port per entry
+    of ``right``.  A candidate succeeds with probability single[key] /
+    max(single) and then announces d = 1 with probability
+    right_given_single[key].  Returns the positions of the successes in
+    ``right``, ascending, and their announcements.
     """
-    key = np.ravel_multi_index(
-        (
-            k_pair[0],
-            k_pair[1],
-            (slice_pair[0] - slice_pair[1]) % single.shape[2],
-            bit_pair[0] ^ bit_pair[1],
-        ),
-        single.shape,
-    )
-    success = rng.random(key.size) * single.max() < single.take(key)
-    d_val = np.zeros(key.size, dtype=np.int8)
-    hit_keys = key[success]
-    d_val[success] = rng.random(hit_keys.size) < right_given_single.take(hit_keys)
-    return success, d_val
+    q = single.max()
+    success = np.empty(right.size, dtype=bool)
+    for start, stop, u in _uniform_blocks(rng, right.size):
+        u *= q
+        keys = _table_keys(users, right[start:stop], single.shape)
+        np.less(u, single.take(keys), out=success[start:stop])
+    hits = np.flatnonzero(success).astype(right.dtype)
+    d_val = np.empty(hits.size, dtype=bool)
+    for start, stop, u in _uniform_blocks(rng, hits.size):
+        keys = _table_keys(users, right[hits[start:stop]], single.shape)
+        np.less(u, right_given_single.take(keys), out=d_val[start:stop])
+    return hits, d_val
+
+
+def _pick_ports(rng: np.random.Generator, n_cand: int, hit_bins: np.ndarray) -> np.ndarray:
+    """Choose one success uniformly in every candidate bin that has one.
+
+    ``hit_bins`` holds the candidate bin of each success, ascending.  A
+    pick uniform is drawn for every candidate bin, but only bins with a
+    success need one: the pick-th success of the bin, counted from 0.
+    Returns the positions of the chosen successes in ``hit_bins``.
+    """
+    starts = np.flatnonzero(np.diff(hit_bins, prepend=-1)).astype(hit_bins.dtype)
+    counts = np.diff(starts, append=hit_bins.size)
+    bins = hit_bins[starts]
+    for start, stop, u in _uniform_blocks(rng, n_cand):
+        lo, hi = np.searchsorted(bins, (start, stop))
+        starts[lo:hi] += (u[bins[lo:hi] - start] * counts[lo:hi]).astype(starts.dtype)
+    return starts
 
 
 def _generate_shard(
     config: SourceConfig,
-    channel: ChannelParams,
     n_bins: int,
     rng: np.random.Generator,
-    cos_table: np.ndarray,
+    single: np.ndarray,
+    right_given_single: np.ndarray,
 ) -> tuple[dict[str, np.ndarray], int]:
     """Simulate one block of bins by thinning.
 
+    ``single`` and ``right_given_single`` are the run's ``_port_tables``.
     Returns the retained-bin columns and the number of candidate bins,
     the bins in which some port could click and which were simulated.
+    The draws, in order: the candidate-bin count, the first candidate
+    port of each candidate bin, the (candidates, ports) flags, the
+    setting uniforms, slices and raw bits of the drawn users, one success
+    uniform per candidate port, one announcement uniform per success and
+    one pick uniform per candidate bin.  Uniforms are drawn in blocks and
+    indices held as int32, which changes neither the numbers nor their
+    order.
     """
     ports = config.num_users - 1
-    m_slices = config.phase_slices
-    half = m_slices // 2
-    n_settings = len(config.intensities)
-    cum = np.cumsum(np.asarray(config.send_probabilities))
-    single, right_given_single = _port_tables(config, channel, cos_table)
+    half = config.phase_slices // 2
     q = float(single.max())
 
     # reach[j] = P(one of ports 0 .. j is a candidate) = 1 - (1 - q)^(j+1)
@@ -193,64 +329,32 @@ def _generate_shard(
     else:
         reach = np.ones(ports)
     n_cand = int(rng.binomial(n_bins, reach[-1]))
-    # the first candidate port by inversion of the truncated geometric
-    # law, the later ones Bernoulli(q)
-    first = np.searchsorted(reach, rng.random(n_cand) * reach[-1], side="right")
-    np.minimum(first, ports - 1, out=first)  # u * reach[-1] may round up to reach[-1]
-    first = first[:, None]
-    port_ids = np.arange(ports)
-    candidate = (port_ids == first) | ((port_ids > first) & (rng.random((n_cand, ports)) < q))
-    # one entry per candidate port, ordered by bin and then port
-    entry = np.flatnonzero(candidate)
-    bin_of, port = np.divmod(entry, ports)
+    # entries and users fit int32 unless a shard has 2^30 candidate ports
+    index = np.promote_types(np.int32, _index_type(2 * n_cand * ports))
+    entry = _candidate_ports(rng, n_cand, reach, q, index)
+    right = _right_users(entry, ports)
+    users = _draw_users(rng, int(right[-1]) + 1 if right.size else 0, config)
+    hits, d_val = _detect_ports(users, right, single, right_given_single, rng)
+    entry, right = entry[hits], right[hits]
+    picks = _pick_ports(rng, n_cand, entry // ports)
+    entry, right, d_val = entry[picks], right[picks], d_val[picks]
 
-    # Port j reads users j and j+1.  Only the users of candidate ports are
-    # drawn, each once: the users are laid out so that an entry's left
-    # user sits just before its right user, and the next port of the same
-    # bin shares that right user.
-    shared = np.zeros(entry.size, dtype=bool)
-    shared[1:] = (np.diff(entry) == 1) & (port[1:] > 0)
-    right = np.cumsum(2 - shared) - 1
-    pair = np.stack([right - 1, right])
-    n_drawn = int(right[-1]) + 1 if entry.size else 0
-
-    # setting index = number of thresholds cum[:-1] that u reaches; u < 1
-    # never reaches cum[-1], so this is searchsorted(cum, u, side="right")
-    u = rng.random(n_drawn)
-    setting = np.zeros(n_drawn, dtype=_index_type(n_settings))
-    for edge in cum[:-1]:
-        setting += u >= edge
-    k_pair = setting[pair]
-    slice_pair = rng.integers(0, m_slices, size=n_drawn, dtype=np.int16)[pair]
-    bit_pair = rng.integers(0, 2, size=n_drawn, dtype=np.int8)[pair]
-
-    success, d_val = _detect_ports(k_pair, slice_pair, bit_pair, single, right_given_single, rng)
-
-    # the pick uniforms are drawn for every candidate bin, but only bins
-    # with a success need a port: the pick-th successful one, counted from 0
-    hits = np.flatnonzero(success)
-    hit_bins = bin_of[hits]
-    starts = np.flatnonzero(np.diff(hit_bins, prepend=-1))
-    counts = np.diff(starts, append=hits.size)
-    u_pick = rng.random(n_cand)
-    chosen = hits[starts + (u_pick[hit_bins[starts]] * counts).astype(np.int64)]
-
-    k_left, k_right = k_pair[:, chosen]
-    s_left, s_right = slice_pair[:, chosen]
-    keep = (k_left == k_right) & ((s_left - s_right) % half == 0)
-    chosen, s_left, s_right = chosen[keep], s_left[keep], s_right[keep]
+    setting, slices, bits = users
+    k_left = setting[right - 1]
+    s_left, s_right = slices[right - 1], slices[right]
+    keep = (k_left == setting[right]) & ((s_left - s_right) % half == 0)
+    right, s_left, s_right = right[keep], s_left[keep], s_right[keep]
     # phase bit floor(2 s / M) = [s >= M/2] (M is even); 2 s overflows int16
-    columns = {
-        "port": port[chosen].astype(_index_type(ports)),
+    return {
+        "port": (entry[keep] % ports).astype(_index_type(ports)),
         "m": s_left % half,
         "k_idx": k_left[keep],
         "m_left": (s_left >= half).astype(np.int8),
         "m_right": (s_right >= half).astype(np.int8),
-        "r_left": bit_pair[0, chosen],
-        "r_right": bit_pair[1, chosen],
-        "d": d_val[chosen],
-    }
-    return columns, n_cand
+        "r_left": bits[right - 1],
+        "r_right": bits[right],
+        "d": d_val[keep].astype(np.int8),
+    }, n_cand
 
 
 def _conference_bits(
@@ -325,6 +429,7 @@ def run_protocol(
     half = m_slices // 2
     n_settings = len(config.intensities)
     cos_table = np.cos(2.0 * np.pi * np.arange(m_slices) / m_slices)
+    single, right_given_single = _port_tables(config, channel, cos_table)
 
     n_shards = (num_bins + _SHARD_BINS - 1) // _SHARD_BINS
     # Each stream is spawned when it is needed: successive spawn(1) calls
@@ -337,11 +442,13 @@ def run_protocol(
         size = min(_SHARD_BINS, remaining)
         remaining -= size
         rng = np.random.default_rng(master.spawn(1)[0])
-        shard, n_cand = _generate_shard(config, channel, size, rng, cos_table)
+        shard, n_cand = _generate_shard(config, size, rng, single, right_given_single)
         columns.append(shard)
         candidate_bins += n_cand
+    del single, right_given_single
 
     merged = {key: np.concatenate([c[key] for c in columns]) for key in columns[0]}
+    del columns
 
     combo = (merged["k_idx"].astype(np.int64) * ports + merged["port"]) * half + merged["m"]
     retained_counts = np.bincount(combo, minlength=n_settings * ports * half).reshape(
@@ -364,13 +471,18 @@ def run_protocol(
     conf_errors_all = 0
     matched_draws = 0
     dump_parts: list[np.ndarray] = []
-    for m in range(half):
-        sets = [
-            np.flatnonzero((merged["port"] == j) & (merged["m"] == m)) for j in range(ports)
-        ]
+    # The retained bins sorted stably by (slice, port), a radix sort on the
+    # smallest integer type: each group is the ascending index list of its
+    # slice and port, as a mask over all retained bins would give it.
+    totals = retained_counts.sum(axis=0).T  # (slice, port)
+    bounds = np.concatenate([[0], np.cumsum(totals)])
+    group = merged["m"].astype(_index_type(half * ports))
+    group *= ports
+    group += merged["port"]
+    order = np.argsort(group, kind="stable")
+    for m in np.flatnonzero(totals.min(axis=1)).tolist():
+        sets = [order[bounds[g] : bounds[g + 1]] for g in range(m * ports, (m + 1) * ports)]
         n_min = min(len(s) for s in sets)
-        if n_min == 0:
-            continue
         matched_draws += n_min
         rows = np.stack(
             [s[match_rng.permutation(len(s))[:n_min]] for s in sets]
@@ -401,6 +513,7 @@ def run_protocol(
         _write_dump(coincidence_dump, n_users, config.intensities, dump_parts)
 
     settings = config.intensities
+    retained_counts, totals = retained_counts.tolist(), totals.tolist()
     return TrialSummary(
         bins=num_bins,
         seed=seed,
@@ -408,16 +521,12 @@ def run_protocol(
         phase_slices=m_slices,
         intensities=settings,
         retained_clicks={
-            (settings[k], j + 1, m): int(retained_counts[k, j, m])
+            (settings[k], j + 1, m): retained_counts[k][j][m]
             for k in range(n_settings)
             for j in range(ports)
             for m in range(half)
         },
-        slice_totals={
-            (j + 1, m): int(retained_counts[:, j, m].sum())
-            for j in range(ports)
-            for m in range(half)
-        },
+        slice_totals={(j + 1, m): totals[m][j] for j in range(ports) for m in range(half)},
         sifted={settings[k]: int(sifted[k]) for k in range(n_settings)},
         adjacent_total={j + 1: int(adjacent_total[j]) for j in range(ports)},
         adjacent_wrong={j + 1: int(adjacent_wrong[j]) for j in range(ports)},

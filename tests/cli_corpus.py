@@ -78,6 +78,8 @@ def documents() -> dict[str, dict]:
             0.033162672466919445, 0.351906255555783, 0.13204568229237368,
         ),
     ).to_dict()
+    # the largest slice count: thousands of slices without a bin to match
+    docs["n3-m32766"] = make_bundle(data_size=1e14, phase_slices=32766).to_dict()
     # no dark counts: the signal of a plain scan dies out with distance
     docs["n4-no-dark-counts"] = make_bundle(num_users=4, data_size=1e14).to_dict()
     docs["n4-no-dark-counts"]["channel"]["dark_count_rate"] = 0.0
@@ -131,6 +133,12 @@ def commands() -> dict[str, list[str]]:
     ]
     for doc, bins in (("n3", "200000"), ("geo8", "100000"), ("many130-m32766", "3000"), ("many3000-m16", "3000")):
         cmds[f"simulate-{doc}"] = ["simulate", f"../docs/{doc}.json", "--bins", bins, "--seed", "3", "--out", "run.json"]
+    # several shards, the last one partial, with every sifted coincidence dumped
+    for doc, bins in (("n3", "2500001"), ("geo8", "1100001"), ("n3-m32766", "2500001")):
+        cmds[f"simulate-{doc}-shards"] = [
+            "simulate", f"../docs/{doc}.json", "--bins", bins, "--seed", "4", "--out", "run.json",
+            "--dump-coincidences", "coincidences.csv",
+        ]
     # one bin past simulate's bound: rejected before any shard runs
     cmds["simulate-n3-too-many-bins"] = ["simulate", "../docs/n3.json", "--bins", "1000000000001"]
     cmds["scan-n4-exact-until-no-signal"] = [

@@ -7,6 +7,13 @@ now simulates only the bins in which a port can click (thinning) and
 consumes its random stream differently, so the tests require the two to
 agree in distribution, by two-sample z-tests on the retained bins.
 
+``reference_shard`` is the thinning shard generator as the package ran
+it before its working set was bounded: it builds the port tables itself,
+draws every uniform of a kind in one call, holds the candidate flags as
+a float matrix and indexes users through stacked int64 pairs.  It is the
+reference of the draw order: the tests require ``_generate_shard`` to
+return its columns, dtypes and candidate count bit for bit.
+
 ``extract_bits`` is the per-record bit extraction the package once
 exported next to its array kernel ``montecarlo._conference_bits``; the
 tests require the two to agree on every coincidence they are given.
@@ -14,6 +21,7 @@ tests require the two to agree on every coincidence they are given.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -105,6 +113,123 @@ def generate_shard(
         "r_right": bits[right],
         "d": d_val[left],
     }
+
+
+def reference_port_tables(
+    config: SourceConfig, channel: ChannelParams, cos_table: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Single-click probability s of one port and P(d = 1 | single click).
+
+    Both have the shape (S, S, M, 2), indexed by the two users' setting
+    indices, their slice difference mod M and the XOR of their raw bits.
+    """
+    eta_t = total_efficiency(channel)
+    p_d = channel.dark_count_rate
+    settings = np.asarray(config.intensities)
+    k_a = settings[:, None, None, None]
+    k_b = settings[None, :, None, None]
+    sign = 1.0 - 2.0 * np.arange(2)
+    beat = eta_t * np.sqrt(k_a * k_b) * cos_table[None, None, :, None] * sign
+    p_left = 1.0 - (1.0 - p_d) * np.exp(-np.maximum(0.5 * eta_t * (k_a + k_b) + beat, 0.0))
+    p_right = p_left[..., ::-1]
+    right_only = p_right * (1.0 - p_left)
+    single = p_left * (1.0 - p_right) + right_only
+    right_given_single = np.divide(
+        right_only, single, out=np.zeros_like(single), where=single > 0.0
+    )
+    return single, right_given_single
+
+
+def reference_shard(
+    config: SourceConfig,
+    channel: ChannelParams,
+    n_bins: int,
+    rng: np.random.Generator,
+    cos_table: np.ndarray,
+) -> tuple[dict[str, np.ndarray], int]:
+    """Simulate one block of bins by thinning, in the reference draw order.
+
+    Returns the retained-bin columns and the number of candidate bins.
+    The draws, in order: the candidate-bin count, the first candidate
+    port of every candidate bin, the (candidates, ports) flags, the
+    setting uniforms, slices and raw bits of the drawn users, one success
+    uniform per candidate port, one announcement uniform per success and
+    one pick uniform per candidate bin.
+    """
+    ports = config.num_users - 1
+    m_slices = config.phase_slices
+    half = m_slices // 2
+    n_settings = len(config.intensities)
+    index_type = lambda count: np.min_scalar_type(-count)
+    cum = np.cumsum(np.asarray(config.send_probabilities))
+    single, right_given_single = reference_port_tables(config, channel, cos_table)
+    q = float(single.max())
+
+    if q < 1.0:
+        reach = -np.expm1(np.arange(1, ports + 1) * math.log1p(-q))
+    else:
+        reach = np.ones(ports)
+    n_cand = int(rng.binomial(n_bins, reach[-1]))
+    first = np.searchsorted(reach, rng.random(n_cand) * reach[-1], side="right")
+    np.minimum(first, ports - 1, out=first)
+    first = first[:, None]
+    port_ids = np.arange(ports)
+    candidate = (port_ids == first) | ((port_ids > first) & (rng.random((n_cand, ports)) < q))
+    entry = np.flatnonzero(candidate)
+    bin_of, port = np.divmod(entry, ports)
+
+    # an entry's left user sits just before its right user, and the next
+    # port of the same bin shares that right user
+    shared = np.zeros(entry.size, dtype=bool)
+    shared[1:] = (np.diff(entry) == 1) & (port[1:] > 0)
+    right = np.cumsum(2 - shared) - 1
+    pair = np.stack([right - 1, right])
+    n_drawn = int(right[-1]) + 1 if entry.size else 0
+
+    u = rng.random(n_drawn)
+    setting = np.zeros(n_drawn, dtype=index_type(n_settings))
+    for edge in cum[:-1]:
+        setting += u >= edge
+    k_pair = setting[pair]
+    slice_pair = rng.integers(0, m_slices, size=n_drawn, dtype=np.int16)[pair]
+    bit_pair = rng.integers(0, 2, size=n_drawn, dtype=np.int8)[pair]
+
+    key = np.ravel_multi_index(
+        (
+            k_pair[0],
+            k_pair[1],
+            (slice_pair[0] - slice_pair[1]) % single.shape[2],
+            bit_pair[0] ^ bit_pair[1],
+        ),
+        single.shape,
+    )
+    success = rng.random(key.size) * single.max() < single.take(key)
+    d_val = np.zeros(key.size, dtype=np.int8)
+    hit_keys = key[success]
+    d_val[success] = rng.random(hit_keys.size) < right_given_single.take(hit_keys)
+
+    hits = np.flatnonzero(success)
+    hit_bins = bin_of[hits]
+    starts = np.flatnonzero(np.diff(hit_bins, prepend=-1))
+    counts = np.diff(starts, append=hits.size)
+    u_pick = rng.random(n_cand)
+    chosen = hits[starts + (u_pick[hit_bins[starts]] * counts).astype(np.int64)]
+
+    k_left, k_right = k_pair[:, chosen]
+    s_left, s_right = slice_pair[:, chosen]
+    keep = (k_left == k_right) & ((s_left - s_right) % half == 0)
+    chosen, s_left, s_right = chosen[keep], s_left[keep], s_right[keep]
+    columns = {
+        "port": port[chosen].astype(index_type(ports)),
+        "m": s_left % half,
+        "k_idx": k_left[keep],
+        "m_left": (s_left >= half).astype(np.int8),
+        "m_right": (s_right >= half).astype(np.int8),
+        "r_left": bit_pair[0, chosen],
+        "r_right": bit_pair[1, chosen],
+        "d": d_val[chosen],
+    }
+    return columns, n_cand
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,8 @@ import functools
 import itertools
 import json
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -14,13 +16,24 @@ from mfqcka import montecarlo
 from mfqcka.channel import total_efficiency
 from mfqcka.model import Bundle
 from mfqcka.montecarlo import compare_to_analytic, run_protocol
-from conftest import make_bundle
+from mfqcka.model import SecurityParams, validate
+from conftest import make_bundle, make_channel, make_geometric_config, make_many_users_bundle
 
 
 def _tables(bundle):
     m_slices = bundle.config.phase_slices
     cos_table = np.cos(2.0 * np.pi * np.arange(m_slices) / m_slices)
     return montecarlo._click_tables(bundle.config, bundle.channel, cos_table), cos_table
+
+
+def package_shard(config, channel, n_bins, rng, cos_table):
+    """``montecarlo._generate_shard`` called with the oracles' arguments."""
+    tables = montecarlo._port_tables(config, channel, cos_table)
+    return montecarlo._generate_shard(config, n_bins, rng, *tables)
+
+
+def geometric_bundle(num_users):
+    return validate(make_geometric_config(num_users), make_channel(50.0), SecurityParams(data_size=1e12))
 
 
 ORACLE_BUNDLES = {
@@ -59,15 +72,18 @@ class TestClickTables:
         )
         q = single.max()
         trials = 2 * 10**5
-        # (left, right) user values of port 1 in the first trials columns,
-        # of port 2 in the last
-        column = lambda pairs, dtype: np.repeat(np.array(pairs, dtype=dtype).T, trials, axis=1)
-        success, d_val = montecarlo._detect_ports(
-            column([(0, 0), (0, 1)], np.int8), column([(0, 1), (1, 3)], np.int16),
-            column([(0, 0), (0, 1)], np.int8), single, right_given_single,
+        # users 2i and 2i+1 are the (left, right) users of candidate port i:
+        # port 1 in the first trials candidates, port 2 in the last
+        users = lambda pairs, dtype: np.repeat(np.array(pairs, dtype=dtype), trials, axis=0).ravel()
+        hits, d_hit = montecarlo._detect_ports(
+            (users([(0, 0), (0, 1)], np.int8), users([(0, 1), (1, 3)], np.int16),
+             users([(0, 0), (0, 1)], np.int8)),
+            np.arange(1, 4 * trials, 2, dtype=np.int32), single, right_given_single,
             np.random.default_rng(3),
         )
-        assert not (d_val.astype(bool) & ~success).any()
+        assert hits.dtype == np.int32 and (np.diff(hits) > 0).all()
+        success, d_val = np.zeros(2 * trials, dtype=bool), np.zeros(2 * trials, dtype=bool)
+        success[hits], d_val[hits] = True, d_hit
         success, d_val = success.reshape(2, trials), d_val.reshape(2, trials)
         eta_t = total_efficiency(bundle.channel)
         p_d, m_slices = bundle.channel.dark_count_rate, bundle.config.phase_slices
@@ -100,8 +116,8 @@ def retained_cells(shard, bundle, n_bins, seed, chunk=1 << 18):
     """Retained bins per (setting, port, left slice); d = 1 and retained bins
     per (port, noiseless announcement).
 
-    ``shard`` is ``montecarlo._generate_shard`` or the oracle; ``n_bins``
-    run in chunks from one generator.
+    ``shard`` is ``package_shard`` or an oracle; ``n_bins`` run in chunks
+    from one generator.
     """
     config = bundle.config
     m_slices, ports = config.phase_slices, config.num_users - 1
@@ -164,20 +180,20 @@ class TestShardOracle:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_shard_equals_per_bin_oracle(self, name, seed):
         bundle = make_bundle(**ORACLE_BUNDLES[name])
-        got = retained_cells(montecarlo._generate_shard, bundle, ORACLE_BINS[name], seed)
+        got = retained_cells(package_shard, bundle, ORACLE_BINS[name], seed)
         assert_same_distribution(got, oracle_cells(name))
 
     def test_shard_equals_per_bin_oracle_with_many_candidate_ports(self):
         bundle = make_bundle(**BRIGHT_BUNDLE)
         n_bins = 1 << 20
-        got = retained_cells(montecarlo._generate_shard, bundle, n_bins, 0)
+        got = retained_cells(package_shard, bundle, n_bins, 0)
         assert_same_distribution(got, retained_cells(oracle.generate_shard, bundle, n_bins, 1))
 
     def test_phase_bits_at_the_largest_slice_count(self):
         # 2 s in int16 overflows past s = 16383
         bundle = make_bundle(distance_km=0.0, signal=1.0, phase_slices=32766)
         _, cos_table = _tables(bundle)
-        columns, _ = montecarlo._generate_shard(
+        columns, _ = package_shard(
             bundle.config, bundle.channel, 1 << 18, np.random.default_rng(1), cos_table
         )
         for key in ("m_left", "m_right"):
@@ -188,7 +204,7 @@ class TestShardOracle:
         _, cos_table = _tables(bundle)
         args = (bundle.config, bundle.channel, 30011)
         want = oracle.generate_shard(*args, np.random.default_rng(0), cos_table)
-        got, n_cand = montecarlo._generate_shard(*args, np.random.default_rng(0), cos_table)
+        got, n_cand = package_shard(*args, np.random.default_rng(0), cos_table)
         assert 0 < n_cand < 30011
         assert got.keys() == want.keys()
         for key in want:
@@ -201,8 +217,13 @@ class TestShardOracle:
         monkeypatch.setattr(montecarlo, "_SHARD_BINS", 1 << 17)  # five shards, the last partial
         got = run_protocol(bundle, n_bins, seed=8)
         # the oracle simulates every bin
+        _, cos_table = _tables(bundle)
         monkeypatch.setattr(
-            montecarlo, "_generate_shard", lambda *a: (oracle.generate_shard(*a), a[2])
+            montecarlo,
+            "_generate_shard",
+            lambda config, n, rng, *tables: (
+                oracle.generate_shard(config, bundle.channel, n, rng, cos_table), n
+            ),
         )
         want = run_protocol(bundle, n_bins, seed=9)
         assert got.shards == want.shards == 5
@@ -215,6 +236,135 @@ class TestShardOracle:
         z = two_sample_z(counts(got), counts(want))
         assert z.size >= 20
         assert np.abs(z).max() <= 5.0
+
+
+# The shard against the reference of its draw order (montecarlo_oracles.
+# reference_shard), bit for bit: N = 3, 5 and 8 at M = 16, N = 3 at the
+# largest slice count, and a bright channel whose bins have several
+# candidate ports.
+DRAW_BUNDLES = {
+    "N3-M16": lambda: make_bundle(num_users=3),
+    "N5-M16": lambda: make_bundle(num_users=5),
+    "N8-M16": lambda: geometric_bundle(8),
+    "N3-M32766": lambda: make_bundle(num_users=3, phase_slices=32766),
+    "bright": lambda: make_bundle(**BRIGHT_BUNDLE),
+}
+
+
+def assert_same_shard(got, want):
+    (got_columns, got_cand), (want_columns, want_cand) = got, want
+    assert got_cand == want_cand
+    assert got_columns.keys() == want_columns.keys()
+    for key, column in want_columns.items():
+        assert got_columns[key].dtype == column.dtype, key
+        assert np.array_equal(got_columns[key], column), key
+
+
+class TestShardDrawOrder:
+    """The shard draws the reference's numbers in the reference's order.
+
+    Blocked draws, int32 indices and run-wide tables must leave every
+    column, its dtype and the candidate count unchanged.
+    """
+
+    @pytest.mark.parametrize("n_bins", [1, 30011, 1 << 20])
+    @pytest.mark.parametrize("name", DRAW_BUNDLES)
+    def test_shard_equals_the_reference_bit_for_bit(self, name, n_bins):
+        bundle = DRAW_BUNDLES[name]()
+        _, cos_table = _tables(bundle)
+        tables = montecarlo._port_tables(bundle.config, bundle.channel, cos_table)
+        for seed in (0, 1, 2):
+            want = oracle.reference_shard(
+                bundle.config, bundle.channel, n_bins, np.random.default_rng(seed), cos_table
+            )
+            got = montecarlo._generate_shard(
+                bundle.config, n_bins, np.random.default_rng(seed), *tables
+            )
+            assert_same_shard(got, want)
+
+    @pytest.mark.parametrize("name", DRAW_BUNDLES)
+    def test_block_size_does_not_move_a_draw(self, monkeypatch, name):
+        # blocks of one row put a block boundary between every two rows;
+        # almost every bright bin is a candidate, so fewer bins suffice there
+        bundle = DRAW_BUNDLES[name]()
+        _, cos_table = _tables(bundle)
+        args = (bundle.config, bundle.channel, 3001 if name == "bright" else 30011)
+        want = oracle.reference_shard(*args, np.random.default_rng(5), cos_table)
+        monkeypatch.setattr(montecarlo, "_BLOCK", 1)
+        assert_same_shard(package_shard(*args, np.random.default_rng(5), cos_table), want)
+
+    @pytest.mark.parametrize("rows, width", [(0, 3), (1, 1), (10, 1), (7, 4), (100, 7)])
+    def test_uniform_blocks_continue_one_stream(self, monkeypatch, rows, width):
+        monkeypatch.setattr(montecarlo, "_BLOCK", 9)
+        blocks = list(montecarlo._uniform_blocks(np.random.default_rng(4), rows, width))
+        want = np.random.default_rng(4).random((rows, width)).ravel()
+        assert [stop - start for start, stop, _ in blocks] == [
+            u.size // width for _, _, u in blocks
+        ]
+        got = np.concatenate([np.zeros(0)] + [u for _, _, u in blocks])
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "bundle",
+        [make_bundle(num_users=3), make_bundle(**BRIGHT_BUNDLE), geometric_bundle(8),
+         make_bundle(num_users=3, phase_slices=32766), make_many_users_bundle(20),
+         make_bundle(signal=50.0, distance_km=0.0, dark_count_rate=0.0)],
+        ids=["N3", "bright", "N8", "N3-M32766", "N20", "saturated"],
+    )
+    def test_port_tables_equal_the_reference(self, bundle):
+        _, cos_table = _tables(bundle)
+        got = montecarlo._port_tables(bundle.config, bundle.channel, cos_table)
+        want = oracle.reference_port_tables(bundle.config, bundle.channel, cos_table)
+        for table, reference in zip(got, want):
+            assert np.array_equal(table, reference)
+
+    def test_run_protocol_equals_a_run_on_the_reference_shard(self, monkeypatch):
+        bundle = make_bundle(num_users=3, distance_km=10.0, dark_count_rate=1e-4)
+        n_bins = 600001
+        monkeypatch.setattr(montecarlo, "_SHARD_BINS", 1 << 17)  # five shards, the last partial
+        got = run_protocol(bundle, n_bins, seed=8)
+        _, cos_table = _tables(bundle)
+        monkeypatch.setattr(
+            montecarlo,
+            "_generate_shard",
+            lambda config, n, rng, *tables: oracle.reference_shard(
+                config, bundle.channel, n, rng, cos_table
+            ),
+        )
+        want = run_protocol(bundle, n_bins, seed=8)
+        assert got.shards == 5 and got.coincidences > 0
+        assert got == want
+
+
+class TestShardWorkingSet:
+    def test_run_protocol_builds_the_tables_once_and_keeps_none(self, monkeypatch):
+        built = []
+
+        def port_tables(*args):
+            tables = port_tables.original(*args)
+            built.extend(weakref.ref(table) for table in tables)
+            return tables
+
+        port_tables.original = montecarlo._port_tables
+        monkeypatch.setattr(montecarlo, "_port_tables", port_tables)
+        monkeypatch.setattr(montecarlo, "_SHARD_BINS", 1 << 17)
+        summary = run_protocol(make_bundle(num_users=3), 3 << 17, seed=1)
+        assert summary.shards == 3
+        assert len(built) == 2
+        assert all(ref() is None for ref in built)
+
+    def test_an_n8_shard_stays_under_12_mb(self):
+        # the stacked-pair shard with a float flag matrix peaked at 22.4 MB
+        bundle = geometric_bundle(8)
+        _, cos_table = _tables(bundle)
+        tables = montecarlo._port_tables(bundle.config, bundle.channel, cos_table)
+        tracemalloc.start()
+        try:
+            montecarlo._generate_shard(bundle.config, 1 << 20, np.random.default_rng(0), *tables)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12e6
 
 
 def ideal_columns(num_users):
