@@ -32,7 +32,6 @@ different machines are directly comparable.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import json
 import math
@@ -87,7 +86,7 @@ def _load_bundle(path: str, distance: float | None) -> tuple[Bundle, dict[str, A
 
 def _override(bundle: Bundle, **channel_fields: float) -> Bundle:
     """The bundle with command-line channel overrides, validated like the file."""
-    channel = dataclasses.replace(bundle.channel, **channel_fields)
+    channel = bundle.channel._replace(**channel_fields)
     return validate(bundle.config, channel, bundle.security)
 
 
@@ -421,12 +420,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand on ``argv`` (default ``sys.argv[1:]``) and return its exit code.
 
-    Before anything else ``main`` calls ``gc.freeze()``: every object
-    alive at that point (numpy, the stdlib and this package as imported)
-    moves to the collector's permanent generation.  In a CLI process all
-    of them live until exit, so neither the run's own collections nor
-    those at interpreter shutdown walk them again (README gives the
-    measured shutdown times).  A caller that runs ``main`` inside a
+    Before anything else ``main`` calls ``gc.freeze()``.  Importing
+    ``mfqcka`` has already frozen numpy and the package (see the package
+    docstring), so this freeze covers what was made after that: this
+    module's own imports (argparse, json) and whatever the caller built.
+    It moves them to the collector's permanent generation.  In a CLI
+    process all of them live until exit, so neither the run's own
+    collections nor those at interpreter shutdown walk them again (README
+    gives the measured shutdown times).  A caller that runs ``main`` inside a
     longer-lived process keeps its objects freed by reference counting
     as before, and the collector still reclaims every cycle made after
     the call; only cyclic garbage that already existed at the call stays

@@ -33,7 +33,6 @@ of it.  A row's value never depends on the rows around it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, NamedTuple
 
@@ -51,8 +50,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ObservedCounts:
+class ObservedCounts(NamedTuple):
     """Sifted coincidence counts per intensity with their send probabilities.
 
     ``sifted`` holds the ladder in order, signal first and vacuum last; the bounds never re-sort it.

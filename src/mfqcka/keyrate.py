@@ -364,7 +364,7 @@ def asymptotic_rate(
     config: SourceConfig,
     channel: ChannelParams,
     mode: str = "decoy",
-    ec_efficiency: float = SecurityParams.ec_efficiency,
+    ec_efficiency: float = SecurityParams._field_defaults["ec_efficiency"],
 ) -> RateReport:
     """Asymptotic key rate per time bin.
 

@@ -1,6 +1,6 @@
 """Domain types shared by every module, plus validation of raw parameters.
 
-All physical and protocol parameters live in three frozen dataclasses
+All physical and protocol parameters live in three immutable records
 (:class:`ChannelParams`, :class:`SourceConfig`, :class:`SecurityParams`).
 `validate` checks every invariant in a fixed order and returns an immutable
 :class:`Bundle`; everything downstream may assume a validated bundle and
@@ -22,11 +22,10 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import Any, Callable, Collection, Mapping
+from types import MappingProxyType
+from typing import Any, Callable, Collection, Mapping, NamedTuple
 
 
 class ConfigError(ValueError):
@@ -50,8 +49,7 @@ class EstimationError(ArithmeticError):
 INFEASIBLE = (None, ConfigError, EstimationError, DegenerateChannelError)
 
 
-@dataclass(frozen=True)
-class ChannelParams:
+class ChannelParams(NamedTuple):
     """Physical layer: detectors, dark counts, and fiber.
 
     Attributes:
@@ -67,25 +65,43 @@ class ChannelParams:
     distance_km: float = 0.0
 
 
-@dataclass(frozen=True)
-class SourceConfig:
-    """Source side of the protocol: intensities, probabilities, phase grid.
-
-    ``decoy_intensities`` holds the full decoy list including the vacuum as
-    its final element, so an N-user setup carries N decoys and N+1 intensity
-    settings overall.  ``send_probabilities`` is aligned with
-    ``(signal_intensity, *decoy_intensities)``.
-    """
-
+class _SourceFields(NamedTuple):
     num_users: int
     signal_intensity: float
     decoy_intensities: tuple[float, ...]
     send_probabilities: tuple[float, ...]
     phase_slices: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "decoy_intensities", tuple(float(x) for x in self.decoy_intensities))
-        object.__setattr__(self, "send_probabilities", tuple(float(x) for x in self.send_probabilities))
+
+class SourceConfig(_SourceFields):
+    """Source side of the protocol: intensities, probabilities, phase grid.
+
+    ``decoy_intensities`` holds the full decoy list including the vacuum as
+    its final element, so an N-user setup carries N decoys and N+1 intensity
+    settings overall.  ``send_probabilities`` is aligned with
+    ``(signal_intensity, *decoy_intensities)``.  Both are stored as tuples
+    of floats whatever sequence they are built from; ``_replace`` skips
+    that conversion, so it must be given float tuples.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        num_users: int,
+        signal_intensity: float,
+        decoy_intensities: tuple[float, ...],
+        send_probabilities: tuple[float, ...],
+        phase_slices: int,
+    ) -> SourceConfig:
+        return super().__new__(
+            cls,
+            num_users,
+            signal_intensity,
+            tuple(float(x) for x in decoy_intensities),
+            tuple(float(x) for x in send_probabilities),
+            phase_slices,
+        )
 
     @property
     def intensities(self) -> tuple[float, ...]:
@@ -97,8 +113,7 @@ class SourceConfig:
         return self.num_users - 1
 
 
-@dataclass(frozen=True)
-class SecurityParams:
+class SecurityParams(NamedTuple):
     """Data size and failure-probability budget of one protocol run.
 
     ``eps_chernoff`` is consumed once per concentration-bound application;
@@ -113,8 +128,7 @@ class SecurityParams:
     ec_efficiency: float = 1.1
 
 
-@dataclass(frozen=True)
-class Bundle:
+class Bundle(NamedTuple):
     """A validated (source, channel, security) triple."""
 
     config: SourceConfig
@@ -185,7 +199,7 @@ def _or_default(parse: _Parser) -> _Parser:
 
 
 # The configuration document: for each section, in document order, the
-# (JSON key, dataclass field, parser) of every field it may hold.  The
+# (JSON key, record field, parser) of every field it may hold.  The
 # optimizer section fills ``optimizer.SearchSpec``.
 SCHEMA: dict[str, tuple[tuple[str, str, _Parser], ...]] = {
     "channel": (
@@ -227,9 +241,9 @@ def read_section(
     fields: tuple[tuple[str, str, _Parser], ...],
     required: Collection[str],
 ) -> dict[str, Any]:
-    """Parse one document section into ``{dataclass field: value}``.
+    """Parse one document section into ``{record field: value}``.
 
-    ``fields`` are the section's (JSON key, dataclass field, parser)
+    ``fields`` are the section's (JSON key, record field, parser)
     triples.  An absent key is left out, so its field keeps its default,
     unless its field is in ``required``; a key that ``fields`` does not
     list is an error.  Keys are parsed in ``fields`` order, before the
@@ -256,12 +270,13 @@ def write_section(name: str, params: Any) -> dict[str, Any]:
 def jsonable(value: Any) -> Any:
     """Plain JSON data from a report: the one rule every ``to_dict`` follows.
 
-    A dataclass becomes an object of its fields, a tuple or list a list,
-    and a mapping an object sorted by key whose keys are the keys'
-    ``repr``; a tuple key becomes its parts' ``repr`` joined by ``|``.
+    A record (a tuple with ``_fields``) becomes an object of its fields,
+    any other tuple or list a list, and a mapping an object sorted by key
+    whose keys are the keys' ``repr``; a tuple key becomes its parts'
+    ``repr`` joined by ``|``.
     """
-    if dataclasses.is_dataclass(value):
-        return {f.name: jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        return {name: jsonable(v) for name, v in zip(value._fields, value)}
     if isinstance(value, Mapping):
         return {
             "|".join(map(repr, k)) if isinstance(k, tuple) else repr(k): jsonable(v)
@@ -281,7 +296,7 @@ def bundle_from_dict(doc: Mapping[str, Any]) -> Bundle:
     a non-integral ``users``/``phase_slices``, or a top-level section or
     section field that ``SCHEMA`` does not list (the ``optimizer``
     section is the caller's).  An omitted optional field takes its
-    dataclass default.
+    record default.
     """
     if not isinstance(doc, Mapping):
         raise ConfigError("configuration document must be a JSON object")
@@ -305,7 +320,7 @@ def bundle_from_dict(doc: Mapping[str, Any]) -> Bundle:
 
 def _required(cls: type) -> set[str]:
     """The fields of a parameter class that have no default."""
-    return {f.name for f in dataclasses.fields(cls) if f.default is dataclasses.MISSING}
+    return set(cls._fields).difference(cls._field_defaults)
 
 
 _PROB_SUM_TOL = 1e-9
@@ -333,10 +348,10 @@ def validate(config: SourceConfig, channel: ChannelParams, sec: SecurityParams) 
         raise ConfigError("dark_count_rate must lie in [0, 1)")
     if not channel.fiber_alpha > 0.0:
         raise ConfigError("fiber_alpha must be positive")
-    if not channel.distance_km >= 0.0:
-        raise ConfigError("distance_km must be nonnegative")
     if not math.isfinite(channel.distance_km):
         raise ConfigError("distance_km must be finite")
+    if not channel.distance_km >= 0.0:
+        raise ConfigError("distance_km must be nonnegative")
 
     # -- source -----------------------------------------------------------
     n = config.num_users
@@ -386,8 +401,7 @@ def validate(config: SourceConfig, channel: ChannelParams, sec: SecurityParams) 
     return Bundle(config=config, channel=channel, security=sec)
 
 
-@dataclass(frozen=True)
-class CoincidenceStats:
+class CoincidenceStats(NamedTuple):
     """Post-measurement matching statistics, analytic or simulated.
 
     ``retained_clicks`` maps (intensity, port, slice) -> count of retained
@@ -402,8 +416,7 @@ class CoincidenceStats:
     adjacent_error: float
 
 
-@dataclass(frozen=True)
-class DecoyBounds:
+class DecoyBounds(NamedTuple):
     """Lower bounds on photon-number contributions and the phase-error cap.
 
     ``clamped`` lists the photon numbers whose raw bound came out negative
@@ -418,8 +431,11 @@ class DecoyBounds:
     chernoff_applications: int = 0
 
 
-@dataclass(frozen=True)
-class RateReport:
+# The default of RateReport's mapping fields: empty and immutable, so one object serves every report.
+_EMPTY: Mapping[Any, Any] = MappingProxyType({})
+
+
+class RateReport(NamedTuple):
     """One key-rate evaluation with every intermediate retained.
 
     ``key_rate`` is clamped at zero for presentation; ``key_rate_raw`` keeps
@@ -438,8 +454,8 @@ class RateReport:
     data_size: float
     mode: str
     marginal_errors: tuple[float, ...] = ()
-    sifted: Mapping[float, float] = field(default_factory=dict)
-    s_mu_n_lower: Mapping[int, float] = field(default_factory=dict)
+    sifted: Mapping[float, float] = _EMPTY
+    s_mu_n_lower: Mapping[int, float] = _EMPTY
     correction_bits: float = 0.0
     chernoff_applications: int = 0
     failure_budget: float = 0.0

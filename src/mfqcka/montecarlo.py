@@ -44,8 +44,7 @@ per matched slice on all of that slice's sifted coincidences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -64,8 +63,7 @@ __all__ = [
 _SHARD_BINS = 1 << 20
 
 
-@dataclass(frozen=True)
-class TrialSummary:
+class TrialSummary(NamedTuple):
     """Aggregated counts of one simulated protocol run."""
 
     bins: int
@@ -539,8 +537,7 @@ def run_protocol(
     )
 
 
-@dataclass(frozen=True)
-class StatCheck:
+class StatCheck(NamedTuple):
     name: str
     observed: float
     expected: float
@@ -548,8 +545,7 @@ class StatCheck:
     flagged: bool
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     checks: tuple[StatCheck, ...]
     skipped: tuple[str, ...]
 

@@ -47,9 +47,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -70,8 +69,16 @@ __all__ = ["SearchSpec", "optimize_at_distance", "scan_distances"]
 PRESAMPLES = 512
 
 
-@dataclass(frozen=True)
-class SearchSpec:
+class _SearchFields(NamedTuple):
+    intensity_bounds: tuple[float, float] = (1e-4, 1.0)
+    prob_bounds: tuple[float, float] = (1e-3, 0.99)
+    restarts: int = 8
+    max_evals: int = 2000
+    tolerance: float = 1e-9
+    seed: int = 2024
+
+
+class SearchSpec(_SearchFields):
     """Bounds, budget and seed of one optimization run.
 
     ``seed`` seeds the ``random.Random`` that draws the ``PRESAMPLES``
@@ -80,17 +87,14 @@ class SearchSpec:
     decoy counts blow up the concentration bounds), so blind restarts
     tend to strand on the zero-rate plateau.  A seed gives the same pool
     on every Python, whatever numpy is installed.  ``max_evals`` budgets
-    each restart's evaluations.
+    each restart's evaluations.  Construction raises a ConfigError for a
+    spec that breaks any of these rules; ``_replace`` skips the checks.
     """
 
-    intensity_bounds: tuple[float, float] = (1e-4, 1.0)
-    prob_bounds: tuple[float, float] = (1e-3, 0.99)
-    restarts: int = 8
-    max_evals: int = 2000
-    tolerance: float = 1e-9
-    seed: int = 2024
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args: Any, **kwargs: Any) -> SearchSpec:
+        self = super().__new__(cls, *args, **kwargs)
         lo, hi = self.intensity_bounds
         if not 0.0 < lo < hi <= 1.0:
             raise ConfigError("intensity bounds must satisfy 0 < lo < hi <= 1")
@@ -105,6 +109,7 @@ class SearchSpec:
             raise ConfigError("tolerance must be a finite number >= 0")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
+        return self
 
 
 # Smallest spacing of adjacent intensities, and smallest vacuum send
@@ -180,8 +185,7 @@ def _ladders(points: np.ndarray, n_users: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _to_config(x: np.ndarray, base: SourceConfig) -> SourceConfig:
     ints, probs = _ladders(x[None, :], base.num_users)
-    return replace(
-        base,
+    return base._replace(
         signal_intensity=float(ints[0, 0]),
         decoy_intensities=tuple(ints[0, 1:].tolist()),
         send_probabilities=tuple(probs[0].tolist()),

@@ -3,7 +3,6 @@
 import contextlib
 import copy
 import csv
-import dataclasses
 import gc
 import io
 import json
@@ -174,16 +173,22 @@ def test_validation_error_cuts_a_long_value(tmp_path, capsys, section, key, valu
         ["rate", "{cfg}", "--distance", "inf"],
         ["optimize", "{cfg}", "--distance", "inf"],
         ["simulate", "{cfg}", "--bins", "1000", "--distance", "inf"],
+        ["rate", "{cfg}", "--distance", "nan"],
+        ["optimize", "{cfg}", "--distance", "nan"],
+        ["simulate", "{cfg}", "--bins", "1000", "--distance", "nan"],
     ],
     ids=["negative-distance", "negative-scan", "negative-optimized-scan", "infinite-scan",
          "dark-counts", "zero-bins", "negative-seed", "infinite-distance-rate",
-         "infinite-distance-optimize", "infinite-distance-simulate"],
+         "infinite-distance-optimize", "infinite-distance-simulate", "nan-distance-rate",
+         "nan-distance-optimize", "nan-distance-simulate"],
 )
 def test_invalid_overrides_exit_config(config_path, capsys, argv):
     assert main([a.format(cfg=config_path) for a in argv]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+    if {"inf", "nan"} & set(argv):  # a value that is not a number of km is named as such
+        assert "must be finite" in err
 
 
 @pytest.mark.parametrize(
@@ -340,7 +345,7 @@ def beyond_the_estimates(tmp_path):
         decoys=(0.07, 0.03, 0.012, 0.005, 0.002, 0.0),
         probs=(0.3, 0.2, 0.15, 0.13, 0.1, 0.07, 0.05),
     )
-    many = dataclasses.replace(six, config=make_geometric_config(21))
+    many = six._replace(config=make_geometric_config(21))
     cases = []
     for bundle, mode, message in ((six, "decoy", "3-5 users, not 6"), (many, "exact", "3-20 users, not 21")):
         path = tmp_path / f"users{bundle.config.num_users}.json"

@@ -1,6 +1,5 @@
 """Key-rate assembly: bounds, orderings, clamping, convergence."""
 
-import dataclasses
 import math
 
 import pytest
@@ -29,7 +28,7 @@ class TestMulticastBound:
         assert multicast_bound(make_channel(0.0)) == math.inf
 
     def test_unbounded_when_loss_rounds_away(self):
-        lossless = dataclasses.replace(make_channel(50.0), fiber_alpha=1e-300)
+        lossless = make_channel(50.0)._replace(fiber_alpha=1e-300)
         assert multicast_bound(lossless) == math.inf
 
     def test_strictly_decreasing(self):

@@ -1,6 +1,5 @@
 """Protocol simulator: click tables, shard oracle, bit extraction, analytic agreement."""
 
-import dataclasses
 import functools
 import itertools
 import json
@@ -507,7 +506,7 @@ class TestRunProtocol:
         dark = make_bundle(dark_count_rate=0.0)
         blind = Bundle(
             config=dark.config,
-            channel=dataclasses.replace(dark.channel, detector_efficiency=0.0),
+            channel=dark.channel._replace(detector_efficiency=0.0),
             security=dark.security,
         )
         summary = run_protocol(blind, 20000, seed=3)  # max s = 0
