@@ -65,9 +65,18 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
-def _load_bundle(path: str, distance: float | None) -> tuple[Bundle, dict[str, Any]]:
+def _prepare(
+    args: argparse.Namespace, *outputs: str | None
+) -> tuple[Bundle, dict[str, Any], optimizer.SearchSpec]:
+    """The bundle, document and search spec of ``args``, checked before anything computes.
+
+    Reads and validates the document, applies the command's --distance and
+    --dark-counts in one validation, builds the search spec with its
+    --restarts, --max-evals and --seed, and checks that every given output
+    path could be written.
+    """
     try:
-        raw = Path(path).read_text(encoding="utf-8")
+        raw = Path(args.config).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
     except UnicodeDecodeError as exc:
@@ -79,9 +88,15 @@ def _load_bundle(path: str, distance: float | None) -> tuple[Bundle, dict[str, A
     except RecursionError:
         raise ConfigError("malformed JSON: nested too deeply") from None
     bundle = bundle_from_dict(doc)
-    if distance is not None:
-        bundle = _override(bundle, distance_km=distance)
-    return bundle, doc
+    names = ("distance_km", "dark_count_rate")  # --distance, --dark-counts
+    overrides = {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
+    if overrides:
+        bundle = _override(bundle, **overrides)
+    spec = _search_spec(doc, args)
+    for path in outputs:
+        if path:
+            _check_writable(path)
+    return bundle, doc, spec
 
 
 def _override(bundle: Bundle, **channel_fields: float) -> Bundle:
@@ -195,8 +210,9 @@ def _csv_text(reports: Iterable[RateReport], seed: int) -> str:
 
 def cmd_rate(args: argparse.Namespace) -> int:
     objective = _objective(args)
-    bundle, doc = _load_bundle(args.config, args.distance)
-    _search_spec(doc)  # validated although rate never optimizes
+    if args.bound_only and args.out:
+        raise ConfigError("--bound-only prints the bound only; it writes no --out file")
+    bundle, _, _ = _prepare(args, args.out)
     if args.bound_only:
         print(f"multicast_bound = {_fmt(keyrate.multicast_bound(bundle.channel))}")
         return EXIT_OK
@@ -240,11 +256,9 @@ def _scan_distances(start: float, stop: float, step: float) -> list[float]:
 
 def cmd_scan(args: argparse.Namespace) -> int:
     objective = _objective(args)
-    bundle, doc = _load_bundle(args.config, None)
+    bundle, _, spec = _prepare(args, args.out)
     distances = _scan_distances(args.start, args.stop, args.step)
     steps = [_override(bundle, distance_km=d) for d in distances]
-
-    spec = _search_spec(doc, args)
     if args.optimize:
         _write_scan(args.out, optimizer.scan_distances(steps, spec, objective), spec.seed)
         return EXIT_OK
@@ -273,8 +287,7 @@ def _write_scan(out: str | None, reports: list[RateReport], seed: int) -> None:
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     objective = _objective(args)
-    bundle, doc = _load_bundle(args.config, args.distance)
-    spec = _search_spec(doc, args)
+    bundle, doc, spec = _prepare(args, args.save_config)
     report = optimizer.optimize_at_distance(spec, objective, bundle)
     _print_report(report)
     if args.save_config:
@@ -312,12 +325,7 @@ _MAX_SIMULATE_BINS = 10**12
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    bundle, doc = _load_bundle(args.config, args.distance)
-    # Validated although simulate never optimizes; its --seed seeds the
-    # Monte Carlo run, not the optimizer.
-    _search_spec(doc)
-    if args.dark_counts is not None:
-        bundle = _override(bundle, dark_count_rate=args.dark_counts)
+    bundle, _, _ = _prepare(args, args.out, args.dump)
     if not 1 <= args.bins <= _MAX_SIMULATE_BINS:
         raise ConfigError(f"--bins must be between 1 and {_MAX_SIMULATE_BINS}, not {args.bins}")
     n, m_slices = bundle.config.num_users, bundle.config.phase_slices
@@ -326,12 +334,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"simulate handles at most {_MAX_SIMULATE_USERS} users and (users + 1)^2 * phase_slices "
             f"<= {_MAX_SIMULATE_TABLE}, not {n} users with {m_slices} phase slices"
         )
-    if args.seed < 0:
+    if args.mc_seed < 0:
         raise ConfigError("--seed must be non-negative")
-    for path in (args.out, args.dump):
-        if path:
-            _check_writable(path)
-    summary = montecarlo.run_protocol(bundle, args.bins, args.seed, coincidence_dump=args.dump)
+    summary = montecarlo.run_protocol(bundle, args.bins, args.mc_seed, coincidence_dump=args.dump)
     report = montecarlo.compare_to_analytic(summary, bundle)
     doc = {"summary": summary.to_dict(), "comparison": report.to_dict()}
     if args.out:
@@ -363,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("config", help="path to the JSON configuration document")
-        p.add_argument("--distance", type=float, default=None, help="override distance_km")
         p.add_argument(
             "--objective",
             choices=["finite", "asymptotic"],
@@ -380,6 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rate = sub.add_parser("rate", help="single-point key-rate evaluation")
     common(p_rate)
+    p_rate.add_argument("--distance", dest="distance_km", type=float, help="override distance_km")
     p_rate.add_argument("--bound-only", action="store_true", help="print the multicast bound only")
     p_rate.add_argument("--out", default=None, help="also write a one-row CSV")
     p_rate.set_defaults(func=cmd_rate)
@@ -398,6 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_opt = sub.add_parser("optimize", help="optimize source parameters at one distance")
     common(p_opt)
+    p_opt.add_argument("--distance", dest="distance_km", type=float, help="override distance_km")
     p_opt.add_argument("--save-config", default=None, help="write the optimized bundle as JSON")
     p_opt.add_argument("--restarts", type=int, default=None)
     p_opt.add_argument("--max-evals", dest="max_evals", type=int, default=None)
@@ -406,11 +412,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo protocol run plus consistency report")
     p_sim.add_argument("config", help="path to the JSON configuration document")
-    p_sim.add_argument("--distance", type=float, default=None, help="override distance_km")
+    p_sim.add_argument("--distance", dest="distance_km", type=float, help="override distance_km")
     p_sim.add_argument("--bins", type=int, required=True, help="number of simulated time bins")
-    p_sim.add_argument("--seed", type=int, default=1, help="master RNG seed")
+    p_sim.add_argument("--seed", dest="mc_seed", type=int, default=1, help="master RNG seed")
     p_sim.add_argument("--out", default=None, help="write summary+report JSON here")
-    p_sim.add_argument("--dark-counts", dest="dark_counts", type=float, default=None)
+    p_sim.add_argument("--dark-counts", dest="dark_count_rate", type=float)
     p_sim.add_argument("--dump-coincidences", dest="dump", default=None,
                        help="write one CSV row per sifted coincidence")
     p_sim.set_defaults(func=cmd_simulate)

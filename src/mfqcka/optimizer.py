@@ -459,20 +459,7 @@ def _log_search(
             if code and count
         },
     }
-    logger.debug(
-        "optimized %s at %g km: %d presamples (best cost %s), %d rounds, %d rows scored, "
-        "%d evaluations; restarts (evals, stop, best cost) %s; infeasible %s",
-        objective,
-        telemetry["distance_km"],
-        telemetry["presamples"],
-        telemetry["presample_best"],
-        telemetry["rounds"],
-        telemetry["scored"],
-        telemetry["evaluations"],
-        [(r["evals"], r["stop"], r["best"]) for r in telemetry["restarts"]],
-        telemetry["infeasible"],
-        extra={"telemetry": telemetry},
-    )
+    logger.debug("optimized: %s", telemetry, extra={"telemetry": telemetry})
 
 
 def scan_distances(bundles: list[Bundle], spec: SearchSpec, objective: str) -> list[RateReport]:

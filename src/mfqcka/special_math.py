@@ -31,7 +31,7 @@ def _sum_along(terms: np.ndarray, axis: int) -> np.ndarray:
     if terms.shape[axis] < 8:
         return np.add.reduce(terms, axis=axis)
     last = [*range(axis), *range(axis + 1, terms.ndim), axis]
-    return np.add.reduce(terms.transpose(last).copy(), axis=-1)
+    return np.add.reduce(np.ascontiguousarray(terms.transpose(last)), axis=-1)
 
 
 def _entropy(x: np.ndarray) -> np.ndarray:

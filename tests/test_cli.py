@@ -111,6 +111,16 @@ def test_bound_only(config_path, capsys):
     assert out == "multicast_bound = 9.105663264e-04"
 
 
+def test_bound_only_writes_no_csv_so_out_is_rejected(config_path, tmp_path, capsys):
+    out = tmp_path / "bound.csv"
+    assert main(["rate", config_path, "--bound-only", "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "--bound-only" in captured.err and "--out" in captured.err
+    assert not out.exists()
+
+
 def test_malformed_json_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"channel": {",')
@@ -203,18 +213,58 @@ def test_invalid_overrides_exit_config(config_path, capsys, argv):
     ids=["rate-out", "scan-out", "optimize-save-config", "simulate-out", "simulate-dump"],
 )
 def test_unwritable_output_exits_config(config_path, tmp_path, capsys, monkeypatch, argv):
-    from mfqcka import cli as cli_module
+    from mfqcka import keyrate, montecarlo, optimizer
 
     def never(*args, **kwargs):
-        raise AssertionError("simulate ran before checking its output paths")
+        raise AssertionError("computed before checking the output paths")
 
-    monkeypatch.setattr(cli_module.montecarlo, "run_protocol", never)
+    for module, name in [
+        (keyrate, "rate_report"),
+        (keyrate, "rate_reports"),
+        (optimizer, "optimize_at_distance"),
+        (optimizer, "scan_distances"),
+        (montecarlo, "run_protocol"),
+    ]:
+        monkeypatch.setattr(module, name, never)
     bad = tmp_path / "missing-dir" / "output"
     assert main([a.format(cfg=config_path, bad=str(bad)) for a in argv]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert "missing-dir" in err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "missing-dir" in captured.err
     assert not bad.parent.exists()
+
+
+def test_scan_takes_no_distance(config_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", config_path, "--distance", "50", "--from", "0", "--to", "10", "--step", "10"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "--distance" in capsys.readouterr().err
+
+
+def test_simulate_overrides_are_validated_together(config_path, capsys, monkeypatch):
+    from mfqcka import cli as cli_module
+
+    validate, channels = cli_module.validate, []
+
+    def spy(config, channel, security):
+        channels.append(channel)
+        return validate(config, channel, security)
+
+    def stop(bundle, *args, **kwargs):
+        raise ConfigError("stopped before the run")
+
+    monkeypatch.setattr(cli_module, "validate", spy)
+    monkeypatch.setattr(cli_module.montecarlo, "run_protocol", stop)
+    argv = ["simulate", config_path, "--bins", "1000", "--distance", "20", "--dark-counts", "1e-7"]
+    assert main(argv) == EXIT_CONFIG
+    assert "stopped before the run" in capsys.readouterr().err
+    assert [(c.distance_km, c.dark_count_rate) for c in channels] == [(20.0, 1e-7)]
+    # With both overrides out of range, the one validation reports the
+    # channel's first check, the dark-count rate.
+    argv = ["simulate", config_path, "--bins", "1000", "--distance", "-5", "--dark-counts", "2"]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: dark_count_rate must lie in [0, 1)\n"
 
 
 def _set(doc, section, key, value):
