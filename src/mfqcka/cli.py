@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import itertools
 import json
 import math
 import os
@@ -41,6 +42,7 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping
 
 from . import keyrate, montecarlo, optimizer
+from .channel import error_terms, total_efficiency
 from .model import (
     Bundle,
     ConfigError,
@@ -336,11 +338,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
     if args.mc_seed < 0:
         raise ConfigError("--seed must be non-negative")
+    # a channel that cannot click fails here rather than after its shards
+    error_terms(bundle.config.signal_intensity, n, total_efficiency(bundle.channel), bundle.channel.dark_count_rate)
     summary = montecarlo.run_protocol(bundle, args.bins, args.mc_seed, coincidence_dump=args.dump)
     report = montecarlo.compare_to_analytic(summary, bundle)
-    doc = {"summary": summary.to_dict(), "comparison": report.to_dict()}
     if args.out:
-        _write_text(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        # written piece by piece: the largest documents' text would take hundreds of MB
+        doc = {"summary": summary.to_dict(), "comparison": report.to_dict()}
+        _write_text(args.out, itertools.chain(json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc), "\n"))
     print(f"bins = {summary.bins}")
     print(f"candidate_bins = {summary.candidate_bins}")
     print(f"coincidences = {summary.coincidences}")

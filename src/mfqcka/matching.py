@@ -1,7 +1,7 @@
 """Expected post-measurement coincidence-matching statistics.
 
 These are the analytic means of the counting process: how many successful
-time bins survive click filtering per (intensity, port, phase slice), and
+time bins survive click filtering per (intensity, port) in each phase slice, and
 how many full coincidences the slice-wise matcher produces per intensity.
 Integer realizations of the same process live in the Monte Carlo module.
 
@@ -221,24 +221,12 @@ def expected_stats(
 ) -> CoincidenceStats:
     """Assemble the full analytic statistics bundle for one working point."""
     counts = _count_matrix(config, channel, sec.data_size)
-    settings = config.intensities
-    half = config.phase_slices // 2
-    retained = {
-        (settings[k_idx], j + 1, m): counts[j][k_idx]
-        for j in range(config.num_ports)
-        for k_idx in range(len(settings))
-        for m in range(half)
-    }
-    slice_totals = {
-        (j + 1, m): math.fsum(counts[j]) for j in range(config.num_ports) for m in range(half)
-    }
-    sifted = dict(zip(settings, _sifted_rows(np.array([counts]), config.phase_slices)[0].tolist()))
     errors = error_terms(
         config.signal_intensity, config.num_users, total_efficiency(channel), channel.dark_count_rate
     )
     return CoincidenceStats(
-        retained_clicks=retained,
-        slice_totals=slice_totals,
-        sifted=sifted,
+        retained_clicks=np.array(counts).T,
+        slice_totals=np.array([math.fsum(row) for row in counts]),
+        sifted=_sifted_rows(np.array([counts]), config.phase_slices)[0],
         adjacent_error=float(errors.adjacent[0]),
     )

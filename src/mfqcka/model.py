@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Callable, Collection, Iterable, Mapping
 from types import MappingProxyType
-from typing import Any, Callable, Collection, Mapping, NamedTuple
+from typing import Any, NamedTuple
 
 
 class ConfigError(ValueError):
@@ -174,11 +175,11 @@ def _numbers(value: Any, name: str) -> tuple[float, ...]:
     return tuple(_number(x, f"{name}[{i}]") for i, x in enumerate(value))
 
 
-def _write_text(path: str, text: str) -> None:
-    """Write an output file; a path that cannot be written is a ConfigError."""
+def _write_text(path: str, text: str | Iterable[str]) -> None:
+    """Write an output file, a string or its pieces; a path that cannot be written is a ConfigError."""
     try:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
     except OSError as exc:
         raise ConfigError(f"cannot write output file: {exc}") from None
 
@@ -271,10 +272,12 @@ def jsonable(value: Any) -> Any:
     """Plain JSON data from a report: the one rule every ``to_dict`` follows.
 
     A record (a tuple with ``_fields``) becomes an object of its fields,
-    any other tuple or list a list, and a mapping an object sorted by key
-    whose keys are the keys' ``repr``; a tuple key becomes its parts'
-    ``repr`` joined by ``|``.
+    any other tuple or list a list, an array (anything with ``tolist``)
+    nested lists, and a mapping an object sorted by key whose keys are the
+    keys' ``repr``; a tuple key becomes its parts' ``repr`` joined by ``|``.
     """
+    if hasattr(value, "tolist"):
+        return value.tolist()
     if isinstance(value, tuple) and hasattr(value, "_fields"):
         return {name: jsonable(v) for name, v in zip(value._fields, value)}
     if isinstance(value, Mapping):
@@ -402,17 +405,11 @@ def validate(config: SourceConfig, channel: ChannelParams, sec: SecurityParams) 
 
 
 class CoincidenceStats(NamedTuple):
-    """Post-measurement matching statistics, analytic or simulated.
+    """Analytic means of the matching statistics: float arrays, settings in ladder order."""
 
-    ``retained_clicks`` maps (intensity, port, slice) -> count of retained
-    successful time bins, ``slice_totals`` maps (port, slice) -> count,
-    ``sifted`` maps intensity -> coincidence count.  Counts are real-valued
-    because the analytic formulas produce means of the counting process.
-    """
-
-    retained_clicks: Mapping[tuple[float, int, int], float]
-    slice_totals: Mapping[tuple[int, int], float]
-    sifted: Mapping[float, float]
+    retained_clicks: Any  # [setting, port - 1], in each phase slice
+    slice_totals: Any  # [port - 1], their sum over settings
+    sifted: Any  # [setting], over all slices
     adjacent_error: float
 
 

@@ -43,8 +43,9 @@ per matched slice on all of that slice's sifted coincidences.
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Any, Mapping, NamedTuple, Sequence
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
@@ -64,19 +65,22 @@ _SHARD_BINS = 1 << 20
 
 
 class TrialSummary(NamedTuple):
-    """Aggregated counts of one simulated protocol run."""
+    """Aggregated counts of one simulated protocol run; ``to_dict`` writes arrays as nested lists.
+
+    Settings run in the ladder order of ``intensities``, slices m over 0 .. M/2 - 1.
+    """
 
     bins: int
     seed: int
     num_users: int
     phase_slices: int
     intensities: tuple[float, ...]
-    retained_clicks: Mapping[tuple[float, int, int], int]
-    slice_totals: Mapping[tuple[int, int], int]
-    sifted: Mapping[float, int]
-    adjacent_total: Mapping[int, int]
-    adjacent_wrong: Mapping[int, int]
-    conference_errors: Mapping[int, int]
+    retained_clicks: np.ndarray  # [setting, port - 1, slice]
+    slice_totals: np.ndarray  # [port - 1, slice]
+    sifted: np.ndarray  # [setting]
+    adjacent_total: np.ndarray  # [port - 1]
+    adjacent_wrong: np.ndarray  # [port - 1]
+    conference_errors: np.ndarray  # [user - 2]
     conference_errors_all_intensities: int
     coincidences: int
     matched_draws: int
@@ -449,9 +453,10 @@ def run_protocol(
     del columns
 
     combo = (merged["k_idx"].astype(np.int64) * ports + merged["port"]) * half + merged["m"]
-    retained_counts = np.bincount(combo, minlength=n_settings * ports * half).reshape(
+    retained = np.bincount(combo, minlength=n_settings * ports * half).reshape(
         n_settings, ports, half
     )
+    slice_totals = retained.sum(axis=0)
 
     signal_mask = merged["k_idx"] == 0
     ideal = (
@@ -472,7 +477,7 @@ def run_protocol(
     # The retained bins sorted stably by (slice, port), a radix sort on the
     # smallest integer type: each group is the ascending index list of its
     # slice and port, as a mask over all retained bins would give it.
-    totals = retained_counts.sum(axis=0).T  # (slice, port)
+    totals = slice_totals.T  # (slice, port)
     bounds = np.concatenate([[0], np.cumsum(totals)])
     group = merged["m"].astype(_index_type(half * ports))
     group *= ports
@@ -510,25 +515,18 @@ def run_protocol(
     if coincidence_dump is not None:
         _write_dump(coincidence_dump, n_users, config.intensities, dump_parts)
 
-    settings = config.intensities
-    retained_counts, totals = retained_counts.tolist(), totals.tolist()
     return TrialSummary(
         bins=num_bins,
         seed=seed,
         num_users=n_users,
         phase_slices=m_slices,
-        intensities=settings,
-        retained_clicks={
-            (settings[k], j + 1, m): retained_counts[k][j][m]
-            for k in range(n_settings)
-            for j in range(ports)
-            for m in range(half)
-        },
-        slice_totals={(j + 1, m): totals[m][j] for j in range(ports) for m in range(half)},
-        sifted={settings[k]: int(sifted[k]) for k in range(n_settings)},
-        adjacent_total={j + 1: int(adjacent_total[j]) for j in range(ports)},
-        adjacent_wrong={j + 1: int(adjacent_wrong[j]) for j in range(ports)},
-        conference_errors={j + 2: int(conf_errors[j]) for j in range(ports)},
+        intensities=config.intensities,
+        retained_clicks=retained,
+        slice_totals=slice_totals,
+        sifted=sifted,
+        adjacent_total=adjacent_total,
+        adjacent_wrong=adjacent_wrong,
+        conference_errors=conf_errors,
         conference_errors_all_intensities=conf_errors_all,
         coincidences=int(sifted.sum()),
         matched_draws=matched_draws,
@@ -586,17 +584,18 @@ def compare_to_analytic(summary: TrialSummary, bundle: Bundle) -> ComparisonRepo
         z = (observed - expected) / math.sqrt(expected)
         checks.append(StatCheck(name, observed, expected, z, abs(z) > _Z_FLAG))
 
-    for (k, j, m), expected in sorted(stats.retained_clicks.items()):
-        add(f"retained[k={k!r},port={j},m={m}]", summary.retained_clicks[(k, j, m)], expected)
-    for (j, m), expected in sorted(stats.slice_totals.items()):
-        add(f"slice_total[port={j},m={m}]", summary.slice_totals[(j, m)], expected)
-    for k, expected in sorted(stats.sifted.items()):
-        add(f"sifted[k={k!r}]", summary.sifted[k], expected)
-    for j in range(1, config.num_users):
-        n_obs = summary.adjacent_total[j]
-        add(
-            f"adjacent_error[port={j}]",
-            summary.adjacent_wrong[j],
-            stats.adjacent_error * n_obs,
-        )
+    # checks by ascending intensity, then port, then slice; settings are in ladder order
+    settings = config.intensities
+    ascending = sorted(range(len(settings)), key=settings.__getitem__)
+    retained, expected = summary.retained_clicks.tolist(), stats.retained_clicks.tolist()
+    for k, j in itertools.product(ascending, range(config.num_ports)):
+        for m, count in enumerate(retained[k][j]):
+            add(f"retained[k={settings[k]!r},port={j + 1},m={m}]", count, expected[k][j])
+    for j, (counts, mean) in enumerate(zip(summary.slice_totals.tolist(), stats.slice_totals.tolist()), 1):
+        for m, count in enumerate(counts):
+            add(f"slice_total[port={j},m={m}]", count, mean)
+    for k in ascending:
+        add(f"sifted[k={settings[k]!r}]", int(summary.sifted[k]), float(stats.sifted[k]))
+    for j, (wrong, n_obs) in enumerate(zip(summary.adjacent_wrong.tolist(), summary.adjacent_total.tolist()), 1):
+        add(f"adjacent_error[port={j}]", wrong, stats.adjacent_error * n_obs)
     return ComparisonReport(checks=tuple(checks), skipped=tuple(skipped))

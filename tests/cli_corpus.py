@@ -7,10 +7,12 @@ Each command runs as ``python -m mfqcka.cli`` under the caller's
 command's ``stdout``, ``stderr``, ``exit_code`` and any file it wrote.
 The configuration documents go to ``OUTDIR/docs``.  Every path a command
 sees is relative, so two corpora from two versions of the package
-compare with ``diff -r``.  The commands include every benchmark workload
-(``perfbench/workloads.py``) with the documents and arguments its
-processes get at run seed 1 (process seeds 1001 and 1002).  Pytest does
-not collect this file.
+compare with ``diff -r``.  Each command's progress line, on this
+script's own stdout and outside ``OUTDIR``, gives its exit code and the
+peak resident memory of its process (its ``ru_maxrss``).  The commands
+include every benchmark workload (``perfbench/workloads.py``) with the
+documents and arguments its processes get at run seed 1 (process seeds
+1001 and 1002).  Pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -171,14 +173,17 @@ def main(argv: list[str]) -> int:
     for name, args in commands().items():
         workdir = out / name
         workdir.mkdir(exist_ok=True)
-        run = subprocess.run(
-            [sys.executable, "-m", "mfqcka.cli", *args], cwd=workdir, env=env, capture_output=True, text=True,
-            preexec_fn=_limit_memory,
-        )
-        (workdir / "stdout").write_text(run.stdout)
-        (workdir / "stderr").write_text(run.stderr)
-        (workdir / "exit_code").write_text(f"{run.returncode}\n")
-        print(f"{name}: exit {run.returncode}")
+        with open(workdir / "stdout", "wb") as stdout, open(workdir / "stderr", "wb") as stderr:
+            child = subprocess.Popen(
+                [sys.executable, "-m", "mfqcka.cli", *args], cwd=workdir, env=env, stdout=stdout, stderr=stderr,
+                preexec_fn=_limit_memory,
+            )
+            # reaped here rather than by Popen, for the child's own resource usage;
+            # setting returncode tells Popen that it has exited
+            _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)
+        (workdir / "exit_code").write_text(f"{child.returncode}\n")
+        print(f"{name}: exit {child.returncode}, peak RSS {usage.ru_maxrss / 1024:.0f} MB", flush=True)
     return 0
 
 

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mfqcka.cli import EXIT_CONFIG, EXIT_CONSISTENCY, EXIT_OK, _scan_distances, main
-from mfqcka.model import ConfigError
+from mfqcka.channel import error_terms
+from mfqcka.model import ConfigError, DegenerateChannelError
 from conftest import make_bundle, make_geometric_config, make_many_users_bundle
 
 
@@ -821,10 +822,10 @@ def test_simulate_dump_rows_match_summary(config_path, tmp_path):
 
     assert len(rows) == summary["coincidences"]
     errors_all = summary["conference_errors_all_intensities"]
-    assert errors_all > sum(summary["conference_errors"].values()) > 0
+    assert errors_all > sum(summary["conference_errors"]) > 0
     assert sum(wrong(row, j) for row in rows for j in users) == errors_all
     for j in users:
-        assert sum(wrong(row, j) for row in signal) == summary["conference_errors"][str(j)]
+        assert sum(wrong(row, j) for row in signal) == summary["conference_errors"][j - 2]
 
 
 def test_simulate_writes_summary_and_is_deterministic(config_path, tmp_path):
@@ -899,6 +900,25 @@ def test_simulate_bounds_its_bins_before_any_shard_runs(config_path, capsys, mon
     # the bound itself passes validation and reaches the run
     with pytest.raises(AssertionError, match="a shard ran"):
         main(["simulate", config_path, "--bins", str(bound)])
+
+
+def test_simulate_without_a_possible_click_fails_before_any_shard_runs(tmp_path, capsys, monkeypatch):
+    # a blind detector without dark counts: 2 eta_t mu = 0 and p_d = 0, so
+    # no bin can click and the comparison has no error terms
+    from mfqcka import cli as cli_module
+
+    def never(*args, **kwargs):
+        raise AssertionError("a shard ran")
+
+    monkeypatch.setattr(cli_module.montecarlo, "_generate_shard", never)
+    doc = make_bundle(dark_count_rate=0.0).to_dict()
+    doc["channel"]["detector_efficiency"] = 0.0
+    path = tmp_path / "blind.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DegenerateChannelError) as exc:
+        error_terms(doc["source"]["signal_intensity"], 3, 0.0, 0.0)
+    assert main(["simulate", str(path), "--bins", "1000000000000"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {exc.value}\n"
 
 
 def test_simulate_flags_mismatch(config_path, capsys, monkeypatch):

@@ -47,15 +47,16 @@ def three_user_retained_oracle(k, j, config, channel, data_size):
 
 
 def retained(bundle, sec=None):
-    """Expected retained clicks per slice by (intensity, port), read from ``expected_stats`` at slice 0."""
+    """Expected retained clicks per slice by (intensity, port), read from ``expected_stats``."""
     stats = expected_stats(bundle.config, bundle.channel, sec or bundle.security)
-    return {(k, j): n for (k, j, m), n in stats.retained_clicks.items() if m == 0}
+    counts = stats.retained_clicks.tolist()
+    return {(k, j + 1): n for k, row in zip(bundle.config.intensities, counts) for j, n in enumerate(row)}
 
 
 def slice_totals(bundle):
-    """Expected size of one slice set by port, read from ``expected_stats`` at slice 0."""
+    """Expected size of one slice set by port, read from ``expected_stats``."""
     stats = expected_stats(bundle.config, bundle.channel, bundle.security)
-    return {j: n for (j, m), n in stats.slice_totals.items() if m == 0}
+    return dict(enumerate(stats.slice_totals.tolist(), 1))
 
 
 class TestRetainedClicks:
@@ -198,22 +199,10 @@ class TestExpectedStats:
         bundle = make_bundle(num_users=5, distance_km=80.0)
         stats = expected_stats(bundle.config, bundle.channel, bundle.security)
         config = bundle.config
-        half = config.phase_slices // 2
-        assert set(stats.slice_totals) == {
-            (j, m) for j in range(1, config.num_users) for m in range(half)
-        }
-        for (j, m), total in stats.slice_totals.items():
-            parts = [stats.retained_clicks[(k, j, m)] for k in config.intensities]
-            assert total == pytest.approx(math.fsum(parts), rel=1e-15)
+        assert stats.retained_clicks.shape == (len(config.intensities), config.num_ports)
+        assert stats.slice_totals.shape == (config.num_ports,)
+        assert stats.sifted.shape == (len(config.intensities),)
+        for j, total in enumerate(stats.slice_totals.tolist()):
+            assert total == math.fsum(stats.retained_clicks[:, j].tolist())
         adjacent = keyrate_oracles.error_terms(config, bundle.channel)[0]
         assert stats.adjacent_error == pytest.approx(adjacent, rel=1e-12)
-
-    def test_retained_independent_of_slice(self):
-        bundle = make_bundle(distance_km=40.0)
-        stats = expected_stats(bundle.config, bundle.channel, bundle.security)
-        for k in bundle.config.intensities:
-            per_slice = {
-                stats.retained_clicks[(k, 1, m)]
-                for m in range(bundle.config.phase_slices // 2)
-            }
-            assert len(per_slice) == 1

@@ -15,6 +15,7 @@ from mfqcka import montecarlo
 from mfqcka.channel import total_efficiency
 from mfqcka.model import Bundle
 from mfqcka.montecarlo import compare_to_analytic, run_protocol
+from mfqcka.matching import expected_stats
 from mfqcka.model import SecurityParams, validate
 from conftest import make_bundle, make_channel, make_geometric_config, make_many_users_bundle
 
@@ -227,11 +228,9 @@ class TestShardOracle:
         want = run_protocol(bundle, n_bins, seed=9)
         assert got.shards == want.shards == 5
         assert want.candidate_bins == n_bins > got.candidate_bins
-        counts = lambda summary: [
-            table[key]
-            for table in (summary.retained_clicks, summary.sifted, summary.adjacent_total)
-            for key in sorted(table)
-        ]
+        counts = lambda summary: np.concatenate(
+            [summary.retained_clicks.ravel(), summary.sifted, summary.adjacent_total]
+        )
         z = two_sample_z(counts(got), counts(want))
         assert z.size >= 20
         assert np.abs(z).max() <= 5.0
@@ -332,7 +331,7 @@ class TestShardDrawOrder:
         )
         want = run_protocol(bundle, n_bins, seed=8)
         assert got.shards == 5 and got.coincidences > 0
-        assert got == want
+        assert got.to_dict() == want.to_dict()
 
 
 class TestShardWorkingSet:
@@ -434,6 +433,107 @@ class TestExtractBits:
         assert np.array_equal(got, oracle.coincidence_bits(*columns, m_slices=m_slices))
 
 
+def counted_summary(bundle, bins):
+    """A run of ``bins`` bins in the layout of ``run_protocol``, every retained count distinct."""
+    config = bundle.config
+    settings, ports, half = len(config.intensities), config.num_users - 1, config.phase_slices // 2
+    retained = np.arange(settings * ports * half).reshape(settings, ports, half)
+    counts = lambda size: np.arange(size) + 7
+    return montecarlo.TrialSummary(
+        bins, 0, config.num_users, config.phase_slices, config.intensities, retained,
+        retained.sum(axis=0), counts(settings), counts(ports) * 10**10, counts(ports), counts(ports), 0, 0, 0, 0, 1,
+    )
+
+
+class TestCompareToAnalytic:
+    BUNDLE = make_bundle(num_users=4, distance_km=40.0)
+
+    def test_checks_come_in_the_order_of_sorted_keys(self):
+        # ascending intensity, then port, then slice, as sorted (intensity,
+        # port, slice) keys give them; settings are stored in ladder order
+        config = self.BUNDLE.config
+        ports, half = range(1, config.num_users), range(config.phase_slices // 2)
+        keys = sorted(itertools.product(config.intensities, ports, half))
+        names = [f"retained[k={k!r},port={j},m={m}]" for k, j, m in keys]
+        names += [f"slice_total[port={j},m={m}]" for j, m in itertools.product(ports, half)]
+        names += [f"sifted[k={k!r}]" for k in sorted(config.intensities)]
+        names += [f"adjacent_error[port={j}]" for j in ports]
+        report = compare_to_analytic(counted_summary(self.BUNDLE, 10**13), self.BUNDLE)
+        checked = [c.name for c in report.checks]
+        assert report.checks and report.skipped
+        assert sorted(checked + list(report.skipped), key=names.index) == names
+        assert checked == sorted(checked, key=names.index)
+        assert list(report.skipped) == sorted(report.skipped, key=names.index)
+
+    def test_each_check_reads_its_own_cell(self):
+        config = self.BUNDLE.config
+        summary = counted_summary(self.BUNDLE, 10**13)
+        stats = expected_stats(config, self.BUNDLE.channel, SecurityParams(data_size=1e13))
+        report = compare_to_analytic(summary, self.BUNDLE)
+        checks = {c.name: c for c in report.checks}
+        want = {}
+        for (k, j, m), count in np.ndenumerate(summary.retained_clicks):
+            # one mean per (setting, port), the same in every slice
+            want[f"retained[k={config.intensities[k]!r},port={j + 1},m={m}]"] = (count, stats.retained_clicks[k, j])
+        for (j, m), count in np.ndenumerate(summary.slice_totals):
+            want[f"slice_total[port={j + 1},m={m}]"] = (count, stats.slice_totals[j])
+        for k, count in enumerate(summary.sifted):
+            want[f"sifted[k={config.intensities[k]!r}]"] = (count, stats.sifted[k])
+        for j, count in enumerate(summary.adjacent_wrong):
+            want[f"adjacent_error[port={j + 1}]"] = (count, stats.adjacent_error * summary.adjacent_total[j])
+        assert len(checks) > 100 and "adjacent_error[port=3]" in checks
+        for name, check in checks.items():
+            assert (check.observed, check.expected) == want[name], name
+            assert type(check.observed) is int and type(check.expected) is float, name
+
+
+@functools.lru_cache(maxsize=None)
+def signal_shares(distances=(0.0, 10.0), bins=4 * 10**6):
+    """Per distance: the signal's retained clicks, all retained clicks and the formula's share, per port.
+
+    N = 4 users over M = 4 slices; a signal of 2.0 photons sent with
+    probability 0.05, decoys from 0.06 down to the vacuum.
+    """
+    readings = []
+    for seed, distance in enumerate(distances, 60):
+        bundle = make_bundle(
+            num_users=4, distance_km=distance, signal=2.0, probs=(0.05, 0.5, 0.3, 0.1, 0.05), phase_slices=4
+        )
+        summary = run_protocol(bundle, bins, seed=seed)
+        stats = expected_stats(bundle.config, bundle.channel, SecurityParams(data_size=float(bins)))
+        signal = summary.retained_clicks[0].sum(axis=1)
+        readings.append((signal, summary.slice_totals.sum(axis=1), stats.retained_clicks[0] / stats.slice_totals))
+    return readings
+
+
+class TestSignalShare:
+    """The signal's share of a port's retained clicks rises with distance.
+
+    For a bright signal sent rarely, loss removes the clicks of the dim
+    decoys faster than those of the signal, and fewer neighbouring ports
+    click to compete with the signal for the relay's one announcement.  So
+    the formula's share of the signal rises over the first kilometres, and
+    with it the sifted signal count, although every coincidence needs a
+    photon from every user.  The simulator must show the same shares and
+    the same rise.
+    """
+
+    def test_each_port_has_the_formula_share(self):
+        for signal, total, share in signal_shares():
+            assert signal.min() >= 2000
+            z = (signal - total * share) / np.sqrt(total * share * (1.0 - share))
+            assert np.abs(z).max() <= 5.0, z
+
+    def test_the_share_rises_with_distance_as_the_formula_says(self):
+        (signal_near, total_near, share_near), (signal_far, total_far, share_far) = signal_shares()
+        assert (share_far > share_near).all()
+        seen_near, seen_far = signal_near / total_near, signal_far / total_far
+        assert (seen_far > seen_near).all()
+        sigma = np.sqrt(share_near * (1.0 - share_near) / total_near + share_far * (1.0 - share_far) / total_far)
+        z = ((seen_far - seen_near) - (share_far - share_near)) / sigma
+        assert np.abs(z).max() <= 5.0, z
+
+
 class TestRunProtocol:
     def test_ghz_invariant_small(self):
         # acceptance runs the full matrix; keep a quick version in unit tests
@@ -442,7 +542,7 @@ class TestRunProtocol:
             summary = run_protocol(bundle, 10**5, seed=13)
             assert summary.coincidences > 0
             assert summary.conference_errors_all_intensities == 0
-            assert all(v == 0 for v in summary.adjacent_wrong.values())
+            assert not summary.adjacent_wrong.any()
 
     def test_reproducible_bit_for_bit(self):
         bundle = make_bundle(distance_km=20.0)
@@ -452,40 +552,32 @@ class TestRunProtocol:
         c = run_protocol(bundle, 3 * 10**5, seed=22)
         assert c.to_dict() != a.to_dict()
 
-    def test_summary_to_dict_key_format(self):
+    def test_summary_to_dict_layout(self):
         summary = run_protocol(make_bundle(distance_km=10.0), 20000, seed=1)
         d = summary.to_dict()
         assert json.loads(json.dumps(d)) == d
-        # a tuple key is its parts' reprs joined by "|"
-        assert d["retained_clicks"]["0.05|1|0"] == summary.retained_clicks[(0.05, 1, 0)]
-        assert d["slice_totals"]["2|7"] == summary.slice_totals[(2, 7)]
-        assert list(d["sifted"]) == ["0.0", "0.01", "0.05", "0.1"]
-        assert list(d["adjacent_total"]) == ["1", "2"]
-        assert list(d["conference_errors"]) == ["2", "3"]
+        # every count is nested lists: [setting, port, slice], settings in ladder order
         assert d["intensities"] == [0.1, 0.05, 0.01, 0.0]
-        assert d["coincidences"] == summary.coincidences
+        assert np.shape(d["retained_clicks"]) == (4, 2, 8)
+        assert d["retained_clicks"][1][0][0] == summary.retained_clicks[1, 0, 0]
+        assert np.shape(d["slice_totals"]) == (2, 8)
+        assert d["slice_totals"][1][7] == summary.slice_totals[1, 7]
+        for name, size in [("sifted", 4), ("adjacent_total", 2), ("adjacent_wrong", 2), ("conference_errors", 2)]:
+            assert len(d[name]) == size and all(type(v) is int for v in d[name]), name
+        assert d["coincidences"] == summary.coincidences == sum(d["sifted"])
 
     def test_matching_consumes_bins_once(self):
         bundle = make_bundle(distance_km=10.0)
         summary = run_protocol(bundle, 2 * 10**5, seed=31)
-        half = bundle.config.phase_slices // 2
-        expected_draws = 0
-        for m in range(half):
-            expected_draws += min(
-                summary.slice_totals[(j, m)] for j in range(1, bundle.config.num_users)
-            )
-        assert summary.matched_draws == expected_draws
+        assert summary.matched_draws == summary.slice_totals.min(axis=0).sum()
         assert summary.coincidences <= summary.matched_draws
-        assert sum(summary.sifted.values()) == summary.coincidences
+        assert summary.sifted.sum() == summary.coincidences
 
     def test_retained_totals_consistent(self):
         bundle = make_bundle(distance_km=10.0)
         summary = run_protocol(bundle, 2 * 10**5, seed=37)
-        for (j, m), total in summary.slice_totals.items():
-            parts = sum(
-                summary.retained_clicks[(k, j, m)] for k in bundle.config.intensities
-            )
-            assert parts == total
+        assert summary.retained_clicks.shape == (4, 2, 8)
+        assert np.array_equal(summary.retained_clicks.sum(axis=0), summary.slice_totals)
 
     def test_candidate_bins_follow_the_thinning_law(self):
         # each shard draws Binomial(n, 1 - (1 - q)^P) candidate bins

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mfqcka
@@ -75,6 +76,8 @@ def test_the_cli_does_not_load_dataclasses(import_readings):
 _CONFIG = SourceConfig(3, 0.4, [0.1, 0.01, 0], (0.5, 0.3, 0.15, 0.05), 16)
 _CHANNEL = ChannelParams(0.77, 3.03e-9, 0.16, 50.0)
 _SECURITY = SecurityParams(1e12)
+# [setting, port, slice] of N = 3 users over M = 4 slices
+_RETAINED = np.array([[[2, 0], [1, 0]], [[0, 0], [0, 1]]])
 _CHECK = StatCheck("sifted[k=0.4]", 12, 10.0, 0.6324555320336759, False)
 
 # One record of every type, and its repr: ``Name(field=value, ...)``.
@@ -102,9 +105,9 @@ RECORDS = {
         "eps_chernoff=1e-10, ec_efficiency=1.1))",
     ),
     "CoincidenceStats": (
-        CoincidenceStats({(0.4, 1, 0): 2.5}, {(1, 0): 3.0}, {0.4: 1.5}, 0.25),
-        "CoincidenceStats(retained_clicks={(0.4, 1, 0): 2.5}, slice_totals={(1, 0): 3.0}, "
-        "sifted={0.4: 1.5}, adjacent_error=0.25)",
+        CoincidenceStats(np.array([[2.5, 2.5], [0.5, 0.5]]), np.array([3.0, 3.0]), np.array([1.5, 0.0]), 0.25),
+        "CoincidenceStats(retained_clicks=array([[2.5, 2.5],\n       [0.5, 0.5]]), slice_totals=array([3., 3.]), "
+        "sifted=array([1.5, 0. ]), adjacent_error=0.25)",
     ),
     "DecoyBounds": (
         DecoyBounds({0: 1.0, 2: 0.5}, 0.3, (2,), 7),
@@ -131,11 +134,12 @@ RECORDS = {
         "max_evals=2000, tolerance=1e-09, seed=7)",
     ),
     "TrialSummary": (
-        TrialSummary(100, 1, 3, 4, (0.4, 0.0), {(0.4, 1, 0): 2}, {(1, 0): 3}, {0.4: 1, 0.0: 0},
-                     {1: 2}, {1: 0}, {2: 1}, 1, 1, 2, 5, 1),
+        TrialSummary(100, 1, 3, 4, (0.4, 0.0), _RETAINED, _RETAINED.sum(axis=0), np.array([1, 0]),
+                     np.array([2, 1]), np.array([0, 0]), np.array([1, 0]), 1, 1, 2, 5, 1),
         "TrialSummary(bins=100, seed=1, num_users=3, phase_slices=4, intensities=(0.4, 0.0), "
-        "retained_clicks={(0.4, 1, 0): 2}, slice_totals={(1, 0): 3}, sifted={0.4: 1, 0.0: 0}, "
-        "adjacent_total={1: 2}, adjacent_wrong={1: 0}, conference_errors={2: 1}, "
+        "retained_clicks=array([[[2, 0],\n        [1, 0]],\n\n       [[0, 0],\n        [0, 1]]]), "
+        "slice_totals=array([[2, 0],\n       [1, 1]]), sifted=array([1, 0]), adjacent_total=array([2, 1]), "
+        "adjacent_wrong=array([0, 0]), conference_errors=array([1, 0]), "
         "conference_errors_all_intensities=1, coincidences=1, matched_draws=2, candidate_bins=5, shards=1)",
     ),
     "StatCheck": (
@@ -216,5 +220,8 @@ def test_jsonable_makes_a_record_an_object(name):
     assert json.loads(json.dumps(data)) == data
     if name == "ComparisonReport":
         assert data["checks"] == [jsonable(_CHECK)] and data["checks"][0]["name"] == "sifted[k=0.4]"
+    if name == "TrialSummary":
+        assert data["retained_clicks"] == [[[2, 0], [1, 0]], [[0, 0], [0, 1]]]
+        assert data["slice_totals"] == [[2, 0], [1, 1]] and data["conference_errors"] == [1, 0]
     if name == "RateReport":
         assert data["params_used"]["decoy_intensities"] == [0.1, 0.01, 0.0]
