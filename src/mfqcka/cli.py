@@ -90,8 +90,8 @@ def _prepare(
     except RecursionError:
         raise ConfigError("malformed JSON: nested too deeply") from None
     bundle = bundle_from_dict(doc)
-    names = ("distance_km", "dark_count_rate")  # --distance, --dark-counts
-    overrides = {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
+    names = ("distance_km", "dark_count_rate")  # --distance, --dark-counts; + 0.0 turns -0.0 into 0.0
+    overrides = {name: getattr(args, name) + 0.0 for name in names if getattr(args, name, None) is not None}
     if overrides:
         bundle = _override(bundle, **overrides)
     spec = _search_spec(doc, args)

@@ -28,7 +28,6 @@ depends on the rows around it.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -226,7 +225,6 @@ def expected_stats(
     )
     return CoincidenceStats(
         retained_clicks=np.array(counts).T,
-        slice_totals=np.array([math.fsum(row) for row in counts]),
         sifted=_sifted_rows(np.array([counts]), config.phase_slices)[0],
         adjacent_error=float(errors.adjacent[0]),
     )

@@ -150,7 +150,7 @@ def _shown(text: str) -> str:
 
 
 def _number(value: Any, name: str) -> float:
-    """A finite float from a JSON number or numeric string; bools are rejected."""
+    """A finite float from a JSON number or numeric string, -0.0 as 0.0; bools are rejected."""
     if isinstance(value, (int, float, str)) and not isinstance(value, bool):
         try:
             number = float(value)
@@ -158,7 +158,7 @@ def _number(value: Any, name: str) -> float:
             pass
         else:
             if math.isfinite(number):
-                return number
+                return number + 0.0  # a signed zero enters as 0.0
     raise ConfigError(f"{name} must be a finite number, got {_shown(repr(value))}")
 
 
@@ -408,7 +408,6 @@ class CoincidenceStats(NamedTuple):
     """Analytic means of the matching statistics: float arrays, settings in ladder order."""
 
     retained_clicks: Any  # [setting, port - 1], in each phase slice
-    slice_totals: Any  # [port - 1], their sum over settings
     sifted: Any  # [setting], over all slices
     adjacent_error: float
 

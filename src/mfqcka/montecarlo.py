@@ -43,7 +43,6 @@ per matched slice on all of that slice's sifted coincidences.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Any, NamedTuple, Sequence
 
@@ -563,39 +562,49 @@ _Z_FLAG = 5.0
 _MIN_EXPECTED = 10.0
 
 
-def compare_to_analytic(summary: TrialSummary, bundle: Bundle) -> ComparisonReport:
-    """z-score every tracked statistic against the analytic means.
+def _wilson_hilferty(x2: np.ndarray, nu: int) -> np.ndarray:
+    """Normal z of chi-square values x2 with nu degrees of freedom (Wilson and Hilferty, PNAS 17, 684, 1931)."""
+    v = 2.0 / (9.0 * nu)
+    return (np.cbrt(x2 / nu) - 1.0 + v) / math.sqrt(v)
 
-    z = (observed - expected) / sqrt(expected); statistics whose expected
-    count is below 10 are skipped (normal approximation unusable there).
+
+def compare_to_analytic(summary: TrialSummary, bundle: Bundle) -> ComparisonReport:
+    """Test each statistic the model predicts once, in the ladder order of the arrays.
+
+    ``retained[k,port]`` pools a (setting, port) count over the M/2 slices;
+    it, ``sifted[k]`` and ``adjacent_error[port]`` are tested against
+    their analytic means by z = (observed - expected) / sqrt(expected).
+    ``slice_homogeneity[port]`` tests that a port's slice totals share one
+    mean, as the slices do by symmetry: Pearson's X^2 given their sum
+    against nu = M/2 - 1, z by Wilson-Hilferty.  A statistic whose expected
+    count (per slice, for homogeneity) is below 10 is skipped.
     """
     config = bundle.config
-    channel = bundle.channel
     sec = SecurityParams(data_size=float(summary.bins))
-    stats = matching.expected_stats(config, channel, sec)
+    stats = matching.expected_stats(config, bundle.channel, sec)
 
     checks: list[StatCheck] = []
     skipped: list[str] = []
 
-    def add(name: str, observed: float, expected: float) -> None:
-        if expected < _MIN_EXPECTED:
+    def add(name: str, observed: float, expected: float, mean: float | None = None, z: float | None = None) -> None:
+        if (expected if mean is None else mean) < _MIN_EXPECTED:
             skipped.append(name)
             return
-        z = (observed - expected) / math.sqrt(expected)
+        z = (observed - expected) / math.sqrt(expected) if z is None else z
         checks.append(StatCheck(name, observed, expected, z, abs(z) > _Z_FLAG))
 
-    # checks by ascending intensity, then port, then slice; settings are in ladder order
-    settings = config.intensities
-    ascending = sorted(range(len(settings)), key=settings.__getitem__)
-    retained, expected = summary.retained_clicks.tolist(), stats.retained_clicks.tolist()
-    for k, j in itertools.product(ascending, range(config.num_ports)):
-        for m, count in enumerate(retained[k][j]):
-            add(f"retained[k={settings[k]!r},port={j + 1},m={m}]", count, expected[k][j])
-    for j, (counts, mean) in enumerate(zip(summary.slice_totals.tolist(), stats.slice_totals.tolist()), 1):
-        for m, count in enumerate(counts):
-            add(f"slice_total[port={j},m={m}]", count, mean)
-    for k in ascending:
-        add(f"sifted[k={settings[k]!r}]", int(summary.sifted[k]), float(stats.sifted[k]))
+    settings, half = config.intensities, config.phase_slices // 2
+    pooled = summary.retained_clicks.sum(axis=2).tolist()
+    for (k, j), expected in np.ndenumerate(half * stats.retained_clicks):
+        add(f"retained[k={settings[k]!r},port={j + 1}]", pooled[k][j], float(expected))
+    totals = summary.slice_totals
+    mean = totals.mean(axis=1, keepdims=True)
+    x2 = (np.square(totals - mean) / np.where(mean > 0.0, mean, 1.0)).sum(axis=1)
+    z = _wilson_hilferty(x2, half - 1)
+    for j, per_slice in enumerate(stats.retained_clicks.sum(axis=0).tolist()):
+        add(f"slice_homogeneity[port={j + 1}]", float(x2[j]), half - 1.0, per_slice, float(z[j]))
+    for k, setting in enumerate(settings):
+        add(f"sifted[k={setting!r}]", int(summary.sifted[k]), float(stats.sifted[k]))
     for j, (wrong, n_obs) in enumerate(zip(summary.adjacent_wrong.tolist(), summary.adjacent_total.tolist()), 1):
         add(f"adjacent_error[port={j}]", wrong, stats.adjacent_error * n_obs)
     return ComparisonReport(checks=tuple(checks), skipped=tuple(skipped))

@@ -1054,3 +1054,22 @@ def test_null_means_default_in_optimizer_only(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["rate", str(path)]) == EXIT_CONFIG
     assert capsys.readouterr().err == "error: channel.distance_km must be a finite number, got None\n"
+
+
+def test_signed_zeros_enter_as_zero(tmp_path, capsys):
+    doc = make_bundle().to_dict()
+    doc["channel"]["distance_km"] = -0.0
+    doc["source"]["decoy_intensities"][-1] = -0.0
+    doc["optimizer"] = {"restarts": 1, "max_evals": 20, "seed": 5}
+    path = tmp_path / "signed.json"
+    path.write_text(json.dumps(doc))
+    assert main(["rate", str(path), "--distance", "-0"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "distance_km = 0.000000000e+00" in out and "sifted[0.0] =" in out
+    assert "= -0.000000000e+00" not in out and "[-0.0]" not in out
+    saved = tmp_path / "tuned.json"
+    assert main(["optimize", str(path), "--objective", "asymptotic", "--save-config", str(saved)]) == EXIT_OK
+    tuned = json.loads(saved.read_text())
+    for value in (tuned["channel"]["distance_km"], tuned["source"]["decoy_intensities"][-1]):
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+    assert main(["simulate", str(path), "--bins", "20000", "--dark-counts", "-0"]) == EXIT_OK

@@ -18,6 +18,7 @@ from mfqcka.montecarlo import compare_to_analytic, run_protocol
 from mfqcka.matching import expected_stats
 from mfqcka.model import SecurityParams, validate
 from conftest import make_bundle, make_channel, make_geometric_config, make_many_users_bundle
+from tail_oracles import chi2_sf, wilson_hilferty_x2
 
 
 def _tables(bundle):
@@ -448,15 +449,13 @@ def counted_summary(bundle, bins):
 class TestCompareToAnalytic:
     BUNDLE = make_bundle(num_users=4, distance_km=40.0)
 
-    def test_checks_come_in_the_order_of_sorted_keys(self):
-        # ascending intensity, then port, then slice, as sorted (intensity,
-        # port, slice) keys give them; settings are stored in ladder order
+    def test_checks_come_in_ladder_order(self):
+        # one check per statistic: settings in the ladder order of the arrays, then ports
         config = self.BUNDLE.config
-        ports, half = range(1, config.num_users), range(config.phase_slices // 2)
-        keys = sorted(itertools.product(config.intensities, ports, half))
-        names = [f"retained[k={k!r},port={j},m={m}]" for k, j, m in keys]
-        names += [f"slice_total[port={j},m={m}]" for j, m in itertools.product(ports, half)]
-        names += [f"sifted[k={k!r}]" for k in sorted(config.intensities)]
+        ports = range(1, config.num_users)
+        names = [f"retained[k={k!r},port={j}]" for k, j in itertools.product(config.intensities, ports)]
+        names += [f"slice_homogeneity[port={j}]" for j in ports]
+        names += [f"sifted[k={k!r}]" for k in config.intensities]
         names += [f"adjacent_error[port={j}]" for j in ports]
         report = compare_to_analytic(counted_summary(self.BUNDLE, 10**13), self.BUNDLE)
         checked = [c.name for c in report.checks]
@@ -467,24 +466,76 @@ class TestCompareToAnalytic:
 
     def test_each_check_reads_its_own_cell(self):
         config = self.BUNDLE.config
+        half = config.phase_slices // 2
         summary = counted_summary(self.BUNDLE, 10**13)
         stats = expected_stats(config, self.BUNDLE.channel, SecurityParams(data_size=1e13))
         report = compare_to_analytic(summary, self.BUNDLE)
         checks = {c.name: c for c in report.checks}
         want = {}
-        for (k, j, m), count in np.ndenumerate(summary.retained_clicks):
-            # one mean per (setting, port), the same in every slice
-            want[f"retained[k={config.intensities[k]!r},port={j + 1},m={m}]"] = (count, stats.retained_clicks[k, j])
-        for (j, m), count in np.ndenumerate(summary.slice_totals):
-            want[f"slice_total[port={j + 1},m={m}]"] = (count, stats.slice_totals[j])
+        for (k, j), count in np.ndenumerate(summary.retained_clicks.sum(axis=2)):
+            # each (setting, port) count pooled over the M/2 slices, against M/2 per-slice means
+            want[f"retained[k={config.intensities[k]!r},port={j + 1}]"] = (count, half * stats.retained_clicks[k, j])
         for k, count in enumerate(summary.sifted):
             want[f"sifted[k={config.intensities[k]!r}]"] = (count, stats.sifted[k])
         for j, count in enumerate(summary.adjacent_wrong):
             want[f"adjacent_error[port={j + 1}]"] = (count, stats.adjacent_error * summary.adjacent_total[j])
-        assert len(checks) > 100 and "adjacent_error[port=3]" in checks
+        homogeneity = {n: c for n, c in checks.items() if n.startswith("slice_homogeneity")}
+        assert len(checks) == 25 and "adjacent_error[port=3]" in checks and len(homogeneity) == 3
         for name, check in checks.items():
+            if name in homogeneity:
+                continue
             assert (check.observed, check.expected) == want[name], name
             assert type(check.observed) is int and type(check.expected) is float, name
+            assert check.z == (check.observed - check.expected) / math.sqrt(check.expected), name
+        for j, totals in enumerate(summary.slice_totals.tolist(), 1):
+            # Pearson's X^2 given the port's total, against nu = M/2 - 1, and its Wilson-Hilferty z
+            check = homogeneity[f"slice_homogeneity[port={j}]"]
+            mean = sum(totals) / len(totals)
+            x2 = sum((n - mean) ** 2 for n in totals) / mean
+            nu, v = half - 1, 2.0 / (9.0 * (half - 1))
+            assert check.observed == pytest.approx(x2, rel=1e-13) and check.expected == float(nu)
+            assert type(check.observed) is float and type(check.expected) is float
+            assert check.z == pytest.approx(((x2 / nu) ** (1 / 3) - (1.0 - v)) / math.sqrt(v), rel=1e-12)
+
+    def test_unequal_slices_flag_their_port_homogeneity_only(self):
+        # every count at its analytic mean, each slice total off by its own
+        # square root, alternately up and down, so that X^2 is about M/2
+        bundle, bins = self.BUNDLE, 10**11
+        half = bundle.config.phase_slices // 2
+        stats = expected_stats(bundle.config, bundle.channel, SecurityParams(data_size=float(bins)))
+        retained = np.rint(np.repeat(stats.retained_clicks[:, :, None], half, axis=2)).astype(np.int64)
+        retained[0] += np.rint(np.sqrt(retained.sum(axis=0))).astype(np.int64) * (-1) ** np.arange(half)
+        adjacent_total = retained[0].sum(axis=1)
+
+        def flagged():
+            summary = montecarlo.TrialSummary(
+                bins, 0, bundle.config.num_users, bundle.config.phase_slices, bundle.config.intensities, retained,
+                retained.sum(axis=0), np.rint(stats.sifted).astype(np.int64), adjacent_total,
+                np.rint(stats.adjacent_error * adjacent_total).astype(np.int64), np.zeros(3, np.int64), 0, 0, 0, 0, 1,
+            )
+            report = compare_to_analytic(summary, bundle)
+            assert sum(c.name.startswith("slice_homogeneity") for c in report.checks) == 3
+            return [c.name for c in report.checks if c.flagged]
+
+        assert flagged() == []
+        # port 2's first two slices tilted by 10 standard deviations, at the same port total
+        shift = int(10 * math.sqrt(retained[:, 1, 0].sum()))
+        retained[0, 1, :2] += (shift, -shift)
+        assert flagged() == ["slice_homogeneity[port=2]"]
+
+
+class TestSliceHomogeneity:
+    @pytest.mark.parametrize("nu, rows", [(7, 200_000), (31, 100_000)])
+    def test_multinomial_slices_follow_the_chi_square_tail(self, nu, rows):
+        # one port's slice totals given their sum, at a mean of 10 per slice,
+        # the smallest that is checked; the upper tail at z = 3 as chi-square has it
+        slices = nu + 1
+        counts = np.random.default_rng(nu).multinomial(10 * slices, [1.0 / slices] * slices, size=rows)
+        mean = counts.mean(axis=1, keepdims=True)
+        z = montecarlo._wilson_hilferty((np.square(counts - mean) / mean).sum(axis=1), nu)
+        p = chi2_sf(wilson_hilferty_x2(3.0, nu), nu)
+        seen = np.count_nonzero(z > 3.0)
+        assert abs(seen - rows * p) <= 5.0 * math.sqrt(rows * p * (1.0 - p)), (seen, rows * p)
 
 
 @functools.lru_cache(maxsize=None)
@@ -502,7 +553,8 @@ def signal_shares(distances=(0.0, 10.0), bins=4 * 10**6):
         summary = run_protocol(bundle, bins, seed=seed)
         stats = expected_stats(bundle.config, bundle.channel, SecurityParams(data_size=float(bins)))
         signal = summary.retained_clicks[0].sum(axis=1)
-        readings.append((signal, summary.slice_totals.sum(axis=1), stats.retained_clicks[0] / stats.slice_totals))
+        shares = stats.retained_clicks[0] / stats.retained_clicks.sum(axis=0)
+        readings.append((signal, summary.slice_totals.sum(axis=1), shares))
     return readings
 
 
@@ -616,7 +668,7 @@ class TestRunProtocol:
         bundle = make_bundle(distance_km=25.0, data_size=1e7)
         summary = run_protocol(bundle, 10**7, seed=42)
         report = compare_to_analytic(summary, bundle)
-        assert len(report.checks) > 30
+        assert len(report.checks) >= 10
         assert report.clean, [c for c in report.checks if c.flagged]
 
     def test_error_statistics_with_inflated_darks(self):
@@ -639,3 +691,4 @@ class TestRunProtocol:
         )
         report = compare_to_analytic(summary, skewed)
         assert not report.clean
+        assert any(c.flagged for c in report.checks if c.name.startswith("retained[")), report.checks

@@ -105,8 +105,8 @@ RECORDS = {
         "eps_chernoff=1e-10, ec_efficiency=1.1))",
     ),
     "CoincidenceStats": (
-        CoincidenceStats(np.array([[2.5, 2.5], [0.5, 0.5]]), np.array([3.0, 3.0]), np.array([1.5, 0.0]), 0.25),
-        "CoincidenceStats(retained_clicks=array([[2.5, 2.5],\n       [0.5, 0.5]]), slice_totals=array([3., 3.]), "
+        CoincidenceStats(np.array([[2.5, 2.5], [0.5, 0.5]]), np.array([1.5, 0.0]), 0.25),
+        "CoincidenceStats(retained_clicks=array([[2.5, 2.5],\n       [0.5, 0.5]]), "
         "sifted=array([1.5, 0. ]), adjacent_error=0.25)",
     ),
     "DecoyBounds": (
@@ -147,9 +147,9 @@ RECORDS = {
         "StatCheck(name='sifted[k=0.4]', observed=12, expected=10.0, z=0.6324555320336759, flagged=False)",
     ),
     "ComparisonReport": (
-        ComparisonReport((_CHECK,), ("slice_total[port=1,m=3]",)),
+        ComparisonReport((_CHECK,), ("slice_homogeneity[port=1]",)),
         "ComparisonReport(checks=(StatCheck(name='sifted[k=0.4]', observed=12, expected=10.0, "
-        "z=0.6324555320336759, flagged=False),), skipped=('slice_total[port=1,m=3]',))",
+        "z=0.6324555320336759, flagged=False),), skipped=('slice_homogeneity[port=1]',))",
     ),
 }
 
