@@ -37,8 +37,10 @@ shard the uniforms are drawn in blocks of ``_BLOCK`` and indices held as
 int32, so its working set is a few bytes per candidate port; the blocks
 continue one stream and leave every draw where one call would put it.
 
-Bit extraction is one array kernel, ``_conference_bits``, called once
-per matched slice on all of that slice's sifted coincidences.
+Matching only draws; one pass after it extracts every sifted bit with
+one kernel, ``_conference_bits``: user j's bit differs from user 1's
+where an odd number of ports 1 .. j-1 announced the wrong detector (the
+piling-up lemma of ``channel.marginal_errors``).
 """
 
 from __future__ import annotations
@@ -75,7 +77,6 @@ class TrialSummary(NamedTuple):
     phase_slices: int
     intensities: tuple[float, ...]
     retained_clicks: np.ndarray  # [setting, port - 1, slice]
-    slice_totals: np.ndarray  # [port - 1, slice]
     sifted: np.ndarray  # [setting]
     adjacent_total: np.ndarray  # [port - 1]
     adjacent_wrong: np.ndarray  # [port - 1]
@@ -358,47 +359,27 @@ def _generate_shard(
     }, n_cand
 
 
-def _conference_bits(
-    r_left: np.ndarray,
-    r_right: np.ndarray,
-    m_left: np.ndarray,
-    m_right: np.ndarray,
-    d: np.ndarray,
-) -> np.ndarray:
+def _conference_bits(first: np.ndarray, wrong: np.ndarray) -> np.ndarray:
     """Conference bits of matched coincidences, one column per coincidence.
 
-    Every argument has the shape (ports, n) in port order: row i is the bin
-    announced for port i+1, with the raw and phase bits of its left user
-    i+1 and right user i+2 and the relay's announcement ``d``.  Returns the
-    (N, n) bits.  Row 0 is user 1's raw bit.  User j >= 2 takes their raw
-    bit in port j-1 and XORs in the announcements of ports 1 .. j-1, every
-    phase bit published in those ports and the raw bits of users
-    2 .. j-1 in both of their ports.  Under ideal detection every row
-    equals row 0.
+    ``first`` is user 1's raw bit and row i of the (ports, n) ``wrong``
+    whether port i+1's announcement d differs from the noiseless one, the
+    XOR of both users' phase and raw bits.  Returns the (N, n) bits: row
+    j-1 is ``first`` XOR the running XOR of wrong rows 0 .. j-2, so under
+    ideal detection every row equals row 0.
     """
-    # step[i]: what port i+1 adds to the chain of every later user
-    step = d ^ m_right
-    step[1:] ^= r_right[:-1] ^ r_left[1:] ^ m_left[1:]
-    chain = np.bitwise_xor.accumulate(step, axis=0)
-    return np.vstack([r_left[:1], r_right ^ chain ^ m_left[0]])
+    return np.vstack([first, first ^ np.bitwise_xor.accumulate(wrong, axis=0)])
 
 
-def _write_dump(
-    path: str, n_users: int, intensities: Sequence[float], parts: list[np.ndarray]
-) -> None:
-    """Write the sifted coincidences as CSV, one row per column of ``parts``.
+def _write_dump(path: str, n_users: int, intensities: Sequence[float], table: np.ndarray) -> None:
+    """Write the sifted coincidences as CSV, one row per column of ``table``.
 
-    Each part holds the rows slice, setting index, the N-1 announcements
+    ``table`` holds the rows slice, setting index, the N-1 announcements
     and the N conference bits; the setting index is written as its
     intensity.
     """
-    ports = n_users - 1
-    header = (
-        ["slice", "intensity"]
-        + [f"d_{j + 1}" for j in range(ports)]
-        + [f"bit_user_{j + 1}" for j in range(n_users)]
-    )
-    table = np.hstack(parts) if parts else np.zeros((len(header), 0), dtype=np.int64)
+    header = ["slice", "intensity", *(f"d_{j}" for j in range(1, n_users))]
+    header += [f"bit_user_{j}" for j in range(1, n_users + 1)]
     labels = np.array([repr(k) for k in intensities])
     cells = [table[0].astype(str), labels[table[1]], *table[2:].astype(str)]
     lines = cells[0]
@@ -414,8 +395,10 @@ def run_protocol(
 
     Matching draws one retained bin per port (without replacement,
     uniformly at random) per round until the smallest slice set is
-    exhausted; coincidences sharing a common intensity are sifted and
-    their bits extracted and compared against user 1.
+    exhausted, and keeps the coincidences whose users share one intensity.
+    One pass over those sifted coincidences then counts them per setting
+    and extracts their bits (``_conference_bits``), which are compared
+    against user 1.
 
     ``coincidence_dump`` optionally names a CSV file that receives one
     row per sifted coincidence (slice, intensity, announcements and the
@@ -451,68 +434,42 @@ def run_protocol(
     merged = {key: np.concatenate([c[key] for c in columns]) for key in columns[0]}
     del columns
 
-    combo = (merged["k_idx"].astype(np.int64) * ports + merged["port"]) * half + merged["m"]
-    retained = np.bincount(combo, minlength=n_settings * ports * half).reshape(
-        n_settings, ports, half
-    )
-    slice_totals = retained.sum(axis=0)
+    port, k_idx = merged["port"], merged["k_idx"]
+    combo = (k_idx.astype(np.int64) * ports + port) * half + merged["m"]
+    retained = np.bincount(combo, minlength=n_settings * ports * half).reshape(n_settings, ports, half)
 
-    signal_mask = merged["k_idx"] == 0
-    ideal = (
-        merged["m_left"] ^ merged["r_left"] ^ merged["m_right"] ^ merged["r_right"]
-    ) & 1
-    wrong = (merged["d"] ^ ideal) & 1
-    adjacent_total = np.bincount(merged["port"][signal_mask], minlength=ports)
-    adjacent_wrong = np.bincount(
-        merged["port"][signal_mask], weights=wrong[signal_mask], minlength=ports
-    ).astype(np.int64)
+    signal = k_idx == 0
+    # the announcement differs from the noiseless one, d = m_left ^ r_left ^ m_right ^ r_right
+    wrong = (merged["d"] ^ merged["m_left"] ^ merged["r_left"] ^ merged["m_right"] ^ merged["r_right"]).astype(bool)
+    adjacent_total = np.bincount(port[signal], minlength=ports)
+    adjacent_wrong = np.bincount(port[signal & wrong], minlength=ports)
 
     match_rng = np.random.default_rng(master.spawn(1)[0])
-    sifted = np.zeros(n_settings, dtype=np.int64)
-    conf_errors = np.zeros(ports, dtype=np.int64)  # user j = 2..N at index j-2
-    conf_errors_all = 0
-    matched_draws = 0
-    dump_parts: list[np.ndarray] = []
     # The retained bins sorted stably by (slice, port), a radix sort on the
     # smallest integer type: each group is the ascending index list of its
     # slice and port, as a mask over all retained bins would give it.
-    totals = slice_totals.T  # (slice, port)
+    totals = retained.sum(axis=0).T  # (slice, port)
     bounds = np.concatenate([[0], np.cumsum(totals)])
     group = merged["m"].astype(_index_type(half * ports))
     group *= ports
-    group += merged["port"]
+    group += port
     order = np.argsort(group, kind="stable")
+    matched = [np.zeros((ports, 0), dtype=order.dtype)]
     for m in np.flatnonzero(totals.min(axis=1)).tolist():
         sets = [order[bounds[g] : bounds[g + 1]] for g in range(m * ports, (m + 1) * ports)]
         n_min = min(len(s) for s in sets)
-        matched_draws += n_min
-        rows = np.stack(
-            [s[match_rng.permutation(len(s))[:n_min]] for s in sets]
-        )  # (ports, n_min)
-        k_mat = merged["k_idx"][rows]
-        common = np.all(k_mat == k_mat[0], axis=0)
-        if not common.any():
-            continue
-        cols = rows[:, common]
-        k_common = k_mat[0, common]
-        sifted += np.bincount(k_common, minlength=n_settings)
+        rows = np.stack([s[match_rng.permutation(len(s))[:n_min]] for s in sets])  # (ports, n_min)
+        k_mat = k_idx[rows]
+        matched.append(rows[:, (k_mat == k_mat[0]).all(axis=0)])
 
-        d_mat = merged["d"][cols]
-        bits = _conference_bits(
-            merged["r_left"][cols],
-            merged["r_right"][cols],
-            merged["m_left"][cols],
-            merged["m_right"][cols],
-            d_mat,
-        )
-        errors = bits[1:] ^ bits[0]
-        conf_errors += errors[:, k_common == 0].sum(axis=1)
-        conf_errors_all += int(errors.sum())
-        if coincidence_dump is not None:
-            dump_parts.append(np.vstack([np.full(len(k_common), m), k_common, d_mat, bits]))
-
+    cols = np.hstack(matched)  # (ports, sifted coincidences), by slice
+    k_common = k_idx[cols[0]]
+    sifted = np.bincount(k_common, minlength=n_settings)
+    bits = _conference_bits(merged["r_left"][cols[0]], wrong[cols])
+    errors = bits[1:] ^ bits[0]
     if coincidence_dump is not None:
-        _write_dump(coincidence_dump, n_users, config.intensities, dump_parts)
+        table = np.vstack([merged["m"][cols[0]], k_common, merged["d"][cols], bits])
+        _write_dump(coincidence_dump, n_users, config.intensities, table)
 
     return TrialSummary(
         bins=num_bins,
@@ -521,14 +478,13 @@ def run_protocol(
         phase_slices=m_slices,
         intensities=config.intensities,
         retained_clicks=retained,
-        slice_totals=slice_totals,
         sifted=sifted,
         adjacent_total=adjacent_total,
         adjacent_wrong=adjacent_wrong,
-        conference_errors=conf_errors,
-        conference_errors_all_intensities=conf_errors_all,
+        conference_errors=errors[:, k_common == 0].sum(axis=1),
+        conference_errors_all_intensities=int(errors.sum()),
         coincidences=int(sifted.sum()),
-        matched_draws=matched_draws,
+        matched_draws=int(totals.min(axis=1).sum()),
         candidate_bins=candidate_bins,
         shards=n_shards,
     )
@@ -597,7 +553,7 @@ def compare_to_analytic(summary: TrialSummary, bundle: Bundle) -> ComparisonRepo
     pooled = summary.retained_clicks.sum(axis=2).tolist()
     for (k, j), expected in np.ndenumerate(half * stats.retained_clicks):
         add(f"retained[k={settings[k]!r},port={j + 1}]", pooled[k][j], float(expected))
-    totals = summary.slice_totals
+    totals = summary.retained_clicks.sum(axis=0)
     mean = totals.mean(axis=1, keepdims=True)
     x2 = (np.square(totals - mean) / np.where(mean > 0.0, mean, 1.0)).sum(axis=1)
     z = _wilson_hilferty(x2, half - 1)

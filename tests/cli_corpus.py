@@ -141,6 +141,18 @@ def commands() -> dict[str, list[str]]:
             "simulate", f"../docs/{doc}.json", "--bins", bins, "--seed", "4", "--out", "run.json",
             "--dump-coincidences", "coincidences.csv",
         ]
+    # dark counts high enough for wrong announcements and conference errors,
+    # so that the bit layer reaches the counts and the dump
+    for doc in ("n3", "n5", "geo8"):
+        cmds[f"simulate-{doc}-dark"] = [
+            "simulate", f"../docs/{doc}.json", "--dark-counts", "1e-3", "--bins", "3000000", "--seed", "4",
+            "--out", "run.json", "--dump-coincidences", "coincidences.csv",
+        ]
+    # no coincidence at all: the dump is its header line
+    cmds["simulate-n3-one-bin"] = [
+        "simulate", "../docs/n3.json", "--bins", "1", "--seed", "4", "--out", "run.json",
+        "--dump-coincidences", "coincidences.csv",
+    ]
     # one bin past simulate's bound: rejected before any shard runs
     cmds["simulate-n3-too-many-bins"] = ["simulate", "../docs/n3.json", "--bins", "1000000000001"]
     cmds["scan-n4-exact-until-no-signal"] = [

@@ -828,6 +828,17 @@ def test_simulate_dump_rows_match_summary(config_path, tmp_path):
         assert sum(wrong(row, j) for row in signal) == summary["conference_errors"][j - 2]
 
 
+def test_simulate_one_bin_dumps_the_header_only(config_path, tmp_path):
+    # no coincidence: the sifted columns are empty and so is every count
+    dump, out = tmp_path / "coincidences.csv", tmp_path / "sim.json"
+    argv = ["simulate", config_path, "--bins", "1", "--seed", "4", "--out", str(out), "--dump-coincidences", str(dump)]
+    assert main(argv) == EXIT_OK
+    assert dump.read_text() == "slice,intensity,d_1,d_2,bit_user_1,bit_user_2,bit_user_3\n"
+    summary = json.loads(out.read_text())["summary"]
+    assert summary["sifted"] == [0, 0, 0, 0] and summary["conference_errors"] == [0, 0]
+    assert summary["coincidences"] == summary["matched_draws"] == summary["conference_errors_all_intensities"] == 0
+
+
 def test_simulate_writes_summary_and_is_deterministic(config_path, tmp_path):
     out1 = tmp_path / "sim1.json"
     out2 = tmp_path / "sim2.json"

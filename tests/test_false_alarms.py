@@ -50,7 +50,7 @@ def false_alarm_probability(phase_slices, bins):
     retained = stats.retained_clicks[:, :, None].repeat(half, axis=2)
     adjacent_total = half * stats.retained_clicks[0]
     summary = TrialSummary(
-        bins, 0, 3, phase_slices, bundle.config.intensities, retained, retained.sum(axis=0), stats.sifted,
+        bins, 0, 3, phase_slices, bundle.config.intensities, retained, stats.sifted,
         adjacent_total, stats.adjacent_error * adjacent_total, (), 0, 0, 0, 0, 1,
     )
     checks = compare_to_analytic(summary, bundle).checks

@@ -12,7 +12,7 @@ import pytest
 
 import montecarlo_oracles as oracle
 from mfqcka import montecarlo
-from mfqcka.channel import total_efficiency
+from mfqcka.channel import marginal_errors, total_efficiency
 from mfqcka.model import Bundle
 from mfqcka.montecarlo import compare_to_analytic, run_protocol
 from mfqcka.matching import expected_stats
@@ -381,9 +381,14 @@ def ideal_columns(num_users):
 
 
 def kernel_bits(slice_left, slice_right, r_left, r_right, d, m_slices):
-    """``montecarlo._conference_bits`` on slices instead of phase bits."""
+    """``montecarlo._conference_bits`` on the columns of ``oracle.coincidence_bits``.
+
+    A port announced wrongly where d differs from the XOR of both users'
+    phase and raw bits, as ``run_protocol`` counts it.
+    """
     phase = lambda s: (2 * s // m_slices).astype(np.int8)
-    return montecarlo._conference_bits(r_left, r_right, phase(slice_left), phase(slice_right), d)
+    wrong = (d ^ phase(slice_left) ^ r_left ^ phase(slice_right) ^ r_right).astype(bool)
+    return montecarlo._conference_bits(r_left[0], wrong)
 
 
 class TestExtractBits:
@@ -441,8 +446,8 @@ def counted_summary(bundle, bins):
     retained = np.arange(settings * ports * half).reshape(settings, ports, half)
     counts = lambda size: np.arange(size) + 7
     return montecarlo.TrialSummary(
-        bins, 0, config.num_users, config.phase_slices, config.intensities, retained,
-        retained.sum(axis=0), counts(settings), counts(ports) * 10**10, counts(ports), counts(ports), 0, 0, 0, 0, 1,
+        bins, 0, config.num_users, config.phase_slices, config.intensities, retained, counts(settings),
+        counts(ports) * 10**10, counts(ports), counts(ports), 0, 0, 0, 0, 1,
     )
 
 
@@ -487,7 +492,7 @@ class TestCompareToAnalytic:
             assert (check.observed, check.expected) == want[name], name
             assert type(check.observed) is int and type(check.expected) is float, name
             assert check.z == (check.observed - check.expected) / math.sqrt(check.expected), name
-        for j, totals in enumerate(summary.slice_totals.tolist(), 1):
+        for j, totals in enumerate(summary.retained_clicks.sum(axis=0).tolist(), 1):
             # Pearson's X^2 given the port's total, against nu = M/2 - 1, and its Wilson-Hilferty z
             check = homogeneity[f"slice_homogeneity[port={j}]"]
             mean = sum(totals) / len(totals)
@@ -510,7 +515,7 @@ class TestCompareToAnalytic:
         def flagged():
             summary = montecarlo.TrialSummary(
                 bins, 0, bundle.config.num_users, bundle.config.phase_slices, bundle.config.intensities, retained,
-                retained.sum(axis=0), np.rint(stats.sifted).astype(np.int64), adjacent_total,
+                np.rint(stats.sifted).astype(np.int64), adjacent_total,
                 np.rint(stats.adjacent_error * adjacent_total).astype(np.int64), np.zeros(3, np.int64), 0, 0, 0, 0, 1,
             )
             report = compare_to_analytic(summary, bundle)
@@ -554,7 +559,7 @@ def signal_shares(distances=(0.0, 10.0), bins=4 * 10**6):
         stats = expected_stats(bundle.config, bundle.channel, SecurityParams(data_size=float(bins)))
         signal = summary.retained_clicks[0].sum(axis=1)
         shares = stats.retained_clicks[0] / stats.retained_clicks.sum(axis=0)
-        readings.append((signal, summary.slice_totals.sum(axis=1), shares))
+        readings.append((signal, summary.retained_clicks.sum(axis=(0, 2)), shares))
     return readings
 
 
@@ -612,8 +617,6 @@ class TestRunProtocol:
         assert d["intensities"] == [0.1, 0.05, 0.01, 0.0]
         assert np.shape(d["retained_clicks"]) == (4, 2, 8)
         assert d["retained_clicks"][1][0][0] == summary.retained_clicks[1, 0, 0]
-        assert np.shape(d["slice_totals"]) == (2, 8)
-        assert d["slice_totals"][1][7] == summary.slice_totals[1, 7]
         for name, size in [("sifted", 4), ("adjacent_total", 2), ("adjacent_wrong", 2), ("conference_errors", 2)]:
             assert len(d[name]) == size and all(type(v) is int for v in d[name]), name
         assert d["coincidences"] == summary.coincidences == sum(d["sifted"])
@@ -621,15 +624,9 @@ class TestRunProtocol:
     def test_matching_consumes_bins_once(self):
         bundle = make_bundle(distance_km=10.0)
         summary = run_protocol(bundle, 2 * 10**5, seed=31)
-        assert summary.matched_draws == summary.slice_totals.min(axis=0).sum()
+        assert summary.matched_draws == summary.retained_clicks.sum(axis=0).min(axis=0).sum()
         assert summary.coincidences <= summary.matched_draws
         assert summary.sifted.sum() == summary.coincidences
-
-    def test_retained_totals_consistent(self):
-        bundle = make_bundle(distance_km=10.0)
-        summary = run_protocol(bundle, 2 * 10**5, seed=37)
-        assert summary.retained_clicks.shape == (4, 2, 8)
-        assert np.array_equal(summary.retained_clicks.sum(axis=0), summary.slice_totals)
 
     def test_candidate_bins_follow_the_thinning_law(self):
         # each shard draws Binomial(n, 1 - (1 - q)^P) candidate bins
@@ -680,6 +677,21 @@ class TestRunProtocol:
         adjacent = [c for c in report.checks if c.name.startswith("adjacent_error")]
         assert adjacent, report.skipped
         assert report.clean, [c for c in report.checks if c.flagged]
+
+    @pytest.mark.parametrize(
+        "num_users, dark_count_rate", [(3, 1e-3), (5, 1e-3), (4, 1e-4)], ids=["N3-1e-3", "N5-1e-3", "N4-1e-4"]
+    )
+    def test_conference_errors_follow_the_piling_up_lemma(self, num_users, dark_count_rate):
+        # user j's sifted signal bits disagree with user 1's at the rate E_1j
+        # that the model charges error correction for, against binomial noise
+        bundle = make_bundle(num_users=num_users, distance_km=50.0, dark_count_rate=dark_count_rate)
+        summary = run_protocol(bundle, 10**7, seed=1)
+        stats = expected_stats(bundle.config, bundle.channel, SecurityParams(data_size=1e7))
+        rates = marginal_errors(np.array(stats.adjacent_error), num_users)
+        signal = summary.sifted[0]
+        z = (summary.conference_errors - signal * rates) / np.sqrt(signal * rates * (1.0 - rates))
+        assert summary.conference_errors.shape == (num_users - 1,) and signal >= 300
+        assert np.abs(z).max() <= 5.0, z
 
     def test_injected_discrepancy_is_flagged(self):
         bundle = make_bundle(distance_km=25.0)
