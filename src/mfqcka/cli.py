@@ -314,13 +314,15 @@ def _check_writable(path: str) -> None:
         raise ConfigError(f"cannot write {path}: not a writable file")
 
 
-# The simulator's click tables hold (users + 1)^2 * phase_slices entries, and
-# its analytic comparison keeps a transfer chain of about users^3 / 2 doubles;
-# past these bounds they no longer fit in a few GB of memory.  A run takes
-# about 5 ns (3 users) to 40 ns (8 users) per bin on one core and keeps every
-# retained bin (about 6e-4 of the bins at 3 users and 50 km) until matching,
-# so 1e12 bins already take hours and tens of GB; the bound admits 1e9-bin runs
-# and rejects a count whose shards could never all run before any of them does.
+# The simulator's port tables grow with (users + 1)^2 * phase_slices, and
+# each step of its analytic comparison's transfer chain holds a
+# (users // 2, users + 1, users + 1) product and its transposed copy, about
+# users^3 doubles (135 MB at 256 users); past these bounds they no longer fit
+# in a few GB of memory.  A run takes about 5 ns (3 users) to 40 ns (8 users)
+# per bin on one core and keeps every retained bin (about 6e-4 of the bins at
+# 3 users and 50 km) until matching, so 1e12 bins already take hours and tens
+# of GB; the bound admits 1e9-bin runs and rejects a count whose shards could
+# never all run before any of them does.
 _MAX_SIMULATE_TABLE = 1 << 22
 _MAX_SIMULATE_USERS = 256
 _MAX_SIMULATE_BINS = 10**12

@@ -14,27 +14,28 @@ Reported rates are clamped at zero but the raw value is retained so
 optimizers keep a usable objective in the negative-rate region.
 
 ``_rate_chunk`` is the array kernel: it takes a batch of source settings
-(one ladder per row) over a channel that is one for all rows or one per
-row, runs the matching, decoy or photon-number and error layers on the
-whole batch, and hands them to ``_rate_layers``, the one assembly of
-``key_rate_raw``, which returns every layer (``RateLayers``) with an
-infeasibility cause per row.  ``rate_rows``, the optimizer's entry
-point, rates many ladders over one channel and keeps ``key_rate_raw``
-and the cause.  Every ``RateReport`` is built by ``_row_report`` from one
-row of a ``RateLayers``: ``rate_reports`` rates one configuration over
-many channels (a distance scan) and builds each report from its kernel
-row, and ``rate_report`` (``finite_rate`` and ``asymptotic_rate``, one
-body ``_report``) builds the report of one configuration from a one-row
-``RateLayers``.  ``_report`` reads each layer through its one-row entry
-point, in the kernel's order: the cached count matrix
-(``matching._count_matrix``), the mode's phase-error estimate, then the
-bit errors (``channel.error_terms``), so a configuration raises the
-error its kernel cause names.  The benchmark's tracer
-(``perfbench/spans.py``) wraps those entry points by name, which is why
-``_report`` does not yet call the kernel.  ``_check_mode`` alone decides
-which modes exist for how many users on how many settings: the kernel
-and the builders call it, and an unsupported triple raises before any
-layer runs.
+(one ladder per row) over one channel per row, runs the matching, decoy
+or photon-number and error layers on the whole batch, and hands them to
+``_rate_layers``, the one assembly of ``key_rate_raw``, which returns
+every layer (``RateLayers``) with an infeasibility cause per row.
+``_chunks``, the one loop over it, checks the mode once and rates the
+rows in chunks of ``_chunk_rows``.  ``rate_rows``, the optimizer's entry
+point, rates many ladders over one channel, repeated for every row, and
+keeps ``key_rate_raw`` and the cause.  Every ``RateReport`` is built by
+``_row_report`` from one row of a ``RateLayers``: ``rate_reports`` rates
+one configuration over many channels (a distance scan) and builds each
+report from its kernel row, and ``rate_report`` (``finite_rate`` and
+``asymptotic_rate``, one body ``_report``) builds the report of one
+configuration from a one-row ``RateLayers``.  ``_report`` reads each
+layer through its one-row entry point, in the kernel's order: the cached
+count matrix (``matching._count_matrix``), the mode's phase-error
+estimate, then the bit errors (``channel.error_terms``), so a
+configuration raises the error its kernel cause names.  The benchmark's
+tracer (``perfbench/spans.py``) wraps those entry points by name, which
+is why ``_report`` does not yet call the kernel.  ``_check_mode`` alone
+decides which modes exist for how many users on how many settings: the
+kernel and the builders call it, and an unsupported triple raises before
+any layer runs.
 """
 
 from __future__ import annotations
@@ -122,10 +123,11 @@ def _check_mode(num_users: int, mode: str, settings: int) -> None:
 
 # Rows per kernel pass are chosen so that the (rows, pairs, I0_NODES) temporary
 # of the Bessel quadrature in the gain table stays within this size.  The rule
-# evaluates one I0 argument per distinct pair of nonzero settings: it skips the
-# S pairs with the vacuum, which every ladder of the package ends in.  A chunk
-# whose last setting is nonzero (rows that are ConfigErrors, which only tests
-# pass) evaluates all S(S+1)/2 pairs, up to (S+1)/(S-1) times this size.
+# evaluates one I0 argument per distinct pair of settings that is nonzero in
+# some row: it skips the S pairs with the vacuum, which every ladder of the
+# package holds.  A chunk without a vacuum setting (rows that are ConfigErrors,
+# which only tests pass) evaluates all S(S+1)/2 pairs, up to (S+1)/(S-1) times
+# this size.
 _CHUNK_BYTES = 1 << 18
 
 
@@ -172,21 +174,11 @@ def rate_rows(
     ``rate_report`` raises for row r alone, 0 where it returns; then
     ``key_rate_raw[r]`` is its value bit for bit, whatever the other
     rows are.  Each row is read in the order given, never re-sorted.
-    Rows are evaluated in chunks of ``_chunk_rows`` to bound the memory
-    of the gain table.
     """
-    rows, settings = ints.shape
-    _check_mode(config.num_users, mode, settings)
-    eta_t, p_d = total_efficiency(channel), channel.dark_count_rate
-    step = _chunk_rows(settings)
-    if 0 < rows <= step:  # one chunk: its arrays are the result
-        layers = _rate_chunk(ints, probs, config, eta_t, p_d, sec, mode)
-        return layers.key_rate_raw, layers.cause
-    raw = np.full(rows, np.nan)
-    cause = np.zeros(rows, dtype=np.int8)
-    for lo in range(0, rows, step):
-        part = slice(lo, lo + step)
-        layers = _rate_chunk(ints[part], probs[part], config, eta_t, p_d, sec, mode)
+    rows = len(ints)
+    eta_t, p_d = np.full(rows, total_efficiency(channel)), np.full(rows, channel.dark_count_rate)
+    raw, cause = np.empty(rows), np.empty(rows, dtype=np.int8)
+    for part, layers in _chunks(ints, probs, config, eta_t, p_d, sec, mode):
         raw[part], cause[part] = layers.key_rate_raw, layers.cause
     return raw, cause
 
@@ -205,16 +197,11 @@ def rate_reports(
     have been yielded by then.
     """
     channels = list(channels)
-    rows, settings = len(channels), len(config.intensities)
-    _check_mode(config.num_users, mode, settings)
-    ks = np.tile(np.array(config.intensities), (rows, 1))
-    probs = np.tile(np.array(config.send_probabilities), (rows, 1))
+    ks = np.tile(np.array(config.intensities), (len(channels), 1))
+    probs = np.tile(np.array(config.send_probabilities), (len(channels), 1))
     eta_t = np.array([total_efficiency(channel) for channel in channels])
     p_d = np.array([channel.dark_count_rate for channel in channels])
-    step = _chunk_rows(settings)
-    for lo in range(0, rows, step):
-        part = slice(lo, lo + step)
-        layers = _rate_chunk(ks[part], probs[part], config, eta_t[part], p_d[part], sec, mode)
+    for part, layers in _chunks(ks, probs, config, eta_t, p_d, sec, mode):
         for r, channel in enumerate(channels[part]):
             if layers.cause[r]:
                 yield rate_report(config, channel, sec, mode)
@@ -222,19 +209,39 @@ def rate_reports(
                 yield _row_report(config, channel, sec, mode, layers, r)
 
 
+def _chunks(
+    ks: np.ndarray,
+    probs: np.ndarray,
+    config: SourceConfig,
+    eta_t: np.ndarray,
+    p_d: np.ndarray,
+    sec: SecurityParams,
+    mode: str,
+) -> Iterator[tuple[slice, RateLayers]]:
+    """Yield (rows, layers) for each ``_chunk_rows`` rows in turn, after ``_check_mode``.
+
+    ``eta_t`` and ``p_d`` hold one channel per row.
+    """
+    rows, settings = ks.shape
+    _check_mode(config.num_users, mode, settings)
+    step = _chunk_rows(settings)
+    for lo in range(0, rows, step):
+        part = slice(lo, lo + step)
+        yield part, _rate_chunk(ks[part], probs[part], config, eta_t[part], p_d[part], sec, mode)
+
+
 def _rate_chunk(
     ks: np.ndarray,
     probs: np.ndarray,
     config: SourceConfig,
-    eta_t: float | np.ndarray,
-    p_d: float | np.ndarray,
+    eta_t: np.ndarray,
+    p_d: np.ndarray,
     sec: SecurityParams,
     mode: str,
 ) -> RateLayers:
     """Every layer of rows ``ks``/``probs`` over total efficiency ``eta_t`` and dark-count rate ``p_d``.
 
-    ``eta_t`` and ``p_d`` are scalars (one channel for every row, as the
-    optimizer passes them) or one value per row (a distance scan).
+    ``eta_t`` and ``p_d`` hold one value per row.
     """
     n, m_slices = config.num_users, config.phase_slices
     n_bins, _ = _scale(n, sec, mode)
@@ -340,7 +347,7 @@ def _report(config: SourceConfig, channel: ChannelParams, sec: SecurityParams, m
     """
     n, ks = config.num_users, config.intensities
     _check_mode(n, mode, len(ks))
-    counts = np.array([matching._count_matrix(config, channel, sec.data_size)])
+    counts = matching._count_matrix(config, channel, sec.data_size)[None]
     sifted = matching._sifted_rows(counts, config.phase_slices)
     if mode == "asymptotic-exact":
         if not decoy._ladder_rows(np.array([ks]), np.array([config.send_probabilities]))[0]:

@@ -44,22 +44,11 @@ __all__ = [
 
 @lru_cache(maxsize=None)
 def _setting_pairs(settings: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct setting pairs (a <= b), the index of every (a, b) among them, and of every (k, k).
-
-    The pairs with the vacuum (the last setting) come last, where the
-    Bessel rule skips them (``special_math._i0_rule``).
-    """
+    """Distinct setting pairs (a <= b), the index of every (a, b) among them, and of every (k, k)."""
     first, second = np.triu_indices(settings)
-    last = np.argsort(second == settings - 1, kind="stable")
-    first, second = first[last], second[last]
     index = np.empty((settings, settings), dtype=np.intp)
     index[first, second] = index[second, first] = np.arange(len(first))
     return first, second, index, np.diagonal(index).copy()
-
-
-def _per_row(value):
-    """A scalar as it is; one value per row as a column against the row's settings."""
-    return value[:, None] if isinstance(value, np.ndarray) and value.ndim else value
 
 
 def _gain_rows(ks: np.ndarray, eta_t, p_d) -> tuple[np.ndarray, np.ndarray]:
@@ -72,7 +61,8 @@ def _gain_rows(ks: np.ndarray, eta_t, p_d) -> tuple[np.ndarray, np.ndarray]:
     distinct pairs only.
     """
     first, second, index, matched = _setting_pairs(ks.shape[1])
-    q_fixed, q_pairs = pair_gains(ks[:, first], ks[:, second], _per_row(eta_t), _per_row(p_d))
+    eta_t, p_d = np.reshape(eta_t, (-1, 1)), np.reshape(p_d, (-1, 1))  # columns against the settings
+    q_fixed, q_pairs = pair_gains(ks[:, first], ks[:, second], eta_t, p_d)
     return q_pairs[:, index], q_fixed[:, matched]
 
 
@@ -169,10 +159,8 @@ def _count_rows(
 
 
 @lru_cache(maxsize=256)
-def _count_matrix(
-    config: SourceConfig, channel: ChannelParams, data_size: float
-) -> tuple[tuple[float, ...], ...]:
-    """Expected per-slice retained clicks, indexed [port-1][setting]; one row of ``_count_rows``."""
+def _count_matrix(config: SourceConfig, channel: ChannelParams, data_size: float) -> np.ndarray:
+    """Expected per-slice retained clicks, indexed [port-1, setting]; one read-only row of ``_count_rows``."""
     counts = _count_rows(
         np.array([config.intensities]),
         np.array([config.send_probabilities]),
@@ -181,8 +169,9 @@ def _count_matrix(
         total_efficiency(channel),
         channel.dark_count_rate,
         data_size,
-    )
-    return tuple(tuple(row) for row in counts[0].tolist())
+    )[0]
+    counts.flags.writeable = False
+    return counts
 
 
 def _port_totals(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -211,7 +200,7 @@ def sifted_coincidences(
     zero whenever some port's slice set is empty.  One row of ``_sifted_rows``.
     """
     k_idx = _setting_index(config, k)
-    counts = np.array([_count_matrix(config, channel, sec.data_size)])
+    counts = _count_matrix(config, channel, sec.data_size)[None]
     return float(_sifted_rows(counts, config.phase_slices)[0, k_idx])
 
 
@@ -224,7 +213,7 @@ def expected_stats(
         config.signal_intensity, config.num_users, total_efficiency(channel), channel.dark_count_rate
     )
     return CoincidenceStats(
-        retained_clicks=np.array(counts).T,
-        sifted=_sifted_rows(np.array([counts]), config.phase_slices)[0],
+        retained_clicks=counts.T,
+        sifted=_sifted_rows(counts[None], config.phase_slices)[0],
         adjacent_error=float(errors.adjacent[0]),
     )

@@ -109,10 +109,6 @@ class SourceConfig(_SourceFields):
         """All intensity settings, signal first, vacuum last."""
         return (self.signal_intensity,) + self.decoy_intensities
 
-    @property
-    def num_ports(self) -> int:
-        return self.num_users - 1
-
 
 class SecurityParams(NamedTuple):
     """Data size and failure-probability budget of one protocol run.
@@ -274,17 +270,14 @@ def jsonable(value: Any) -> Any:
     A record (a tuple with ``_fields``) becomes an object of its fields,
     any other tuple or list a list, an array (anything with ``tolist``)
     nested lists, and a mapping an object sorted by key whose keys are the
-    keys' ``repr``; a tuple key becomes its parts' ``repr`` joined by ``|``.
+    keys' ``repr``.
     """
     if hasattr(value, "tolist"):
         return value.tolist()
     if isinstance(value, tuple) and hasattr(value, "_fields"):
         return {name: jsonable(v) for name, v in zip(value._fields, value)}
     if isinstance(value, Mapping):
-        return {
-            "|".join(map(repr, k)) if isinstance(k, tuple) else repr(k): jsonable(v)
-            for k, v in sorted(value.items())
-        }
+        return {repr(k): jsonable(v) for k, v in sorted(value.items())}
     if isinstance(value, (tuple, list)):
         return [jsonable(v) for v in value]
     return value

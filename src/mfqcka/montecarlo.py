@@ -11,10 +11,10 @@ oracle for the closed-form statistics.
 
 A port's click probabilities depend only on the two users' setting
 indices, their slice difference mod M and the XOR of their raw bits, so
-each run evaluates them once into small tables (``_click_tables``).
-Only a single click is kept, so they reduce to two per-key tables
-(``_port_tables``): the single-click probability s and the probability
-that a single click is on the right detector (d = 1).
+each run evaluates them once.  Only a single click is kept, so they
+reduce to two small per-key tables (``_port_tables``): the single-click
+probability s and the probability that a single click is on the right
+detector (d = 1).
 
 Most bins click nowhere, so the simulation is event-driven by thinning
 (Lewis and Shedler, 1979).  With q = max s, every port gets an
@@ -96,19 +96,22 @@ def _index_type(count: int) -> np.dtype:
     return np.min_scalar_type(-count)
 
 
-def _click_tables(
+def _port_tables(
     config: SourceConfig, channel: ChannelParams, cos_table: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Left- and right-detector click probabilities of one port.
+    """Single-click probability of one port and the chance it is on the right.
 
     Both tables have the shape (S, S, M, 2) and are indexed by the two
     users' setting indices, their slice difference mod M and the XOR of
-    their raw bits.  Each entry is the per-bin expression evaluated with
-    the same floating-point operations on the same operands, so it equals
-    the formula bit for bit.  Flipping the XOR negates the beat exactly,
-    so the right table, mean - beat, is the left one mirrored on that axis
-    (a view).  The left table is built in place, in one array of
-    2 S^2 M doubles (512 for N=3, M=16; 65 MB for N=256, M=62).
+    their raw bits.  The first holds s = pL (1 - pR) + pR (1 - pL), the
+    second P(d = 1 | single click) = pR (1 - pL) / s (0 where s is 0).
+    The left click probability pL is the per-bin expression evaluated
+    with the same floating-point operations on the same operands, so it
+    equals the formula bit for bit.  Flipping the XOR negates the beat
+    exactly, so pR is pL mirrored on that axis, and so is the left-only
+    term pL (1 - pR) the right-only one.  pL is built in place, so two
+    tables of 2 S^2 M doubles (512 for N=3, M=16; 65 MB for N=256, M=62)
+    are all the memory the build takes.
     """
     eta_t = total_efficiency(channel)
     p_d = channel.dark_count_rate
@@ -123,24 +126,9 @@ def _click_tables(
     np.exp(p_left, out=p_left)
     p_left *= 1.0 - p_d
     np.subtract(1.0, p_left, out=p_left)
-    return p_left, p_left[..., ::-1]
-
-
-def _port_tables(
-    config: SourceConfig, channel: ChannelParams, cos_table: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Single-click probability of one port and the chance it is on the right.
-
-    Both tables have the shape of ``_click_tables``.  The first holds
-    s = pL (1 - pR) + pR (1 - pL), the second P(d = 1 | single click) =
-    pR (1 - pL) / s (0 where s is 0).  The left-only term pL (1 - pR) is
-    the right-only term mirrored on the XOR axis, so two tables of the
-    click tables' size are all the memory the build takes.
-    """
-    p_left, p_right = _click_tables(config, channel, cos_table)
     right_given_single = 1.0 - p_left
-    right_given_single *= p_right
-    del p_left, p_right
+    right_given_single *= p_left[..., ::-1]
+    del p_left
     single = right_given_single[..., ::-1] + right_given_single
     # where s is 0 both of its nonnegative terms are, so pR (1 - pL) is the 0 kept there
     np.divide(right_given_single, single, out=right_given_single, where=single > 0.0)
@@ -267,20 +255,23 @@ def _detect_ports(
     ``users`` and ``right`` are as in ``_table_keys``, one port per entry
     of ``right``.  A candidate succeeds with probability single[key] /
     max(single) and then announces d = 1 with probability
-    right_given_single[key].  Returns the positions of the successes in
+    right_given_single[key]; the success pass keeps the keys of the
+    successes for it.  Returns the positions of the successes in
     ``right``, ascending, and their announcements.
     """
     q = single.max()
     success = np.empty(right.size, dtype=bool)
+    kept = [np.zeros(0, dtype=np.intp)]
     for start, stop, u in _uniform_blocks(rng, right.size):
         u *= q
         keys = _table_keys(users, right[start:stop], single.shape)
         np.less(u, single.take(keys), out=success[start:stop])
+        kept.append(keys[success[start:stop]])
     hits = np.flatnonzero(success).astype(right.dtype)
+    hit_keys = np.concatenate(kept)
     d_val = np.empty(hits.size, dtype=bool)
     for start, stop, u in _uniform_blocks(rng, hits.size):
-        keys = _table_keys(users, right[hits[start:stop]], single.shape)
-        np.less(u, right_given_single.take(keys), out=d_val[start:stop])
+        np.less(u, right_given_single.take(hit_keys[start:stop]), out=d_val[start:stop])
     return hits, d_val
 
 

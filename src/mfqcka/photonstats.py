@@ -163,7 +163,7 @@ def _phase_error_rows(
 def _one_row(config: SourceConfig, channel: ChannelParams, data_size: float) -> dict:
     """The arguments that describe one configuration to the row functions."""
     return dict(
-        counts=np.array([_count_matrix(config, channel, data_size)]),
+        counts=_count_matrix(config, channel, data_size)[None],
         mu=np.array([config.signal_intensity]),
         p_mu=np.array([config.send_probabilities[0]]),
         num_users=config.num_users,

@@ -12,7 +12,6 @@ evaluations gives each row bit for bit the value it gets alone.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -63,21 +62,16 @@ def _i0_rule(x: np.ndarray) -> np.ndarray:
     (1/pi) * int_0^pi e^{x cos t} dt keep the implementation independent
     of the power series that the tests use as its oracle.  The rule is
     summed along the contiguous last axis rather than by a BLAS product,
-    whose blocking can depend on the number of rows.  The trailing columns
-    of a 2-D ``x`` that are 0 in every row take the rule's value at 0
-    without evaluating it; ``matching`` puts the setting pairs with the
-    vacuum, whose argument is 0, last.
+    whose blocking can depend on the number of rows.  The columns of a
+    2-D ``x`` that are 0 in every row, wherever they sit (the gain
+    table's setting pairs with the vacuum), take the rule's value at 0,
+    which is exactly 1.0, without evaluating it.
     """
     if x.ndim == 2:
-        nonzero = np.logical_or.reduce(x != 0.0, axis=0).tolist()
-        width = len(nonzero)
-        while width and not nonzero[width - 1]:
-            width -= 1
-        if width < len(nonzero):
-            out = np.empty(x.shape)
-            out[:, :width] = _midpoint_sum(x[:, :width])
-            out[:, width:] = _i0_at_zero()
-            return out
+        live = np.logical_or.reduce(x != 0.0, axis=0)
+        out = np.ones(x.shape)
+        out[:, live] = _midpoint_sum(x.compress(live, axis=1))
+        return out
     return _midpoint_sum(x)
 
 
@@ -86,11 +80,6 @@ def _midpoint_sum(x: np.ndarray) -> np.ndarray:
     np.exp(terms, out=terms)
     terms *= 1.0 / I0_NODES
     return np.add.reduce(terms, axis=-1)
-
-
-@lru_cache(maxsize=None)
-def _i0_at_zero() -> float:
-    return float(_midpoint_sum(np.zeros(1))[0])
 
 
 def _i0_minus_one_rule(x: np.ndarray) -> np.ndarray:

@@ -103,11 +103,11 @@ def nphoton_terms(
     if any(t <= 0.0 for t in totals):
         return [0.0] * (n_max + 1)
     mu = config.signal_intensity
-    ports = config.num_ports
+    ports = config.num_users - 1
     lead = config.phase_slices * min(totals) * math.exp(-2.0 * ports * mu)
     senders = config.send_probabilities[0] ** (2 * ports)
     denom = 2.0 * math.prod(totals)
-    comp = composition_sums(config.num_ports, config.phase_slices, channel, sec.data_size, n_max)
+    comp = composition_sums(ports, config.phase_slices, channel, sec.data_size, n_max)
     return [lead * mu**n * senders / denom * comp[n] for n in range(n_max + 1)]
 
 

@@ -1,6 +1,8 @@
 """The dependency rule: the package needs numpy and the standard library only.
 
-And the surface rule: every name a module exports has a caller in the package.
+And the surface rule: every name a module exports has a caller in the
+package, and so does every top-level function and class, and every public
+method or property of a class.
 """
 
 import ast
@@ -85,3 +87,42 @@ def test_every_export_has_a_caller_in_the_package(path):
     names = exported_names(path.read_text())
     assert [name for name in names if not hasattr(module, name)] == []
     assert [name for name in names if name not in callers] == []
+
+
+# Names the package keeps without a reference in it, each with its reason.
+UNREFERENCED = {
+    # perfbench/child.py reads its cache_info() in every traced process,
+    # and the photon-number oracles build their terms from it
+    "photonstats._port_weight_sequence",
+}
+
+
+def defined_names(source: str) -> list[str]:
+    """Every top-level function and class, and every public method or property as ``Class.name``."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names += [
+                f"{node.name}.{item.name}"
+                for item in node.body
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+            ]
+    return names
+
+
+def test_definition_forms_are_found():
+    source = "def f():\n    def g(): pass\nclass C:\n    def m(self): pass\n    def _p(self): pass\n    x = 1\n"
+    assert defined_names(source) == ["f", "C", "C.m"]
+
+
+@pytest.mark.parametrize("path", SRC, ids=[path.stem for path in SRC])
+def test_every_definition_has_a_reference_in_the_package(path):
+    """Code that nothing in the package reaches is not part of it; ``UNREFERENCED`` names the exceptions."""
+    callers = set().union(*(referenced_names(p.read_text()) for p in SRC if p.name != "__init__.py"))
+    unreferenced = [
+        name for name in defined_names(path.read_text())
+        if name.rpartition(".")[2] not in callers and f"{path.stem}.{name}" not in UNREFERENCED
+    ]
+    assert unreferenced == []

@@ -200,7 +200,7 @@ class TestExpectedStats:
         bundle = make_bundle(num_users=5, distance_km=80.0)
         stats = expected_stats(bundle.config, bundle.channel, bundle.security)
         config = bundle.config
-        assert stats.retained_clicks.shape == (len(config.intensities), config.num_ports)
+        assert stats.retained_clicks.shape == (len(config.intensities), config.num_users - 1)
         assert stats.sifted.shape == (len(config.intensities),)
         adjacent = keyrate_oracles.error_terms(config, bundle.channel)[0]
         assert stats.adjacent_error == pytest.approx(adjacent, rel=1e-12)

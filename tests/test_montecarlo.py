@@ -1,4 +1,4 @@
-"""Protocol simulator: click tables, shard oracle, bit extraction, analytic agreement."""
+"""Protocol simulator: port tables, shard oracle, bit extraction, analytic agreement."""
 
 import functools
 import itertools
@@ -21,10 +21,9 @@ from conftest import make_bundle, make_channel, make_geometric_config, make_many
 from tail_oracles import chi2_sf, wilson_hilferty_x2
 
 
-def _tables(bundle):
+def _cos_table(bundle):
     m_slices = bundle.config.phase_slices
-    cos_table = np.cos(2.0 * np.pi * np.arange(m_slices) / m_slices)
-    return montecarlo._click_tables(bundle.config, bundle.channel, cos_table), cos_table
+    return np.cos(2.0 * np.pi * np.arange(m_slices) / m_slices)
 
 
 def package_shard(config, channel, n_bins, rng, cos_table):
@@ -48,26 +47,31 @@ BRIGHT_BUNDLE = dict(num_users=5, distance_km=0.0, signal=0.8, dark_count_rate=1
 ORACLE_BINS = {name: 1 << 20 for name in ORACLE_BUNDLES} | {"N3-M4": 1 << 21, "N5-M16": 1 << 21}
 
 
-class TestClickTables:
+class TestPortTables:
     @pytest.mark.parametrize("kwargs", ORACLE_BUNDLES.values(), ids=ORACLE_BUNDLES.keys())
     def test_entries_equal_per_bin_formula(self, kwargs):
+        # the single-click tables of the per-bin click probabilities, bit for bit
         bundle = make_bundle(**kwargs)
-        (p_left, p_right), cos_table = _tables(bundle)
-        k_a, k_b, delta, xor = (i.ravel() for i in np.indices(p_left.shape))
+        cos_table = _cos_table(bundle)
+        single, right_given_single = montecarlo._port_tables(bundle.config, bundle.channel, cos_table)
+        k_a, k_b, delta, xor = (i.ravel() for i in np.indices(single.shape))
         settings = np.asarray(bundle.config.intensities)
-        want_left, want_right = oracle.click_probabilities(
+        p_left, p_right = oracle.click_probabilities(
             settings[k_a], settings[k_b], delta, xor.astype(np.int8),
             total_efficiency(bundle.channel), bundle.channel.dark_count_rate, cos_table,
         )
-        assert np.array_equal(p_left.ravel(), want_left)
-        assert np.array_equal(p_right.ravel(), want_right)
+        right_only = (1.0 - p_left) * p_right
+        want_single = (1.0 - p_right) * p_left + right_only
+        want_right = np.divide(right_only, want_single, out=np.zeros_like(right_only), where=want_single > 0.0)
+        assert np.array_equal(single.ravel(), want_single)
+        assert np.array_equal(right_given_single.ravel(), want_right)
 
     def test_single_click_frequency(self):
         # every port a candidate; port 1: both users on the signal, slices 0
         # and 1, equal bits; port 2: signal against the first decoy, slices
         # 1 and 3, opposite bits
         bundle = make_bundle(distance_km=5.0, dark_count_rate=1e-3)
-        _, cos_table = _tables(bundle)
+        cos_table = _cos_table(bundle)
         single, right_given_single = montecarlo._port_tables(
             bundle.config, bundle.channel, cos_table
         )
@@ -124,7 +128,7 @@ def retained_cells(shard, bundle, n_bins, seed, chunk=1 << 18):
     m_slices, ports = config.phase_slices, config.num_users - 1
     shape = (len(config.intensities), ports, m_slices)
     n_cells = math.prod(shape)
-    _, cos_table = _tables(bundle)
+    cos_table = _cos_table(bundle)
     rng = np.random.default_rng(seed)
     cells, d_one, retained = np.zeros(n_cells, np.int64), np.zeros(2 * ports), np.zeros(2 * ports)
     for start in range(0, n_bins, chunk):
@@ -193,7 +197,7 @@ class TestShardOracle:
     def test_phase_bits_at_the_largest_slice_count(self):
         # 2 s in int16 overflows past s = 16383
         bundle = make_bundle(distance_km=0.0, signal=1.0, phase_slices=32766)
-        _, cos_table = _tables(bundle)
+        cos_table = _cos_table(bundle)
         columns, _ = package_shard(
             bundle.config, bundle.channel, 1 << 18, np.random.default_rng(1), cos_table
         )
@@ -202,7 +206,7 @@ class TestShardOracle:
 
     def test_shard_columns_keep_their_types(self):
         bundle = make_bundle(num_users=4, distance_km=10.0)
-        _, cos_table = _tables(bundle)
+        cos_table = _cos_table(bundle)
         args = (bundle.config, bundle.channel, 30011)
         want = oracle.generate_shard(*args, np.random.default_rng(0), cos_table)
         got, n_cand = package_shard(*args, np.random.default_rng(0), cos_table)
@@ -218,7 +222,7 @@ class TestShardOracle:
         monkeypatch.setattr(montecarlo, "_SHARD_BINS", 1 << 17)  # five shards, the last partial
         got = run_protocol(bundle, n_bins, seed=8)
         # the oracle simulates every bin
-        _, cos_table = _tables(bundle)
+        cos_table = _cos_table(bundle)
         monkeypatch.setattr(
             montecarlo,
             "_generate_shard",
@@ -270,7 +274,7 @@ class TestShardDrawOrder:
     @pytest.mark.parametrize("name", DRAW_BUNDLES)
     def test_shard_equals_the_reference_bit_for_bit(self, name, n_bins):
         bundle = DRAW_BUNDLES[name]()
-        _, cos_table = _tables(bundle)
+        cos_table = _cos_table(bundle)
         tables = montecarlo._port_tables(bundle.config, bundle.channel, cos_table)
         for seed in (0, 1, 2):
             want = oracle.reference_shard(
@@ -286,7 +290,7 @@ class TestShardDrawOrder:
         # blocks of one row put a block boundary between every two rows;
         # almost every bright bin is a candidate, so fewer bins suffice there
         bundle = DRAW_BUNDLES[name]()
-        _, cos_table = _tables(bundle)
+        cos_table = _cos_table(bundle)
         args = (bundle.config, bundle.channel, 3001 if name == "bright" else 30011)
         want = oracle.reference_shard(*args, np.random.default_rng(5), cos_table)
         monkeypatch.setattr(montecarlo, "_BLOCK", 1)
@@ -311,7 +315,7 @@ class TestShardDrawOrder:
         ids=["N3", "bright", "N8", "N3-M32766", "N20", "saturated"],
     )
     def test_port_tables_equal_the_reference(self, bundle):
-        _, cos_table = _tables(bundle)
+        cos_table = _cos_table(bundle)
         got = montecarlo._port_tables(bundle.config, bundle.channel, cos_table)
         want = oracle.reference_port_tables(bundle.config, bundle.channel, cos_table)
         for table, reference in zip(got, want):
@@ -322,7 +326,7 @@ class TestShardDrawOrder:
         n_bins = 600001
         monkeypatch.setattr(montecarlo, "_SHARD_BINS", 1 << 17)  # five shards, the last partial
         got = run_protocol(bundle, n_bins, seed=8)
-        _, cos_table = _tables(bundle)
+        cos_table = _cos_table(bundle)
         monkeypatch.setattr(
             montecarlo,
             "_generate_shard",
@@ -355,7 +359,7 @@ class TestShardWorkingSet:
     def test_an_n8_shard_stays_under_12_mb(self):
         # the stacked-pair shard with a float flag matrix peaked at 22.4 MB
         bundle = geometric_bundle(8)
-        _, cos_table = _tables(bundle)
+        cos_table = _cos_table(bundle)
         tables = montecarlo._port_tables(bundle.config, bundle.channel, cos_table)
         tracemalloc.start()
         try:
@@ -633,7 +637,7 @@ class TestRunProtocol:
         bundle = make_bundle(num_users=4, distance_km=25.0)
         n_bins = 3 * 10**6
         summary = run_protocol(bundle, n_bins, seed=17)
-        _, cos_table = _tables(bundle)
+        cos_table = _cos_table(bundle)
         single, _ = montecarlo._port_tables(bundle.config, bundle.channel, cos_table)
         p = 1.0 - (1.0 - single.max()) ** (bundle.config.num_users - 1)
         z = (summary.candidate_bins - n_bins * p) / math.sqrt(n_bins * p * (1.0 - p))

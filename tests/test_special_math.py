@@ -66,14 +66,25 @@ class TestBesselI0:
         xs = np.array([[0.0, 1.0], [2.0, 3.0]])
         assert _i0_rule(xs).shape == (2, 2)
 
-    def test_vacuum_columns_skip_the_rule(self):
-        # trailing columns that are 0 in every row, as the gain table's vacuum pairs
-        xs = np.array([[1.0, 20.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0], [3.0, 50.0, 0.0, 0.0]])
+    @pytest.mark.parametrize(
+        "xs",
+        [
+            [[1.0, 20.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0], [3.0, 50.0, 0.0, 0.0]],
+            [[0.0, 1.0, 20.0], [0.0, 0.5, 0.0], [0.0, 3.0, 50.0]],
+            [[1.0, 0.0, 20.0, 0.0, 7.0], [0.5, 0.0, 0.0, 0.0, 0.0], [3.0, 0.0, 50.0, 0.0, 2.0]],
+        ],
+        ids=["trailing", "leading", "between"],
+    )
+    def test_vacuum_columns_skip_the_rule(self, xs):
+        # columns that are 0 in every row, as the gain table's vacuum pairs, wherever they sit
+        xs = np.array(xs)
         values = _i0_rule(xs)
         assert values.shape == xs.shape
         assert np.array_equal(values, _i0_rule(xs.ravel()).reshape(xs.shape))
         for x, v in zip(xs.ravel(), values.ravel()):
             assert abs(v - i0_series(x)) <= 1e-14 * i0_series(x)
+        assert (values[:, ~xs.any(axis=0)] == 1.0).all()
+        assert i0(0.0) == 1.0  # the rule's own value there
 
 
 
