@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import ChannelParams, DegenerateChannelError
-from .special_math import _i0_rule
+from .special_math import _i0_minus_one_rule
 
 __all__ = [
     "arm_transmittance",
@@ -64,14 +64,16 @@ def pair_gains(k_a: np.ndarray, k_b: np.ndarray, eta_t, p_d) -> tuple[np.ndarray
     q = y [exp(b) + exp(-b) - 2y] with b = x cos(dtheta); the first value
     returned is q at dtheta = 0.  Integrating q over a uniform dtheta in
     [0, 2pi) turns the cosh into a zero-order modified Bessel function,
-    q_avg = 2 y I0(x) - 2 y^2, the second value.  These are the only two
+    q_avg = 2 y I0(x) - 2 y^2, the second value, evaluated as
+    2 y [(I0(x) - 1) + (1 - y)].  I0 - 1 comes from its own rule, which
+    gives exactly 0 at x = 0 (a pair with the vacuum) without evaluating it.  These are the only two
     gains the model evaluates.  Every argument broadcasts: ``eta_t`` and
     ``p_d`` may be scalars or hold one channel per row of the intensities.
     """
     y = (1.0 - p_d) * np.exp(-0.5 * eta_t * (k_a + k_b))
     x = eta_t * np.sqrt(k_a * k_b)
     two_y = 2.0 * y
-    return y * (np.exp(x) + np.exp(-x) - two_y), two_y * _i0_rule(x) - two_y * y
+    return y * (np.exp(x) + np.exp(-x) - two_y), two_y * (_i0_minus_one_rule(x) + (1.0 - y))
 
 
 def marginal_errors(adjacent: np.ndarray, num_users: int) -> np.ndarray:

@@ -33,7 +33,6 @@ of it.  A row's value never depends on the rows around it.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -113,13 +112,6 @@ def _ladder_rows(ks: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return (np.minimum.reduce(margins, axis=1) > 0.0) & (ks[:, -1] == 0.0)
 
 
-@lru_cache(maxsize=None)
-def _eye(n: int) -> np.ndarray:
-    eye = np.eye(n)
-    eye.flags.writeable = False
-    return eye
-
-
 def _lagrange_weights(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The weights of the bound on s_mu^m over the m+1 nodes ``xs[j]`` = k_j / mu, m = len(xs) - 1.
 
@@ -133,7 +125,9 @@ def _lagrange_weights(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m = len(xs) - 1
     total = _sum_along(xs, 0)
     scale = np.multiply.reduce(xs)
-    gaps = xs[:, None] - xs + _eye(m + 1)[:, :, None]  # x_j - x_i, 1 on the diagonal
+    gaps = xs[:, None] - xs  # x_j - x_i
+    diag = np.arange(m + 1)
+    gaps[diag, diag] = 1.0
     denom = xs * np.multiply.reduce(gaps, axis=1)
     lost, tiny = denom == 0.0, scale == 0.0
     nodes = (xs - total) / (denom + lost)

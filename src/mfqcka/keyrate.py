@@ -121,13 +121,13 @@ def _check_mode(num_users: int, mode: str, settings: int) -> None:
         raise ConfigError(f"{num_users} users need {num_users + 1} intensity settings, got {settings}")
 
 
-# Rows per kernel pass are chosen so that the (rows, pairs, I0_NODES) temporary
-# of the Bessel quadrature in the gain table stays within this size.  The rule
-# evaluates one I0 argument per distinct pair of settings that is nonzero in
-# some row: it skips the S pairs with the vacuum, which every ladder of the
-# package holds.  A chunk without a vacuum setting (rows that are ConfigErrors,
-# which only tests pass) evaluates all S(S+1)/2 pairs, up to (S+1)/(S-1) times
-# this size.
+# Rows per kernel pass are chosen so that a (rows, pairs, I0_NODES) array of
+# doubles stays within this size.  The Bessel quadrature of the gain table
+# evaluates one I0 - 1 argument per nonzero element, I0_NODES / 2 paired nodes
+# each, so its temporary is at most half of it, 128 KB: it skips the S pairs
+# with the vacuum, which every ladder of the package holds.  A chunk without a
+# vacuum setting (rows that are ConfigErrors, which only tests pass) evaluates
+# all S(S+1)/2 pairs, up to (S+1)/(S-1) times that.
 _CHUNK_BYTES = 1 << 18
 
 

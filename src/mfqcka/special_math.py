@@ -1,12 +1,12 @@
 """Special functions used by the analytic rate formulas.
 
 Nothing here depends on the protocol; the binary entropy (``_entropy``)
-and the Bessel function I0 (``_i0_rule``, and I0 - 1 by
-``_i0_minus_one_rule``) are kept dependency-free (numpy only) and
-accurate well beyond the needs of the key-rate formulas so that they
-never dominate an error budget.  All take arrays, and an element's
-value never depends on the array around it, so a batch of rate
-evaluations gives each row bit for bit the value it gets alone.
+and the Bessel function I0, as I0 - 1 (``_i0_minus_one_rule``), are kept
+dependency-free (numpy only) and accurate well beyond the needs of the
+key-rate formulas so that they never dominate an error budget.  All take
+arrays, and an element's value never depends on the array around it, so
+a batch of rate evaluations gives each row bit for bit the value it gets
+alone.
 """
 
 from __future__ import annotations
@@ -49,48 +49,31 @@ def _entropy(x: np.ndarray) -> np.ndarray:
 # Midpoint (periodic trapezoid) rule for I0(x) = (1/pi) * integral_0^pi exp(x cos t) dt:
 # I0(x) ~ (1/n) sum_j exp(x cos((j + 1/2) pi / n)).  The integrand is smooth and
 # periodic, so the error falls geometrically with n (like I_2n(x) / I0(x)); at
-# 40 nodes only round-off is left, at most 3.8e-15 relative over [0, 50], the
-# whole range the rate formulas reach (x = eta_t * sqrt(ka*kb) <= 50).
+# 40 nodes only round-off is left over [0, 50], the whole range the rate
+# formulas reach (x = eta_t * sqrt(ka*kb) <= 50).  The nodes come in pairs
+# +-cos t_j, so the rule needs the first I0_NODES / 2 of them.
 I0_NODES = 40
-_I0_COS = np.cos((np.arange(I0_NODES) + 0.5) * (math.pi / I0_NODES))
-
-
-def _i0_rule(x: np.ndarray) -> np.ndarray:
-    """Modified Bessel function I0 of a nonnegative array (nan stays nan), by the midpoint rule.
-
-    The ``I0_NODES`` nodes of the integral representation
-    (1/pi) * int_0^pi e^{x cos t} dt keep the implementation independent
-    of the power series that the tests use as its oracle.  The rule is
-    summed along the contiguous last axis rather than by a BLAS product,
-    whose blocking can depend on the number of rows.  The columns of a
-    2-D ``x`` that are 0 in every row, wherever they sit (the gain
-    table's setting pairs with the vacuum), take the rule's value at 0,
-    which is exactly 1.0, without evaluating it.
-    """
-    if x.ndim == 2:
-        live = np.logical_or.reduce(x != 0.0, axis=0)
-        out = np.ones(x.shape)
-        out[:, live] = _midpoint_sum(x.compress(live, axis=1))
-        return out
-    return _midpoint_sum(x)
-
-
-def _midpoint_sum(x: np.ndarray) -> np.ndarray:
-    terms = x[..., None] * _I0_COS
-    np.exp(terms, out=terms)
-    terms *= 1.0 / I0_NODES
-    return np.add.reduce(terms, axis=-1)
+_I0_COS = np.cos((np.arange(I0_NODES // 2) + 0.5) * (math.pi / I0_NODES))
 
 
 def _i0_minus_one_rule(x: np.ndarray) -> np.ndarray:
-    """I0(x) - 1 of an array, by the midpoint rule of ``_i0_rule`` with its symmetric nodes paired.
+    """I0(x) - 1 of an array of any shape (nan stays nan), by the midpoint rule with its symmetric nodes paired.
 
-    The nodes come in pairs +-cos t_j, and e^y + e^-y - 2 = 4 sinh^2(y/2),
-    so the rule is (1/n) sum_{j < n/2} 4 sinh^2(x cos t_j / 2): a sum of
-    nonnegative terms, accurate to round-off also where I0(x) - 1 is far
-    below 1.
+    The nodes of the integral representation (1/pi) * int_0^pi e^{x cos t} dt
+    keep the implementation independent of the power series that the tests
+    use as its oracle.  They come in pairs +-cos t_j, and
+    e^y + e^-y - 2 = 4 sinh^2(y/2), so the rule is
+    (1/n) sum_{j < n/2} 4 sinh^2(x cos t_j / 2): a sum of nonnegative terms,
+    accurate to round-off also where I0(x) - 1 is far below 1.  It is summed
+    along the contiguous last axis rather than by a BLAS product, whose
+    blocking can depend on the number of elements.  The elements that are 0
+    (the gain table's setting pairs with the vacuum, wherever they sit) take
+    the rule's value there, exactly 0.0, without evaluating it.
     """
-    terms = np.sinh(x[..., None] * (0.5 * _I0_COS[: I0_NODES // 2]))
+    live = x != 0.0
+    terms = np.sinh(x[live][:, None] * (0.5 * _I0_COS))
     terms *= terms
     terms *= 4.0 / I0_NODES
-    return np.add.reduce(terms, axis=-1)
+    out = np.zeros(x.shape)
+    out[live] = np.add.reduce(terms, axis=-1)
+    return out

@@ -1,7 +1,5 @@
 """Shared builders for the standard simulation parameter sets."""
 
-import pytest
-
 from mfqcka.model import Bundle, ChannelParams, SecurityParams, SourceConfig, validate
 
 # Methods-section hardware values used throughout the tests.
@@ -78,7 +76,3 @@ def make_many_users_bundle(num_users: int, phase_slices: int = PHASE_SLICES) -> 
         probs=probs, phase_slices=phase_slices,
     )
 
-
-@pytest.fixture
-def paper_channel_50km() -> ChannelParams:
-    return make_channel(50.0)

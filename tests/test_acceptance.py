@@ -20,7 +20,7 @@ from mfqcka.keyrate import asymptotic_rate
 from mfqcka.matching import sifted_coincidences
 from mfqcka.montecarlo import compare_to_analytic, run_protocol
 from mfqcka.optimizer import SearchSpec, optimize_at_distance
-from mfqcka.special_math import _entropy, _i0_rule
+from mfqcka.special_math import _entropy, _i0_minus_one_rule
 from mfqcka.channel import marginal_errors
 from mfqcka.model import SecurityParams, validate
 from conftest import EC_EFFICIENCY, make_bundle, make_channel, make_geometric_config
@@ -278,7 +278,7 @@ def test_criterion_8_numeric_kernels():
     # also in the gain table's layout: the vacuum pairs (argument 0) last, which the rule skips
     table = np.hstack([xs.reshape(100, 10), np.zeros((100, 3))])
     args = np.concatenate([xs, table.ravel()])
-    i0_vals = np.concatenate([_i0_rule(xs), _i0_rule(table).ravel()])
+    i0_vals = 1.0 + np.concatenate([_i0_minus_one_rule(xs), _i0_minus_one_rule(table).ravel()])
     worst_rel = max(
         abs(v - i0_series(x)) / i0_series(x) for x, v in zip(args.tolist(), i0_vals.tolist())
     )

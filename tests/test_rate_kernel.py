@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import keyrate_oracles
 from mfqcka.channel import error_rows, error_terms, total_efficiency
-from mfqcka.keyrate import MODES, asymptotic_rate, finite_rate, rate_report, rate_reports, rate_rows
+from mfqcka.keyrate import MODES, _chunk_rows, asymptotic_rate, finite_rate, rate_report, rate_reports, rate_rows
 from mfqcka.model import (
     INFEASIBLE,
     ChannelParams,
@@ -55,10 +55,15 @@ def test_rows_do_not_depend_on_the_batch(num_users, mode, distance):
         return rate_rows(ints[lo:hi], probs[lo:hi], bundle.config, bundle.channel, bundle.security, mode)
 
     raw, cause = run(0, 512)
-    for size, stop in ((7, 512), (1, 128)):
-        parts = [run(lo, lo + size) for lo in range(0, stop, size)]
-        assert np.array_equal(np.concatenate([c for _, c in parts]), cause[:stop])
-        assert np.array_equal(np.concatenate([r for r, _ in parts]), raw[:stop], equal_nan=True)
+    # batches of one kernel chunk, one row short of it and one row over it
+    # (two chunks), and batches that start off the whole pool's chunk bounds
+    chunk = _chunk_rows(num_users + 1)
+    for start, size, stop in (
+        (0, 7, 512), (0, 1, 128), (0, chunk - 1, 512), (0, chunk, 512), (0, chunk + 1, 512), (11, chunk + 1, 512)
+    ):
+        parts = [run(lo, lo + size) for lo in range(start, stop, size)]
+        assert np.array_equal(np.concatenate([c for _, c in parts]), cause[start:stop])
+        assert np.array_equal(np.concatenate([r for r, _ in parts]), raw[start:stop], equal_nan=True)
     # the scalar entry points are one-row calls of the same layers
     for i in range(0, 512, 37):
         config = _to_config(points[i], bundle.config)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mfqcka.special_math import _entropy, _i0_minus_one_rule, _i0_rule, _sum_along
+from mfqcka.special_math import _entropy, _i0_minus_one_rule, _sum_along
 
 
 def i0_series(x: float, terms: int = 80, start: int = 0) -> float:
@@ -18,8 +18,13 @@ def entropy(x: float) -> float:
     return float(_entropy(np.asarray(x)))
 
 
+def i0_rule(xs: np.ndarray) -> np.ndarray:
+    """I0 of an array as the package evaluates it, 1 + (I0 - 1)."""
+    return 1.0 + _i0_minus_one_rule(xs)
+
+
 def i0(x: float) -> float:
-    return float(_i0_rule(np.asarray(x)))
+    return float(i0_rule(np.asarray(x)))
 
 
 class TestBinaryEntropy:
@@ -51,41 +56,20 @@ class TestBesselI0:
 
     def test_series_oracle_grid(self):
         xs = np.linspace(0.0, 20.0, 1000)
-        values = _i0_rule(xs)
+        values = i0_rule(xs)
         for x, v in zip(xs, values):
             assert abs(v - i0_series(x)) <= 1e-12 * i0_series(x)
 
     def test_series_oracle_on_the_whole_domain(self):
         # x = eta_t * sqrt(ka*kb) <= 50 for eta_t <= 1/2 and intensities <= 100
         xs = np.concatenate([np.linspace(0.0, 50.0, 2001), np.logspace(-12.0, math.log10(50.0), 400)])
-        values = _i0_rule(xs)
+        values = i0_rule(xs)
         for x, v in zip(xs, values):
             assert abs(v - i0_series(x)) <= 1e-14 * i0_series(x)
 
     def test_array_shape(self):
         xs = np.array([[0.0, 1.0], [2.0, 3.0]])
-        assert _i0_rule(xs).shape == (2, 2)
-
-    @pytest.mark.parametrize(
-        "xs",
-        [
-            [[1.0, 20.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0], [3.0, 50.0, 0.0, 0.0]],
-            [[0.0, 1.0, 20.0], [0.0, 0.5, 0.0], [0.0, 3.0, 50.0]],
-            [[1.0, 0.0, 20.0, 0.0, 7.0], [0.5, 0.0, 0.0, 0.0, 0.0], [3.0, 0.0, 50.0, 0.0, 2.0]],
-        ],
-        ids=["trailing", "leading", "between"],
-    )
-    def test_vacuum_columns_skip_the_rule(self, xs):
-        # columns that are 0 in every row, as the gain table's vacuum pairs, wherever they sit
-        xs = np.array(xs)
-        values = _i0_rule(xs)
-        assert values.shape == xs.shape
-        assert np.array_equal(values, _i0_rule(xs.ravel()).reshape(xs.shape))
-        for x, v in zip(xs.ravel(), values.ravel()):
-            assert abs(v - i0_series(x)) <= 1e-14 * i0_series(x)
-        assert (values[:, ~xs.any(axis=0)] == 1.0).all()
-        assert i0(0.0) == 1.0  # the rule's own value there
-
+        assert i0_rule(xs).shape == (2, 2)
 
 
 class TestBesselI0MinusOne:
@@ -96,6 +80,37 @@ class TestBesselI0MinusOne:
         values = _i0_minus_one_rule(xs)
         for x, v in zip(xs, values):
             assert abs(v - i0_series(x, start=1)) <= 1e-14 * i0_series(x, start=1)
+
+    @pytest.mark.parametrize(
+        "xs",
+        [
+            [1.0, 20.0, 0.0, 0.0],
+            [0.0, 0.0, 0.5, 50.0],
+            [3.0, 0.0, 0.0, 7.0, 1e-9],
+            [[1.0, 20.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0], [3.0, 50.0, 0.0, 0.0]],
+            [[0.0, 1.0, 20.0], [0.0, 0.5, 0.0], [0.0, 3.0, 50.0]],
+            [[1.0, 0.0, 20.0, 0.0, 7.0], [0.5, 0.0, 0.0, 0.0, 0.0], [3.0, 0.0, 50.0, 0.0, 2.0]],
+            [[0.0, 2.0, 0.0, 0.3], [4.0, 0.0, 1e-6, 0.0], [0.0, 0.0, 0.0, 0.0]],
+            [[[0.0, 2.0], [0.3, 0.0]], [[0.0, 0.0], [45.0, 1e-3]], [[8.0, 0.0], [0.0, 0.0]]],
+            [[[1.0, 2.0, 0.0]], [[0.0, 0.0, 0.0]], [[0.0, 5.0, 0.0]]],
+        ],
+        ids=[
+            "1d-trailing", "1d-leading", "1d-between", "2d-trailing", "2d-leading", "2d-between",
+            "2d-scattered", "3d-scattered", "3d-leading-and-trailing",
+        ],
+    )
+    def test_zero_elements_skip_the_rule(self, xs):
+        # exactly +0.0 at every 0 wherever it sits (as the gain table's pairs
+        # with the vacuum, where 4 sinh^2(0) = 0 too), and bit for bit the
+        # value each other element gets alone
+        xs = np.array(xs)
+        values = _i0_minus_one_rule(xs)
+        assert values.shape == xs.shape
+        zero = xs == 0.0
+        assert zero.any() and not zero.all()
+        assert np.array_equal(values[zero].view(np.int64), np.zeros(zero.sum(), dtype=np.int64))
+        alone = np.array([_i0_minus_one_rule(np.asarray(x)) for x in xs[~zero].tolist()])
+        assert np.array_equal(values[~zero].view(np.int64), alone.view(np.int64))
 
 
 # (shape with n in place of the summed axis, summed axis): rows first, rows
