@@ -40,7 +40,6 @@ try:
     from .matching import expected_stats, sifted_coincidences
     from .photonstats import phase_error_exact
     from .decoy import (
-        ObservedCounts,
         bounds_3user_asymptotic,
         bounds_3user_finite,
         bounds_4user_asymptotic,

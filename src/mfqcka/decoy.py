@@ -27,36 +27,31 @@ rate conservative when statistical fluctuation drives a bound negative.
 The rule carries a leading batch axis: ``_decoy_rows`` bounds a stack of
 ladders (one row each) in one pass, the rate kernel calls it directly,
 and ``_decoy_bounds`` and the ``bounds_*`` entry points are one-row calls
-of it.  A row's value never depends on the rows around it.
+of it.  A row's value never depends on the rows around it.  An entry
+point reads the ladder the kernel reads: ``config.intensities`` and
+``config.send_probabilities``, and the sifted counts ``sifted`` in the
+same order, signal first (a kernel row, ``expected_stats(...).sifted``
+or ``TrialSummary.sifted``), for example
+``bounds_3user_finite(config, sifted, sec)``.  A ladder, probability
+list or count list of other than N+1 entries is a ConfigError.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .model import INFEASIBLE, ConfigError, DecoyBounds, EstimationError
+from .model import INFEASIBLE, ConfigError, DecoyBounds, EstimationError, SecurityParams, SourceConfig
 from .special_math import _sum_along
 
 __all__ = [
-    "ObservedCounts",
     "bounds_3user_asymptotic",
     "bounds_3user_finite",
     "bounds_4user_asymptotic",
     "bounds_5user_asymptotic",
 ]
-
-
-class ObservedCounts(NamedTuple):
-    """Sifted coincidence counts per intensity with their send probabilities.
-
-    ``sifted`` holds the ladder in order, signal first and vacuum last; the bounds never re-sort it.
-    """
-
-    sifted: Mapping[float, float]
-    probabilities: Mapping[float, float]
 
 
 def _chernoff_sides(s: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -212,25 +207,25 @@ def _decoy_rows(ks: np.ndarray, probs: np.ndarray, sifted: np.ndarray, eps: floa
     return DecoyRows(bounds.T, clamped.T, np.minimum(np.maximum(phi, 0.0), 1.0), applications, cause)
 
 
-def _decoy_bounds(observed: ObservedCounts, num_users: int, eps: float | None = None) -> DecoyBounds:
-    """The shared rule on one set of counts; ``eps`` switches on the finite-size treatment.
+def _decoy_bounds(config: SourceConfig, sifted, num_users: int, eps: float | None = None) -> DecoyBounds:
+    """The shared rule on one ladder; ``eps`` switches on the finite-size treatment.
 
-    One row of ``_decoy_rows`` on the ladder ``observed.sifted`` in its
+    One row of ``_decoy_rows`` on ``config.intensities``,
+    ``config.send_probabilities`` and the counts ``sifted``, all in ladder
     order; raises where that row has a cause.
     """
-    ks = tuple(observed.sifted)
-    if len(ks) != num_users + 1:
-        raise ConfigError(f"{num_users}-user bounds need {num_users + 1} intensity settings, got {len(ks)}")
-    rows = _decoy_rows(
-        np.array([ks]),
-        np.array([[observed.probabilities[k] for k in ks]]),
-        np.array([list(observed.sifted.values())]),
-        eps,
-    )
+    settings = num_users + 1
+    ks, probs = config.intensities, config.send_probabilities
+    if not len(ks) == len(probs) == len(sifted) == settings:
+        raise ConfigError(
+            f"{num_users}-user bounds need {settings} intensities, send probabilities and counts, "
+            f"got {len(ks)}, {len(probs)} and {len(sifted)}"
+        )
+    rows = _decoy_rows(np.array([ks]), np.array([probs]), np.array([sifted], dtype=float), eps)
     if rows.cause[0] == _CONFIG:
         raise ConfigError(_LADDER_ERROR)
     if rows.cause[0]:
-        if observed.sifted[ks[0]] <= 0.0:
+        if sifted[0] <= 0.0:
             raise EstimationError("no sifted signal coincidences; phase error undefined")
         if np.isnan(rows.phase_error[0]):
             raise EstimationError(
@@ -247,21 +242,21 @@ def _decoy_bounds(observed: ObservedCounts, num_users: int, eps: float | None = 
     )
 
 
-def bounds_3user_asymptotic(observed: ObservedCounts) -> DecoyBounds:
+def bounds_3user_asymptotic(config: SourceConfig, sifted) -> DecoyBounds:
     """Lower bounds on the 0- and 2-photon signal contributions, three users."""
-    return _decoy_bounds(observed, 3)
+    return _decoy_bounds(config, sifted, 3)
 
 
-def bounds_3user_finite(observed: ObservedCounts, sec) -> DecoyBounds:
+def bounds_3user_finite(config: SourceConfig, sifted, sec: SecurityParams) -> DecoyBounds:
     """Finite-size version of the three-user bounds (six Chernoff applications)."""
-    return _decoy_bounds(observed, 3, sec.eps_chernoff)
+    return _decoy_bounds(config, sifted, 3, sec.eps_chernoff)
 
 
-def bounds_4user_asymptotic(observed: ObservedCounts) -> DecoyBounds:
+def bounds_4user_asymptotic(config: SourceConfig, sifted) -> DecoyBounds:
     """Lower bounds on the 1- and 3-photon signal contributions, four users."""
-    return _decoy_bounds(observed, 4)
+    return _decoy_bounds(config, sifted, 4)
 
 
-def bounds_5user_asymptotic(observed: ObservedCounts) -> DecoyBounds:
+def bounds_5user_asymptotic(config: SourceConfig, sifted) -> DecoyBounds:
     """Lower bounds on the 0-, 2- and 4-photon signal contributions, five users."""
-    return _decoy_bounds(observed, 5)
+    return _decoy_bounds(config, sifted, 5)

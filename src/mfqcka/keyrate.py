@@ -30,12 +30,15 @@ configuration from a one-row ``RateLayers``.  ``_report`` reads each
 layer through its one-row entry point, in the kernel's order: the cached
 count matrix (``matching._count_matrix``), the mode's phase-error
 estimate, then the bit errors (``channel.error_terms``), so a
-configuration raises the error its kernel cause names.  The benchmark's
-tracer (``perfbench/spans.py``) wraps those entry points by name, which
-is why ``_report`` does not yet call the kernel.  ``_check_mode`` alone
-decides which modes exist for how many users on how many settings: the
-kernel and the builders call it, and an unsupported triple raises before
-any layer runs.
+configuration raises the error its kernel cause names.  The decoy entry
+points read the kernel's ladder format: ``config`` and the sifted row of
+that count matrix, as in ``decoy.bounds_3user_finite(config, sifted[0],
+sec)``.  The benchmark's tracer (``perfbench/spans.py``) wraps those
+entry points by name, which is why ``_report`` does not yet call the
+kernel.  ``_check_mode`` alone decides which modes exist for how many
+users on how many settings: ``_chunks`` and ``_report`` call it, and an
+unsupported triple raises before any layer runs.  ``rate_report`` leaves
+the check to ``_report``.
 """
 
 from __future__ import annotations
@@ -354,9 +357,8 @@ def _report(config: SourceConfig, channel: ChannelParams, sec: SecurityParams, m
             raise ConfigError(decoy._LADDER_ERROR)
         phase, bounds, applications = photonstats.phase_error_exact(config, channel, sec), {}, 0
     else:
-        probs = dict(zip(ks, config.send_probabilities))
-        obs = decoy.ObservedCounts(sifted=dict(zip(ks, sifted[0].tolist())), probabilities=probs)
-        db = decoy.bounds_3user_finite(obs, sec) if mode == "finite" else _DECOY_ASYMPTOTIC[n](obs)
+        row = sifted[0]
+        db = decoy.bounds_3user_finite(config, row, sec) if mode == "finite" else _DECOY_ASYMPTOTIC[n](config, row)
         phase, bounds, applications = db.phase_error_upper, db.s_mu_n_lower, db.chernoff_applications
     errors = error_terms(config.signal_intensity, n, total_efficiency(channel), channel.dark_count_rate)
     layers = _rate_layers(
@@ -406,9 +408,10 @@ def rate_report(
     mode has no phase-error estimate for, or a ladder of other than N+1
     settings, raises ConfigError.
     """
-    _check_mode(config.num_users, mode, len(config.intensities))
     if mode == "finite":
         return finite_rate(config, channel, sec)
-    return asymptotic_rate(
-        config, channel, mode=mode.removeprefix("asymptotic-"), ec_efficiency=sec.ec_efficiency
-    )
+    if mode in MODES:
+        return asymptotic_rate(
+            config, channel, mode=mode.removeprefix("asymptotic-"), ec_efficiency=sec.ec_efficiency
+        )
+    return _report(config, channel, sec, mode)  # raises the ValueError of ``_check_mode``

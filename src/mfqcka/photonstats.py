@@ -28,7 +28,9 @@ takes no photon-number cutoff.
 
 ``_phase_error_rows`` evaluates the exact phase error for a batch of
 ladders (one row each) from their count matrices, over one channel or
-one channel per row; ``phase_error_exact`` is a one-row call of it.
+one channel per row.  ``phase_error_exact(config, channel, sec)`` is a
+one-row call of it on the cached count matrix of ``config``
+(``matching._count_matrix``) and its sifted signal count.
 """
 
 from __future__ import annotations
@@ -160,25 +162,14 @@ def _phase_error_rows(
     return np.minimum(np.maximum(phi, 0.0), 1.0), no_signal * np.int8(_ESTIMATION)
 
 
-def _one_row(config: SourceConfig, channel: ChannelParams, data_size: float) -> dict:
-    """The arguments that describe one configuration to the row functions."""
-    return dict(
-        counts=_count_matrix(config, channel, data_size)[None],
-        mu=np.array([config.signal_intensity]),
-        p_mu=np.array([config.send_probabilities[0]]),
-        num_users=config.num_users,
-        phase_slices=config.phase_slices,
-        eta_t=total_efficiency(channel),
-        p_d=channel.dark_count_rate,
-        data_size=data_size,
-    )
-
-
 def phase_error_exact(config: SourceConfig, channel: ChannelParams, sec: SecurityParams) -> float:
     """Exact phase error rate from the photon-number decomposition; one row of ``_phase_error_rows``."""
     s_mu = sifted_coincidences(config.signal_intensity, config, channel, sec)
     if s_mu <= 0.0:
         raise EstimationError("no sifted signal coincidences; phase error undefined")
-    row = _one_row(config, channel, sec.data_size)
-    phi, _ = _phase_error_rows(**row, s_mu=np.array([s_mu]))
+    phi, _ = _phase_error_rows(
+        _count_matrix(config, channel, sec.data_size)[None], np.array([config.signal_intensity]),
+        np.array([config.send_probabilities[0]]), np.array([s_mu]), config.num_users, config.phase_slices,
+        total_efficiency(channel), channel.dark_count_rate, sec.data_size,
+    )
     return float(phi[0])

@@ -7,13 +7,15 @@ hand-expanded three-, four- and five-user expressions that came before
 that rule.  The tests compare the package's array rule against both.
 The Chernoff sides are stated here with the math module too, and the
 ladder checks (``_ladder``), so no oracle calls the code it checks.
+Every rule takes the package's entry-point inputs: a configuration,
+whose ``intensities`` and ``send_probabilities`` give the ladder, and the
+sifted counts in the same order, signal first.
 """
 
 import math
 from typing import Mapping
 
-from mfqcka.decoy import ObservedCounts
-from mfqcka.model import ConfigError, DecoyBounds, EstimationError
+from mfqcka.model import ConfigError, DecoyBounds, EstimationError, SourceConfig
 
 
 def chernoff_expected_bounds(s: float, eps: float) -> tuple[float, float]:
@@ -33,31 +35,32 @@ def chernoff_observed_lower(v: float, eps: float) -> float:
     return max(v - math.sqrt(2.0 * math.log(1.0 / eps) * v), 0.0)
 
 
-def _ladder(obs: ObservedCounts, settings: int) -> tuple[float, ...]:
-    """The intensities of ``obs`` in the order given, after the checks every rule needs.
+def _ladder(
+    config: SourceConfig, sifted, settings: int
+) -> tuple[tuple[float, ...], dict[float, float], dict[float, float]]:
+    """The intensities of ``config`` in the order given, and the counts and send probabilities by intensity.
 
-    ``settings`` of them, strictly decreasing down to the vacuum, with
-    nonnegative counts and positive send probabilities.
+    After the checks every rule needs: ``settings`` intensities, send
+    probabilities and counts, the intensities strictly decreasing down to
+    the vacuum, with nonnegative counts and positive send probabilities.
     """
-    ks = tuple(obs.sifted)
-    if len(ks) != settings:
-        raise ConfigError(f"the ladder needs {settings} settings, got {len(ks)}")
+    ks, probs = config.intensities, config.send_probabilities
+    if not len(ks) == len(probs) == len(sifted) == settings:
+        raise ConfigError(f"the ladder needs {settings} settings, got {len(ks)}, {len(probs)} and {len(sifted)}")
     if ks[-1] != 0.0 or not all(a > b for a, b in zip(ks, ks[1:])):
         raise ConfigError("the ladder must be strictly decreasing down to the vacuum")
-    if not all(obs.sifted[k] >= 0.0 and obs.probabilities[k] > 0.0 for k in ks):
+    counts, p = dict(zip(ks, map(float, sifted))), dict(zip(ks, probs))
+    if not all(counts[k] >= 0.0 and p[k] > 0.0 for k in ks):
         raise ConfigError("counts must be nonnegative and send probabilities positive")
-    return ks
+    return ks, counts, p
 
 
-def _normalization_factors(obs: ObservedCounts, ks: tuple[float, ...]) -> dict[float, float]:
+def _normalization_factors(ks: tuple[float, ...], p: Mapping[float, float]) -> dict[float, float]:
     """exp(c (k - mu) + c (ln p_mu - ln p_k)), evaluated in log space."""
-    num_users = len(obs.sifted) - 1
-    c = 2.0 * (num_users - 1)
+    c = 2.0 * (len(ks) - 2)
     mu = ks[0]
-    log_p_mu = math.log(obs.probabilities[mu])
-    return {
-        k: math.exp(c * (k - mu) + c * (log_p_mu - math.log(obs.probabilities[k]))) for k in ks
-    }
+    log_p_mu = math.log(p[mu])
+    return {k: math.exp(c * (k - mu) + c * (log_p_mu - math.log(p[k]))) for k in ks}
 
 
 def _clamp_bounds(raw: dict[int, float]) -> tuple[dict[int, float], tuple[int, ...]]:
@@ -101,14 +104,11 @@ def _photon_weights(ks: tuple[float, ...], num_users: int) -> dict[int, dict[flo
     return weights
 
 
-def decoy_bounds(observed: ObservedCounts, num_users: int, eps: float | None = None) -> DecoyBounds:
-    """The general rule on one set of counts; ``eps`` switches on the finite-size treatment."""
-    ks = _ladder(observed, num_users + 1)
-    factors = _normalization_factors(observed, ks)
-    sides = {
-        k: (s, s) if eps is None else chernoff_expected_bounds(s, eps)
-        for k, s in observed.sifted.items()
-    }
+def decoy_bounds(config: SourceConfig, sifted, num_users: int, eps: float | None = None) -> DecoyBounds:
+    """The general rule on one ladder; ``eps`` switches on the finite-size treatment."""
+    ks, counts, p = _ladder(config, sifted, num_users + 1)
+    factors = _normalization_factors(ks, p)
+    sides = {k: (s, s) if eps is None else chernoff_expected_bounds(s, eps) for k, s in counts.items()}
     used: set[tuple[float, int]] = set()
     raw = {}
     for m, ws in _photon_weights(ks, num_users).items():
@@ -123,7 +123,7 @@ def decoy_bounds(observed: ObservedCounts, num_users: int, eps: float | None = N
         bounds = {n: chernoff_observed_lower(v, eps) for n, v in bounds.items()}
     return DecoyBounds(
         s_mu_n_lower=bounds,
-        phase_error_upper=_phase_error(bounds, observed.sifted[ks[0]]),
+        phase_error_upper=_phase_error(bounds, counts[ks[0]]),
         clamped=clamped,
         chernoff_applications=0 if eps is None else len(used) + len(bounds),
     )
@@ -135,17 +135,17 @@ def _diff(t: Mapping[float, float], x: float, y: float) -> float:
     return y * (t[x] - t_o) - x * (t[y] - t_o)
 
 
-def bounds_3user_asymptotic(observed: ObservedCounts) -> DecoyBounds:
+def bounds_3user_asymptotic(config: SourceConfig, sifted) -> DecoyBounds:
     """Lower bounds on the 0- and 2-photon signal contributions, three users.
 
     The vacuum ratio pins s_mu^0 exactly; the two-step ladder over
     (mu, nu, omega) cancels the 1- and 3-photon terms and drops the
     positive n >= 4 tail to bound s_mu^2 from below.
     """
-    ks = _ladder(observed, 4)
+    ks, counts, p = _ladder(config, sifted, 4)
     mu, nu, om = ks[0], ks[1], ks[2]
-    factors = _normalization_factors(observed, ks)
-    t = {k: observed.sifted[k] * factors[k] for k in ks}
+    factors = _normalization_factors(ks, p)
+    t = {k: counts[k] * factors[k] for k in ks}
     s0 = t[0.0]
     a1 = _diff(t, mu, nu)
     a2 = _diff(t, nu, om)
@@ -157,12 +157,12 @@ def bounds_3user_asymptotic(observed: ObservedCounts) -> DecoyBounds:
     bounds, clamped = _clamp_bounds({0: s0, 2: s2})
     return DecoyBounds(
         s_mu_n_lower=bounds,
-        phase_error_upper=_phase_error(bounds, observed.sifted[mu]),
+        phase_error_upper=_phase_error(bounds, counts[mu]),
         clamped=clamped,
     )
 
 
-def bounds_3user_finite(observed: ObservedCounts, sec) -> DecoyBounds:
+def bounds_3user_finite(config: SourceConfig, sifted, sec) -> DecoyBounds:
     """Finite-size version of the three-user bounds.
 
     Each positively-signed count enters through its Chernoff lower
@@ -171,12 +171,12 @@ def bounds_3user_finite(observed: ObservedCounts, sec) -> DecoyBounds:
     pessimistic observed values.  Six concentration-bound applications
     are consumed per call (four expected-value sides, two conversions).
     """
-    ks = _ladder(observed, 4)
+    ks, counts, p = _ladder(config, sifted, 4)
     mu, nu, om = ks[0], ks[1], ks[2]
     eps = sec.eps_chernoff
-    factors = _normalization_factors(observed, ks)
-    lower = {k: chernoff_expected_bounds(observed.sifted[k], eps)[0] * factors[k] for k in ks}
-    upper = {k: chernoff_expected_bounds(observed.sifted[k], eps)[1] * factors[k] for k in ks}
+    factors = _normalization_factors(ks, p)
+    lower = {k: chernoff_expected_bounds(counts[k], eps)[0] * factors[k] for k in ks}
+    upper = {k: chernoff_expected_bounds(counts[k], eps)[1] * factors[k] for k in ks}
 
     s0_star = lower[0.0]
     diff = (mu - nu) * (nu - om) * (mu - om)
@@ -194,17 +194,17 @@ def bounds_3user_finite(observed: ObservedCounts, sec) -> DecoyBounds:
     bounds = {n: chernoff_observed_lower(v, eps) for n, v in raw.items()}
     return DecoyBounds(
         s_mu_n_lower=bounds,
-        phase_error_upper=_phase_error(bounds, observed.sifted[mu]),
+        phase_error_upper=_phase_error(bounds, counts[mu]),
         clamped=clamped,
     )
 
 
-def bounds_4user_asymptotic(observed: ObservedCounts) -> DecoyBounds:
+def bounds_4user_asymptotic(config: SourceConfig, sifted) -> DecoyBounds:
     """Lower bounds on the 1- and 3-photon signal contributions, four users."""
-    ks = _ladder(observed, 5)
+    ks, counts, p = _ladder(config, sifted, 5)
     mu, nu, om, xi = ks[0], ks[1], ks[2], ks[3]
-    factors = _normalization_factors(observed, ks)
-    t = {k: observed.sifted[k] * factors[k] for k in ks}
+    factors = _normalization_factors(ks, p)
+    t = {k: counts[k] * factors[k] for k in ks}
     t_o = t[0.0]
 
     s1 = mu * (om**2 * (t[xi] - t_o) - xi**2 * (t[om] - t_o)) / (xi * om * (om - xi))
@@ -228,17 +228,17 @@ def bounds_4user_asymptotic(observed: ObservedCounts) -> DecoyBounds:
     bounds, clamped = _clamp_bounds({1: s1, 3: s3})
     return DecoyBounds(
         s_mu_n_lower=bounds,
-        phase_error_upper=_phase_error(bounds, observed.sifted[mu]),
+        phase_error_upper=_phase_error(bounds, counts[mu]),
         clamped=clamped,
     )
 
 
-def bounds_5user_asymptotic(observed: ObservedCounts) -> DecoyBounds:
+def bounds_5user_asymptotic(config: SourceConfig, sifted) -> DecoyBounds:
     """Lower bounds on the 0-, 2- and 4-photon signal contributions, five users."""
-    ks = _ladder(observed, 6)
+    ks, counts, p = _ladder(config, sifted, 6)
     mu, nu, om, xi, ta = ks[0], ks[1], ks[2], ks[3], ks[4]
-    factors = _normalization_factors(observed, ks)
-    t = {k: observed.sifted[k] * factors[k] for k in ks}
+    factors = _normalization_factors(ks, p)
+    t = {k: counts[k] * factors[k] for k in ks}
 
     s0 = t[0.0]
 
@@ -275,6 +275,6 @@ def bounds_5user_asymptotic(observed: ObservedCounts) -> DecoyBounds:
     bounds, clamped = _clamp_bounds({0: s0, 2: s2, 4: s4})
     return DecoyBounds(
         s_mu_n_lower=bounds,
-        phase_error_upper=_phase_error(bounds, observed.sifted[mu]),
+        phase_error_upper=_phase_error(bounds, counts[mu]),
         clamped=clamped,
     )

@@ -14,7 +14,6 @@ import decoy_oracles
 import photonstats_oracles
 from matching_oracles import sifted_from_matrix, transfer_count_matrix
 from mfqcka.channel import total_efficiency
-from mfqcka.decoy import ObservedCounts
 from mfqcka.model import (
     ChannelParams,
     ConfigError,
@@ -54,21 +53,17 @@ def error_terms(config: SourceConfig, channel: ChannelParams) -> tuple[float, tu
     return e_adj, marginals, marginals[worst], entropies[worst]
 
 
-def observed(config: SourceConfig, channel: ChannelParams, data_size: float) -> ObservedCounts:
+def sifted_counts(config: SourceConfig, channel: ChannelParams, data_size: float) -> list[float]:
+    """The sifted counts of every setting of ``config``, in ladder order."""
     counts = transfer_count_matrix(config, channel, data_size)
-    sifted = {
-        k: sifted_from_matrix(counts, i, config.phase_slices)
-        for i, k in enumerate(config.intensities)
-    }
-    probs = dict(zip(config.intensities, config.send_probabilities))
-    return ObservedCounts(sifted=sifted, probabilities=probs)
+    return [sifted_from_matrix(counts, i, config.phase_slices) for i in range(len(config.intensities))]
 
 
 def finite_rate_raw(config: SourceConfig, channel: ChannelParams, sec: SecurityParams) -> float:
     if config.num_users != 3:
         raise ConfigError("finite-size decoy bounds are available for 3 users only")
-    obs = observed(config, channel, sec.data_size)
-    db = decoy_oracles.decoy_bounds(obs, 3, sec.eps_chernoff)
+    sifted = sifted_counts(config, channel, sec.data_size)
+    db = decoy_oracles.decoy_bounds(config, sifted, 3, sec.eps_chernoff)
     worst_h = error_terms(config, channel)[3]
     n_bins = sec.data_size
     correction = (
@@ -76,20 +71,20 @@ def finite_rate_raw(config: SourceConfig, channel: ChannelParams, sec: SecurityP
         + 2.0 * math.log2(1.0 / (2.0 * sec.eps_pa))
     ) / n_bins
     bracket = 1.0 - privacy_entropy(db.phase_error_upper) - sec.ec_efficiency * worst_h
-    return obs.sifted[config.signal_intensity] / n_bins * bracket - correction
+    return sifted[0] / n_bins * bracket - correction
 
 
 def asymptotic_rate_raw(
     config: SourceConfig, channel: ChannelParams, mode: str, ec_efficiency: float = 1.1
 ) -> float:
     sec = SecurityParams(data_size=1.0, ec_efficiency=ec_efficiency)
-    obs = observed(config, channel, 1.0)
+    sifted = sifted_counts(config, channel, 1.0)
     if mode == "exact":
         phase_error = photonstats_oracles.phase_error_exact(config, channel, sec)
     else:
         if config.num_users not in (3, 4, 5):
             raise ConfigError("decoy-state bounds are available for 3-5 users")
-        phase_error = decoy_oracles.decoy_bounds(obs, config.num_users).phase_error_upper
+        phase_error = decoy_oracles.decoy_bounds(config, sifted, config.num_users).phase_error_upper
     worst_h = error_terms(config, channel)[3]
     bracket = 1.0 - privacy_entropy(phase_error) - ec_efficiency * worst_h
-    return obs.sifted[config.signal_intensity] * bracket
+    return sifted[0] * bracket

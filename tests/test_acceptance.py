@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from mfqcka.decoy import (
-    ObservedCounts,
     bounds_3user_asymptotic,
     bounds_4user_asymptotic,
     bounds_5user_asymptotic,
@@ -137,12 +136,8 @@ def test_criterion_4_decoy_soundness_grid():
                     decoys=decoys,
                 )
                 config, channel, sec = bundle.config, bundle.channel, bundle.security
-                sifted = {k: sifted_coincidences(k, config, channel, sec) for k in config.intensities}
-                obs = ObservedCounts(
-                    sifted=sifted,
-                    probabilities=dict(zip(config.intensities, config.send_probabilities)),
-                )
-                db = estimator(obs)
+                sifted = [sifted_coincidences(k, config, channel, sec) for k in config.intensities]
+                db = estimator(config, sifted)
                 points += 1
                 exact_terms = nphoton_terms(config, channel, sec)
                 for n in terms:

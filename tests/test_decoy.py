@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 
 from mfqcka.channel import total_efficiency
 from mfqcka.decoy import (
-    ObservedCounts,
     bounds_3user_asymptotic,
     bounds_3user_finite,
     bounds_4user_asymptotic,
@@ -21,7 +20,8 @@ from mfqcka.decoy import (
 )
 from mfqcka.keyrate import asymptotic_rate, rate_rows
 from mfqcka.matching import _count_rows, _sifted_rows, sifted_coincidences
-from mfqcka.model import INFEASIBLE, ConfigError, EstimationError, SecurityParams
+from mfqcka.model import INFEASIBLE, ConfigError, EstimationError, SecurityParams, SourceConfig
+from mfqcka.montecarlo import run_protocol
 from mfqcka.optimizer import SearchSpec, _ladders, _sample_starts, _to_config
 from conftest import DARK_COUNT_RATE, EC_EFFICIENCY, PHASE_SLICES, PROBS, make_bundle, make_channel, make_config
 import decoy_oracles
@@ -31,20 +31,25 @@ from test_acceptance import GRID_SIGNALS
 BETA_1E10 = math.log(1e10)
 
 
+def ladder_config(intensities, probabilities):
+    """A configuration of the ladder ``intensities`` (signal first), sent with ``probabilities``."""
+    return SourceConfig(len(intensities) - 1, intensities[0], intensities[1:], probabilities, PHASE_SLICES)
+
+
 def synthetic_counts(num_users, intensities, probabilities, s_n):
-    """Exact sifted counts implied by a photon-number decomposition.
+    """(config, sifted): exact sifted counts implied by a photon-number decomposition.
 
     t_k = sum_n (k/mu)^n s_n defines the normalized counts; inverting the
     normalization gives the raw s_k that an experiment would observe.
     """
     mu = intensities[0]
     c = 2 * (num_users - 1)
-    sifted = {}
-    for k in intensities:
+    sifted = []
+    for k, p_k in zip(intensities, probabilities):
         t_k = math.fsum((k / mu) ** n * s for n, s in enumerate(s_n))
-        factor = math.exp(c * (k - mu)) * (probabilities[mu] / probabilities[k]) ** c
-        sifted[k] = t_k / factor
-    return ObservedCounts(sifted=sifted, probabilities=probabilities)
+        factor = math.exp(c * (k - mu)) * (probabilities[0] / p_k) ** c
+        sifted.append(t_k / factor)
+    return ladder_config(intensities, probabilities), sifted
 
 
 def poisson_tail(mean, size, scale=1e8):
@@ -64,19 +69,13 @@ ESTIMATORS = {
 
 
 def observed_of(num_users, s_n):
-    ks = INTENSITIES[num_users]
-    probs = dict(zip(ks, PROBS[num_users]))
-    return synthetic_counts(num_users, ks, probs, s_n)
+    return synthetic_counts(num_users, INTENSITIES[num_users], PROBS[num_users], s_n)
 
 
 def model_observed(bundle):
+    """(config, sifted): the bundle's configuration and its expected sifted counts, signal first."""
     config = bundle.config
-    sifted = {
-        k: sifted_coincidences(k, config, bundle.channel, bundle.security)
-        for k in config.intensities
-    }
-    probs = dict(zip(config.intensities, config.send_probabilities))
-    return ObservedCounts(sifted=sifted, probabilities=probs)
+    return config, [sifted_coincidences(k, config, bundle.channel, bundle.security) for k in config.intensities]
 
 
 class TestChernoff:
@@ -117,11 +116,11 @@ class TestChernoff:
             assert observed[i] == decoy_oracles.chernoff_observed_lower(s, 1e-10)
 
 
-def paper_3user_s2_oracle(obs):
+def paper_3user_s2_oracle(config, sifted):
     """Explicit coefficient form of the three-user 2-photon bound."""
-    mu, nu, om, _ = tuple(obs.sifted)
-    p = obs.probabilities
-    s = obs.sifted
+    mu, nu, om, _ = config.intensities
+    p = dict(zip(config.intensities, config.send_probabilities))
+    s = dict(zip(config.intensities, sifted))
     diff = (mu - nu) * (nu - om) * (mu - om)
     prefactor = p[mu] ** 4 * mu / (math.exp(4 * mu) * nu * om * diff)
     bracket = (
@@ -138,23 +137,21 @@ class TestSyntheticModel:
 
     def test_3user_exact_when_tail_absent(self):
         s_n = [5.0, 40.0, 300.0, 20.0]  # nothing beyond n = 3
-        db = bounds_3user_asymptotic(observed_of(3, s_n))
+        db = bounds_3user_asymptotic(*observed_of(3, s_n))
         assert db.s_mu_n_lower[0] == pytest.approx(s_n[0], rel=1e-9)
         assert db.s_mu_n_lower[2] == pytest.approx(s_n[2], rel=1e-9)
 
     def test_4user_exact_when_tails_absent(self):
-        db = bounds_4user_asymptotic(observed_of(4, [5.0, 40.0, 0.0]))
+        db = bounds_4user_asymptotic(*observed_of(4, [5.0, 40.0, 0.0]))
         assert db.s_mu_n_lower[1] == pytest.approx(40.0, rel=1e-9)
-        db = bounds_4user_asymptotic(observed_of(4, [5.0, 40.0, 300.0, 700.0, 90.0]))
+        db = bounds_4user_asymptotic(*observed_of(4, [5.0, 40.0, 300.0, 700.0, 90.0]))
         assert db.s_mu_n_lower[3] == pytest.approx(700.0, rel=1e-9)
 
     def test_5user_exact_when_tails_absent(self):
-        db = bounds_5user_asymptotic(observed_of(5, [5.0, 40.0, 300.0, 20.0]))
+        db = bounds_5user_asymptotic(*observed_of(5, [5.0, 40.0, 300.0, 20.0]))
         assert db.s_mu_n_lower[0] == pytest.approx(5.0, rel=1e-9)
         assert db.s_mu_n_lower[2] == pytest.approx(300.0, rel=1e-9)
-        db = bounds_5user_asymptotic(
-            observed_of(5, [5.0, 40.0, 300.0, 20.0, 800.0, 30.0])
-        )
+        db = bounds_5user_asymptotic(*observed_of(5, [5.0, 40.0, 300.0, 20.0, 800.0, 30.0]))
         assert db.s_mu_n_lower[4] == pytest.approx(800.0, rel=1e-9)
 
     @pytest.mark.parametrize("num_users", [3, 4, 5])
@@ -165,21 +162,21 @@ class TestSyntheticModel:
             s_n = poisson_tail(mean, 25)
             jitter = rng.uniform(0.5, 2.0, len(s_n))
             s_n = [s * j for s, j in zip(s_n, jitter)]
-            db = estimator(observed_of(num_users, s_n))
+            db = estimator(*observed_of(num_users, s_n))
             for n in terms:
                 assert db.s_mu_n_lower[n] <= s_n[n] * (1 + 1e-9)
 
     def test_3user_matches_explicit_coefficient_form(self):
         s_n = poisson_tail(0.9, 22)
         obs = observed_of(3, s_n)
-        db = bounds_3user_asymptotic(obs)
-        assert db.s_mu_n_lower[2] == pytest.approx(paper_3user_s2_oracle(obs), rel=1e-11)
+        db = bounds_3user_asymptotic(*obs)
+        assert db.s_mu_n_lower[2] == pytest.approx(paper_3user_s2_oracle(*obs), rel=1e-11)
 
     def test_vacuum_ratio_is_identity(self):
         s_n = poisson_tail(1.1, 22)
         for num_users in (3, 5):
             estimator, _ = ESTIMATORS[num_users]
-            db = estimator(observed_of(num_users, s_n))
+            db = estimator(*observed_of(num_users, s_n))
             assert db.s_mu_n_lower[0] == pytest.approx(s_n[0], rel=1e-9)
 
 
@@ -188,7 +185,7 @@ class TestModelSoundness:
 
     def test_3user_ratio_at_200km(self):
         bundle = make_bundle(distance_km=200.0)
-        db = bounds_3user_asymptotic(model_observed(bundle))
+        db = bounds_3user_asymptotic(*model_observed(bundle))
         exact = nphoton_terms(bundle.config, bundle.channel, bundle.security)[2]
         assert db.s_mu_n_lower[2] <= exact * (1 + 1e-9)
         assert db.s_mu_n_lower[2] / exact >= 0.9
@@ -197,7 +194,7 @@ class TestModelSoundness:
     def test_multiuser_soundness(self, num_users, distance):
         bundle = make_bundle(num_users=num_users, distance_km=distance)
         estimator, terms = ESTIMATORS[num_users]
-        db = estimator(model_observed(bundle))
+        db = estimator(*model_observed(bundle))
         exact_terms = nphoton_terms(bundle.config, bundle.channel, bundle.security)
         for n in terms:
             exact = exact_terms[n]
@@ -205,48 +202,31 @@ class TestModelSoundness:
 
     def test_perturbing_omega_count_downweights_bound(self):
         bundle = make_bundle(distance_km=200.0)
-        obs = model_observed(bundle)
-        base = bounds_3user_asymptotic(obs).s_mu_n_lower[2]
-        omega = tuple(obs.sifted)[2]
-        bumped = dict(obs.sifted)
-        bumped[omega] *= 1.05
-        perturbed = bounds_3user_asymptotic(
-            ObservedCounts(sifted=bumped, probabilities=obs.probabilities)
-        ).s_mu_n_lower[2]
+        config, sifted = model_observed(bundle)
+        base = bounds_3user_asymptotic(config, sifted).s_mu_n_lower[2]
+        bumped = list(sifted)
+        bumped[2] *= 1.05  # the omega count
+        perturbed = bounds_3user_asymptotic(config, bumped).s_mu_n_lower[2]
         assert perturbed < base
 
     def test_degenerate_intensities_rejected(self):
-        bundle = make_bundle()
-        obs = model_observed(bundle)
-        nu, om = tuple(obs.sifted)[1:3]
-        collided = dict(obs.sifted)
-        collided[nu] = collided.pop(nu) + collided.pop(om)  # drops a setting
-        with pytest.raises(ConfigError):
-            bounds_3user_asymptotic(
-                ObservedCounts(
-                    sifted=collided,
-                    probabilities=obs.probabilities,
-                )
-            )
+        config, sifted = model_observed(make_bundle())
+        mu, nu, _, vacuum = config.intensities
+        collided = ladder_config((mu, nu, nu, vacuum), config.send_probabilities)  # omega set to nu
+        with pytest.raises(ConfigError, match="strictly decreasing"):
+            bounds_3user_asymptotic(collided, sifted)
 
     def test_ladder_is_read_in_order(self):
-        obs = model_observed(make_bundle())
+        config, sifted = model_observed(make_bundle())
+        ks, probs = config.intensities, config.send_probabilities
         for order in ((1, 0, 2, 3), (0, 1, 3, 2), (3, 2, 1, 0)):
-            ks = [tuple(obs.sifted)[i] for i in order]
-            reordered = {k: obs.sifted[k] for k in ks}
+            reordered = ladder_config([ks[i] for i in order], [probs[i] for i in order])
             with pytest.raises(ConfigError, match="strictly decreasing"):
-                bounds_3user_asymptotic(
-                    ObservedCounts(sifted=reordered, probabilities=obs.probabilities)
-                )
+                bounds_3user_asymptotic(reordered, [sifted[i] for i in order])
 
     def test_all_zero_counts_raise(self):
-        ks = INTENSITIES[3]
-        obs = ObservedCounts(
-            sifted={k: 0.0 for k in ks},
-            probabilities=dict(zip(ks, PROBS[3])),
-        )
         with pytest.raises(EstimationError):
-            bounds_3user_asymptotic(obs)
+            bounds_3user_asymptotic(ladder_config(INTENSITIES[3], PROBS[3]), [0.0] * 4)
 
     @pytest.mark.xfail(
         strict=True,
@@ -269,8 +249,8 @@ class TestFiniteSize:
     def test_finite_below_asymptotic(self):
         bundle = make_bundle(distance_km=100.0, data_size=1e12)
         obs = model_observed(bundle)
-        finite = bounds_3user_finite(obs, bundle.security)
-        asymptotic = bounds_3user_asymptotic(obs)
+        finite = bounds_3user_finite(*obs, bundle.security)
+        asymptotic = bounds_3user_asymptotic(*obs)
         for n in (0, 2):
             assert finite.s_mu_n_lower[n] <= asymptotic.s_mu_n_lower[n] * (1 + 1e-12)
         assert finite.phase_error_upper >= asymptotic.phase_error_upper - 1e-12
@@ -279,25 +259,74 @@ class TestFiniteSize:
         # counts above 1e10 shrink the relative gap below 1e-3; inflated
         # dark counts keep even the vacuum statistics in that regime
         bundle = make_bundle(distance_km=25.0, data_size=1e21, dark_count_rate=1e-4)
-        obs = model_observed(bundle)
-        assert min(obs.sifted.values()) > 1e10
-        finite = bounds_3user_finite(obs, bundle.security)
-        asymptotic = bounds_3user_asymptotic(obs)
+        config, sifted = model_observed(bundle)
+        assert min(sifted) > 1e10
+        finite = bounds_3user_finite(config, sifted, bundle.security)
+        asymptotic = bounds_3user_asymptotic(config, sifted)
         for n in (0, 2):
             gap = 1.0 - finite.s_mu_n_lower[n] / asymptotic.s_mu_n_lower[n]
             assert 0.0 <= gap <= 1e-3
 
     def test_phase_error_clamped_to_unit_interval(self):
         bundle = make_bundle(distance_km=300.0, data_size=1e10)
-        finite = bounds_3user_finite(model_observed(bundle), bundle.security)
+        finite = bounds_3user_finite(*model_observed(bundle), bundle.security)
         assert 0.0 <= finite.phase_error_upper <= 1.0
 
     def test_clamp_diagnostic_reported(self):
         # starve the decoy statistics so the two-photon bound goes negative
         bundle = make_bundle(distance_km=280.0, data_size=1e9)
-        finite = bounds_3user_finite(model_observed(bundle), bundle.security)
+        finite = bounds_3user_finite(*model_observed(bundle), bundle.security)
         assert 2 in finite.clamped
         assert finite.s_mu_n_lower[2] == 0.0
+
+
+SEC = SecurityParams(data_size=1e12)
+# Each entry point with its number of users.
+ENTRY_POINTS = {
+    "3-asymptotic": (bounds_3user_asymptotic, 3),
+    "3-finite": (lambda config, sifted: bounds_3user_finite(config, sifted, SEC), 3),
+    "4-asymptotic": (bounds_4user_asymptotic, 4),
+    "5-asymptotic": (bounds_5user_asymptotic, 5),
+}
+
+
+class TestEntryPoints:
+    """The one-row entry points read a configuration and its sifted counts, signal first."""
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    def test_a_list_of_the_wrong_length_is_a_config_error(self, name):
+        bounds, num_users = ENTRY_POINTS[name]
+        config, sifted = observed_of(num_users, poisson_tail(0.9, 22))
+        bounds(config, sifted)
+        short = ladder_config(config.intensities, config.send_probabilities[:-1])
+        other = 4 if num_users == 3 else num_users - 1
+        for args in ((config, sifted[:-1]), (short, sifted), observed_of(other, poisson_tail(0.9, 22))):
+            with pytest.raises(ConfigError, match=f"{num_users}-user bounds need {num_users + 1}"):
+                bounds(*args)
+
+    def test_a_simulated_run_goes_straight_in(self):
+        """``TrialSummary.sifted`` is a ladder-order count list: each bound is the kernel row's, bit for bit.
+
+        2^20 bins leave the finite-size bounds clamped to zero, so the
+        asymptotic bounds, which are not, are compared on the same run too.
+        """
+        bundle = make_bundle(
+            distance_km=0.0, dark_count_rate=1e-2, signal=0.4, decoys=(0.2, 0.1, 0.0), probs=(0.25,) * 4
+        )
+        config, sec = bundle.config, bundle.security
+        summary = run_protocol(bundle, 1 << 20, seed=37)
+        ks, probs = np.array([config.intensities]), np.array([config.send_probabilities])
+        for eps, got in (
+            (sec.eps_chernoff, bounds_3user_finite(config, summary.sifted, sec)),
+            (None, bounds_3user_asymptotic(config, summary.sifted)),
+        ):
+            row = _decoy_rows(ks, probs, summary.sifted[None].astype(float), eps)
+            assert row.cause[0] == 0
+            assert list(got.s_mu_n_lower.values()) == row.bounds[0].tolist()
+            assert got.phase_error_upper == row.phase_error[0]
+            assert got.clamped == tuple(m for m, hit in zip((0, 2), row.clamped[0]) if hit)
+            assert got.chernoff_applications == row.chernoff_applications[0]
+        assert min(got.s_mu_n_lower.values()) > 0.0
 
 
 ORACLES = {
@@ -308,7 +337,7 @@ ORACLES = {
 
 
 def grid_ladders(num_users):
-    """(observed, security) at every point of the acceptance soundness grid."""
+    """((config, sifted), security) at every point of the acceptance soundness grid."""
     for distance in (50.0, 100.0, 150.0, 200.0, 250.0, 300.0):
         for signal, decoys in GRID_SIGNALS[num_users]:
             bundle = make_bundle(
@@ -327,8 +356,8 @@ def random_ladders(num_users, count=200):
     sec = SecurityParams(data_size=1e12)
     for _ in range(count):
         ks = tuple(sorted(map(float, rng.uniform(0.001, 0.5, num_users)), reverse=True)) + (0.0,)
-        sifted = dict(zip(ks, map(float, rng.uniform(0.0, 1e6, num_users + 1))))
-        yield ObservedCounts(sifted, dict(zip(ks, PROBS[num_users]))), sec
+        sifted = list(map(float, rng.uniform(0.0, 1e6, num_users + 1)))
+        yield (ladder_config(ks, PROBS[num_users]), sifted), sec
 
 
 @pytest.mark.parametrize("ladders", [grid_ladders, random_ladders], ids=["grid", "random"])
@@ -338,10 +367,10 @@ def test_general_rule_matches_closed_forms(num_users, ladders):
     new, oracle = ORACLES[num_users]
     pairs = []
     for obs, sec in ladders(num_users):
-        pairs.append((new(obs), oracle(obs)))
+        pairs.append((new(*obs), oracle(*obs)))
         if num_users == 3:
             pairs.append(
-                (bounds_3user_finite(obs, sec), decoy_oracles.bounds_3user_finite(obs, sec))
+                (bounds_3user_finite(*obs, sec), decoy_oracles.bounds_3user_finite(*obs, sec))
             )
     for got, want in pairs:
         assert got.clamped == want.clamped
@@ -359,9 +388,8 @@ APPLICATIONS = {3: 6, 4: 7, 5: 9, 6: 10, 7: 12, 8: 13, 9: 15, 10: 16}
 
 
 def observed_row(ks, probs, sifted, r):
-    """Row ``r`` of a kernel batch as the oracle's ``ObservedCounts``."""
-    ladder = ks[r].tolist()
-    return ObservedCounts(dict(zip(ladder, sifted[r].tolist())), dict(zip(ladder, probs[r].tolist())))
+    """Row ``r`` of a kernel batch as the oracle's (config, sifted)."""
+    return ladder_config(ks[r].tolist(), probs[r].tolist()), sifted[r].tolist()
 
 
 def presample_batch(num_users, distance, rows=64):
@@ -389,7 +417,7 @@ def test_kernel_matches_the_oracle_for_any_n(num_users, eps):
         assert not got.cause.any()
         assert (got.chernoff_applications == (0 if eps is None else APPLICATIONS[num_users])).all()
         for r in range(len(ks)):
-            want = decoy_oracles.decoy_bounds(observed_row(ks, probs, sifted, r), num_users, eps)
+            want = decoy_oracles.decoy_bounds(*observed_row(ks, probs, sifted, r), num_users, eps)
             assert got.chernoff_applications[r] == want.chernoff_applications
             assert tuple(m for m, hit in zip(orders, got.clamped[r]) if hit) == want.clamped
             assert got.bounds[r].tolist() == pytest.approx(list(want.s_mu_n_lower.values()), rel=1e-11, abs=0.0)
@@ -422,7 +450,7 @@ def test_count_and_cause_on_extreme_ladders(num_users, kind):
     rated = np.flatnonzero(got.cause == 0)
     assert len(rated) >= 20
     for r in rated:
-        want = decoy_oracles.decoy_bounds(observed_row(ks, probs, sifted, r), num_users, 1e-10)
+        want = decoy_oracles.decoy_bounds(*observed_row(ks, probs, sifted, r), num_users, 1e-10)
         assert got.chernoff_applications[r] == want.chernoff_applications == APPLICATIONS[num_users]
         assert math.isfinite(want.phase_error_upper)
 
@@ -433,7 +461,7 @@ def test_underflowing_node_gaps_are_an_estimation_error():
     got = _decoy_rows(ks, probs, sifted, 1e-10)
     assert got.cause[0] == INFEASIBLE.index(EstimationError)
     with pytest.raises(EstimationError):
-        decoy_oracles.decoy_bounds(observed_row(ks, probs, sifted, 0), 10, 1e-10)
+        decoy_oracles.decoy_bounds(*observed_row(ks, probs, sifted, 0), 10, 1e-10)
 
 
 @pytest.mark.parametrize("num_users", [3, 4, 5])

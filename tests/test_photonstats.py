@@ -4,12 +4,14 @@ import functools
 import math
 import warnings
 
+import numpy as np
 import pytest
 
-from mfqcka.matching import sifted_coincidences
+from mfqcka.channel import total_efficiency
+from mfqcka.matching import _count_matrix, sifted_coincidences
 from mfqcka.model import EstimationError, SecurityParams
 from mfqcka.keyrate import asymptotic_rate
-from mfqcka.photonstats import _one_row, _parity_sums, _port_weight_sequence, phase_error_exact
+from mfqcka.photonstats import _parity_sums, _port_weight_sequence, phase_error_exact
 from conftest import make_bundle, make_channel, make_config, make_geometric_config
 import keyrate_oracles
 import photonstats_oracles
@@ -188,13 +190,15 @@ def oracle_sums(config, channel, data_size):
     The oracle takes the package's count matrix, so only the
     photon-number sums are compared.
     """
-    row = _one_row(config, channel, data_size)
-    del row["num_users"]
+    counts = _count_matrix(config, channel, data_size)
     terms = nphoton_terms(
-        config, channel, SecurityParams(data_size=data_size, ec_efficiency=1.1), counts=row["counts"][0].tolist()
+        config, channel, SecurityParams(data_size=data_size, ec_efficiency=1.1), counts=counts.tolist()
     )
     good = 1 if config.num_users % 2 == 0 else 0
-    total, alternating = _parity_sums(**row)
+    total, alternating = _parity_sums(
+        counts[None], np.array([config.signal_intensity]), np.array([config.send_probabilities[0]]),
+        config.phase_slices, total_efficiency(channel), channel.dark_count_rate, data_size,
+    )
     closed_good = 0.5 * (total[0] - alternating[0] if good else total[0] + alternating[0])
     return (math.fsum(terms), math.fsum(terms[good::2])), (float(total[0]), float(closed_good))
 

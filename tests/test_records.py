@@ -11,7 +11,6 @@ import pytest
 
 import mfqcka
 from mfqcka import matching, optimizer
-from mfqcka.decoy import ObservedCounts
 from mfqcka.model import (
     Bundle,
     ChannelParams,
@@ -123,10 +122,6 @@ RECORDS = {
         "0.3, 0.15, 0.05), phase_slices=16), distance_km=50.0, data_size=1000000000000.0, mode='finite', "
         "marginal_errors=(0.02, 0.01), sifted={0.4: 5.0}, s_mu_n_lower={0: 1.0, 2: 0.5}, "
         "correction_bits=3.5, chernoff_applications=7, failure_budget=3e-10)",
-    ),
-    "ObservedCounts": (
-        ObservedCounts({0.4: 10.0, 0.0: 1.0}, {0.4: 0.5, 0.0: 0.5}),
-        "ObservedCounts(sifted={0.4: 10.0, 0.0: 1.0}, probabilities={0.4: 0.5, 0.0: 0.5})",
     ),
     "SearchSpec": (
         SearchSpec(restarts=2, seed=7),
