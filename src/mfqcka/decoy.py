@@ -44,6 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import INFEASIBLE, ConfigError, DecoyBounds, EstimationError, SecurityParams, SourceConfig
+from .model import _LADDER_ERROR, _ladder_rows
 from .special_math import _sum_along
 
 __all__ = [
@@ -94,19 +95,6 @@ class DecoyRows(NamedTuple):
 _CONFIG = INFEASIBLE.index(ConfigError)
 _ESTIMATION = INFEASIBLE.index(EstimationError)
 
-# What a row that fails the ladder rule (``_ladder_rows``) or has a negative count raises.
-_LADDER_ERROR = "intensities must be strictly decreasing to the vacuum, counts >= 0, probs > 0"
-
-
-def _ladder_rows(ks: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Per row r: is ``ks[r]`` strictly decreasing down to the vacuum, with every ``probs[r]`` > 0?
-
-    The ladder rule of every rate mode; a nan anywhere fails it.
-    """
-    margins = np.concatenate([ks[:, :-1] - ks[:, 1:], probs], axis=1)
-    return (np.minimum.reduce(margins, axis=1) > 0.0) & (ks[:, -1] == 0.0)
-
-
 def _lagrange_weights(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The weights of the bound on s_mu^m over the m+1 nodes ``xs[j]`` = k_j / mu, m = len(xs) - 1.
 
@@ -138,7 +126,7 @@ def _decoy_rows(ks: np.ndarray, probs: np.ndarray, sifted: np.ndarray, eps: floa
     their width.  With ``eps`` each count enters at its Chernoff lower
     side where its weight is positive and at its upper side otherwise,
     and every bound is converted back to a pessimistic observed value.
-    Rows that fail the ladder rule (``_ladder_rows``) or have a negative
+    Rows that fail the ladder rule (``model._ladder_rows``) or have a negative
     count get a ConfigError cause; a weight whose nodes underflow, a zero
     signal count and a bound or phase error that overflows (a send
     probability p_k far below p_mu overflows (p_mu / p_k)^c, and a decoy

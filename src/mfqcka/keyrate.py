@@ -35,10 +35,15 @@ points read the kernel's ladder format: ``config`` and the sifted row of
 that count matrix, as in ``decoy.bounds_3user_finite(config, sifted[0],
 sec)``.  The benchmark's tracer (``perfbench/spans.py``) wraps those
 entry points by name, which is why ``_report`` does not yet call the
-kernel.  ``_check_mode`` alone decides which modes exist for how many
-users on how many settings: ``_chunks`` and ``_report`` call it, and an
-unsupported triple raises before any layer runs.  ``rate_report`` leaves
-the check to ``_report``.
+kernel.  Each rule of a rate row has one owner.  ``_check_mode`` owns
+the shape: which modes exist for how many users, and that the ladder and
+its send probabilities, which the count kernel reads together, both have
+N+1 entries.  ``_chunks`` and ``_report`` call it, and a shape it rejects
+raises before any layer runs (``rate_report`` leaves the check to
+``_report``).  The phase-error estimators own the values: the ladder rule
+and the counts are checked by ``decoy._decoy_rows`` and
+``photonstats._phase_error_rows``, whose causes the kernel keeps and
+whose one-row entry points raise them.
 """
 
 from __future__ import annotations
@@ -105,12 +110,15 @@ _DECOY_ASYMPTOTIC = {
 MODES = ("finite", "asymptotic-decoy", "asymptotic-exact")
 
 
-def _check_mode(num_users: int, mode: str, settings: int) -> None:
-    """Raise unless ``mode`` has a phase-error estimate for ``num_users`` users on ``settings`` settings.
+def _check_mode(num_users: int, mode: str, settings: int, probabilities: int) -> None:
+    """Raise unless ``mode`` rates ``num_users`` users on ``settings`` settings sent with ``probabilities``.
 
-    The one place that knows which (users, mode) pairs are rated: a mode
-    outside MODES is a ValueError, a user count the mode has no estimate
-    for, or a ladder of other than N+1 settings, a ConfigError.
+    The one place that knows which (users, mode) pairs are rated, and the
+    shape of a rate row: a mode outside MODES is a ValueError, a user
+    count the mode has no estimate for, or a ladder or list of send
+    probabilities of other than N+1 entries (the count kernel reads the
+    two together), a ConfigError.  The values of a row are the phase-error
+    estimator's to check.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -122,6 +130,8 @@ def _check_mode(num_users: int, mode: str, settings: int) -> None:
         raise ConfigError(f"exact phase errors are available for 3-20 users, not {num_users}")
     if settings != num_users + 1:
         raise ConfigError(f"{num_users} users need {num_users + 1} intensity settings, got {settings}")
+    if probabilities != settings:
+        raise ConfigError(f"{num_users} users need {settings} send probabilities, got {probabilities}")
 
 
 # Rows per kernel pass are chosen so that a (rows, pairs, I0_NODES) array of
@@ -170,9 +180,9 @@ def rate_rows(
     Row r is the intensity ladder ``ints[r]`` (signal first, vacuum last)
     sent with probabilities ``probs[r]``; ``config`` gives the number of
     users and phase slices, and ``mode`` is one of MODES.  A mode without
-    an estimate for that many users, or ladders of other than N+1
-    settings, raise (``_check_mode``) before any row is rated.  The
-    asymptotic modes take only ``ec_efficiency`` from ``sec``.
+    an estimate for that many users, or ladders or send probabilities of
+    other than N+1 entries, raise (``_check_mode``) before any row is
+    rated.  The asymptotic modes take only ``ec_efficiency`` from ``sec``.
     ``cause[r]`` is the code (``model.INFEASIBLE``) of the error that
     ``rate_report`` raises for row r alone, 0 where it returns; then
     ``key_rate_raw[r]`` is its value bit for bit, whatever the other
@@ -226,7 +236,7 @@ def _chunks(
     ``eta_t`` and ``p_d`` hold one channel per row.
     """
     rows, settings = ks.shape
-    _check_mode(config.num_users, mode, settings)
+    _check_mode(config.num_users, mode, settings, probs.shape[1])
     step = _chunk_rows(settings)
     for lo in range(0, rows, step):
         part = slice(lo, lo + step)
@@ -252,10 +262,7 @@ def _rate_chunk(
     counts = matching._count_rows(ks, probs, n, m_slices, eta_t, p_d, n_bins)
     sifted = matching._sifted_rows(counts, m_slices)
     if mode == "asymptotic-exact":
-        phase, cause = photonstats._phase_error_rows(
-            counts, mu, probs[:, 0], sifted[:, 0], n, m_slices, eta_t, p_d, n_bins
-        )
-        cause = np.where(decoy._ladder_rows(ks, probs), cause, np.int8(INFEASIBLE.index(ConfigError)))
+        phase, cause = photonstats._phase_error_rows(counts, ks, probs, sifted[:, 0], n, m_slices, eta_t, p_d, n_bins)
         bounds, applications = np.empty((len(ks), 0)), np.zeros(len(ks), dtype=np.int64)
     else:
         eps = sec.eps_chernoff if mode == "finite" else None
@@ -348,13 +355,11 @@ def _report(config: SourceConfig, channel: ChannelParams, sec: SecurityParams, m
     Reads each layer once, through its one-row entry point, and builds
     the report from them as the one row of a ``RateLayers``.
     """
-    n, ks = config.num_users, config.intensities
-    _check_mode(n, mode, len(ks))
+    n = config.num_users
+    _check_mode(n, mode, len(config.intensities), len(config.send_probabilities))
     counts = matching._count_matrix(config, channel, sec.data_size)[None]
     sifted = matching._sifted_rows(counts, config.phase_slices)
     if mode == "asymptotic-exact":
-        if not decoy._ladder_rows(np.array([ks]), np.array([config.send_probabilities]))[0]:
-            raise ConfigError(decoy._LADDER_ERROR)
         phase, bounds, applications = photonstats.phase_error_exact(config, channel, sec), {}, 0
     else:
         row = sifted[0]
@@ -405,8 +410,8 @@ def rate_report(
     ``finite`` is ``finite_rate``; the asymptotic modes are
     ``asymptotic_rate`` with their estimator and ``sec.ec_efficiency``.
     A mode outside MODES raises ValueError, and a user count that the
-    mode has no phase-error estimate for, or a ladder of other than N+1
-    settings, raises ConfigError.
+    mode has no phase-error estimate for, or a ladder or a list of send
+    probabilities of other than N+1 entries, raises ConfigError.
     """
     if mode == "finite":
         return finite_rate(config, channel, sec)

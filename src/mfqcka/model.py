@@ -4,7 +4,9 @@ All physical and protocol parameters live in three immutable records
 (:class:`ChannelParams`, :class:`SourceConfig`, :class:`SecurityParams`).
 `validate` checks every invariant in a fixed order and returns an immutable
 :class:`Bundle`; everything downstream may assume a validated bundle and
-share it freely across workers.
+share it freely across workers.  ``_ladder_rows`` states its ladder rule
+for a batch of rate rows, which each phase-error estimator applies to its
+own rows.
 
 The JSON configuration document is described once, by ``SCHEMA``:
 ``read_section`` parses a section of it and ``write_section`` writes one.
@@ -27,6 +29,8 @@ import sys
 from collections.abc import Callable, Collection, Iterable, Mapping
 from types import MappingProxyType
 from typing import Any, NamedTuple
+
+import numpy as np
 
 
 class ConfigError(ValueError):
@@ -395,6 +399,21 @@ def validate(config: SourceConfig, channel: ChannelParams, sec: SecurityParams) 
         raise ConfigError("ec_efficiency must be >= 1")
 
     return Bundle(config=config, channel=channel, security=sec)
+
+
+# What a rate row that fails the ladder rule (``_ladder_rows``), or a decoy
+# row with a negative count, raises.
+_LADDER_ERROR = "intensities must be strictly decreasing to the vacuum, counts >= 0, probs > 0"
+
+
+def _ladder_rows(ks: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Per row r: is ``ks[r]`` strictly decreasing down to the vacuum, with every ``probs[r]`` > 0?
+
+    The ladder rule of ``validate`` for a batch, which every phase-error
+    estimator applies to its own rows; a nan anywhere fails it.
+    """
+    margins = np.concatenate([ks[:, :-1] - ks[:, 1:], probs], axis=1)
+    return (np.minimum.reduce(margins, axis=1) > 0.0) & (ks[:, -1] == 0.0)
 
 
 class CoincidenceStats(NamedTuple):

@@ -374,7 +374,7 @@ def optimize_at_distance(
     no point has a rate raises EstimationError.
     """
     n_users = bundle.config.num_users
-    keyrate._check_mode(n_users, objective, len(bundle.config.intensities))
+    keyrate._check_mode(n_users, objective, len(bundle.config.intensities), len(bundle.config.send_probabilities))
     _check_box(n_users, spec)
 
     kernel = {"rounds": 0, "scored": 0}  # kernel calls and the rows they rated

@@ -8,11 +8,15 @@ after another) loads both trees side by side, as the packages
 ``mfqcka_base`` and ``mfqcka_change`` (the base first in every other
 process, the change first in the rest), and times a fixed list of calls:
 ``rate_rows`` at N=3 finite, N=5 asymptotic-decoy and N=4 asymptotic-exact
-on 24 and 512 rows of the optimizer's presample pool, and a one-row
-``rate_report`` in the same three modes.  Every ``rate_report`` call is
-at a distance of its own, so no call is served from the count-matrix
-cache.  A case runs R rounds (default 21) of C calls (default 20) per
-side, and the side that goes first alternates from round to round.
+on 24 and 512 rows of the optimizer's presample pool, a one-row
+``rate_report`` in the same three modes, a ``run_protocol`` of the
+standard N=3 bundle at 50 km over 2^20 bins with seed 1, and an
+``optimize_at_distance`` of that bundle, N=3 finite at 150 km, with
+``SearchSpec(restarts=2, max_evals=100, tolerance=0.0, seed=1)``.  Every
+``rate_report`` and ``optimize_at_distance`` call is at a distance of its
+own, so no call is served from the count-matrix cache.  A case runs R
+rounds (default 21) of C calls (default 20) per side, and the side that
+goes first alternates from round to round.
 
 The JSON on stdout gives, per case, each process's median of the per-round
 time ratio change / base (below 1 means the change is faster), their
@@ -76,6 +80,25 @@ def _side_cases(package, n: int, mode: str, ladders: list) -> dict:
     return cases
 
 
+def _side_runs(package) -> dict:
+    """The Monte Carlo and optimizer cases for one side: label -> callable of the call index ``i``."""
+    model, montecarlo, optimizer = (
+        importlib.import_module(f"{package.__name__}.{name}") for name in ("model", "montecarlo", "optimizer")
+    )
+    bundle = model.validate(
+        model.SourceConfig(3, 0.1, (0.05, 0.01, 0.0), (0.4, 0.3, 0.2, 0.1), 16),
+        model.ChannelParams(0.77, 3.03e-9, 0.16, 50.0),
+        model.SecurityParams(data_size=1e12, ec_efficiency=1.1),
+    )
+    spec = optimizer.SearchSpec(restarts=2, max_evals=100, tolerance=0.0, seed=1)
+    return {
+        "run_protocol N=3 2^20 bins": lambda i: montecarlo.run_protocol(bundle, 2**20, 1).to_dict(),
+        "optimize_at_distance N=3 finite": lambda i: optimizer.optimize_at_distance(
+            spec, "finite", bundle._replace(channel=bundle.channel._replace(distance_km=150.0 + 1e-3 * i))
+        ),
+    }
+
+
 def _cases(packages: dict) -> dict[str, dict]:
     """Per case label, one callable per side; call ``i`` gets the same inputs on both sides."""
     optimizer = importlib.import_module(f"{packages['change'].__name__}.optimizer")
@@ -87,6 +110,8 @@ def _cases(packages: dict) -> dict[str, dict]:
         ]
         for side in SIDES:
             by_side[side].update(_side_cases(packages[side], n, mode, ladders))
+    for side in SIDES:
+        by_side[side].update(_side_runs(packages[side]))
     return {label: {side: by_side[side][label] for side in SIDES} for label in by_side["change"]}
 
 

@@ -131,12 +131,17 @@ def test_malformed_json_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "content, message",
-    [(b'{"channel": "\xe9"}', "not UTF-8: byte 13 is 0xe9"), (b"[" * 200000, "nested too deeply")],
-    ids=["latin-1", "deep-nesting"],
+    [
+        (b'{"channel": "\xe9"}', "not UTF-8: byte 13 is 0xe9"),
+        (b"[" * 200000, "nested too deeply"),
+        (None, "cannot read config file"),
+    ],
+    ids=["latin-1", "deep-nesting", "missing"],
 )
 def test_unreadable_config_exit_code(tmp_path, capsys, content, message):
     bad = tmp_path / "bad.json"
-    bad.write_bytes(content)
+    if content is not None:
+        bad.write_bytes(content)
     assert main(["rate", str(bad)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
@@ -234,6 +239,11 @@ def test_unwritable_output_exits_config(config_path, tmp_path, capsys, monkeypat
     assert captured.err.startswith("error:")
     assert "missing-dir" in captured.err
     assert not bad.parent.exists()
+
+
+def test_output_naming_a_directory_exits_config(config_path, tmp_path, capsys):
+    assert main(["rate", str(config_path), "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: cannot write {tmp_path}: not a writable file\n"
 
 
 def test_scan_takes_no_distance(config_path, capsys):
@@ -1016,7 +1026,14 @@ def _section_faults():
                "configuration document must be a JSON object")
 
 
-_SINGLE_FAULTS = [*_field_faults(), *_optimizer_faults(), *_section_faults()]
+_SINGLE_FAULTS = [
+    *_field_faults(),
+    *_optimizer_faults(),
+    *_section_faults(),
+    ("source.users=2", ("set", "source", "users", 2), "num_users must be at least 3"),
+    ("source.send_probabilities=[1, 0, 0, 0]", ("set", "source", "send_probabilities", [1, 0, 0, 0]),
+     "send probabilities must lie strictly inside (0, 1)"),
+]
 
 
 def _apply_fault(doc, fault):

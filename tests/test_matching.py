@@ -181,6 +181,11 @@ class TestSifted:
         bundle = make_bundle(dark_count_rate=0.0)
         assert sifted_coincidences(0.0, bundle.config, bundle.channel, bundle.security) == 0.0
 
+    def test_intensity_outside_the_ladder_is_named(self):
+        bundle = make_bundle()
+        with pytest.raises(ValueError, match="intensity 0.3 is not one of the configured settings"):
+            sifted_coincidences(0.3, bundle.config, bundle.channel, bundle.security)
+
     def test_bounded_by_min_slice_count(self):
         bundle = make_bundle(num_users=4, distance_km=100.0)
         config, channel, sec = bundle.config, bundle.channel, bundle.security

@@ -9,6 +9,7 @@ from mfqcka.model import (
     ConfigError,
     SecurityParams,
     SourceConfig,
+    _write_text,
     bundle_from_dict,
     validate,
 )
@@ -106,6 +107,11 @@ def test_bundle_from_dict_reports_missing_field():
     del doc["source"]["signal_intensity"]
     with pytest.raises(ConfigError, match="source.signal_intensity"):
         bundle_from_dict(doc)
+
+
+def test_writing_into_a_missing_directory_is_a_config_error(tmp_path):
+    with pytest.raises(ConfigError, match="cannot write output file"):
+        _write_text(str(tmp_path / "missing" / "out.txt"), "text")
 
 
 def test_rate_report_to_dict_is_plain_json():

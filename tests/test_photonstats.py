@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from mfqcka.channel import total_efficiency
-from mfqcka.matching import _count_matrix, sifted_coincidences
-from mfqcka.model import EstimationError, SecurityParams
+from mfqcka.matching import _correction_factors, _count_matrix, _gain_rows, sifted_coincidences
+from mfqcka.model import ConfigError, EstimationError, SecurityParams
 from mfqcka.keyrate import asymptotic_rate
 from mfqcka.photonstats import _parity_sums, _port_weight_sequence, phase_error_exact
 from conftest import make_bundle, make_channel, make_config, make_geometric_config
@@ -185,29 +185,29 @@ class TestSignalCoincidences:
 
 
 def oracle_sums(config, channel, data_size):
-    """(sum_n s_n, good-parity sum) of the oracle's converged per-n terms, and the package's two closed-form sums.
+    """(sum_n s_n, good-parity sum) / s_mu of the oracle's per-n terms, and the package's two closed-form ratios.
 
     The oracle takes the package's count matrix, so only the
     photon-number sums are compared.
     """
     counts = _count_matrix(config, channel, data_size)
-    terms = nphoton_terms(
-        config, channel, SecurityParams(data_size=data_size, ec_efficiency=1.1), counts=counts.tolist()
-    )
+    sec = SecurityParams(data_size=data_size, ec_efficiency=1.1)
+    terms = nphoton_terms(config, channel, sec, counts=counts.tolist())
+    s_mu = sifted_coincidences(config.signal_intensity, config, channel, sec)
     good = 1 if config.num_users % 2 == 0 else 0
     total, alternating = _parity_sums(
         counts[None], np.array([config.signal_intensity]), np.array([config.send_probabilities[0]]),
         config.phase_slices, total_efficiency(channel), channel.dark_count_rate, data_size,
     )
     closed_good = 0.5 * (total[0] - alternating[0] if good else total[0] + alternating[0])
-    return (math.fsum(terms), math.fsum(terms[good::2])), (float(total[0]), float(closed_good))
+    return (math.fsum(terms) / s_mu, math.fsum(terms[good::2]) / s_mu), (float(total[0]), float(closed_good))
 
 
 @pytest.mark.parametrize("num_users", range(3, 21))
 def test_closed_form_sums_match_the_per_n_terms(num_users):
     """Every parity and the good parity, against the per-n terms summed to convergence.
 
-    Measured: at most 4.6e-15 relative, at N = 19, 200 km.
+    Measured: at most 6.1e-15 relative, at N = 20, 50 km.
     """
     config = make_geometric_config(num_users)
     for distance in (0.0, 10.0, 50.0, 200.0, 350.0):
@@ -222,7 +222,7 @@ def test_closed_form_at_small_signals_and_high_loss(num_users, signal):
     """At 350 km the argument eta_t mu falls to 1e-10, below the dark-count rate.
 
     There e^(eta_t mu) I0(eta_t mu) - 1 written as it reads loses most of
-    its digits.  Measured: at most 1.7e-15 relative.
+    its digits.  Measured: at most 2.7e-15 relative.
     """
     config = make_config(
         num_users, signal=signal, decoys=tuple(signal * 0.5 ** (i + 1) for i in range(num_users - 1)) + (0.0,),
@@ -231,6 +231,32 @@ def test_closed_form_at_small_signals_and_high_loss(num_users, signal):
     (total, good), (closed_total, closed_good) = oracle_sums(config, make_channel(350.0), 1e12)
     assert closed_total == pytest.approx(total, rel=1e-14, abs=0.0)
     assert closed_good == pytest.approx(good, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("num_users", range(3, 21))
+def test_all_parity_ratio_is_the_gain_ratio_over_the_port_selection(num_users):
+    """sum_n s_n / s_mu = (q_avg(mu, mu) / q_zero(mu, mu))^(N-1) / prod_j c_j(mu), not 1.
+
+    The per-port photon-number weights use the phase-averaged gain where
+    sifting keeps matched phases, and leave out the port-selection factor
+    c_j of the count matrix.  Measured: the two sides agree to 3.1e-9
+    relative (the 1 - y cancellation of ``pair_gains`` at 350 km), and the
+    ratio differs from 1 by at least 2.3e-7 (N=3, 350 km), so the
+    tolerance tells this identity from "the terms add up to s_mu".
+    """
+    config = make_geometric_config(num_users)
+    ks, probs = np.array([config.intensities]), np.array([config.send_probabilities])
+    for distance in (0.0, 10.0, 50.0, 200.0, 350.0):
+        channel = make_channel(distance)
+        eta_t, p_d = total_efficiency(channel), channel.dark_count_rate
+        q_avg, q_zero = _gain_rows(ks, eta_t, p_d)
+        selection = _correction_factors(probs, q_avg, num_users)[0, :, 0]
+        expected = (q_avg[0, 0, 0] / q_zero[0, 0]) ** (num_users - 1) / np.multiply.reduce(selection)
+        total, _ = _parity_sums(
+            _count_matrix(config, channel, 1e12)[None], ks[:, 0], probs[:, 0], config.phase_slices, eta_t, p_d, 1e12
+        )
+        assert total[0] == pytest.approx(expected, rel=1e-8, abs=0.0)
+        assert total[0] != pytest.approx(1.0, rel=1e-8, abs=0.0)
 
 
 class TestPhaseErrorExact:
@@ -271,6 +297,20 @@ class TestPhaseErrorExact:
         ]
         assert all(math.isfinite(phi) for phi in phis)
         assert phis == pytest.approx([phis[0]] * 3, abs=1e-14)
+
+    @pytest.mark.parametrize(
+        "signal, decoys, probs",
+        [
+            pytest.param(0.01, (0.05, 0.1, 0.0), (0.4, 0.3, 0.2, 0.1), id="not-decreasing"),
+            pytest.param(0.4, (0.1, 0.01, 0.001), (0.4, 0.3, 0.2, 0.1), id="no-vacuum"),
+            pytest.param(0.4, (0.1, 0.01, 0.0), (0.5, 0.3, 0.2, 0.0), id="zero-probability"),
+        ],
+    )
+    def test_a_ladder_that_breaks_the_rule_raises(self, signal, decoys, probs):
+        # each ladder has sifted signal coincidences, so the ladder rule, not the no-signal check, raises
+        config = make_config(3, signal=signal, decoys=decoys, probs=probs)
+        with pytest.raises(ConfigError, match="strictly decreasing to the vacuum"):
+            phase_error_exact(config, make_channel(50.0), SecurityParams(data_size=1e12))
 
     def test_no_coincidences_raises(self):
         bundle = make_bundle(distance_km=0.0, dark_count_rate=0.0)

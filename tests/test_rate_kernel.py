@@ -200,7 +200,7 @@ def mutate(ints, probs, mutation):
     case=st.sampled_from(CASES),
     distance=st.sampled_from([0.0, 50.0, 200.0]),
     seed=st.integers(0, 2**32 - 1),
-    width=st.sampled_from([0, 0, 0, -1, 1]),
+    width=st.sampled_from(["", "", "", "decoy", "signal", "probability"]),
     mutations=st.lists(_ROW_MUTATIONS, min_size=1, max_size=4),
 )
 def test_a_row_raises_alone_what_its_kernel_cause_names(case, distance, seed, width, mutations):
@@ -210,17 +210,19 @@ def test_a_row_raises_alone_what_its_kernel_cause_names(case, distance, seed, wi
     does, so the kernel's cause is the class the row raises alone and a
     rated row has the same rate bit for bit; a row that breaks the ladder
     rule has a ConfigError cause in every mode; a batch of N or N+2
-    settings raises the ConfigError that each of its rows raises alone and
-    in a scan.
+    settings, or of N+1 settings with N send probabilities, raises the
+    ConfigError that each of its rows raises alone and in a scan.
     """
     num_users, mode = case
     bundle = make_bundle(num_users=num_users, distance_km=distance, data_size=1e14)
     _, (ints, probs) = pool(num_users, len(mutations), seed)
     rows = [mutate(k, p, mutation) for k, p, mutation in zip(ints, probs, mutations)]
-    if width < 0:  # drop the last decoy
+    if width == "decoy":  # drop the last decoy
         rows = [(k[:-2] + k[-1:], p[:-2] + p[-1:]) for k, p in rows]
-    elif width > 0:  # a second signal above the first
+    elif width == "signal":  # a second signal above the first
         rows = [([2.0 * k[0]] + k, [p[0]] + p) for k, p in rows]
+    elif width == "probability":  # the last send probability dropped, the ladder intact
+        rows = [(k, p[:-1]) for k, p in rows]
     ints, probs = np.array([k for k, _ in rows]), np.array([p for _, p in rows])
     configs = [SourceConfig(num_users, k[0], tuple(k[1:]), tuple(p), 16) for k, p in rows]
     if width:
