@@ -43,8 +43,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import INFEASIBLE, ConfigError, DecoyBounds, EstimationError, SecurityParams, SourceConfig
-from .model import _LADDER_ERROR, _ladder_rows
+from .model import ConfigError, DecoyBounds, EstimationError, SecurityParams, SourceConfig
+from .model import _CONFIG, _ESTIMATION, _LADDER_ERROR, _NO_SIGNAL_ERROR, _ladder_rows
 from .special_math import _sum_along
 
 __all__ = [
@@ -91,9 +91,6 @@ class DecoyRows(NamedTuple):
     chernoff_applications: np.ndarray
     cause: np.ndarray
 
-
-_CONFIG = INFEASIBLE.index(ConfigError)
-_ESTIMATION = INFEASIBLE.index(EstimationError)
 
 def _lagrange_weights(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The weights of the bound on s_mu^m over the m+1 nodes ``xs[j]`` = k_j / mu, m = len(xs) - 1.
@@ -214,7 +211,7 @@ def _decoy_bounds(config: SourceConfig, sifted, num_users: int, eps: float | Non
         raise ConfigError(_LADDER_ERROR)
     if rows.cause[0]:
         if sifted[0] <= 0.0:
-            raise EstimationError("no sifted signal coincidences; phase error undefined")
+            raise EstimationError(_NO_SIGNAL_ERROR)
         if np.isnan(rows.phase_error[0]):
             raise EstimationError(
                 "decoy bound overflows: a send probability or a decoy intensity is too small "

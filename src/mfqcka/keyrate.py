@@ -35,13 +35,15 @@ points read the kernel's ladder format: ``config`` and the sifted row of
 that count matrix, as in ``decoy.bounds_3user_finite(config, sifted[0],
 sec)``.  The benchmark's tracer (``perfbench/spans.py``) wraps those
 entry points by name, which is why ``_report`` does not yet call the
-kernel.  Each rule of a rate row has one owner.  ``_check_mode`` owns
-the shape: which modes exist for how many users, and that the ladder and
-its send probabilities, which the count kernel reads together, both have
-N+1 entries.  ``_chunks`` and ``_report`` call it, and a shape it rejects
-raises before any layer runs (``rate_report`` leaves the check to
-``_report``).  The phase-error estimators own the values: the ladder rule
-and the counts are checked by ``decoy._decoy_rows`` and
+kernel.  Each rule of a rate row has one owner, the layer that reads
+what the rule is about.  ``_check_mode`` owns which modes exist for how
+many users; ``_chunks`` and ``_report`` call it before any layer runs
+(``rate_report`` leaves the check to ``_report``).  The count kernel
+(``matching._count_rows``) owns the widths: it reads the ladder and its
+send probabilities together, and raises unless both have N+1 entries,
+in the first kernel chunk or in the count matrix of ``_report``.  The
+phase-error estimators own the values: the ladder rule and the counts
+are checked by ``decoy._decoy_rows`` and
 ``photonstats._phase_error_rows``, whose causes the kernel keeps and
 whose one-row entry points raise them.
 """
@@ -55,15 +57,8 @@ import numpy as np
 
 from . import decoy, matching, photonstats
 from .channel import ErrorRows, arm_transmittance, error_rows, error_terms, total_efficiency
-from .model import (
-    INFEASIBLE,
-    ChannelParams,
-    ConfigError,
-    DegenerateChannelError,
-    RateReport,
-    SecurityParams,
-    SourceConfig,
-)
+from .model import ChannelParams, ConfigError, RateReport, SecurityParams, SourceConfig
+from .model import _DEGENERATE
 from .special_math import I0_NODES, _entropy
 
 __all__ = [
@@ -110,15 +105,14 @@ _DECOY_ASYMPTOTIC = {
 MODES = ("finite", "asymptotic-decoy", "asymptotic-exact")
 
 
-def _check_mode(num_users: int, mode: str, settings: int, probabilities: int) -> None:
-    """Raise unless ``mode`` rates ``num_users`` users on ``settings`` settings sent with ``probabilities``.
+def _check_mode(num_users: int, mode: str) -> None:
+    """Raise unless ``mode`` rates ``num_users`` users.
 
-    The one place that knows which (users, mode) pairs are rated, and the
-    shape of a rate row: a mode outside MODES is a ValueError, a user
-    count the mode has no estimate for, or a ladder or list of send
-    probabilities of other than N+1 entries (the count kernel reads the
-    two together), a ConfigError.  The values of a row are the phase-error
-    estimator's to check.
+    The one place that knows which (users, mode) pairs are rated: a mode
+    outside MODES is a ValueError, a user count the mode has no estimate
+    for a ConfigError.  The widths of a rate row are the count kernel's
+    to check (``matching._count_rows``), and its values the phase-error
+    estimator's.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -128,10 +122,6 @@ def _check_mode(num_users: int, mode: str, settings: int, probabilities: int) ->
         raise ConfigError(f"decoy-state bounds are available for 3-5 users, not {num_users}")
     if mode == "asymptotic-exact" and num_users > 20:
         raise ConfigError(f"exact phase errors are available for 3-20 users, not {num_users}")
-    if settings != num_users + 1:
-        raise ConfigError(f"{num_users} users need {num_users + 1} intensity settings, got {settings}")
-    if probabilities != settings:
-        raise ConfigError(f"{num_users} users need {settings} send probabilities, got {probabilities}")
 
 
 # Rows per kernel pass are chosen so that a (rows, pairs, I0_NODES) array of
@@ -180,9 +170,11 @@ def rate_rows(
     Row r is the intensity ladder ``ints[r]`` (signal first, vacuum last)
     sent with probabilities ``probs[r]``; ``config`` gives the number of
     users and phase slices, and ``mode`` is one of MODES.  A mode without
-    an estimate for that many users, or ladders or send probabilities of
-    other than N+1 entries, raise (``_check_mode``) before any row is
-    rated.  The asymptotic modes take only ``ec_efficiency`` from ``sec``.
+    an estimate for that many users raises (``_check_mode``), and ladders
+    or send probabilities of other than N+1 entries raise
+    (``matching._count_rows``), before any row is rated; an empty batch
+    reaches no count kernel, so it returns empty arrays whatever its
+    width.  The asymptotic modes take only ``ec_efficiency`` from ``sec``.
     ``cause[r]`` is the code (``model.INFEASIBLE``) of the error that
     ``rate_report`` raises for row r alone, 0 where it returns; then
     ``key_rate_raw[r]`` is its value bit for bit, whatever the other
@@ -207,7 +199,10 @@ def rate_reports(
     for bit.  A row with an infeasibility cause is handed to
     ``rate_report`` alone, so the first such row raises the error, and
     the message, that its channel raises alone; the reports before it
-    have been yielded by then.
+    have been yielded by then.  A ladder or send probabilities of other
+    than N+1 entries raise in the first kernel chunk, before any report;
+    with no channels no row reaches the count kernel, and nothing is
+    yielded whatever the widths.
     """
     channels = list(channels)
     ks = np.tile(np.array(config.intensities), (len(channels), 1))
@@ -236,7 +231,7 @@ def _chunks(
     ``eta_t`` and ``p_d`` hold one channel per row.
     """
     rows, settings = ks.shape
-    _check_mode(config.num_users, mode, settings, probs.shape[1])
+    _check_mode(config.num_users, mode)
     step = _chunk_rows(settings)
     for lo in range(0, rows, step):
         part = slice(lo, lo + step)
@@ -296,7 +291,7 @@ def _rate_layers(
     """
     n_bins, correction = _scale(num_users, sec, mode)
     degenerate = (cause == 0) & errors.degenerate
-    cause = np.where(degenerate, np.int8(INFEASIBLE.index(DegenerateChannelError)), cause)
+    cause = np.where(degenerate, np.int8(_DEGENERATE), cause)
     # H(phi) and H(E_1N) in one pass.  The entropy sacrificed to privacy
     # amplification saturates at phi >= 1/2: beyond it the adversary's
     # information is maximal, so the full bit is consumed, and without
@@ -356,7 +351,7 @@ def _report(config: SourceConfig, channel: ChannelParams, sec: SecurityParams, m
     the report from them as the one row of a ``RateLayers``.
     """
     n = config.num_users
-    _check_mode(n, mode, len(config.intensities), len(config.send_probabilities))
+    _check_mode(n, mode)
     counts = matching._count_matrix(config, channel, sec.data_size)[None]
     sifted = matching._sifted_rows(counts, config.phase_slices)
     if mode == "asymptotic-exact":

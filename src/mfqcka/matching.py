@@ -23,7 +23,9 @@ over one channel or one channel per row.
 ``_count_matrix``, the one cached entry point, is one row of
 ``_count_rows``, and the scalar entry points read it and pass it through
 ``_sifted_rows`` where they need sifted counts.  A row's value never
-depends on the rows around it.
+depends on the rows around it.  ``_count_rows`` checks the two widths it
+reads, N+1 settings and as many send probabilities, so every entry point
+built on it raises the same ConfigError for a ladder of another shape.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import error_terms, pair_gains, total_efficiency
-from .model import ChannelParams, CoincidenceStats, SecurityParams, SourceConfig
+from .model import ChannelParams, CoincidenceStats, ConfigError, SecurityParams, SourceConfig
 from .special_math import _sum_along
 
 __all__ = [
@@ -151,8 +153,17 @@ def _count_rows(
     Row r is the ladder ``ks[r]`` sent with probabilities ``probs[r]``
     over a channel of total efficiency ``eta_t`` and dark-count rate
     ``p_d``, scalars or one per row; every row is computed exactly as it
-    would be alone.
+    would be alone.  This kernel reads the two widths together, so it
+    owns their rule: a ladder of other than ``num_users + 1`` settings,
+    or send probabilities of another width, is a ConfigError, raised
+    before any row is computed.  Every count, sifted count, phase error
+    and rate of the package passes through here.
     """
+    settings, probabilities = ks.shape[1], probs.shape[1]
+    if settings != num_users + 1:
+        raise ConfigError(f"{num_users} users need {num_users + 1} intensity settings, got {settings}")
+    if probabilities != settings:
+        raise ConfigError(f"{num_users} users need {settings} send probabilities, got {probabilities}")
     q_avg, q_zero = _gain_rows(ks, eta_t, p_d)
     prefactor = 4.0 * data_size * probs * probs * q_zero / (phase_slices * phase_slices)
     return prefactor[:, None, :] * _correction_factors(probs, q_avg, num_users)

@@ -6,7 +6,9 @@ All physical and protocol parameters live in three immutable records
 :class:`Bundle`; everything downstream may assume a validated bundle and
 share it freely across workers.  ``_ladder_rows`` states its ladder rule
 for a batch of rate rows, which each phase-error estimator applies to its
-own rows.
+own rows.  The cause codes of a rate row (``INFEASIBLE``; ``_CONFIG``,
+``_ESTIMATION``, ``_DEGENERATE``) and the messages both estimators raise
+(``_LADDER_ERROR``, ``_NO_SIGNAL_ERROR``) are defined here once.
 
 The JSON configuration document is described once, by ``SCHEMA``:
 ``read_section`` parses a section of it and ``write_section`` writes one.
@@ -52,6 +54,7 @@ class EstimationError(ArithmeticError):
 # A batch of rate evaluations reports, per row, the error that evaluating
 # the row alone raises: code c > 0 stands for INFEASIBLE[c], 0 for none.
 INFEASIBLE = (None, ConfigError, EstimationError, DegenerateChannelError)
+_CONFIG, _ESTIMATION, _DEGENERATE = range(1, len(INFEASIBLE))  # the codes, in that order
 
 
 class ChannelParams(NamedTuple):
@@ -402,8 +405,10 @@ def validate(config: SourceConfig, channel: ChannelParams, sec: SecurityParams) 
 
 
 # What a rate row that fails the ladder rule (``_ladder_rows``), or a decoy
-# row with a negative count, raises.
+# row with a negative count, raises; and what a row without a sifted signal
+# count raises in either phase-error estimator.
 _LADDER_ERROR = "intensities must be strictly decreasing to the vacuum, counts >= 0, probs > 0"
+_NO_SIGNAL_ERROR = "no sifted signal coincidences; phase error undefined"
 
 
 def _ladder_rows(ks: np.ndarray, probs: np.ndarray) -> np.ndarray:

@@ -369,12 +369,14 @@ def optimize_at_distance(
     seed makes the result reproducible bit for bit.  An objective that
     ``keyrate`` cannot rate for the bundle's number of users raises
     (ConfigError, or ValueError for an unknown objective) before any
-    evaluation.
+    evaluation.  Of ``bundle.config`` the search reads only the user
+    count and the phase slices: it rates ladders of its own, so the
+    configured ladder's widths are never checked here.
     Bounds that hold no feasible point raise ConfigError; a box in which
     no point has a rate raises EstimationError.
     """
     n_users = bundle.config.num_users
-    keyrate._check_mode(n_users, objective, len(bundle.config.intensities), len(bundle.config.send_probabilities))
+    keyrate._check_mode(n_users, objective)
     _check_box(n_users, spec)
 
     kernel = {"rounds": 0, "scored": 0}  # kernel calls and the rows they rated

@@ -52,15 +52,12 @@ from functools import lru_cache
 import numpy as np
 
 from .matching import _count_matrix, sifted_coincidences
-from .model import INFEASIBLE, ChannelParams, ConfigError, EstimationError, SecurityParams, SourceConfig
-from .model import _LADDER_ERROR, _ladder_rows
+from .model import ChannelParams, ConfigError, EstimationError, SecurityParams, SourceConfig
+from .model import _CONFIG, _ESTIMATION, _LADDER_ERROR, _NO_SIGNAL_ERROR, _ladder_rows
 from .channel import total_efficiency
 from .special_math import _i0_minus_one_rule
 
 __all__ = ["phase_error_exact"]
-
-_CONFIG = INFEASIBLE.index(ConfigError)
-_ESTIMATION = INFEASIBLE.index(EstimationError)
 
 
 @lru_cache(maxsize=32)
@@ -192,5 +189,5 @@ def phase_error_exact(config: SourceConfig, channel: ChannelParams, sec: Securit
     if cause[0] == _CONFIG:
         raise ConfigError(_LADDER_ERROR)
     if cause[0]:
-        raise EstimationError("no sifted signal coincidences; phase error undefined")
+        raise EstimationError(_NO_SIGNAL_ERROR)
     return float(phi[0])

@@ -12,19 +12,24 @@ on 24 and 512 rows of the optimizer's presample pool, a one-row
 ``rate_report`` in the same three modes, a ``run_protocol`` of the
 standard N=3 bundle at 50 km over 2^20 bins with seed 1, and an
 ``optimize_at_distance`` of that bundle, N=3 finite at 150 km, with
-``SearchSpec(restarts=2, max_evals=100, tolerance=0.0, seed=1)``.  Every
-``rate_report`` and ``optimize_at_distance`` call is at a distance of its
-own, so no call is served from the count-matrix cache.  A case runs R
-rounds (default 21) of C calls (default 20) per side, and the side that
-goes first alternates from round to round.
+``SearchSpec(restarts=2, max_evals=100, tolerance=0.0, seed=1)``, and the
+search of the ``scan-n3-finite`` benchmark workload: ``scan_distances``
+over 50/150/250 km on that workload's document (``SCAN_N3``, a copy; this
+tool does not import the benchmark).  Every ``rate_report``,
+``optimize_at_distance`` and ``scan_distances`` call is at distances of
+its own, so no call is served from the count-matrix cache.  A case runs
+R rounds (default 21) of C calls (default 20) per side, and the side
+that goes first alternates from round to round, after one warm-up call
+per side.  A scan costs about 280 kernel calls, so it runs C // 20 calls
+a round (at least one) and warms itself, without a warm-up call.
 
 The JSON on stdout gives, per case, each process's median of the per-round
 time ratio change / base (below 1 means the change is faster), their
 median and range, in how many processes the change was faster, and the
 base's median time per call.  ``identical`` says whether both sides
-returned the same numbers bit for bit; otherwise ``max_rel_diff`` is the
-largest relative difference, or null when the two results hold different
-counts of numbers.  The inputs are built once, from the change's
+returned the same numbers bit for bit in the first call of the first
+round; otherwise ``max_rel_diff`` is the largest relative difference, or
+null when the two results hold different counts of numbers.  The inputs are built once, from the change's
 optimizer, so both sides rate the same ladders.  numpy and the standard
 library only; pytest does not collect this file.
 """
@@ -49,6 +54,22 @@ SIDES = ("base", "change")
 MODES = ((3, "finite"), (5, "asymptotic-decoy"), (4, "asymptotic-exact"))
 ROWS = (24, 512)
 DISTANCE_KM = 100.0
+# The scan-n3-finite workload's configuration document, seed 1.
+SCAN_N3 = {
+    "channel": {"detector_efficiency": 0.77, "dark_count_rate": 3.03e-9, "fiber_alpha_db_per_km": 0.16},
+    "source": {
+        "users": 3, "signal_intensity": 0.045, "decoy_intensities": [0.021, 0.0001, 0.0],
+        "send_probabilities": [0.825, 0.078, 0.095, 0.002], "phase_slices": 16,
+    },
+    "security": {"data_size": 1e14, "eps_ec": 1e-15, "eps_pa": 1e-10, "eps_chernoff": 1e-10, "ec_efficiency": 1.1},
+    "optimizer": {
+        "intensity_bounds": (1e-4, 1.0), "prob_bounds": (1e-3, 0.99), "restarts": 8, "max_evals": 150,
+        "tolerance": 0.0, "seed": 1,
+    },
+}
+SCAN_KM = (50.0, 150.0, 250.0)
+# Case label -> the share of C calls a round that it runs; these cases skip the warm-up call.
+CALLS_DIVISOR = {"scan_distances N=3 finite 50/150/250 km": 20}
 
 
 def _load(name: str, src: str):
@@ -91,10 +112,19 @@ def _side_runs(package) -> dict:
         model.SecurityParams(data_size=1e12, ec_efficiency=1.1),
     )
     spec = optimizer.SearchSpec(restarts=2, max_evals=100, tolerance=0.0, seed=1)
+    scan = model.bundle_from_dict(SCAN_N3)
+    scan_spec = optimizer.SearchSpec(**SCAN_N3["optimizer"])
+
+    def at(bundle, km):
+        return bundle._replace(channel=bundle.channel._replace(distance_km=km))
+
     return {
         "run_protocol N=3 2^20 bins": lambda i: montecarlo.run_protocol(bundle, 2**20, 1).to_dict(),
         "optimize_at_distance N=3 finite": lambda i: optimizer.optimize_at_distance(
-            spec, "finite", bundle._replace(channel=bundle.channel._replace(distance_km=150.0 + 1e-3 * i))
+            spec, "finite", at(bundle, 150.0 + 1e-3 * i)
+        ),
+        "scan_distances N=3 finite 50/150/250 km": lambda i: optimizer.scan_distances(
+            [at(scan, km + 1e-3 * i) for km in SCAN_KM], scan_spec, "finite"
         ),
     }
 
@@ -142,11 +172,13 @@ def _compare(base, change) -> tuple[bool, float | None]:
     return False, float(rel.max())
 
 
-def _time(fn, first: int, calls: int) -> float:
+def _time(fn, first: int, calls: int) -> tuple[float, object]:
+    """Seconds for the calls ``first``, ..., ``first + calls - 1``, and what the first one returned."""
     start = time.perf_counter()
-    for i in range(first, first + calls):
+    value = fn(first)
+    for i in range(first + 1, first + calls):
         fn(i)
-    return time.perf_counter() - start
+    return time.perf_counter() - start, value
 
 
 def child(base: str, change: str, rounds: int, calls: int, index: int) -> dict:
@@ -157,15 +189,18 @@ def child(base: str, change: str, rounds: int, calls: int, index: int) -> dict:
     cases = _cases(packages)
     readings = {}
     for label, fns in cases.items():
-        for fn in fns.values():
-            fn(-1)  # warm-up
+        if label not in CALLS_DIVISOR:
+            for fn in fns.values():
+                fn(-1)  # warm-up
+        per_round = max(1, calls // CALLS_DIVISOR.get(label, 1))
         ratios, base_s = [], []
         for r in range(rounds):
             order = SIDES if r % 2 == 0 else SIDES[::-1]
-            seconds = {side: _time(fns[side], r * calls, calls) for side in order}
-            ratios.append(seconds["change"] / seconds["base"])
-            base_s.append(seconds["base"] / calls)
-        identical, diff = _compare(fns["base"](0), fns["change"](0))
+            timed = {side: _time(fns[side], r * per_round, per_round) for side in order}
+            ratios.append(timed["change"][0] / timed["base"][0])
+            base_s.append(timed["base"][0] / per_round)
+            if r == 0:
+                identical, diff = _compare(timed["base"][1], timed["change"][1])
         readings[label] = {
             "ratio": statistics.median(ratios),
             "base_ms_per_call": 1e3 * statistics.median(base_s),

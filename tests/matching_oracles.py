@@ -9,11 +9,15 @@ transfer-matrix chain and matcher mean that the package evaluated before
 it took a batch axis, with their math-module gains (I0 from its power
 series, not the package's quadrature) and exactly rounded sums.  The
 tests compare the package's array kernel with both, within tolerances.
+``decimal_count_matrix`` is the exact reference: the same model in
+50-digit decimal arithmetic, sharing no rule with the kernel.
 """
 
+import decimal
 import itertools
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import lru_cache
 
 import numpy as np
@@ -152,3 +156,71 @@ def count_matrix(
         tuple(_retained(table, k_idx, j, config, data_size) for k_idx in range(len(table.settings)))
         for j in range(1, config.num_users)
     )
+
+
+def _decimal_i0(x: Decimal) -> Decimal:
+    """I0(x) by its power series sum ((x/2)^2)^m / (m!)^2, to the context's precision."""
+    quarter_square = x * x / 4
+    total, term, m = Decimal(1), Decimal(1), 0
+    while True:
+        m += 1
+        term = term * quarter_square / (m * m)
+        if total + term == total:
+            return total
+        total += term
+
+
+def _times(a: list[Decimal], b: list[Decimal]) -> list[Decimal]:
+    """The product of two polynomials given by their coefficients, lowest degree first."""
+    out = [Decimal(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def decimal_count_matrix(
+    config: SourceConfig, channel: ChannelParams, data_size: float, digits: int = 50
+) -> list[list[Decimal]]:
+    """Expected per-slice retained clicks in ``digits``-digit decimals, indexed [port-1][setting].
+
+    The kernel's model on the kernel's float inputs, each converted to a
+    decimal exactly: the gains from ``Decimal.exp`` and ``sqrt`` with I0
+    from its power series, and the port-selection factor from the
+    coefficients in t of the chain polynomials.  Each chain step
+    sum_a v_a(t) p_a (1 - t q_avg[a, b]) raises the degree by one, the
+    product of a port's two chains has degree N-2, and its integral over
+    [0, 1] is exact, int_0^1 t^d dt = 1/(d+1).  So neither the
+    Gauss-Legendre rule nor the midpoint I0 of the kernel is shared.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        eta, p_d = Decimal(total_efficiency(channel)), Decimal(channel.dark_count_rate)
+        ks = [Decimal(k) for k in config.intensities]
+        probs = [Decimal(p) for p in config.send_probabilities]
+
+        def vacuum(a: Decimal, b: Decimal) -> Decimal:
+            return (1 - p_d) * (-eta * (a + b) / 2).exp()
+
+        q_avg = [[2 * vacuum(a, b) * (_decimal_i0(eta * (a * b).sqrt()) - vacuum(a, b)) for b in ks] for a in ks]
+        q_zero = [vacuum(k, k) * ((eta * k).exp() + (-eta * k).exp() - 2 * vacuum(k, k)) for k in ks]
+        # chains[n][b]: coefficients in t of the chain of n ports ending at a user pinned to setting b
+        chains = [[[Decimal(1)] for _ in ks]]
+        for _ in range(config.num_users - 2):
+            step = []
+            for b in range(len(ks)):
+                coefs = [Decimal(0)] * (len(chains[-1][0]) + 1)
+                for a, (p, chain) in enumerate(zip(probs, chains[-1])):
+                    for d, c in enumerate(chain):
+                        coefs[d] += p * c
+                        coefs[d + 1] -= p * q_avg[a][b] * c
+                step.append(coefs)
+            chains.append(step)
+        scale = 4 * Decimal(data_size) / config.phase_slices**2
+        return [
+            [
+                scale * p * p * q * sum(c / (d + 1) for d, c in enumerate(_times(left, right)))
+                for p, q, left, right in zip(probs, q_zero, chains[port], chains[-1 - port])
+            ]
+            for port in range(config.num_users - 1)
+        ]

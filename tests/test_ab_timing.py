@@ -18,7 +18,7 @@ def test_a_tree_against_itself_is_identical_with_finite_ratios():
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout)
     assert report["processes"] == 1
-    assert len(report["cases"]) == 11
+    assert len(report["cases"]) == 12
     for label, case in report["cases"].items():
         assert case["identical"] is True and case["max_rel_diff"] == 0.0, label
         assert len(case["ratios"]) == 1 and all(math.isfinite(x) and x > 0.0 for x in case["ratios"]), label

@@ -30,7 +30,7 @@ def _rated(max_users):
     for n in range(3, max_users + 1):
         for mode in keyrate.MODES:
             try:
-                keyrate._check_mode(n, mode, n + 1, n + 1)
+                keyrate._check_mode(n, mode)
             except ConfigError:
                 continue
             yield n, mode

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import keyrate_oracles
 from mfqcka.channel import error_rows, error_terms, total_efficiency
 from mfqcka.keyrate import MODES, _chunk_rows, asymptotic_rate, finite_rate, rate_report, rate_reports, rate_rows
+from mfqcka.matching import _count_rows
 from mfqcka.model import (
     INFEASIBLE,
     ChannelParams,
@@ -45,27 +46,43 @@ def oracle_rate(config, channel, sec, mode):
     return raw, 0
 
 
-@pytest.mark.parametrize("distance", [50.0, 250.0])
-@pytest.mark.parametrize("num_users,mode", CASES)
-def test_rows_do_not_depend_on_the_batch(num_users, mode, distance):
-    bundle = make_bundle(num_users=num_users, distance_km=distance, data_size=1e14)
-    points, (ints, probs) = pool(num_users, 512, 900 + num_users)
+# (users, mode, pool size): every rated case of the standard ladders on 512
+# presample rows, and the exact mode at many users, where the chain of the
+# count kernel is long, on 64
+BATCH_CASES = [(n, mode, 512) for n, mode in CASES] + [(n, "asymptotic-exact", 64) for n in (8, 12, 20)]
+
+
+@pytest.mark.parametrize("distance", [0.0, 50.0, 250.0])
+@pytest.mark.parametrize("num_users,mode,size", BATCH_CASES)
+def test_rows_do_not_depend_on_the_batch(num_users, mode, size, distance):
+    """A sub-batch's count rows, ``key_rate_raw`` and causes are the whole pool's, bit for bit."""
+    bundle = make_bundle(num_users=min(num_users, 5), distance_km=distance, data_size=1e14)
+    if num_users > 5:
+        bundle = bundle._replace(config=make_geometric_config(num_users))
+    points, (ints, probs) = pool(num_users, size, 900 + num_users)
+    eta_t, p_d = total_efficiency(bundle.channel), bundle.channel.dark_count_rate
+    n_bins = bundle.security.data_size if mode == "finite" else 1.0
 
     def run(lo, hi):
-        return rate_rows(ints[lo:hi], probs[lo:hi], bundle.config, bundle.channel, bundle.security, mode)
+        ks, ps = ints[lo:hi], probs[lo:hi]
+        raw, cause = rate_rows(ks, ps, bundle.config, bundle.channel, bundle.security, mode)
+        channel = np.full(len(ks), eta_t), np.full(len(ks), p_d)  # one per row, as the kernel has it
+        return raw, cause, _count_rows(ks, ps, num_users, bundle.config.phase_slices, *channel, n_bins)
 
-    raw, cause = run(0, 512)
+    raw, cause, counts = run(0, size)
     # batches of one kernel chunk, one row short of it and one row over it
     # (two chunks), and batches that start off the whole pool's chunk bounds
     chunk = _chunk_rows(num_users + 1)
-    for start, size, stop in (
-        (0, 7, 512), (0, 1, 128), (0, chunk - 1, 512), (0, chunk, 512), (0, chunk + 1, 512), (11, chunk + 1, 512)
+    for start, step, stop in (
+        (0, 7, size), (0, 1, min(128, size)), (0, chunk - 1, size), (0, chunk, size), (0, chunk + 1, size),
+        (11, chunk + 1, size),
     ):
-        parts = [run(lo, lo + size) for lo in range(start, stop, size)]
-        assert np.array_equal(np.concatenate([c for _, c in parts]), cause[start:stop])
-        assert np.array_equal(np.concatenate([r for r, _ in parts]), raw[start:stop], equal_nan=True)
+        parts = [run(lo, lo + step) for lo in range(start, stop, step)]
+        assert np.array_equal(np.concatenate([c for _, c, _ in parts]), cause[start:stop])
+        assert np.array_equal(np.concatenate([r for r, _, _ in parts]), raw[start:stop], equal_nan=True)
+        assert np.concatenate([n for _, _, n in parts]).tobytes() == counts[start:stop].tobytes()
     # the scalar entry points are one-row calls of the same layers
-    for i in range(0, 512, 37):
+    for i in range(0, size, 37):
         config = _to_config(points[i], bundle.config)
         if cause[i]:
             with pytest.raises(INFEASIBLE[cause[i]]):
